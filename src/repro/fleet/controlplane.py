@@ -28,6 +28,7 @@ scenarios out across processes and still merge comparable results.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -194,14 +195,18 @@ class ControlHooks:
 
     The control loop owns *when* a decision happens — a worker freeing
     up, residency exceeding the stations, a queue overflowing — and
-    hooks own *which way it goes*: which pending job to dispatch next,
-    which idle cache entry to evict, whether an overflowing job fails
-    over to the optical network or is shed.  The base class *is* the
-    default implementation and reproduces the historical behaviour
-    decision for decision (the committed ``BENCH_fleet.json`` gate
-    pins this bit-identically); :mod:`repro.learn` subclasses it to
-    put an online learner behind the same three choices without
-    copying any of the control loop.
+    hooks own *which way it goes* at three decision points — dispatch
+    order, cache eviction, overflow: the order a lane serves its queue
+    in, which idle cache entry to evict, and whether an overflowing job
+    fails over to the optical network or is shed.
+    The base class *is* the default implementation and reproduces the
+    historical behaviour decision for decision (the committed
+    ``BENCH_fleet.json`` gate pins this bit-identically);
+    :mod:`repro.learn` subclasses it to put an online learner behind
+    the same three choices without copying any of the control loop.
+    Dispatch is named, not picked: hooks return an order and the lane
+    queue keeps a heap for it, so a dispatch costs O(log n) rather
+    than a scan of the queue.
 
     Hooks are bound to exactly one :class:`ControlPlane` via
     :meth:`bind` before the run starts.  They must be deterministic
@@ -218,17 +223,15 @@ class ControlHooks:
                 "ControlHooks instances bind to exactly one ControlPlane"
             )
         self.plane = plane
-        self._dispatch_key = _policy_key(plane.scenario.policy)
 
-    def pick_dispatch(self, lane: "_Lane",
-                      pending: list["_FleetJob"]) -> "_FleetJob":
-        """The next job a freed worker on ``lane`` should serve.
+    def dispatch_order(self, lane: "_Lane") -> str:
+        """The order (one of :data:`POLICIES`) ``lane`` dispatches in.
 
-        ``pending`` is non-empty; the returned job must be one of its
-        elements (the queue removes it).  Default: the scenario
-        policy's min-key order (fcfs/sjf/edf).
+        Asked each time a freed worker on ``lane`` takes its next job;
+        the queue serves the minimum-key pending job under that order.
+        Default: the scenario policy.
         """
-        return min(pending, key=self._dispatch_key)
+        return self.plane.scenario.policy
 
     def pick_eviction(self, lane: "_Lane"):
         """The cache entry ``lane`` should evict next, or ``None``.
@@ -252,33 +255,58 @@ class ControlHooks:
 
 
 class _LaneQueue:
-    """Policy-ordered job queue with blocking get for lane workers."""
+    """Policy-ordered job queue with blocking get for lane workers.
+
+    Jobs live in an insertion-ordered dict keyed by a push sequence
+    number; one binary heap of ``(key, seq)`` holds the active dispatch
+    order.  Popping the heap minimum serves exactly the job ``min()``
+    over the pending jobs in arrival order would: equal keys (duplicate
+    job ids included) fall back to ``seq``, i.e. to the earlier push.
+    A change of order rebuilds the heap from the dict in O(n); every
+    other push and pop is O(log n).
+    """
 
     def __init__(self, env: Environment, lane: "_Lane", hooks: ControlHooks):
         self.env = env
         self.lane = lane
         self.hooks = hooks
-        self.pending: list[_FleetJob] = []
+        self._jobs: dict[int, _FleetJob] = {}
+        self._seq = itertools.count()
+        self._order: str | None = None
+        self._key = None
+        self._heap: list[tuple[tuple, int]] = []
         self.waiters: deque[Event] = deque()
 
     @property
+    def pending(self):
+        """Read-only view of the queued jobs, in arrival order."""
+        return self._jobs.values()
+
+    @property
     def depth(self) -> int:
-        return len(self.pending)
+        return len(self._jobs)
 
     def push(self, fjob: _FleetJob) -> None:
-        self.pending.append(fjob)
+        seq = next(self._seq)
+        self._jobs[seq] = fjob
+        if self._key is not None:
+            heapq.heappush(self._heap, (self._key(fjob), seq))
         if self.waiters:
             self.waiters.popleft().succeed(None)
 
     def get(self):
         """Process helper: next job under the policy (blocks when empty)."""
-        while not self.pending:
+        while not self._jobs:
             waiter = Event(self.env)
             self.waiters.append(waiter)
             yield waiter
-        best = self.hooks.pick_dispatch(self.lane, self.pending)
-        self.pending.remove(best)
-        return best
+        order = self.hooks.dispatch_order(self.lane)
+        if order != self._order:
+            self._order = order
+            self._key = key = _policy_key(order)
+            self._heap = [(key(fjob), seq) for seq, fjob in self._jobs.items()]
+            heapq.heapify(self._heap)
+        return self._jobs.pop(heapq.heappop(self._heap)[1])
 
 
 class _Lane:

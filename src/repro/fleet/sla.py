@@ -34,7 +34,7 @@ import numpy as np
 
 from ..core.percentiles import percentiles
 from ..errors import ConfigurationError
-from ..obs import MetricsRegistry
+from ..obs import Counter, Histogram, MetricsRegistry
 from ..units import assert_positive
 
 try:
@@ -212,15 +212,17 @@ class _StreamStats:
         self.good_bytes = 0.0
         self.reservoir = LatencyReservoir(sample_cap, seed)
 
-    def observe(self, record: JobRecord) -> None:
+    def observe(self, latency_s: float | None, met_deadline: bool,
+                read_bytes: float) -> None:
+        """Count one record; ``latency_s`` is ``None`` if it never completed."""
         self.n_jobs += 1
-        if record.completed_s is not None:
+        if latency_s is not None:
             self.n_completed += 1
-            self.reservoir.observe(record.latency_s)
-        if not record.met_deadline:
+            self.reservoir.observe(latency_s)
+        if not met_deadline:
             self.misses += 1
         else:
-            self.good_bytes += record.read_bytes
+            self.good_bytes += read_bytes
 
     def summarise(self, kind: str, horizon_s: float) -> ClassSla:
         if self.reservoir.samples:
@@ -274,6 +276,10 @@ class SlaTracker:
         self._by_tenant: dict[str, _StreamStats] = {}
         self._overall = _StreamStats(sample_cap, _stream_seed("overall"))
         self._window = _StreamStats(sample_cap, _stream_seed("window"))
+        # Registry handles, fetched on first use so the registry's
+        # metric names and creation order match per-record lookups.
+        self._counters: dict[str, Counter] = {}
+        self._latency_histograms: dict[str, Histogram] = {}
 
     def target_for(self, kind: str) -> ClassTarget:
         return self.targets.get(kind, self.default)
@@ -285,21 +291,38 @@ class SlaTracker:
             table[key] = stats
         return stats
 
+    def _count(self, suffix: str) -> None:
+        counter = self._counters.get(suffix)
+        if counter is None:
+            counter = self.registry.counter(f"count.fleet.{suffix}")
+            self._counters[suffix] = counter
+        counter.inc()
+
     def observe(self, record: JobRecord) -> None:
         if self.retain_records:
             self.records.append(record)
-        self.registry.counter(f"count.fleet.{record.outcome}").inc()
+        self._count(record.outcome)
+        latency_s = None
         if record.completed_s is not None:
-            self.registry.histogram(
-                f"fleet.latency_s.{record.kind}", LATENCY_BUCKETS
-            ).observe(record.latency_s)
-        if not record.met_deadline:
-            self.registry.counter("count.fleet.deadline_missed").inc()
-        self._overall.observe(record)
-        self._window.observe(record)
-        self._stats(self._by_kind, record.kind).observe(record)
+            latency_s = record.latency_s
+            histogram = self._latency_histograms.get(record.kind)
+            if histogram is None:
+                histogram = self.registry.histogram(
+                    f"fleet.latency_s.{record.kind}", LATENCY_BUCKETS
+                )
+                self._latency_histograms[record.kind] = histogram
+            histogram.observe(latency_s)
+        met = record.met_deadline
+        if not met:
+            self._count("deadline_missed")
+        read_bytes = record.read_bytes
+        by_kind = self._stats(self._by_kind, record.kind)
+        self._overall.observe(latency_s, met, read_bytes)
+        self._window.observe(latency_s, met, read_bytes)
+        by_kind.observe(latency_s, met, read_bytes)
         if record.tenant:
-            self._stats(self._by_tenant, record.tenant).observe(record)
+            by_tenant = self._stats(self._by_tenant, record.tenant)
+            by_tenant.observe(latency_s, met, read_bytes)
 
     # -- mid-run snapshots -------------------------------------------------------
     #

@@ -49,7 +49,6 @@ from ..fleet.controlplane import (
     FleetReport,
     FleetScenario,
     _bind_jobs,
-    _policy_key,
     run_fleet,
 )
 from ..fleet.sla import ClassSla, Outcome
@@ -126,11 +125,13 @@ def action_index(action: Action) -> int:
 class AdaptiveHooks(ControlHooks):
     """Control-plane decisions driven by a mutable current action.
 
-    :meth:`set_action` swaps all three decision rules between epochs;
-    within an epoch the hooks are a pure function of the installed
-    action and lane state, so a constant action reproduces the
-    corresponding fixed scenario exactly: dispatch uses the same
-    min-key orders, eviction ranks candidates through
+    :meth:`set_action` swaps all three decision rules (dispatch order,
+    cache eviction, overflow) between epochs; within an epoch the hooks
+    are a pure function of the installed action and lane state, so a
+    constant action reproduces the corresponding fixed scenario
+    exactly: dispatch names the action's order, which the lane queues
+    serve exactly as they serve a scenario policy (switching the order
+    rebuilds their heaps), eviction ranks candidates through
     :func:`repro.fleet.cache.select_victim` (the very function
     :meth:`RackCache.evictable` delegates to), and overflow reproduces
     the failover-when-links-exist default when told to fail over.
@@ -138,7 +139,6 @@ class AdaptiveHooks(ControlHooks):
 
     def __init__(self, action: Action | None = None):
         self.action = action if action is not None else ACTIONS[0]
-        self._keys = {policy: _policy_key(policy) for policy in POLICIES}
         self._ttl_s = 600.0
 
     def bind(self, plane: ControlPlane) -> None:
@@ -150,8 +150,8 @@ class AdaptiveHooks(ControlHooks):
     def set_action(self, action: Action) -> None:
         self.action = action
 
-    def pick_dispatch(self, lane, pending):
-        return min(pending, key=self._keys[self.action.dispatch])
+    def dispatch_order(self, lane):
+        return self.action.dispatch
 
     def pick_eviction(self, lane):
         return select_victim(

@@ -6,12 +6,15 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fleet.sla import (
     DEFAULT_TARGET,
+    FAILED,
+    FAILOVER,
     ClassTarget,
     JobRecord,
     LatencyReservoir,
     SERVED,
     SHED,
     SlaTracker,
+    StreamStatsState,
 )
 from repro.obs import MetricsRegistry
 from repro.sim import Environment
@@ -83,6 +86,79 @@ class TestSlaTrackerMetrics:
         snapshot = registry.snapshot()
         assert "fleet.latency_s.interactive" in snapshot
         assert "fleet.latency_s.batch" in snapshot
+
+    def test_mixed_outcomes_pin_registry_and_state(self):
+        """Metric names, creation order, values and exported state."""
+
+        def record(job_id, kind, outcome, arrival, completed, tenant=""):
+            return JobRecord(
+                job_id=job_id, kind=kind, dataset="ds-000",
+                arrival_s=arrival, deadline_s=arrival + 60.0,
+                read_bytes=1e12 * (job_id + 1), outcome=outcome,
+                completed_s=completed, tenant=tenant,
+            )
+
+        registry, tracker = make_tracker()
+        for rec in (
+            record(0, "interactive", SERVED, 0.0, 30.0),
+            record(1, "batch", SHED, 5.0, None),
+            record(2, "interactive", FAILOVER, 10.0, 400.0),  # late
+            record(3, "batch", SERVED, 20.0, 70.0, tenant="search"),
+            record(4, "archive", FAILED, 30.0, None),
+            record(5, "interactive", SERVED, 40.0, 300.0, tenant="search"),
+            record(6, "batch", FAILOVER, 50.0, 90.0),
+            record(7, "interactive", SHED, 60.0, None, tenant="backup"),
+        ):
+            tracker.observe(rec)
+
+        # Metrics are created on first use, in first-use order.
+        assert list(registry._metrics) == [
+            "count.fleet.served",
+            "fleet.latency_s.interactive",
+            "count.fleet.shed",
+            "count.fleet.deadline_missed",
+            "count.fleet.failover",
+            "fleet.latency_s.batch",
+            "count.fleet.failed",
+        ]
+        snapshot = registry.snapshot()
+        counters = {
+            name: entry["value"] for name, entry in snapshot.items()
+            if entry["type"] == "counter"
+        }
+        assert counters == {
+            "count.fleet.deadline_missed": 5.0,
+            "count.fleet.failed": 1.0,
+            "count.fleet.failover": 2.0,
+            "count.fleet.served": 3.0,
+            "count.fleet.shed": 2.0,
+        }
+        interactive = snapshot["fleet.latency_s.interactive"]
+        assert (interactive["count"], interactive["sum"]) == (3, 680.0)
+        assert (interactive["min"], interactive["max"]) == (30.0, 390.0)
+        assert interactive["buckets"][50.0] == 1
+        assert interactive["buckets"][500.0] == 2
+        batch = snapshot["fleet.latency_s.batch"]
+        assert (batch["count"], batch["sum"]) == (2, 90.0)
+        assert batch["buckets"][50.0] == 2
+
+        state = tracker.export_state()
+        assert state.overall == StreamStatsState(
+            n_jobs=8, n_completed=5, misses=5, good_bytes=12e12,
+            samples=(30.0, 390.0, 50.0, 260.0, 40.0), n_observed=5,
+        )
+        assert state.by_kind["interactive"] == StreamStatsState(
+            n_jobs=4, n_completed=3, misses=3, good_bytes=1e12,
+            samples=(30.0, 390.0, 260.0), n_observed=3,
+        )
+        assert state.by_kind["archive"] == StreamStatsState(
+            n_jobs=1, n_completed=0, misses=1, good_bytes=0.0,
+            samples=(), n_observed=0,
+        )
+        assert state.by_tenant["search"] == StreamStatsState(
+            n_jobs=2, n_completed=2, misses=1, good_bytes=4e12,
+            samples=(50.0, 260.0), n_observed=2,
+        )
 
 
 class TestSlaReport:
