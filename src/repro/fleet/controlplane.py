@@ -41,7 +41,7 @@ from ..chaos.runner import CampaignRunner, install_campaign
 from ..errors import ConfigurationError, DataIntegrityError, SchedulingError
 from ..network.routes import ROUTE_B
 from ..network.transfer import DEFAULT_LINK_GBPS, OpticalLink
-from ..obs import MetricsRegistry, Tracer
+from ..obs import Counter, MetricsRegistry, Tracer
 from ..sim import Environment, Event
 from ..sim.resources import Resource
 from ..units import TB, gbps
@@ -169,11 +169,18 @@ def default_scenario(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class _FleetJob:
-    """A workload job bound to a dataset and an SLA."""
+    """A workload job bound to a dataset and an SLA.
 
-    job: TransferJob
+    Flat and slotted: one object per job on the intake path, compared by
+    identity (the lane queues never need value equality).
+    """
+
+    job_id: int
+    arrival_s: float
+    size_bytes: float
+    kind: str
     dataset: str
     read_bytes: float
     deadline_at: float
@@ -183,11 +190,11 @@ class _FleetJob:
 
 def _policy_key(policy: str):
     if policy == "fcfs":
-        return lambda f: (f.job.arrival_s, f.job.job_id)
+        return lambda f: (f.arrival_s, f.job_id)
     if policy == "sjf":
-        return lambda f: (f.read_bytes, f.job.arrival_s, f.job.job_id)
+        return lambda f: (f.read_bytes, f.arrival_s, f.job_id)
     # edf: class priority first, then the closest absolute deadline.
-    return lambda f: (f.priority, f.deadline_at, f.job.job_id)
+    return lambda f: (f.priority, f.deadline_at, f.job_id)
 
 
 class ControlHooks:
@@ -428,7 +435,6 @@ class ControlPlane:
         else:
             self._failover_policy = None
             self._failover_streams = None
-        self._outcomes: list[JobRecord] = []
         self._done = Event(env)
         # Streaming intake/outcome accounting: the plane never needs
         # the whole job list, only how many came in and how many
@@ -443,6 +449,9 @@ class ControlPlane:
         self._tenants_seen = False
         self._evictions_in_flight = 0
         self.failover_energy_j = 0.0
+        # Counter handles by name, fetched on first use so registry
+        # names, creation order and values match per-record lookups.
+        self._counters: dict[str, Counter] = {}
         # Degradation machinery: one health monitor + breaker per lane,
         # fed by the track's fault-to-repair windows and serve outcomes.
         # Absent a policy nothing is created, so the fault-free fleet is
@@ -476,9 +485,15 @@ class ControlPlane:
                 continue
             if endpoint_id is not None and lane_endpoint != endpoint_id:
                 continue
-            self.registry.counter("count.fleet.cache_node_losses").inc()
+            self._count("count.fleet.cache_node_losses")
             for entry in lane.cache.rehome():
                 self._start_eviction(lane, entry)
+
+    def _count(self, name: str, by: float = 1.0) -> None:
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.registry.counter(name)
+        counter.inc(by)
 
     # -- lane lookup -------------------------------------------------------------
 
@@ -507,45 +522,68 @@ class ControlPlane:
             self.tracer.instant(
                 "job.admit",
                 track=f"fleet:{lane.name}",
-                job=fjob.job.job_id,
-                kind=fjob.job.kind,
+                job=fjob.job_id,
+                kind=fjob.kind,
                 dataset=fjob.dataset,
             )
         if lane.queue.depth >= admission.max_queue_depth:
-            self.registry.counter("count.fleet.admission_rejections").inc()
+            self._count("count.fleet.admission_rejections")
             choice = self.hooks.pick_overflow(
                 fjob, lane, self._failover_streams is not None
             )
             if choice == Outcome.FAILOVER and self._failover_streams is not None:
                 self.env.process(self._failover_job(fjob))
             else:
-                self._finish(self._record(fjob, Outcome.SHED, completed_s=None))
+                self._finish(fjob, Outcome.SHED, None)
         else:
             lane.queue.push(fjob)
 
-    def _arrivals(self, fjobs: Iterator[_FleetJob]):
-        """Consume the job stream lazily, one arrival at a time.
+    def start_intake(self, fjobs: Iterable[_FleetJob]) -> None:
+        """Submit ``fjobs`` as the DES clock reaches each arrival.
 
-        The iterator is only advanced after the previous job has been
+        Intake is a chain of plain callbacks, not a process.  A start
+        event is scheduled now, so intake begins after everything
+        already scheduled for this instant (the workers' first resumes
+        included) and before anything scheduled later; each callback
+        then submits every job already due and schedules one event for
+        the next arrival.  The iterator is only advanced after the previous job has been
         submitted, so at most one bound job is ever materialised ahead
         of the DES clock — a trace-driven day streams through without
         the job list ever existing in memory.
+
+        The next arrival is scheduled ``arrival_s - now`` after ``now``,
+        not at ``arrival_s``: that float sum is the timestamp the run
+        has always used, so reports stay bit-identical.
         """
-        for fjob in fjobs:
-            if fjob.job.arrival_s > self.env.now:
-                yield self.env.timeout(fjob.job.arrival_s - self.env.now)
-            self.submit(fjob)
-        self._intake_closed = True
-        self._maybe_done()
+        env = self.env
+        submit = self.submit
+        jobs = iter(fjobs)
+
+        def intake(event: Event) -> None:
+            due = event._value
+            if due is not None:
+                submit(due)
+            for fjob in jobs:
+                now = env._now
+                if fjob.arrival_s > now:
+                    env.timeout(fjob.arrival_s - now, fjob).callbacks.append(
+                        intake
+                    )
+                    return
+                submit(fjob)
+            self._intake_closed = True
+            self._maybe_done()
+
+        env.timeout(0.0).callbacks.append(intake)
 
     def _divert(self, fjob: _FleetJob) -> None:
         """Route a job off a degraded lane per its SLA class."""
-        self.registry.counter("count.fleet.diverted").inc()
+        self._count("count.fleet.diverted")
         if (
             self._failover_streams is None
-            or fjob.job.kind in self.degradation.shed_classes
+            or fjob.kind in self.degradation.shed_classes
         ):
-            self._finish(self._record(fjob, Outcome.SHED, completed_s=None))
+            self._finish(fjob, Outcome.SHED, None)
         else:
             self.env.process(self._failover_job(fjob))
 
@@ -555,14 +593,13 @@ class ControlPlane:
         try:
             energy = self._failover_policy.transfer_energy(fjob.read_bytes)
             self.failover_energy_j += energy
-            self.registry.counter("energy_j.fleet.network_failover").inc(energy)
+            self._count("energy_j.fleet.network_failover", energy)
             yield self.env.timeout(
                 self._failover_policy.transfer_time(fjob.read_bytes)
             )
         finally:
             stream.release()
-        self._finish(self._record(fjob, Outcome.FAILOVER,
-                                  completed_s=self.env.now))
+        self._finish(fjob, Outcome.FAILOVER, self.env.now)
 
     # -- lane workers ------------------------------------------------------------
 
@@ -596,18 +633,15 @@ class ControlPlane:
                     end_s=completed,
                     track=f"fleet:{lane.name}",
                     asynchronous=True,
-                    job=fjob.job.job_id,
-                    kind=fjob.job.kind,
+                    job=fjob.job_id,
+                    kind=fjob.kind,
                     dataset=fjob.dataset,
-                    queue_wait_s=started - fjob.job.arrival_s,
+                    queue_wait_s=started - fjob.arrival_s,
                 )
-            self._finish(
-                self._record(
-                    fjob,
-                    Outcome.SERVED if ok else Outcome.FAILED,
-                    completed_s=completed if ok else None,
-                )
-            )
+            if ok:
+                self._finish(fjob, Outcome.SERVED, completed)
+            else:
+                self._finish(fjob, Outcome.FAILED, None)
 
     def _close_robust(self, lane: _Lane, cart):
         """Close with unbounded patience: the cart has one way home.
@@ -623,7 +657,7 @@ class ControlPlane:
                 yield lane.api.close(cart, lane.endpoint_id)
                 return
             except SchedulingError:
-                self.registry.counter("count.fleet.close_deferrals").inc()
+                self._count("count.fleet.close_deferrals")
                 yield self.env.timeout(CLOSE_RETRY_S)
 
     def _serve_plain(self, lane: _Lane, fjob: _FleetJob):
@@ -756,34 +790,38 @@ class ControlPlane:
 
     # -- bookkeeping -------------------------------------------------------------
 
-    def _record(self, fjob: _FleetJob, outcome: str,
-                completed_s: float | None) -> JobRecord:
-        return JobRecord(
-            job_id=fjob.job.job_id,
-            kind=fjob.job.kind,
-            dataset=fjob.dataset,
-            arrival_s=fjob.job.arrival_s,
-            deadline_s=fjob.deadline_at,
-            read_bytes=fjob.read_bytes,
-            outcome=outcome,
-            completed_s=completed_s,
-            tenant=fjob.tenant,
-        )
+    def _finish(self, fjob: _FleetJob, outcome: str,
+                completed_s: float | None) -> None:
+        """Resolve one job: SLA accounting, counts, outcome hook.
 
-    def _finish(self, record: JobRecord) -> None:
-        self.sla.observe(record)
-        if self.scenario.retain_records:
-            self._outcomes.append(record)
-        self._counts[record.outcome] += 1
-        if (
-            record.completed_s is not None
-            and record.completed_s > self._max_completed_s
-        ):
-            self._max_completed_s = record.completed_s
+        A :class:`JobRecord` is built only where something keeps it —
+        the retained record list or an attached ``outcome_hook``; a
+        streaming run hands the SLA tracker the fields alone.
+        """
+        hook = self.outcome_hook
+        record = None
+        if self.scenario.retain_records or hook is not None:
+            record = JobRecord(
+                job_id=fjob.job_id,
+                kind=fjob.kind,
+                dataset=fjob.dataset,
+                arrival_s=fjob.arrival_s,
+                deadline_s=fjob.deadline_at,
+                read_bytes=fjob.read_bytes,
+                outcome=outcome,
+                completed_s=completed_s,
+                tenant=fjob.tenant,
+            )
+        self.sla.observe(fjob.kind, fjob.tenant, outcome, fjob.arrival_s,
+                         fjob.deadline_at, fjob.read_bytes, completed_s,
+                         record)
+        self._counts[outcome] += 1
+        if completed_s is not None and completed_s > self._max_completed_s:
+            self._max_completed_s = completed_s
         self._resolved += 1
         self._in_system -= 1
-        if self.outcome_hook is not None:
-            self.outcome_hook(record)
+        if hook is not None:
+            hook(record)
         self._maybe_done()
 
     @property
@@ -852,12 +890,12 @@ class ControlPlane:
                 "no jobs arrived within the horizon"
             ) from None
         self.start_workers()
-        self.env.process(self._arrivals(itertools.chain((first,), iterator)))
+        self.start_intake(itertools.chain((first,), iterator))
         self.env.run(until=self._done)
         return self._build_report()
 
     def _build_report(self) -> FleetReport:
-        records = tuple(sorted(self._outcomes, key=lambda r: r.job_id))
+        records = tuple(sorted(self.sla.records, key=lambda r: r.job_id))
         caches = [
             lane.cache for lane in self.lanes.values() if lane.cache is not None
         ]
@@ -933,7 +971,10 @@ def _bind_jobs(
         target = targets.get(job.kind, DEFAULT_TARGET)
         home = topology.home(dataset)
         yield _FleetJob(
-            job=job,
+            job_id=job.job_id,
+            arrival_s=job.arrival_s,
+            size_bytes=job.size_bytes,
+            kind=job.kind,
             dataset=dataset,
             read_bytes=min(job.size_bytes, home.size_bytes),
             deadline_at=job.arrival_s + target.deadline_s,

@@ -305,7 +305,7 @@ class _Pump:
     def pull(self, until: float) -> list[_FleetJob]:
         """All not-yet-pulled jobs arriving at or before ``until``."""
         out: list[_FleetJob] = []
-        while not self.exhausted and self._next.job.arrival_s <= until:
+        while not self.exhausted and self._next.arrival_s <= until:
             out.append(self._next)
             self._advance()
         return out
@@ -362,13 +362,13 @@ class _PodRunner:
         for fjob in arrivals:
             owner = self.owners[fjob.dataset]
             if owner == self.pod_index:
-                self.plane.inject(fjob, fjob.job.arrival_s)
+                self.plane.inject(fjob, fjob.arrival_s)
             else:
                 self.plane.registry.counter(FORWARDED_COUNTER).inc()
                 self.outbox.append((
-                    fjob.job.arrival_s + self.window_s,
+                    fjob.arrival_s + self.window_s,
                     _JOB_RANK,
-                    fjob.job.job_id,
+                    fjob.job_id,
                     owner,
                     fjob,
                 ))
@@ -781,7 +781,7 @@ def run_sharded(
             for message in deliverable:
                 work.setdefault(message[3], ([], []))[0].append(message)
             for fjob in arrivals:
-                ingress = fjob.job.job_id % plan.n_pods
+                ingress = fjob.job_id % plan.n_pods
                 work.setdefault(ingress, ([], []))[1].append(fjob)
             pending.extend(executor.step(epoch_end, work))
             epochs += 1

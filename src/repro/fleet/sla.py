@@ -1,10 +1,11 @@
 """Per-traffic-class SLA tracking for fleet runs.
 
-Each completed (or shed) job becomes a :class:`JobRecord`; the
-:class:`SlaTracker` streams records into the fleet's
+Each resolved (completed, failed or shed) job is observed once by the
+:class:`SlaTracker`, which streams it into the fleet's
 :class:`~repro.obs.metrics.MetricsRegistry` — latency histograms per
-class, outcome counters — while retaining the raw samples so the final
-report can quote exact percentiles.
+class, outcome counters — and into streaming accumulators, keeping the
+job's :class:`JobRecord` when the final report should quote exact
+percentiles.
 
 Percentiles come from :mod:`repro.core.percentiles`, the same
 linear-interpolation rule the service study uses, so "p95" means one
@@ -276,6 +277,10 @@ class SlaTracker:
         self._by_tenant: dict[str, _StreamStats] = {}
         self._overall = _StreamStats(sample_cap, _stream_seed("overall"))
         self._window = _StreamStats(sample_cap, _stream_seed("window"))
+        # The accumulators one (kind, tenant) pair feeds: overall, its
+        # kind and (when named) its tenant.  The rolling window is fed
+        # separately because ``take_window`` replaces it.
+        self._groups: dict[tuple[str, str], tuple[_StreamStats, ...]] = {}
         # Registry handles, fetched on first use so the registry's
         # metric names and creation order match per-record lookups.
         self._counters: dict[str, Counter] = {}
@@ -298,31 +303,59 @@ class SlaTracker:
             self._counters[suffix] = counter
         counter.inc()
 
-    def observe(self, record: JobRecord) -> None:
+    def _group(self, kind: str, tenant: str) -> tuple[_StreamStats, ...]:
+        group = (self._overall, self._stats(self._by_kind, kind))
+        if tenant:
+            group += (self._stats(self._by_tenant, tenant),)
+        self._groups[(kind, tenant)] = group
+        return group
+
+    def observe(
+        self,
+        kind: str,
+        tenant: str,
+        outcome: str,
+        arrival_s: float,
+        deadline_s: float,
+        read_bytes: float,
+        completed_s: float | None,
+        record: JobRecord | None = None,
+    ) -> None:
+        """Account one resolved job, given its outcome's fields.
+
+        The fields are those of the job's :class:`JobRecord`, and the
+        accounting is exactly what that record's ``latency_s`` and
+        ``met_deadline`` imply.  ``record`` itself is only needed — and
+        then required — when the tracker retains records.
+        """
         if self.retain_records:
+            if record is None:
+                raise ConfigurationError(
+                    "a record-retaining SlaTracker needs the JobRecord"
+                )
             self.records.append(record)
-        self._count(record.outcome)
-        latency_s = None
-        if record.completed_s is not None:
-            latency_s = record.latency_s
-            histogram = self._latency_histograms.get(record.kind)
+        self._count(outcome)
+        if completed_s is None:
+            latency_s = None
+            met = False
+        else:
+            latency_s = completed_s - arrival_s
+            histogram = self._latency_histograms.get(kind)
             if histogram is None:
                 histogram = self.registry.histogram(
-                    f"fleet.latency_s.{record.kind}", LATENCY_BUCKETS
+                    f"fleet.latency_s.{kind}", LATENCY_BUCKETS
                 )
-                self._latency_histograms[record.kind] = histogram
+                self._latency_histograms[kind] = histogram
             histogram.observe(latency_s)
-        met = record.met_deadline
+            met = completed_s <= deadline_s and outcome in (SERVED, FAILOVER)
         if not met:
             self._count("deadline_missed")
-        read_bytes = record.read_bytes
-        by_kind = self._stats(self._by_kind, record.kind)
-        self._overall.observe(latency_s, met, read_bytes)
+        group = self._groups.get((kind, tenant))
+        if group is None:
+            group = self._group(kind, tenant)
+        for stats in group:
+            stats.observe(latency_s, met, read_bytes)
         self._window.observe(latency_s, met, read_bytes)
-        by_kind.observe(latency_s, met, read_bytes)
-        if record.tenant:
-            by_tenant = self._stats(self._by_tenant, record.tenant)
-            by_tenant.observe(latency_s, met, read_bytes)
 
     # -- mid-run snapshots -------------------------------------------------------
     #

@@ -353,10 +353,8 @@ class FleetEnv:
             self.sim, self.topology, self.scenario, hooks=self.hooks
         )
         self.plane.start_workers()
-        self.sim.process(
-            self.plane._arrivals(
-                iter(episode_jobs(self.config, self.scenario, self.topology))
-            )
+        self.plane.start_intake(
+            episode_jobs(self.config, self.scenario, self.topology)
         )
         self.epoch = 0
         self._last_energy = 0.0
@@ -431,7 +429,7 @@ class FleetEnv:
         """Mean normalised wait of jobs still queued right now."""
         now = self.sim.now
         waits = [
-            min((now - fjob.job.arrival_s) / self.config.p99_scale, 1.0)
+            min((now - fjob.arrival_s) / self.config.p99_scale, 1.0)
             for lane in self.plane.lanes.values()
             for fjob in lane.queue.pending
         ]

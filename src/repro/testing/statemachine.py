@@ -71,7 +71,6 @@ from ..obs.tracer import span_nesting_violations
 from ..sim import Environment
 from ..storage.datasets import synthetic_dataset
 from ..units import TB
-from ..workloads.generator import TransferJob
 
 
 def api_fuzz_campaign(seed: int = 0) -> ChaosCampaign:
@@ -312,17 +311,19 @@ class FleetDispatchMachine:
         home = self.topology.home(dataset)
         target = self.targets.get(kind, DEFAULT_TARGET)
         size = max(1.0, size_fraction * 8 * TB)
-        job = TransferJob(self._next_job_id, self.env.now, size, kind)
-        self._next_job_id += 1
         self.plane.submit(
             _FleetJob(
-                job=job,
+                job_id=self._next_job_id,
+                arrival_s=self.env.now,
+                size_bytes=size,
+                kind=kind,
                 dataset=dataset,
                 read_bytes=min(size, home.size_bytes),
                 deadline_at=self.env.now + target.deadline_s,
                 priority=target.priority,
             )
         )
+        self._next_job_id += 1
         self.submitted += 1
 
     def do_advance(self, dt: float) -> None:
@@ -359,7 +360,7 @@ class FleetDispatchMachine:
                 f"probe accounting on {monitor.name}: "
                 f"{monitor.breaker.probes_in_flight} probes in flight"
             )
-        outcomes = self.plane._outcomes
+        outcomes = self.plane.sla.records
         assert len(outcomes) <= self.submitted, (
             f"{len(outcomes)} outcomes for {self.submitted} submitted jobs"
         )
@@ -370,12 +371,12 @@ class FleetDispatchMachine:
     def finish(self, drain_step_s: float = 300.0, max_steps: int = 400) -> None:
         """Drain every submitted job, then audit conservation end-to-end."""
         steps = 0
-        while len(self.plane._outcomes) < self.submitted:
+        while len(self.plane.sla.records) < self.submitted:
             self.env.run(until=self.env.now + drain_step_s)
             self.check()
             steps += 1
             assert steps < max_steps, (
-                f"fleet failed to drain: {len(self.plane._outcomes)} of "
+                f"fleet failed to drain: {len(self.plane.sla.records)} of "
                 f"{self.submitted} jobs resolved after {steps} steps"
             )
         if self.plane._campaign is not None:
@@ -383,7 +384,7 @@ class FleetDispatchMachine:
         # Let in-flight evictions land so pool accounting is exact.
         self.env.run(until=self.env.now + 3600.0)
         self.check()
-        seen = [record.job_id for record in self.plane._outcomes]
+        seen = [record.job_id for record in self.plane.sla.records]
         assert len(seen) == len(set(seen)) == self.submitted, (
             "every submitted job must resolve exactly once"
         )

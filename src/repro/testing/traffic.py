@@ -210,7 +210,10 @@ class TraceReplayMachine:
             record = self.pending.pop(0)
             target = self.targets.get(record.kind, DEFAULT_TARGET)
             self.plane.submit(_FleetJob(
-                job=record.to_job(self._next_job_id),
+                job_id=self._next_job_id,
+                arrival_s=record.arrival_s,
+                size_bytes=record.size_bytes,
+                kind=record.kind,
                 dataset=record.dataset,
                 read_bytes=min(record.size_bytes,
                                self.scenario.catalog.dataset_bytes),
@@ -254,7 +257,7 @@ class TraceReplayMachine:
         )
         legal = {Outcome.SERVED, Outcome.FAILOVER, Outcome.SHED,
                  Outcome.FAILED}
-        for record in self.plane._outcomes:
+        for record in self.plane.sla.records:
             assert record.outcome in legal, (
                 f"unknown outcome {record.outcome!r}"
             )

@@ -154,38 +154,48 @@ def read_binary_header(stream: BinaryIO) -> TraceHeader:
 
 def read_binary_records(stream: BinaryIO,
                         header: TraceHeader) -> Iterator[TraceRecord]:
-    """Stream records off a binary trace positioned past its header."""
+    """Stream records off a binary trace positioned past its header.
+
+    Arrival order is checked inline, with the message
+    :func:`~repro.traffic.schema.monotone` gives a JSONL stream.
+    """
     size = RECORD_STRUCT.size
     tenants, datasets, kinds = header.tenants, header.datasets, header.kinds
-
-    def decoded() -> Iterator[TraceRecord]:
-        while True:
-            batch = stream.read(size * DECODE_BATCH)
-            if not batch:
-                return
-            if len(batch) % size:
-                raise DataIntegrityError(
-                    f"truncated binary trace: {len(batch) % size} trailing "
-                    "bytes are not a whole record"
+    index = 0
+    last = float("-inf")
+    while True:
+        batch = stream.read(size * DECODE_BATCH)
+        if not batch:
+            return
+        if len(batch) % size:
+            raise DataIntegrityError(
+                f"truncated binary trace: {len(batch) % size} trailing "
+                "bytes are not a whole record"
+            )
+        for arrival, tenant_id, dataset_id, kind_id, size_bytes, deadline \
+                in RECORD_STRUCT.iter_unpack(batch):
+            try:
+                record = TraceRecord(
+                    arrival_s=arrival,
+                    tenant=tenants[tenant_id],
+                    dataset=datasets[dataset_id],
+                    size_bytes=size_bytes,
+                    kind=kinds[kind_id],
+                    deadline_s=deadline,
                 )
-            for arrival, tenant_id, dataset_id, kind_id, size_bytes, deadline \
-                    in RECORD_STRUCT.iter_unpack(batch):
-                try:
-                    yield TraceRecord(
-                        arrival_s=arrival,
-                        tenant=tenants[tenant_id],
-                        dataset=datasets[dataset_id],
-                        size_bytes=size_bytes,
-                        kind=kinds[kind_id],
-                        deadline_s=deadline,
-                    )
-                except IndexError:
-                    raise DataIntegrityError(
-                        f"binary record references id outside the header "
-                        f"tables ({tenant_id}, {dataset_id}, {kind_id})"
-                    ) from None
-
-    return monotone(decoded())
+            except IndexError:
+                raise DataIntegrityError(
+                    f"binary record references id outside the header "
+                    f"tables ({tenant_id}, {dataset_id}, {kind_id})"
+                ) from None
+            if arrival < last:
+                raise DataIntegrityError(
+                    f"trace arrivals must be non-decreasing: record {index} "
+                    f"arrives at {arrival} after {last}"
+                )
+            last = arrival
+            index += 1
+            yield record
 
 
 def read_jsonl_header(stream: TextIO) -> TraceHeader:

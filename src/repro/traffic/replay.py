@@ -8,7 +8,7 @@ the way a live fleet would — not to a pre-built job list.
 Two bounds keep a 10M-request day in constant memory:
 
 * the control plane's lazy intake holds at most **one** bound job ahead
-  of the clock (see ``ControlPlane._arrivals``);
+  of the clock (see ``ControlPlane.start_intake``);
 * the :class:`LookaheadCursor` in front of it decodes records in small
   chunks, never buffering more than ``max_pending`` records nor more
   than ``lookahead_s`` of virtual time past the last record it handed
@@ -149,10 +149,15 @@ def bound_jobs(
     trace already names dataset, tenant and deadline.  Job ids number
     records in arrival order.  Priorities still come from the
     scenario's targets so scheduling policy and trace stay decoupled.
+    Each record binds straight into one flat fleet job; the record's
+    own construction already checked its arrival and size.
     """
     for job_id, record in enumerate(records):
         yield _FleetJob(
-            job=record.to_job(job_id),
+            job_id=job_id,
+            arrival_s=record.arrival_s,
+            size_bytes=record.size_bytes,
+            kind=record.kind,
             dataset=record.dataset,
             read_bytes=min(record.size_bytes, cart_bytes),
             deadline_at=record.deadline_s,

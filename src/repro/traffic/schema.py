@@ -21,7 +21,6 @@ from typing import Iterable, Iterator
 
 from ..errors import ConfigurationError, DataIntegrityError
 from ..units import assert_positive
-from ..workloads.generator import TransferJob
 
 #: Bumped on any change to the record layout or header semantics; both
 #: codecs embed it and refuse to decode a trace from another version.
@@ -62,15 +61,6 @@ class TraceRecord:
         for name in ("tenant", "dataset", "kind"):
             if not getattr(self, name):
                 raise ConfigurationError(f"record {name} must be non-empty")
-
-    def to_job(self, job_id: int) -> TransferJob:
-        """The workload-layer view of this record."""
-        return TransferJob(
-            job_id=job_id,
-            arrival_s=self.arrival_s,
-            size_bytes=self.size_bytes,
-            kind=self.kind,
-        )
 
 
 @dataclass(frozen=True)
@@ -161,7 +151,8 @@ class TraceHeader:
 def monotone(records: Iterable[TraceRecord]) -> Iterator[TraceRecord]:
     """Pass records through, failing fast on a backwards arrival.
 
-    Both codecs wrap their streams in this so an out-of-order trace is a
+    The JSONL reader wraps its stream in this (the binary reader checks
+    inline, with the same message) so an out-of-order trace is a
     :class:`~repro.errors.DataIntegrityError` at the offending record,
     not a subtly wrong replay an hour of virtual time later.
     """

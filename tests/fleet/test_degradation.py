@@ -29,7 +29,7 @@ class TestCacheRehoming:
             if machine.topology.home(name).track_index == 1
         )
         machine.do_dispatch(0, machine.datasets.index(dataset), 0.5)
-        while len(machine.plane._outcomes) < 1:
+        while len(machine.plane.sla.records) < 1:
             machine.do_advance(60.0)
             machine.check()
         lane = machine.plane.lane_for(dataset)
@@ -62,7 +62,7 @@ class TestCacheRehoming:
         machine.finish()
         # The job still resolved exactly once; nothing leaked (finish
         # audits pool-token and per-system leak conservation).
-        assert len(machine.plane._outcomes) == 1
+        assert len(machine.plane.sla.records) == 1
 
 
 class TestHardenedVersusNaive:

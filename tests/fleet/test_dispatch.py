@@ -14,7 +14,6 @@ from repro.fleet import controlplane, shard, shardbench
 from repro.fleet.controlplane import POLICIES, _FleetJob, _LaneQueue, _policy_key
 from repro.fleet.topology import FleetTopology
 from repro.sim import Environment
-from repro.workloads.generator import TransferJob
 
 #: ``shard.signature_digest`` of the seed-0 shard-bench fleet report,
 #: unsharded, over 3600 s (the e2e benchmark's fleet-saturated pin).
@@ -59,8 +58,7 @@ def take(queue):
 # Tiny value domains so duplicate job ids and fully equal keys are common.
 jobs = st.builds(
     lambda job_id, arrival, size, deadline, priority: _FleetJob(
-        job=TransferJob(job_id=job_id, arrival_s=arrival, size_bytes=size,
-                        kind="interactive"),
+        job_id=job_id, arrival_s=arrival, size_bytes=size, kind="interactive",
         dataset="ds-000",
         read_bytes=size,
         deadline_at=deadline,
@@ -101,10 +99,9 @@ class TestDifferentialOracle:
             assert queue.depth == len(oracle.pending)
 
     def test_equal_keys_pop_in_push_order(self):
-        job = TransferJob(job_id=7, arrival_s=1.0, size_bytes=1.0,
-                          kind="interactive")
         twins = [
-            _FleetJob(job=job, dataset="ds-000", read_bytes=1.0,
+            _FleetJob(job_id=7, arrival_s=1.0, size_bytes=1.0,
+                      kind="interactive", dataset="ds-000", read_bytes=1.0,
                       deadline_at=10.0, priority=0)
             for _ in range(3)
         ]

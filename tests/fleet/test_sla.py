@@ -27,6 +27,13 @@ def make_tracker(**kwargs):
     return registry, SlaTracker(registry, targets, **kwargs)
 
 
+def observe(tracker, record):
+    """Feed ``record``'s fields to ``tracker`` as the control plane does."""
+    tracker.observe(record.kind, record.tenant, record.outcome,
+                    record.arrival_s, record.deadline_s, record.read_bytes,
+                    record.completed_s, record)
+
+
 def served(job_id, kind, arrival, completed, deadline=60.0, size=1e12):
     return JobRecord(
         job_id=job_id,
@@ -74,15 +81,15 @@ class TestClassTarget:
 class TestSlaTrackerMetrics:
     def test_observation_lands_in_registry(self):
         registry, tracker = make_tracker()
-        tracker.observe(served(0, "interactive", 0.0, 30.0))
-        tracker.observe(served(1, "interactive", 0.0, 500.0))  # late
+        observe(tracker, served(0, "interactive", 0.0, 30.0))
+        observe(tracker, served(1, "interactive", 0.0, 500.0))  # late
         assert registry.value("count.fleet.served") == 2
         assert registry.value("count.fleet.deadline_missed") == 1
 
     def test_latency_histogram_per_class(self):
         registry, tracker = make_tracker()
-        tracker.observe(served(0, "interactive", 0.0, 30.0))
-        tracker.observe(served(1, "batch", 0.0, 30.0))
+        observe(tracker, served(0, "interactive", 0.0, 30.0))
+        observe(tracker, served(1, "batch", 0.0, 30.0))
         snapshot = registry.snapshot()
         assert "fleet.latency_s.interactive" in snapshot
         assert "fleet.latency_s.batch" in snapshot
@@ -109,7 +116,7 @@ class TestSlaTrackerMetrics:
             record(6, "batch", FAILOVER, 50.0, 90.0),
             record(7, "interactive", SHED, 60.0, None, tenant="backup"),
         ):
-            tracker.observe(rec)
+            observe(tracker, rec)
 
         # Metrics are created on first use, in first-use order.
         assert list(registry._metrics) == [
@@ -167,7 +174,7 @@ class TestSlaReport:
         rng = np.random.default_rng(1)
         latencies = rng.uniform(1.0, 100.0, size=73)
         for index, latency in enumerate(latencies):
-            tracker.observe(served(index, "interactive", 0.0, float(latency)))
+            observe(tracker, served(index, "interactive", 0.0, float(latency)))
         report = tracker.report(horizon_s=3600.0)
         sla = report.for_kind("interactive")
         assert sla.p95_s == pytest.approx(float(np.percentile(latencies, 95)))
@@ -175,8 +182,8 @@ class TestSlaReport:
 
     def test_miss_rate_counts_sheds(self):
         _, tracker = make_tracker()
-        tracker.observe(served(0, "interactive", 0.0, 30.0))
-        tracker.observe(JobRecord(
+        observe(tracker, served(0, "interactive", 0.0, 30.0))
+        observe(tracker, JobRecord(
             job_id=1, kind="interactive", dataset="ds-000", arrival_s=0.0,
             deadline_s=60.0, read_bytes=1e12, outcome=SHED,
         ))
@@ -185,8 +192,8 @@ class TestSlaReport:
 
     def test_goodput_counts_only_in_deadline_bytes(self):
         _, tracker = make_tracker()
-        tracker.observe(served(0, "interactive", 0.0, 30.0, size=2e12))
-        tracker.observe(served(1, "interactive", 0.0, 500.0, size=7e12))
+        observe(tracker, served(0, "interactive", 0.0, 30.0, size=2e12))
+        observe(tracker, served(1, "interactive", 0.0, 500.0, size=7e12))
         report = tracker.report(horizon_s=1000.0)
         assert report.for_kind("interactive").goodput_bytes_per_s == (
             pytest.approx(2e12 / 1000.0)
@@ -194,7 +201,7 @@ class TestSlaReport:
 
     def test_empty_class_has_infinite_tail(self):
         _, tracker = make_tracker()
-        tracker.observe(JobRecord(
+        observe(tracker, JobRecord(
             job_id=0, kind="batch", dataset="ds-000", arrival_s=0.0,
             deadline_s=60.0, read_bytes=1e12, outcome=SHED,
         ))
@@ -203,15 +210,15 @@ class TestSlaReport:
 
     def test_overall_aggregates_all_classes(self):
         _, tracker = make_tracker()
-        tracker.observe(served(0, "interactive", 0.0, 30.0))
-        tracker.observe(served(1, "batch", 0.0, 40.0))
+        observe(tracker, served(0, "interactive", 0.0, 30.0))
+        observe(tracker, served(1, "batch", 0.0, 40.0))
         report = tracker.report(horizon_s=100.0)
         assert report.overall.n_jobs == 2
         assert {c.kind for c in report.classes} == {"interactive", "batch"}
 
     def test_unknown_kind_lookup_rejected(self):
         _, tracker = make_tracker()
-        tracker.observe(served(0, "interactive", 0.0, 30.0))
+        observe(tracker, served(0, "interactive", 0.0, 30.0))
         with pytest.raises(ConfigurationError):
             tracker.report(horizon_s=100.0).for_kind("archive")
 
@@ -255,8 +262,8 @@ class TestStreamingMode:
         rng = np.random.default_rng(3)
         for index, latency in enumerate(rng.uniform(1.0, 200.0, size=211)):
             record = served(index, "interactive", 0.0, float(latency))
-            retained.observe(record)
-            streaming.observe(record)
+            observe(retained, record)
+            observe(streaming, record)
         assert streaming.records == []
         exact = retained.report(horizon_s=3600.0)
         approx = streaming.report(horizon_s=3600.0)
@@ -265,7 +272,7 @@ class TestStreamingMode:
     def test_streaming_counts_exact_past_cap(self):
         _, tracker = make_tracker(retain_records=False, sample_cap=32)
         for index in range(500):
-            tracker.observe(served(index, "interactive", 0.0, 30.0))
+            observe(tracker, served(index, "interactive", 0.0, 30.0))
         sla = tracker.report(horizon_s=100.0).for_kind("interactive")
         assert sla.n_jobs == sla.n_completed == 500
         assert sla.deadline_miss_rate == 0.0
@@ -290,9 +297,9 @@ class TestTenantReport:
     @pytest.mark.parametrize("retain", [True, False])
     def test_one_row_per_tenant(self, retain):
         _, tracker = make_tracker(retain_records=retain)
-        tracker.observe(tenant_served(0, "search", 0.0, 30.0))
-        tracker.observe(tenant_served(1, "search", 0.0, 500.0))  # late
-        tracker.observe(tenant_served(2, "backup", 0.0, 10.0))
+        observe(tracker, tenant_served(0, "search", 0.0, 30.0))
+        observe(tracker, tenant_served(1, "search", 0.0, 500.0))  # late
+        observe(tracker, tenant_served(2, "backup", 0.0, 10.0))
         report = tracker.tenant_report(horizon_s=100.0)
         assert [c.kind for c in report.classes] == ["backup", "search"]
         assert report.for_kind("search").deadline_miss_rate == 0.5
@@ -302,8 +309,8 @@ class TestTenantReport:
     @pytest.mark.parametrize("retain", [True, False])
     def test_untenanted_records_stay_out_of_rows(self, retain):
         _, tracker = make_tracker(retain_records=retain)
-        tracker.observe(served(0, "interactive", 0.0, 30.0))
-        tracker.observe(tenant_served(1, "search", 0.0, 30.0))
+        observe(tracker, served(0, "interactive", 0.0, 30.0))
+        observe(tracker, tenant_served(1, "search", 0.0, 30.0))
         report = tracker.tenant_report(horizon_s=100.0)
         assert [c.kind for c in report.classes] == ["search"]
         # ...but they still reconcile through the overall row.
@@ -320,8 +327,8 @@ class TestTenantReport:
                 float(index),
                 float(index) + float(rng.uniform(1.0, 120.0)),
             )
-            retained.observe(record)
-            streaming.observe(record)
+            observe(retained, record)
+            observe(streaming, record)
         assert (
             streaming.tenant_report(horizon_s=3600.0)
             == retained.tenant_report(horizon_s=3600.0)
@@ -341,12 +348,12 @@ class TestLiveSnapshots:
             for i in range(120)
         ]
         for record in records:
-            tracker.observe(record)
+            observe(tracker, record)
         live = tracker.live_overall(horizon_s=3600.0)
 
         _, fresh = make_tracker(retain_records=retain)
         for record in records:
-            fresh.observe(record)
+            observe(fresh, record)
         final = fresh.report(horizon_s=3600.0).overall
         if retain:
             # Retained mode quotes exact percentiles from records; the
@@ -361,7 +368,7 @@ class TestLiveSnapshots:
     def test_live_does_not_materialise_records(self):
         _, tracker = make_tracker(retain_records=False)
         for i in range(50):
-            tracker.observe(served(i, "interactive", float(i), float(i) + 10.0))
+            observe(tracker, served(i, "interactive", float(i), float(i) + 10.0))
         assert tracker.records == []
         live = tracker.live_overall(horizon_s=100.0)
         assert live.n_completed == 50
@@ -370,7 +377,7 @@ class TestLiveSnapshots:
     def test_take_window_resets_between_epochs(self):
         _, tracker = make_tracker()
         for i in range(10):
-            tracker.observe(served(i, "interactive", float(i), float(i) + 5.0))
+            observe(tracker, served(i, "interactive", float(i), float(i) + 5.0))
         first = tracker.take_window(horizon_s=100.0)
         assert first.n_jobs == 10
         assert first.p99_s == pytest.approx(5.0)
@@ -379,7 +386,7 @@ class TestLiveSnapshots:
         assert empty.n_jobs == 0
         assert empty.p99_s == float("inf")
         for i in range(10, 14):
-            tracker.observe(served(i, "interactive", float(i), float(i) + 7.0))
+            observe(tracker, served(i, "interactive", float(i), float(i) + 7.0))
         second = tracker.take_window(horizon_s=100.0)
         assert second.n_jobs == 4
         assert second.p99_s == pytest.approx(7.0)
@@ -396,11 +403,11 @@ class TestLiveSnapshots:
             for i in range(40)
         ]
         for i, record in enumerate(records):
-            chunked.observe(record)
+            observe(chunked, record)
             if i == 19:
                 chunked.take_window(horizon_s=100.0)
         for record in records[20:]:
-            straight.observe(record)
+            observe(straight, record)
         assert (
             chunked.take_window(horizon_s=100.0)
             == straight.take_window(horizon_s=100.0)

@@ -80,7 +80,7 @@ class TestDeterministicWalks:
         machine = random_walk(FleetDispatchMachine(seed=0), n_rules=500, seed=0)
         assert machine.rules >= 500
         assert machine.submitted > 0
-        assert len(machine.plane._outcomes) == machine.submitted
+        assert len(machine.plane.sla.records) == machine.submitted
         assert machine.plane._campaign.log.outages_applied >= 1
         # The breakers actually worked during the storm.
         trips = sum(
@@ -116,7 +116,7 @@ class TestDeterministicWalks:
                 machine.submitted,
                 tuple(
                     (record.job_id, str(record.outcome))
-                    for record in machine.plane._outcomes
+                    for record in machine.plane.sla.records
                 ),
             )
 
@@ -144,7 +144,7 @@ class TestDeterministicWalks:
                 machine._binary.getvalue(),
                 tuple(
                     (record.job_id, str(record.outcome), record.tenant)
-                    for record in machine.plane._outcomes
+                    for record in machine.plane.sla.records
                 ),
             )
 
@@ -284,7 +284,7 @@ class TestLongFuzz:
         machine = random_walk(
             FleetDispatchMachine(seed=seed), n_rules=1500, seed=seed
         )
-        assert len(machine.plane._outcomes) == machine.submitted
+        assert len(machine.plane.sla.records) == machine.submitted
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_shard_machine_long_walk(self, seed):

@@ -104,6 +104,28 @@ class TestBinaryCodec:
         with pytest.raises(DataIntegrityError):
             writer.write(records[0])
 
+    def test_read_rejects_backwards_arrivals_at_their_index(self):
+        # The writer refuses such a trace, so pack the records by hand;
+        # the bad record sits in the second decode batch.
+        bad = DECODE_BATCH + 2
+        stream = encode_binary([])
+        stream.seek(0, io.SEEK_END)
+        for index in range(bad + 3):
+            arrival = 5.0 if index == bad else 10.0 + index
+            stream.write(RECORD_STRUCT.pack(arrival, 0, 0, 0, 1e12,
+                                            arrival + 60.0))
+        stream.seek(0)
+        records = read_binary_records(stream, read_binary_header(stream))
+        decoded = 0
+        with pytest.raises(DataIntegrityError) as raised:
+            for _record in records:
+                decoded += 1
+        assert decoded == bad
+        assert str(raised.value) == (
+            f"trace arrivals must be non-decreasing: record {bad} "
+            f"arrives at 5.0 after {10.0 + bad - 1}"
+        )
+
 
 class TestJsonlCodec:
     def test_round_trip_is_bit_exact(self):

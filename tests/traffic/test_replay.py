@@ -5,8 +5,16 @@ import io
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fleet.controlplane import run_fleet
-from repro.traffic.bench import bench_scenario, in_system_bound
+from repro.fleet.controlplane import ControlPlane, run_fleet
+from repro.fleet.sla import JobRecord
+from repro.fleet.topology import FleetTopology
+from repro.obs import MetricsRegistry
+from repro.sim import Environment
+from repro.traffic.bench import (
+    DEFAULT_REPLAY_CONFIG,
+    bench_scenario,
+    in_system_bound,
+)
 from repro.traffic.codec import (
     BinaryTraceWriter,
     read_binary_header,
@@ -103,7 +111,7 @@ class TestBoundJobs:
         assert job.tenant == "search"
         assert job.deadline_at == 65.0
         assert job.read_bytes == SPEC.catalog.dataset_bytes  # clipped
-        assert job.job.job_id == 0
+        assert job.job_id == 0
 
 
 class TestReplayFleet:
@@ -167,3 +175,75 @@ class TestReplayFleet:
         # ...while the untenanted synthetic path leaves it unset.
         synthetic = run_fleet(bench_scenario(SPEC, 600.0))
         assert synthetic.tenant_sla is None
+
+
+class TestRecordPathProxy:
+    """Machine-portable per-record cost of a shedding replay.
+
+    Counts, not seconds: a shed record builds no ``JobRecord``, fetches
+    no registry counter by name once each name has been used, and costs
+    at most one engine event to take in.
+    """
+
+    SPEC = default_spec(seed=0, horizon_s=900.0, rate_scale=0.12)
+
+    def records(self):
+        records = list(synthesise(self.SPEC))
+        assert 2000 < len(records) < 5000
+        return records
+
+    def test_shed_records_build_no_job_records_and_fetch_no_counters(
+        self, monkeypatch
+    ):
+        job_records = 0
+        counter_calls: dict[str, int] = {}
+        real_init, real_counter = JobRecord.__init__, MetricsRegistry.counter
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal job_records
+            job_records += 1
+            real_init(self, *args, **kwargs)
+
+        def counting_counter(self, name):
+            counter_calls[name] = counter_calls.get(name, 0) + 1
+            return real_counter(self, name)
+
+        monkeypatch.setattr(JobRecord, "__init__", counting_init)
+        monkeypatch.setattr(MetricsRegistry, "counter", counting_counter)
+        records = self.records()
+        scenario = bench_scenario(self.SPEC, self.SPEC.horizon_s)
+        assert not scenario.retain_records
+        result = replay_fleet(scenario, iter(records),
+                              config=DEFAULT_REPLAY_CONFIG)
+
+        assert result.fleet.n_jobs == len(records)
+        assert result.fleet.shed > len(records) // 2
+        assert job_records == 0
+        # The control plane and SLA tracker fetch each of their counters
+        # once; the rail simulators' per-launch counters scale with
+        # launches, i.e. with served jobs, never with shed ones.
+        fleet_calls = {
+            name: calls for name, calls in counter_calls.items()
+            if ".fleet." in name
+        }
+        assert "count.fleet.admission_rejections" in fleet_calls
+        assert fleet_calls == dict.fromkeys(fleet_calls, 1)
+
+    def test_intake_costs_at_most_one_event_per_record(self):
+        # No workers: every event the run schedules is an intake event
+        # (queues fill, then every further record sheds in ``submit``).
+        records = self.records()
+        scenario = bench_scenario(self.SPEC, self.SPEC.horizon_s)
+        env = Environment()
+        topology = FleetTopology(env, scenario.spec, scenario.catalog)
+        plane = ControlPlane(env, topology, scenario)
+        jobs = bound_jobs(
+            LookaheadCursor(iter(records), DEFAULT_REPLAY_CONFIG),
+            dict(scenario.targets), scenario.catalog.dataset_bytes,
+        )
+        before = env._eid
+        plane.start_intake(jobs)
+        env.run()
+        assert plane._submitted == len(records)
+        # One start event, then at most one event per record.
+        assert env._eid - before <= len(records) + 1

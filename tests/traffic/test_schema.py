@@ -37,13 +37,6 @@ def header(**kwargs):
 
 
 class TestTraceRecord:
-    def test_to_job_preserves_fields(self):
-        job = record().to_job(7)
-        assert job.job_id == 7
-        assert job.arrival_s == 10.0
-        assert job.size_bytes == 2e12
-        assert job.kind == "interactive"
-
     def test_rejects_negative_arrival(self):
         with pytest.raises(ConfigurationError):
             record(arrival=-1.0, deadline=60.0)
