@@ -1,18 +1,14 @@
 """Benchmarks of the chaos campaign machinery and the degradation gate.
 
-Times the three-mode chaos bench and the 500-rule stateful fuzz walk,
-and asserts the PR's machine-portable acceptance invariants: through
-the pod-storm campaign the hardened fleet keeps p99 within the pinned
-degradation bound of the fault-free baseline while the naive fleet
-violates it, and hardening wins on both p99 and deadline-miss rate.
-All gated quantities are virtual-time outputs of seeded simulations,
-so the floors hold on any machine; wall time lands in ``extra_info``
-as context only.
+Times each chaos bench mode and the 500-rule stateful fuzz walk.  The
+graceful-degradation invariants (hardened p99 within the pinned bound
+of fault-free, naive beyond it) are gated by ``repro chaos --check
+BENCH_chaos.json``; wall time lands in ``extra_info`` as context only.
 """
 
 import pytest
 
-from repro.chaos.bench import P99_DEGRADATION_BOUND, chaos_scenario, run_chaos_bench
+from repro.chaos.bench import chaos_scenario
 from repro.fleet.controlplane import run_fleet
 from repro.testing import DhlApiMachine, random_walk
 
@@ -26,31 +22,6 @@ def test_chaos_mode_throughput(benchmark, mode):
         lambda: run_fleet(chaos_scenario(mode, seed=0, horizon_s=HORIZON_S))
     )
     assert report.n_jobs > 0
-
-
-def test_degradation_gate(benchmark):
-    """The headline invariant, measured through the bench harness."""
-    bench = benchmark(run_chaos_bench, seed=0, horizon_s=HORIZON_S)
-    fault_free = bench.report("fault_free")
-    naive = bench.report("naive")
-    hardened = bench.report("hardened")
-    bound = P99_DEGRADATION_BOUND * fault_free.p99_s
-    benchmark.extra_info["p99_s"] = {
-        "fault_free": round(fault_free.p99_s, 2),
-        "naive": round(naive.p99_s, 2),
-        "hardened": round(hardened.p99_s, 2),
-        "bound": round(bound, 2),
-    }
-    benchmark.extra_info["deadline_miss_rate"] = {
-        "naive": round(naive.deadline_miss_rate, 4),
-        "hardened": round(hardened.deadline_miss_rate, 4),
-    }
-    benchmark.extra_info["hardened_trips"] = hardened.breaker_trips
-    # The machine-portable floor: virtual-time KPIs, not wall clock.
-    assert hardened.p99_s <= bound
-    assert naive.p99_s > bound
-    assert hardened.p99_s < naive.p99_s
-    assert hardened.deadline_miss_rate < naive.deadline_miss_rate
 
 
 def test_api_fuzz_walk_throughput(benchmark):

@@ -1,30 +1,20 @@
-"""Engine fast-path benches: the ``BENCH_engine.json`` gate, exercised.
+"""Engine fast-path benches: the gated workload and a dhlsim scenario.
 
-The committed baseline pins the DES-core optimisation as an invariant:
->=2x events/sec over the frozen reference engine on the mixed
-microbenchmark.  These benches re-measure the gated workload and the
-dhlsim shuttle scenario under pytest-benchmark, and check the committed
-baseline both for internal consistency (its own floors) and against a
-fresh run (:func:`repro.sim.bench.compare_to_baseline`).
+The committed ``BENCH_engine.json`` pins the DES-core optimisation as an
+invariant: >=2x events/sec over the frozen reference engine on the
+mixed microbenchmark.  These benches re-measure the gated workload and
+the dhlsim shuttle scenario under pytest-benchmark; the committed
+baseline itself is gated by ``repro bench --mode engine --check``.
 """
-
-from pathlib import Path
 
 from repro.sim.bench import (
     GATE_FLOOR,
     GATE_WORKLOAD,
     OPTIMISED,
     REFERENCE,
-    SCHEMA,
     WORKLOADS,
     _best_of,
-    compare_to_baseline,
-    load_baseline,
-    report_payload,
-    run_engine_bench,
 )
-
-BASELINE = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
 
 def test_microbench_gate(benchmark):
@@ -69,32 +59,3 @@ def test_dhlsim_shuttle_scenario(benchmark):
         benchmark.extra_info["events_per_sec"] = round(
             events / benchmark.stats.stats.min, 1
         )
-
-
-def test_committed_baseline_is_internally_consistent():
-    """The committed artefact must prove the gate on its own numbers."""
-    baseline = load_baseline(str(BASELINE))
-    assert baseline["schema"] == SCHEMA
-    gate = baseline["gate"]
-    assert gate["workload"] == GATE_WORKLOAD
-    assert gate["passed"] and gate["speedup"] >= GATE_FLOOR
-    assert baseline["events_identical"]
-    for name, entry in baseline["workloads"].items():
-        assert entry["speedup"] >= entry["floor"], (
-            f"committed {name} speedup {entry['speedup']}x is below its "
-            f"{entry['floor']}x floor"
-        )
-
-
-def test_fresh_bench_matches_committed_baseline(benchmark):
-    """A fresh full bench must show no regression against the baseline."""
-    report = benchmark.pedantic(
-        lambda: run_engine_bench(repeats=2, include_scenario=False,
-                                 include_replicate=False),
-        rounds=1, iterations=1,
-    )
-    problems = compare_to_baseline(
-        report_payload(report), load_baseline(str(BASELINE))
-    )
-    benchmark.extra_info["gate_speedup"] = round(report.gate_speedup, 3)
-    assert not problems, "; ".join(problems)

@@ -1,18 +1,15 @@
 """Benchmarks of the fleet control plane.
 
 Times the headline policy/cache combos over the seeded one-hour
-scenario and asserts the PR's acceptance invariants: cache-enabled EDF
-beats cache-less FCFS on both p99 latency and launch energy, and the
-capacity planner returns the same minimal fleet under the serial and
-process sweep engines.  The measured KPI deltas land in ``extra_info``
-so the saved JSON doubles as the fleet reproduction log; ``repro
-fleet`` writes the committed ``BENCH_fleet.json`` baseline from the
-same machinery.
+scenario and asserts that the capacity planner returns the same
+minimal fleet under the serial and process sweep engines.  The
+headline invariants (cache-enabled EDF beats cache-less FCFS on p99
+and launch energy) are gated by ``repro fleet --check
+BENCH_fleet.json``.
 """
 
 import pytest
 
-from repro.fleet.bench import run_fleet_bench
 from repro.fleet.capacity import SlaRequirement, plan_capacity
 from repro.fleet.controlplane import default_scenario, run_fleet
 
@@ -35,24 +32,6 @@ def test_fleet_combo_throughput(benchmark, policy, cache):
     report = benchmark(_run, policy, cache)
     assert report.n_jobs > 0
     assert report.failed == 0
-
-
-def test_cached_edf_beats_uncached_fcfs(benchmark):
-    """The headline invariant, measured through the bench harness."""
-    bench = benchmark(run_fleet_bench, seed=0, horizon_s=HORIZON_S)
-    cached = bench.report("edf+lru")
-    baseline = bench.report("fcfs+none")
-    benchmark.extra_info["p99_s"] = {
-        "fcfs+none": round(baseline.p99_s, 2),
-        "edf+lru": round(cached.p99_s, 2),
-    }
-    benchmark.extra_info["launch_energy_mj"] = {
-        "fcfs+none": round(baseline.launch_energy_j / 1e6, 3),
-        "edf+lru": round(cached.launch_energy_j / 1e6, 3),
-    }
-    benchmark.extra_info["cache_hit_rate"] = round(cached.hit_rate, 4)
-    assert cached.p99_s < baseline.p99_s
-    assert cached.launch_energy_j < baseline.launch_energy_j
 
 
 @pytest.mark.slow

@@ -4,9 +4,8 @@ Times synthesis, both codecs and open-loop replay on the bench-sized
 day slice, and asserts the layer's structural invariants: codec
 round-trip identity, the lookahead cap on decoded records, and the
 admission bound on simultaneously-live jobs.  Throughput (events/s)
-lands in ``extra_info`` so the saved JSON doubles as the traffic
-reproduction log; ``repro traffic`` writes the committed
-``BENCH_traffic.json`` baseline from the same machinery.
+lands in ``extra_info``; the full bench pipeline is gated by ``repro
+traffic --check BENCH_traffic.json``.
 """
 
 import io
@@ -17,7 +16,6 @@ from repro.traffic.bench import (
     DEFAULT_REQUESTS,
     bench_scenario,
     in_system_bound,
-    run_traffic_bench,
 )
 from repro.traffic.codec import (
     BinaryTraceWriter,
@@ -92,11 +90,3 @@ def test_replay_throughput(benchmark):
     )
     assert result.peak_pending <= result.config.max_pending
     assert result.peak_in_system <= in_system_bound(scenario)
-
-
-@pytest.mark.slow
-def test_traffic_bench_invariants(benchmark):
-    """The full bench pipeline holds every gated invariant."""
-    bench = benchmark(run_traffic_bench)
-    benchmark.extra_info["n_records"] = bench.n_records
-    assert all(bench.invariants.values()), bench.invariants

@@ -6,22 +6,17 @@ vectorised/parallel paths are substantially faster than the scalar
 reference.  This module turns both promises into a measured, committed
 artefact: :func:`run_bench` times each engine over a deterministic
 design-point grid, checks the results agree exactly, and
-:func:`write_report` serialises the outcome to ``BENCH_sweep.json`` —
-the perf-regression baseline CI regenerates and uploads on every push.
+:func:`report_payload` is what ``repro bench`` writes to
+``BENCH_sweep.json`` — the committed perf-regression baseline.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import platform
-import sys
 import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from ..core.params import DhlParams
 from ..core.sweep import clear_report_cache, evaluate_reports, report_cache_stats
@@ -209,17 +204,6 @@ def run_bench(
     )
 
 
-def environment_info() -> dict[str, object]:
-    """The hardware/software context a baseline was measured under."""
-    return {
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-    }
-
-
 def report_payload(report: BenchReport) -> dict[str, object]:
     """The JSON-serialisable form of a bench report (``BENCH_sweep.json``)."""
     return {
@@ -247,23 +231,7 @@ def report_payload(report: BenchReport) -> dict[str, object]:
         },
         "skipped": dict(report.skipped),
         "report_cache_informational": dict(report.cache_stats),
-        "environment": environment_info(),
     }
-
-
-def write_report(report: BenchReport, path: str) -> str:
-    """Write ``BENCH_sweep.json`` and return the path."""
-    payload = report_payload(report)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_baseline(path: str) -> dict[str, object]:
-    """Read a previously committed bench baseline."""
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def compare_to_baseline(

@@ -2,8 +2,8 @@
 
 Runs the headline fleet scenario three ways on the same seeded
 workload and fault schedule and serialises the KPIs to
-``BENCH_chaos.json``, a committed baseline CI regenerates on every
-push:
+``BENCH_chaos.json``, a committed baseline CI re-runs and gates on
+every push:
 
 ``fault_free``
     the plain ``edf+lru`` fleet — byte-identical to the same combo in
@@ -26,11 +26,8 @@ bound, and hardening wins on both p99 and deadline-miss rate.
 
 from __future__ import annotations
 
-import json
-import math
 import time
 from dataclasses import dataclass
-from typing import Mapping
 
 from ..errors import ConfigurationError
 from ..fleet.bench import DEFAULT_HORIZON_S, DEFAULT_SEED
@@ -152,8 +149,6 @@ def _kpis(report: FleetReport) -> dict[str, object]:
 
 def report_payload(bench: ChaosBenchReport) -> dict[str, object]:
     """The JSON-serialisable form of a chaos bench (``BENCH_chaos.json``)."""
-    from ..analysis.perf import environment_info
-
     return {
         "schema": SCHEMA,
         "seed": bench.seed,
@@ -162,66 +157,4 @@ def report_payload(bench: ChaosBenchReport) -> dict[str, object]:
         "modes": {mode: _kpis(report) for mode, report in bench.reports},
         "invariants": bench.invariants,
         "wall_s_informational": round(bench.wall_s, 3),
-        "environment": environment_info(),
     }
-
-
-def write_report(bench: ChaosBenchReport, path: str) -> str:
-    """Write ``BENCH_chaos.json`` and return the path."""
-    payload = report_payload(bench)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_baseline(path: str) -> dict[str, object]:
-    """Read a previously committed chaos baseline."""
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def compare_to_baseline(
-    payload: Mapping[str, object],
-    baseline: Mapping[str, object],
-    rel_tol: float = 1e-6,
-) -> list[str]:
-    """Regression messages from comparing a fresh bench to a baseline.
-
-    KPIs are virtual-time outputs of a seeded simulation: they must
-    match the baseline to within float-noise tolerance on any machine,
-    and the degradation invariants must hold in both payloads.
-    """
-    problems: list[str] = []
-    for name, value in dict(payload.get("invariants", {})).items():
-        if not value:
-            problems.append(f"invariant failed in fresh run: {name}")
-    for name, value in dict(baseline.get("invariants", {})).items():
-        if not value:
-            problems.append(f"invariant failed in baseline: {name}")
-    fresh_modes = dict(payload.get("modes", {}))
-    base_modes = dict(baseline.get("modes", {}))
-    for mode, base_kpis in base_modes.items():
-        if mode not in fresh_modes:
-            problems.append(f"mode {mode!r} missing from fresh run")
-            continue
-        fresh_kpis = fresh_modes[mode]
-        for key, base_value in dict(base_kpis).items():
-            fresh_value = fresh_kpis.get(key)
-            if isinstance(base_value, bool) or not isinstance(
-                base_value, (int, float)
-            ):
-                if fresh_value != base_value:
-                    problems.append(
-                        f"{mode}.{key}: {fresh_value!r} != baseline "
-                        f"{base_value!r}"
-                    )
-            elif fresh_value is None or not math.isclose(
-                float(fresh_value), float(base_value), rel_tol=rel_tol,
-                abs_tol=rel_tol,
-            ):
-                problems.append(
-                    f"{mode}.{key}: {fresh_value} drifted from baseline "
-                    f"{base_value}"
-                )
-    return problems

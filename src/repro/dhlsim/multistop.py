@@ -121,7 +121,7 @@ class MultiStopExperiment:
 
     def run(self) -> ContentionReport:
         """Simulate the load end to end and collect latency statistics."""
-        from ..sim.stats import UtilisationMonitor
+        from ..obs.metrics import UtilisationMonitor
 
         env = Environment()
         system = DhlSystem(

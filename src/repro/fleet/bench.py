@@ -2,8 +2,8 @@
 
 Runs the headline fleet scenario under the policy/cache combinations
 that bracket the design space and serialises the per-combo KPIs to
-``BENCH_fleet.json``, the committed baseline CI regenerates on every
-push.  Unlike the sweep bench (wall-clock timings, machine-dependent),
+``BENCH_fleet.json``, the committed baseline CI re-runs and gates on
+every push.  Unlike the sweep bench (wall-clock timings, machine-dependent),
 every KPI here is **virtual-time** output of a seeded deterministic
 simulation — so the regression gate compares values directly: any
 drift means the simulated system changed, not the machine.  Wall time
@@ -16,11 +16,8 @@ launch energy for the hot-dataset mix.
 
 from __future__ import annotations
 
-import json
-import math
 import time
 from dataclasses import dataclass
-from typing import Mapping
 
 from ..errors import ConfigurationError
 from .controlplane import FleetReport, default_scenario, run_fleet
@@ -118,8 +115,6 @@ def _kpis(report: FleetReport) -> dict[str, object]:
 
 def report_payload(bench: FleetBenchReport) -> dict[str, object]:
     """The JSON-serialisable form of a fleet bench (``BENCH_fleet.json``)."""
-    from ..analysis.perf import environment_info
-
     p99_wins, energy_wins = bench.cache_beats_baseline
     return {
         "schema": SCHEMA,
@@ -131,66 +126,4 @@ def report_payload(bench: FleetBenchReport) -> dict[str, object]:
             "edf_lru_beats_fcfs_none_launch_energy": energy_wins,
         },
         "wall_s_informational": round(bench.wall_s, 3),
-        "environment": environment_info(),
     }
-
-
-def write_report(bench: FleetBenchReport, path: str) -> str:
-    """Write ``BENCH_fleet.json`` and return the path."""
-    payload = report_payload(bench)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_baseline(path: str) -> dict[str, object]:
-    """Read a previously committed fleet baseline."""
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def compare_to_baseline(
-    payload: Mapping[str, object],
-    baseline: Mapping[str, object],
-    rel_tol: float = 1e-6,
-) -> list[str]:
-    """Regression messages from comparing a fresh bench to a baseline.
-
-    KPIs are virtual-time outputs of a seeded simulation: they must
-    match the baseline to within float-noise tolerance on any machine.
-    The headline invariants must hold in both payloads.
-    """
-    problems: list[str] = []
-    for name, value in dict(payload.get("invariants", {})).items():
-        if not value:
-            problems.append(f"invariant failed in fresh run: {name}")
-    for name, value in dict(baseline.get("invariants", {})).items():
-        if not value:
-            problems.append(f"invariant failed in baseline: {name}")
-    fresh_combos = dict(payload.get("combos", {}))
-    base_combos = dict(baseline.get("combos", {}))
-    for label, base_kpis in base_combos.items():
-        if label not in fresh_combos:
-            problems.append(f"combo {label!r} missing from fresh run")
-            continue
-        fresh_kpis = fresh_combos[label]
-        for key, base_value in dict(base_kpis).items():
-            fresh_value = fresh_kpis.get(key)
-            if isinstance(base_value, bool) or not isinstance(
-                base_value, (int, float)
-            ):
-                if fresh_value != base_value:
-                    problems.append(
-                        f"{label}.{key}: {fresh_value!r} != baseline "
-                        f"{base_value!r}"
-                    )
-            elif fresh_value is None or not math.isclose(
-                float(fresh_value), float(base_value), rel_tol=rel_tol,
-                abs_tol=rel_tol,
-            ):
-                problems.append(
-                    f"{label}.{key}: {fresh_value} drifted from baseline "
-                    f"{base_value}"
-                )
-    return problems

@@ -23,14 +23,10 @@ conditional speedup invariant.
 
 from __future__ import annotations
 
-import json
-import math
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Mapping
 
-from ..errors import ConfigurationError
 from .bench import _kpis
 from .controlplane import FLEET_MIX, FleetScenario, default_scenario
 from .shard import ShardPlan, ShardReport, run_sharded, signature_digest
@@ -140,8 +136,6 @@ def run_shard_bench(
 
 def report_payload(bench: ShardBenchReport) -> dict[str, object]:
     """The JSON-serialisable form of a shard bench (``BENCH_shard.json``)."""
-    from ..analysis.perf import environment_info
-
     plan = bench.plan
     cpu_count = os.cpu_count() or 1
     speedup_measurable = cpu_count >= plan.n_pods
@@ -194,73 +188,4 @@ def report_payload(bench: ShardBenchReport) -> dict[str, object]:
             "process_workers": bench.process.workers,
             "speedup": round(bench.speedup, 3),
         },
-        "environment": environment_info(),
     }
-
-
-def write_report(bench: ShardBenchReport, path: str) -> str:
-    """Write ``BENCH_shard.json`` and return the path."""
-    payload = report_payload(bench)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_baseline(path: str) -> dict[str, object]:
-    """Read a previously committed shard baseline."""
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def compare_to_baseline(
-    payload: Mapping[str, object],
-    baseline: Mapping[str, object],
-    rel_tol: float = 1e-6,
-) -> list[str]:
-    """Regression messages from comparing a fresh shard bench to a baseline.
-
-    Virtual-time KPIs and shard accounting must match exactly (to float
-    noise) on any machine; invariants must hold in both payloads.
-    Timings, digests and the skip record are machine-dependent and not
-    compared — digests only need to agree *within* a run, which the
-    ``serial_process_identical`` invariant already asserts.
-    """
-    problems: list[str] = []
-    for name, value in dict(payload.get("invariants", {})).items():
-        if not value:
-            problems.append(f"invariant failed in fresh run: {name}")
-    for name, value in dict(baseline.get("invariants", {})).items():
-        if not value:
-            problems.append(f"invariant failed in baseline: {name}")
-    for section in ("kpis", "shards"):
-        fresh = dict(payload.get(section, {}))
-        base = dict(baseline.get(section, {}))
-        for key, base_value in base.items():
-            fresh_value = fresh.get(key)
-            if isinstance(base_value, (bool, str, list, dict)) or not isinstance(
-                base_value, (int, float)
-            ):
-                if fresh_value != base_value:
-                    problems.append(
-                        f"{section}.{key}: {fresh_value!r} != baseline "
-                        f"{base_value!r}"
-                    )
-            elif fresh_value is None or not math.isclose(
-                float(fresh_value), float(base_value), rel_tol=rel_tol,
-                abs_tol=rel_tol,
-            ):
-                problems.append(
-                    f"{section}.{key}: {fresh_value} drifted from baseline "
-                    f"{base_value}"
-                )
-    for scalar in ("n_pods", "n_tracks", "cart_pool", "interpod_latency_s",
-                   "epochs", "horizon_s", "seed"):
-        if scalar in baseline and payload.get(scalar) != baseline[scalar]:
-            problems.append(
-                f"{scalar}: {payload.get(scalar)!r} != baseline "
-                f"{baseline[scalar]!r}"
-            )
-    if not problems and not dict(payload.get("identity", {})):
-        raise ConfigurationError("fresh payload carries no identity digests")
-    return problems

@@ -35,7 +35,6 @@ evictions and so strictly lowers launch energy.
 
 from __future__ import annotations
 
-import json
 import math
 import pickle
 import time
@@ -377,8 +376,6 @@ def _kpi_payload(kpis: Mapping[str, float]) -> dict[str, object]:
 
 def report_payload(bench: LearnBenchReport) -> dict[str, object]:
     """The JSON-serialisable form (``BENCH_learn.json``)."""
-    from ..analysis.perf import environment_info
-
     report = bench.report
     best = report.best_fixed
     return {
@@ -415,93 +412,7 @@ def report_payload(bench: LearnBenchReport) -> dict[str, object]:
         },
         "invariants": bench.invariants,
         "train_wall_s_informational": round(bench.train_wall_s, 3),
-        "environment": environment_info(),
     }
-
-
-def write_report(bench: LearnBenchReport, path: str) -> str:
-    """Write ``BENCH_learn.json`` and return the path."""
-    payload = report_payload(bench)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_baseline(path: str) -> dict[str, object]:
-    """Read a previously committed learn baseline."""
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _compare_section(
-    label: str,
-    fresh: Mapping[str, object],
-    base: Mapping[str, object],
-    rel_tol: float,
-    problems: list[str],
-) -> None:
-    for key, base_value in base.items():
-        if key.endswith("_informational"):
-            continue
-        fresh_value = fresh.get(key)
-        if isinstance(base_value, Mapping):
-            _compare_section(
-                f"{label}.{key}", dict(fresh_value or {}), base_value,
-                rel_tol, problems,
-            )
-        elif isinstance(base_value, bool) or not isinstance(
-            base_value, (int, float)
-        ):
-            if fresh_value != base_value:
-                problems.append(
-                    f"{label}.{key}: {fresh_value!r} != baseline "
-                    f"{base_value!r}"
-                )
-        elif fresh_value is None or not math.isclose(
-            float(fresh_value), float(base_value), rel_tol=rel_tol,
-            abs_tol=rel_tol,
-        ):
-            problems.append(
-                f"{label}.{key}: {fresh_value} drifted from baseline "
-                f"{base_value}"
-            )
-
-
-def compare_to_baseline(
-    payload: Mapping[str, object],
-    baseline: Mapping[str, object],
-    rel_tol: float = 1e-6,
-) -> list[str]:
-    """Regression messages from comparing a fresh bench to a baseline.
-
-    Every gated number is virtual-time output of a seeded deterministic
-    pipeline over pure-Python policy arithmetic, so fresh must match
-    the committed baseline to float-noise tolerance on any machine —
-    including the policy fingerprint strings.  Invariants must hold in
-    both payloads.
-    """
-    problems: list[str] = []
-    for source, values in (("fresh run", payload.get("invariants", {})),
-                           ("baseline", baseline.get("invariants", {}))):
-        for name, value in dict(values).items():
-            if not value:
-                problems.append(f"invariant failed in {source}: {name}")
-    for section in ("learned", "fixed", "margins", "policy", "fingerprints"):
-        _compare_section(
-            section,
-            dict(payload.get(section, {})),
-            dict(baseline.get(section, {})),
-            rel_tol,
-            problems,
-        )
-    for key in ("best_fixed", "eval_seed"):
-        if payload.get(key) != baseline.get(key):
-            problems.append(
-                f"{key}: {payload.get(key)!r} != baseline "
-                f"{baseline.get(key)!r}"
-            )
-    return problems
 
 
 def policy_blob(policy: TabularQ) -> bytes:
@@ -523,11 +434,8 @@ __all__ = [
     "bench_policy",
     "bench_scenario",
     "bench_trace",
-    "compare_to_baseline",
     "default_hooks_match_baseline",
-    "load_baseline",
     "report_payload",
     "run_learn_bench",
     "train_fingerprints_agree",
-    "write_report",
 ]

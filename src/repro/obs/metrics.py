@@ -8,8 +8,7 @@ keyed by dotted metric names (``count.launches``, ``energy_j.launch``,
 * :class:`Gauge` — a level that moves both ways; tracks its peak.
 * :class:`Histogram` — sample distribution over fixed bucket bounds.
 * :class:`TimeWeightedValue` — a piecewise-constant signal integrated
-  against the *virtual* clock (moved here from ``repro.sim.stats``,
-  which remains as a thin compatibility shim).
+  against the *virtual* clock.
 
 Snapshots export to a plain dict or CSV so benches and the CLI can
 persist a run's metrics next to its trace.

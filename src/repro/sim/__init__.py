@@ -18,7 +18,7 @@ from .engine import (
     Timeout,
 )
 from .resources import Container, PriorityRequest, PriorityResource, Request, Resource, Store
-from .stats import TimeWeightedValue, UtilisationMonitor
+from ..obs.metrics import TimeWeightedValue, UtilisationMonitor
 
 __all__ = [
     "AllOf",

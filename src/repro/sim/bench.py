@@ -31,7 +31,6 @@ Two further sections are informational or conditionally skipped:
 from __future__ import annotations
 
 import gc
-import json
 import math
 import os
 import time
@@ -436,13 +435,6 @@ def run_engine_bench(
 # -- reporting ---------------------------------------------------------------
 
 
-def environment_info() -> dict[str, object]:
-    """The hardware/software context a baseline was measured under."""
-    from ..analysis.perf import environment_info as _info
-
-    return _info()
-
-
 def report_payload(report: EngineBenchReport) -> dict[str, object]:
     """The JSON-serialisable form of a bench report (``BENCH_engine.json``)."""
     return {
@@ -471,23 +463,7 @@ def report_payload(report: EngineBenchReport) -> dict[str, object]:
         },
         "scenario": dict(report.scenario),
         "replicate": dict(report.replicate),
-        "environment": environment_info(),
     }
-
-
-def write_report(report: EngineBenchReport, path: str) -> str:
-    """Write ``BENCH_engine.json`` and return the path."""
-    payload = report_payload(report)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_baseline(path: str) -> dict[str, object]:
-    """Read a previously committed engine-bench baseline."""
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def compare_to_baseline(

@@ -36,11 +36,8 @@ machine.
 
 from __future__ import annotations
 
-import json
-import math
 import time
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -368,8 +365,6 @@ def _evaluation_payload(evaluation: CandidateEvaluation) -> dict[str, object]:
 
 def report_payload(bench: SurrogateBenchReport) -> dict[str, object]:
     """The JSON-serialisable form (``BENCH_surrogate.json``)."""
-    from ..analysis.perf import environment_info
-
     surrogate = bench.surrogate
     exhaustive = bench.exhaustive
     return {
@@ -446,88 +441,7 @@ def report_payload(bench: SurrogateBenchReport) -> dict[str, object]:
                 3,
             ),
         },
-        "environment": environment_info(),
     }
-
-
-def write_report(bench: SurrogateBenchReport, path: str) -> str:
-    """Write ``BENCH_surrogate.json`` and return the path."""
-    payload = report_payload(bench)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_baseline(path: str) -> dict[str, object]:
-    """Read a previously committed surrogate baseline."""
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _compare_section(
-    label: str,
-    fresh: Mapping[str, object],
-    base: Mapping[str, object],
-    rel_tol: float,
-    problems: list[str],
-) -> None:
-    for key, base_value in base.items():
-        if key.endswith("_informational") or key == "wall_informational":
-            continue
-        fresh_value = fresh.get(key)
-        if isinstance(base_value, Mapping):
-            _compare_section(
-                f"{label}.{key}", dict(fresh_value or {}), base_value,
-                rel_tol, problems,
-            )
-        elif isinstance(base_value, bool) or not isinstance(
-            base_value, (int, float)
-        ):
-            if fresh_value != base_value:
-                problems.append(
-                    f"{label}.{key}: {fresh_value!r} != baseline "
-                    f"{base_value!r}"
-                )
-        elif fresh_value is None or not math.isclose(
-            float(fresh_value), float(base_value), rel_tol=rel_tol,
-            abs_tol=rel_tol,
-        ):
-            problems.append(
-                f"{label}.{key}: {fresh_value} drifted from baseline "
-                f"{base_value}"
-            )
-
-
-def compare_to_baseline(
-    payload: Mapping[str, object],
-    baseline: Mapping[str, object],
-    rel_tol: float = 1e-6,
-) -> list[str]:
-    """Regression messages from comparing a fresh bench to a baseline.
-
-    Training rows, fits and plans are all seeded deterministic
-    virtual-time computations, so every gated number — including the
-    sha256 fingerprint strings — must match the committed baseline to
-    float-noise tolerance on any machine.  Invariants must hold in
-    both payloads; wall-clock timings are informational only.
-    """
-    problems: list[str] = []
-    for source, values in (("fresh run", payload.get("invariants", {})),
-                           ("baseline", baseline.get("invariants", {}))):
-        for name, value in dict(values).items():
-            if not value:
-                problems.append(f"invariant failed in {source}: {name}")
-    for section in ("requirement", "training", "validation", "margin",
-                    "fingerprints", "exhaustive", "surrogate"):
-        _compare_section(
-            section,
-            dict(payload.get(section, {})),
-            dict(baseline.get(section, {})),
-            rel_tol,
-            problems,
-        )
-    return problems
 
 
 __all__ = [
@@ -546,11 +460,8 @@ __all__ = [
     "VALIDATION_SEEDS",
     "ValidationError",
     "bench_base_scenario",
-    "compare_to_baseline",
-    "load_baseline",
     "monotone_p99_on_grid",
     "report_payload",
     "run_surrogate_bench",
     "validation_errors",
-    "write_report",
 ]

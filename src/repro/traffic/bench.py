@@ -4,8 +4,8 @@ Synthesises a scaled-down internet day (same shape as the headline
 million-request trace: three tenants, diurnal curves, one flash
 crowd), encodes it through the binary codec, replays it open-loop into
 the fleet control plane, and serialises the KPIs to
-``BENCH_traffic.json`` — the committed baseline CI regenerates on
-every push.
+``BENCH_traffic.json`` — the committed baseline CI re-runs and gates
+on every push.
 
 As with the fleet bench, every gated KPI is **virtual-time** output of
 a seeded deterministic pipeline, so the regression gate compares
@@ -19,11 +19,9 @@ bound on live jobs — the constant-memory contract.
 from __future__ import annotations
 
 import io
-import json
-import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from ..errors import ConfigurationError
 from ..fleet.cache import CacheConfig
@@ -248,8 +246,6 @@ def _sla_kpis(sla: ClassSla) -> dict[str, object]:
 
 def report_payload(bench: TrafficBenchReport) -> dict[str, object]:
     """The JSON-serialisable form (``BENCH_traffic.json``)."""
-    from ..analysis.perf import environment_info
-
     fleet = bench.result.fleet
     replay_wall = bench.result.wall_s
     return {
@@ -296,83 +292,4 @@ def report_payload(bench: TrafficBenchReport) -> dict[str, object]:
         },
         "invariants": bench.invariants,
         "wall_s_informational": round(bench.synth_wall_s + replay_wall, 3),
-        "environment": environment_info(),
     }
-
-
-def write_report(bench: TrafficBenchReport, path: str) -> str:
-    """Write ``BENCH_traffic.json`` and return the path."""
-    payload = report_payload(bench)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_baseline(path: str) -> dict[str, object]:
-    """Read a previously committed traffic baseline."""
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _compare_section(
-    label: str,
-    fresh: Mapping[str, object],
-    base: Mapping[str, object],
-    rel_tol: float,
-    problems: list[str],
-) -> None:
-    for key, base_value in base.items():
-        if key.endswith("_informational"):
-            continue
-        fresh_value = fresh.get(key)
-        if isinstance(base_value, Mapping):
-            _compare_section(
-                f"{label}.{key}", dict(fresh_value or {}), base_value,
-                rel_tol, problems,
-            )
-        elif isinstance(base_value, bool) or not isinstance(
-            base_value, (int, float)
-        ):
-            if fresh_value != base_value:
-                problems.append(
-                    f"{label}.{key}: {fresh_value!r} != baseline "
-                    f"{base_value!r}"
-                )
-        elif fresh_value is None or not math.isclose(
-            float(fresh_value), float(base_value), rel_tol=rel_tol,
-            abs_tol=rel_tol,
-        ):
-            problems.append(
-                f"{label}.{key}: {fresh_value} drifted from baseline "
-                f"{base_value}"
-            )
-
-
-def compare_to_baseline(
-    payload: Mapping[str, object],
-    baseline: Mapping[str, object],
-    rel_tol: float = 1e-6,
-) -> list[str]:
-    """Regression messages from comparing a fresh bench to a baseline.
-
-    Every gated KPI is virtual-time output of a seeded pipeline, so it
-    must match the baseline to float-noise tolerance on any machine;
-    throughput numbers (``*_informational``) are exempt.  Invariants
-    must hold in both payloads.
-    """
-    problems: list[str] = []
-    for source, values in (("fresh run", payload.get("invariants", {})),
-                           ("baseline", baseline.get("invariants", {}))):
-        for name, value in dict(values).items():
-            if not value:
-                problems.append(f"invariant failed in {source}: {name}")
-    for section in ("synthesis", "replay", "tenants"):
-        _compare_section(
-            section,
-            dict(payload.get(section, {})),
-            dict(baseline.get(section, {})),
-            rel_tol,
-            problems,
-        )
-    return problems

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -21,12 +24,12 @@ class TestParser:
 
     def test_fleet_options(self):
         args = build_parser().parse_args(
-            ["fleet", "--horizon", "900", "--fleet-out", "out.json",
+            ["fleet", "--horizon", "900", "--bench-out", "out.json",
              "--capacity"]
         )
         assert args.artefact == "fleet"
         assert args.horizon == 900.0
-        assert args.fleet_out == "out.json"
+        assert args.bench_out == "out.json"
         assert args.capacity is True
 
 
@@ -64,12 +67,43 @@ class TestMain:
     def test_fleet_output(self, capsys, tmp_path):
         out_path = str(tmp_path / "fleet.json")
         assert main(["fleet", "--horizon", "900",
-                     "--fleet-out", out_path]) == 0
+                     "--bench-out", out_path]) == 0
         out = capsys.readouterr().out
         assert "Fleet policy comparison" in out
         assert "Per-class SLA (edf+lru)" in out
         assert "interactive" in out
         assert f"wrote fleet KPI baseline to {out_path}" in out
+
+
+class TestCheckNeverWrites:
+    """``--check`` reads its baseline and never overwrites it."""
+
+    def test_drifted_baseline_fails_and_is_left_untouched(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        committed = Path(__file__).resolve().parents[2] / "BENCH_fleet.json"
+        baseline = json.loads(committed.read_text(encoding="utf-8"))
+        baseline["combos"]["edf+lru"]["p99_s"] += 100.0
+        monkeypatch.chdir(tmp_path)
+        drifted = tmp_path / "BENCH_fleet.json"
+        drifted.write_text(json.dumps(baseline, indent=2, sort_keys=True))
+        before = drifted.read_bytes()
+        assert main(["fleet", "--check", "BENCH_fleet.json"]) == 1
+        assert "REGRESSION: combos.edf+lru.p99_s" in capsys.readouterr().out
+        assert drifted.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "BENCH_fleet.json"
+        ]
+
+    def test_bench_out_onto_the_checked_file_is_refused(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "BENCH_fleet.json").write_text("{}")
+        assert main(["fleet", "--check", "BENCH_fleet.json",
+                     "--bench-out", "./BENCH_fleet.json"]) == 2
+        assert "never overwrites" in capsys.readouterr().err
+        assert (tmp_path / "BENCH_fleet.json").read_text() == "{}"
 
 
 class TestEngineBenchCli:
@@ -85,6 +119,14 @@ class TestEngineBenchCli:
 
     def test_mode_defaults_to_sweep(self):
         assert build_parser().parse_args(["bench"]).mode == "sweep"
+
+    def test_every_registered_bench_is_a_mode(self):
+        from repro.bench import BENCHES
+
+        for name in BENCHES:
+            assert build_parser().parse_args(
+                ["bench", "--mode", name]
+            ).mode == name
 
     def test_engine_bench_output(self, capsys, tmp_path):
         out_path = str(tmp_path / "engine.json")

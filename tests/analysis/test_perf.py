@@ -10,12 +10,10 @@ from repro.analysis.perf import (
     bench_points,
     bench_table,
     compare_to_baseline,
-    environment_info,
-    load_baseline,
     report_payload,
     run_bench,
-    write_report,
 )
+from repro.bench import environment_info, load, write
 from repro.cli import main
 from repro.errors import ConfigurationError
 
@@ -76,8 +74,8 @@ class TestRunBench:
 class TestPayloadAndBaseline:
     def test_payload_round_trips_through_json(self, tmp_path):
         report = tiny_bench()
-        path = write_report(report, str(tmp_path / "BENCH_sweep.json"))
-        loaded = load_baseline(path)
+        path = write(report_payload(report), str(tmp_path / "BENCH_sweep.json"))
+        loaded = load(path)
         assert loaded == report_payload(report)
         assert loaded["schema"] == "repro-bench-sweep/1"
         assert loaded["n_points"] == report.n_points
@@ -119,7 +117,7 @@ class TestPayloadAndBaseline:
         path = os.path.join(
             os.path.dirname(__file__), "..", "..", "BENCH_sweep.json"
         )
-        baseline = load_baseline(path)
+        baseline = load(path)
         assert compare_to_baseline(baseline, baseline) == []
         assert baseline["n_points"] >= 500
 
@@ -171,7 +169,7 @@ class TestBenchCli:
         assert args.repeats == 2
         assert args.workers == 4
         assert args.check == "BENCH_sweep.json"
-        # Default resolves per --mode (BENCH_sweep.json / BENCH_engine.json).
+        # Default resolves per --mode to BENCH_<mode>.json.
         assert args.bench_out is None
 
 

@@ -5,15 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import compare, load, write
 from repro.chaos.bench import (
     MODES,
     P99_DEGRADATION_BOUND,
     chaos_scenario,
-    compare_to_baseline,
-    load_baseline,
     report_payload,
     run_chaos_bench,
-    write_report,
 )
 from repro.errors import ConfigurationError
 from repro.fleet.controlplane import default_scenario, run_fleet
@@ -21,9 +19,9 @@ from repro.fleet.controlplane import default_scenario, run_fleet
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-@pytest.fixture(scope="module")
-def bench():
-    return run_chaos_bench(seed=0)
+@pytest.fixture
+def bench(chaos_bench):
+    return chaos_bench
 
 
 class TestScenarios:
@@ -79,10 +77,6 @@ class TestGate:
         ]
         assert report.launches == committed["launches"]
 
-    def test_matches_committed_chaos_baseline(self, bench):
-        baseline = load_baseline(str(REPO_ROOT / "BENCH_chaos.json"))
-        assert compare_to_baseline(report_payload(bench), baseline) == []
-
     def test_unknown_mode_lookup_raises(self, bench):
         with pytest.raises(ConfigurationError, match="was not benched"):
             bench.report("heroic")
@@ -99,23 +93,21 @@ class TestPayload:
                     "diverted", "rehomed"} <= set(kpis)
 
     def test_round_trips_through_disk(self, bench, tmp_path):
-        path = write_report(bench, str(tmp_path / "chaos.json"))
-        assert compare_to_baseline(
-            report_payload(bench), load_baseline(path)
-        ) == []
+        path = write(report_payload(bench), str(tmp_path / "chaos.json"))
+        assert compare(report_payload(bench), load(path)) == []
 
     def test_detects_kpi_drift(self, bench):
         payload = report_payload(bench)
         drifted = json.loads(json.dumps(payload))
         drifted["modes"]["hardened"]["p99_s"] += 10.0
-        problems = compare_to_baseline(payload, drifted)
+        problems = compare(payload, drifted)
         assert any("hardened.p99_s" in problem for problem in problems)
 
     def test_detects_missing_mode(self, bench):
         payload = report_payload(bench)
         fresh = json.loads(json.dumps(payload))
         del fresh["modes"]["naive"]
-        problems = compare_to_baseline(fresh, payload)
+        problems = compare(fresh, payload)
         assert any("missing from fresh run" in p for p in problems)
 
     def test_detects_violated_invariant(self, bench):
@@ -124,11 +116,11 @@ class TestPayload:
         broken["invariants"]["hardened_p99_within_bound"] = False
         assert any(
             "invariant failed in fresh run" in problem
-            for problem in compare_to_baseline(broken, payload)
+            for problem in compare(broken, payload)
         )
         assert any(
             "invariant failed in baseline" in problem
-            for problem in compare_to_baseline(payload, broken)
+            for problem in compare(payload, broken)
         )
 
 

@@ -12,8 +12,10 @@ blowing up CI wall time:
     tests additionally gate on ``REPRO_LONG_FUZZ=1``).
 """
 
+import importlib
 import os
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -32,3 +34,26 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
+
+
+# -- committed-shape bench runs, shared by per-bench and registry tests ----
+
+
+def _committed_bench(name: str, module: str):
+    """A session fixture running ``run_<name>_bench()`` once at the shape
+    of its committed ``BENCH_<name>.json``; the per-bench tests and
+    ``tests/test_bench_registry.py`` share that one run."""
+
+    @pytest.fixture(scope="session", name=f"{name}_bench")
+    def fixture():
+        return getattr(importlib.import_module(module), f"run_{name}_bench")()
+
+    return fixture
+
+
+fleet_bench = _committed_bench("fleet", "repro.fleet.bench")
+chaos_bench = _committed_bench("chaos", "repro.chaos.bench")
+traffic_bench = _committed_bench("traffic", "repro.traffic.bench")
+shard_bench = _committed_bench("shard", "repro.fleet.shardbench")
+learn_bench = _committed_bench("learn", "repro.learn.bench")
+surrogate_bench = _committed_bench("surrogate", "repro.surrogate.bench")

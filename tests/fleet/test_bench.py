@@ -4,22 +4,14 @@ import json
 
 import pytest
 
+from repro.bench import compare, load, write
 from repro.errors import ConfigurationError
-from repro.fleet.bench import (
-    SCHEMA,
-    compare_to_baseline,
-    load_baseline,
-    report_payload,
-    run_fleet_bench,
-    write_report,
-)
-
-HORIZON = 900.0
+from repro.fleet.bench import SCHEMA, report_payload, run_fleet_bench
 
 
-@pytest.fixture(scope="module")
-def bench():
-    return run_fleet_bench(seed=0, horizon_s=HORIZON)
+@pytest.fixture
+def bench(fleet_bench):
+    return fleet_bench
 
 
 class TestRunFleetBench:
@@ -53,21 +45,21 @@ class TestPayloadAndGate:
 
     def test_write_and_load_round_trip(self, bench, tmp_path):
         path = str(tmp_path / "BENCH_fleet.json")
-        write_report(bench, path)
-        assert load_baseline(path) == json.loads(
+        write(report_payload(bench), path)
+        assert load(path) == json.loads(
             json.dumps(report_payload(bench))
         )
 
     def test_identical_payloads_pass_the_gate(self, bench):
         payload = report_payload(bench)
-        assert compare_to_baseline(payload, payload) == []
+        assert compare(payload, payload) == []
 
     def test_kpi_drift_is_flagged(self, bench):
         payload = report_payload(bench)
         drifted = json.loads(json.dumps(payload))
         drifted["combos"]["edf+lru"]["p99_s"] *= 1.5
         drifted["combos"]["edf+lru"]["launches"] += 1
-        problems = compare_to_baseline(payload, drifted)
+        problems = compare(payload, drifted)
         assert any("p99_s" in problem for problem in problems)
         assert any("launches" in problem for problem in problems)
 
@@ -75,26 +67,12 @@ class TestPayloadAndGate:
         payload = report_payload(bench)
         fresh = json.loads(json.dumps(payload))
         del fresh["combos"]["edf+none"]
-        problems = compare_to_baseline(fresh, payload)
+        problems = compare(fresh, payload)
         assert any("edf+none" in problem for problem in problems)
 
     def test_broken_invariant_is_flagged(self, bench):
         payload = report_payload(bench)
         broken = json.loads(json.dumps(payload))
         broken["invariants"]["edf_lru_beats_fcfs_none_p99"] = False
-        problems = compare_to_baseline(broken, payload)
+        problems = compare(broken, payload)
         assert any("invariant" in problem for problem in problems)
-
-    def test_committed_baseline_matches_fresh_run(self):
-        """The repo's BENCH_fleet.json must stay in sync with the code."""
-        from pathlib import Path
-
-        baseline_path = Path(__file__).resolve().parents[2] / "BENCH_fleet.json"
-        baseline = load_baseline(str(baseline_path))
-        fresh = report_payload(
-            run_fleet_bench(
-                seed=int(baseline["seed"]),
-                horizon_s=float(baseline["horizon_s"]),
-            )
-        )
-        assert compare_to_baseline(fresh, baseline) == []

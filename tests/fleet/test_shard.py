@@ -310,11 +310,9 @@ class TestChaosCompatibility:
 
 
 class TestShardBench:
-    @pytest.fixture(scope="class")
-    def bench(self):
-        from repro.fleet import shardbench
-
-        return shardbench.run_shard_bench(horizon_s=450.0)
+    @pytest.fixture
+    def bench(self, shard_bench):
+        return shard_bench
 
     def test_identity_and_conservation_invariants(self, bench):
         from repro.fleet import shardbench
@@ -333,23 +331,23 @@ class TestShardBench:
             )
 
     def test_write_check_round_trip(self, bench, tmp_path):
+        from repro.bench import compare, load, write
         from repro.fleet import shardbench
 
-        path = str(tmp_path / "BENCH_shard.json")
-        shardbench.write_report(bench, path)
+        path = write(shardbench.report_payload(bench),
+                     str(tmp_path / "BENCH_shard.json"))
         payload = json.loads(json.dumps(shardbench.report_payload(bench)))
-        assert shardbench.compare_to_baseline(
-            payload, shardbench.load_baseline(path)
-        ) == []
+        assert compare(payload, load(path)) == []
 
     def test_kpi_drift_is_reported(self, bench):
+        from repro.bench import compare
         from repro.fleet import shardbench
 
         payload = shardbench.report_payload(bench)
         baseline = json.loads(json.dumps(payload))
         baseline["kpis"]["n_jobs"] += 1
         baseline["shards"]["forwarded"] += 1
-        problems = shardbench.compare_to_baseline(payload, baseline)
+        problems = compare(payload, baseline)
         assert len(problems) == 2
         assert any("n_jobs" in problem for problem in problems)
 
@@ -357,14 +355,13 @@ class TestShardBench:
         """BENCH_shard.json was generated by the code in this tree."""
         from pathlib import Path
 
+        from repro.bench import load
         from repro.fleet import shardbench
 
         committed = Path(__file__).resolve().parents[2] / "BENCH_shard.json"
-        baseline = shardbench.load_baseline(str(committed))
+        baseline = load(str(committed))
         assert baseline["schema"] == shardbench.SCHEMA
         assert all(dict(baseline["invariants"]).values())
-        # The bench fixture runs a shorter horizon for speed; recompute
-        # the committed config only for its structural fields.
         assert baseline["n_pods"] == shardbench.DEFAULT_N_PODS
         assert baseline["interpod_latency_s"] == shardbench.DEFAULT_WINDOW_S
         assert baseline["shards"]["forwarded"] == sum(

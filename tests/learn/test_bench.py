@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.fleetview import learn_comparison_table
+from repro.bench import compare, load, write
 from repro.learn.bench import (
     DEFAULT_EPISODES_PER_ROUND,
     DEFAULT_HORIZON_S,
@@ -18,26 +19,21 @@ from repro.learn.bench import (
     bench_policy,
     bench_scenario,
     bench_trace,
-    compare_to_baseline,
     default_hooks_match_baseline,
-    load_baseline,
     report_payload,
-    run_learn_bench,
-    write_report,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-@pytest.fixture(scope="module")
-def fresh_bench():
-    """One full committed-shape run shared by the gate tests."""
-    return run_learn_bench()
+@pytest.fixture
+def fresh_bench(learn_bench):
+    return learn_bench
 
 
 @pytest.fixture(scope="module")
 def committed():
-    return load_baseline(str(REPO_ROOT / "BENCH_learn.json"))
+    return load(str(REPO_ROOT / "BENCH_learn.json"))
 
 
 class TestWorkloadShape:
@@ -107,16 +103,11 @@ class TestGate:
         )
 
     def test_payload_round_trips_through_disk(self, fresh_bench, tmp_path):
-        path = write_report(fresh_bench, str(tmp_path / "BENCH_learn.json"))
-        assert load_baseline(path) == json.loads(
+        path = write(report_payload(fresh_bench),
+                     str(tmp_path / "BENCH_learn.json"))
+        assert load(path) == json.loads(
             json.dumps(report_payload(fresh_bench))
         )
-
-    def test_committed_baseline_matches_fresh_run(self, fresh_bench,
-                                                  committed):
-        """The CI gate itself: BENCH_learn.json reproduces exactly."""
-        problems = compare_to_baseline(report_payload(fresh_bench), committed)
-        assert problems == [], "\n".join(problems)
 
 
 class TestCommittedBaseline:
@@ -145,18 +136,18 @@ class TestCommittedBaseline:
 
 class TestCompareToBaseline:
     def test_identical_payload_raises_no_problems(self, committed):
-        assert compare_to_baseline(committed, committed) == []
+        assert compare(committed, committed) == []
 
     def test_numeric_drift_is_reported(self, committed):
         drifted = json.loads(json.dumps(committed))
         drifted["learned"]["p99_s"] = float(drifted["learned"]["p99_s"]) + 5.0
-        problems = compare_to_baseline(drifted, committed)
+        problems = compare(drifted, committed)
         assert any("learned.p99_s" in problem for problem in problems)
 
     def test_fingerprint_change_is_reported(self, committed):
         drifted = json.loads(json.dumps(committed))
         drifted["policy"]["fingerprint"] = "0" * 64
-        problems = compare_to_baseline(drifted, committed)
+        problems = compare(drifted, committed)
         assert any("fingerprint" in problem for problem in problems)
 
     def test_failed_invariant_is_reported_from_either_side(self, committed):
@@ -164,9 +155,9 @@ class TestCompareToBaseline:
         broken["invariants"]["learned_beats_best_fixed_p99"] = False
         assert any(
             "invariant failed" in problem
-            for problem in compare_to_baseline(broken, committed)
+            for problem in compare(broken, committed)
         )
         assert any(
             "invariant failed" in problem
-            for problem in compare_to_baseline(committed, broken)
+            for problem in compare(committed, broken)
         )

@@ -8,6 +8,7 @@ regression-gate comparison over synthetic payloads.
 
 import pytest
 
+from repro.bench import load, write
 from repro.errors import ConfigurationError
 from repro.sim.bench import (
     GATE_FLOOR,
@@ -16,10 +17,8 @@ from repro.sim.bench import (
     SPEEDUP_FLOORS,
     WORKLOADS,
     compare_to_baseline,
-    load_baseline,
     report_payload,
     run_engine_bench,
-    write_report,
 )
 
 
@@ -82,8 +81,8 @@ class TestRunEngineBench:
         assert payload["scenario"] == {"skipped": "disabled"}
         assert payload["replicate"] == {"skipped": "disabled"}
         path = str(tmp_path / "bench.json")
-        write_report(report, path)
-        assert load_baseline(path)["gate"]["workload"] == GATE_WORKLOAD
+        write(payload, path)
+        assert load(path)["gate"]["workload"] == GATE_WORKLOAD
 
 
 class TestCompareToBaseline:
@@ -151,7 +150,7 @@ class TestCommittedBaseline:
         from pathlib import Path
 
         baseline_path = Path(__file__).resolve().parents[2] / "BENCH_engine.json"
-        baseline = load_baseline(str(baseline_path))
+        baseline = load(str(baseline_path))
         assert baseline["schema"] == SCHEMA
         assert baseline["gate"]["passed"]
         assert baseline["gate"]["speedup"] >= GATE_FLOOR

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Environment, Resource
-from repro.sim.stats import TimeWeightedValue, UtilisationMonitor
+from repro.obs.metrics import TimeWeightedValue, UtilisationMonitor
 
 
 class TestTimeWeightedValue:

@@ -1,29 +1,23 @@
-"""Tests for the surrogate bench gate and its committed baseline."""
+"""Tests for the surrogate bench gate and its payload."""
 
 import json
-from pathlib import Path
 
 import pytest
 
+from repro.bench import compare, load, write
 from repro.surrogate.bench import (
     GATE_MARGIN,
     P99_MAX_REL_ERROR_BOUND,
     SCHEMA,
     TRAIN_SEEDS,
     VALIDATION_SEEDS,
-    compare_to_baseline,
-    load_baseline,
     report_payload,
-    run_surrogate_bench,
-    write_report,
 )
 
 
-@pytest.fixture(scope="module")
-def bench():
-    """One full gate run (train + parity + validation + both planners);
-    shared module-wide because it costs tens of seconds."""
-    return run_surrogate_bench()
+@pytest.fixture
+def bench(surrogate_bench):
+    return surrogate_bench
 
 
 class TestInvariants:
@@ -75,48 +69,38 @@ class TestPayloadAndGate:
 
     def test_write_and_load_round_trip(self, bench, tmp_path):
         path = str(tmp_path / "BENCH_surrogate.json")
-        write_report(bench, path)
-        assert load_baseline(path) == json.loads(
+        write(report_payload(bench), path)
+        assert load(path) == json.loads(
             json.dumps(report_payload(bench))
         )
 
     def test_identical_payloads_pass_the_gate(self, bench):
         payload = report_payload(bench)
-        assert compare_to_baseline(payload, payload) == []
+        assert compare(payload, payload) == []
 
     def test_fingerprint_drift_is_flagged(self, bench):
         payload = report_payload(bench)
         drifted = json.loads(json.dumps(payload))
         drifted["fingerprints"]["model_serial"] = "0" * 64
-        problems = compare_to_baseline(payload, drifted)
+        problems = compare(payload, drifted)
         assert any("model_serial" in problem for problem in problems)
 
     def test_validation_drift_is_flagged(self, bench):
         payload = report_payload(bench)
         drifted = json.loads(json.dumps(payload))
         drifted["validation"]["p99_max_rel_error"] *= 2.0
-        problems = compare_to_baseline(payload, drifted)
+        problems = compare(payload, drifted)
         assert any("p99_max_rel_error" in problem for problem in problems)
 
     def test_broken_invariant_is_flagged(self, bench):
         payload = report_payload(bench)
         broken = json.loads(json.dumps(payload))
         broken["invariants"]["plan_matches_exhaustive"] = False
-        problems = compare_to_baseline(broken, payload)
+        problems = compare(broken, payload)
         assert any("invariant" in problem for problem in problems)
 
     def test_wall_clock_is_informational(self, bench):
         payload = report_payload(bench)
         other = json.loads(json.dumps(payload))
         other["wall_informational"]["train_s"] *= 100.0
-        assert compare_to_baseline(payload, other) == []
-
-    def test_committed_baseline_matches_fresh_run(self, bench):
-        """The repo's BENCH_surrogate.json must stay in sync with the
-        code: same fingerprints, same plans, same validated errors."""
-        baseline_path = (
-            Path(__file__).resolve().parents[2] / "BENCH_surrogate.json"
-        )
-        baseline = load_baseline(str(baseline_path))
-        fresh = report_payload(bench)
-        assert compare_to_baseline(fresh, baseline) == []
+        assert compare(payload, other) == []

@@ -6,8 +6,8 @@ Four gates over every markdown document in the repo:
   symbol or syntax rot fails the build, not a reader;
 * every fenced ``pycon`` block (and any python block containing
   ``>>>``) runs under doctest with its printed output checked;
-* references to retired modules must be labelled as such — a line
-  mentioning ``sim.stats`` has to say it is a compatibility shim;
+* no document may reference the deleted ``repro.sim.stats`` module
+  (its classes live in ``repro.obs.metrics``);
 * numbers quoted from committed bench baselines must still match the
   baseline — ``docs/scaling.md``'s marker-delimited table is parsed
   and compared against ``BENCH_shard.json``, ``docs/learning.md``'s
@@ -95,20 +95,13 @@ def test_doctest_examples_pass(path):
 
 @pytest.mark.parametrize("path", DOC_FILES, ids=doc_ids)
 def test_no_stale_sim_stats_references(path):
-    """``repro.sim.stats`` is a compatibility shim; docs must say so.
-
-    Any line that mentions it without the shim/compatibility context is
-    presenting a retired module as current API.
-    """
+    """``repro.sim.stats`` is deleted; no doc may point readers at it."""
     for number, line in enumerate(
         path.read_text(encoding="utf-8").splitlines(), start=1
     ):
-        if "sim.stats" not in line:
-            continue
-        lowered = line.lower()
-        assert "shim" in lowered or "compat" in lowered, (
-            f"{path.name} line {number} references sim.stats without "
-            f"noting it is a compatibility shim: {line.strip()}"
+        assert "sim.stats" not in line, (
+            f"{path.name} line {number} references the deleted "
+            f"repro.sim.stats module: {line.strip()}"
         )
 
 

@@ -4,16 +4,14 @@ import json
 
 import pytest
 
+from repro.bench import compare, load, write
 from repro.errors import ConfigurationError
 from repro.traffic.bench import (
     SCHEMA,
     bench_scenario,
-    compare_to_baseline,
     in_system_bound,
-    load_baseline,
     report_payload,
     run_traffic_bench,
-    write_report,
 )
 from repro.traffic.synth import default_spec
 
@@ -61,8 +59,8 @@ class TestPayload:
 
     def test_write_and_load_round_trip(self, bench, tmp_path):
         path = str(tmp_path / "BENCH_traffic.json")
-        write_report(bench, path)
-        assert load_baseline(path) == json.loads(
+        write(report_payload(bench), path)
+        assert load(path) == json.loads(
             json.dumps(report_payload(bench))
         )
 
@@ -70,20 +68,20 @@ class TestPayload:
 class TestRegressionGate:
     def test_identical_payloads_pass(self, bench):
         payload = report_payload(bench)
-        assert compare_to_baseline(payload, payload) == []
+        assert compare(payload, payload) == []
 
     def test_informational_drift_is_exempt(self, bench):
         payload = report_payload(bench)
         baseline = json.loads(json.dumps(payload))
         baseline["replay"]["events_per_s_informational"] = 1.0
-        assert compare_to_baseline(payload, baseline) == []
+        assert compare(payload, baseline) == []
 
     def test_kpi_drift_is_flagged(self, bench):
         payload = report_payload(bench)
         baseline = json.loads(json.dumps(payload))
         baseline["replay"]["served"] += 1
         baseline["tenants"]["search"]["p99_s"] *= 1.5
-        problems = compare_to_baseline(payload, baseline)
+        problems = compare(payload, baseline)
         assert any("replay.served" in problem for problem in problems)
         assert any("tenants.search.p99_s" in problem for problem in problems)
 
@@ -93,25 +91,12 @@ class TestRegressionGate:
         broken["invariants"]["codec_roundtrip_identical"] = False
         assert any(
             "invariant failed in baseline" in problem
-            for problem in compare_to_baseline(payload, broken)
+            for problem in compare(payload, broken)
         )
         assert any(
             "invariant failed in fresh run" in problem
-            for problem in compare_to_baseline(broken, payload)
+            for problem in compare(broken, payload)
         )
-
-
-class TestCommittedBaseline:
-    def test_committed_baseline_matches_fresh_run(self):
-        """The CI gate itself: BENCH_traffic.json reproduces exactly."""
-        baseline = load_baseline("BENCH_traffic.json")
-        bench = run_traffic_bench(
-            seed=int(baseline["seed"]),
-            horizon_s=float(baseline["horizon_s"]),
-            requests=int(baseline["requests_target"]),
-        )
-        problems = compare_to_baseline(report_payload(bench), baseline)
-        assert problems == [], "\n".join(problems)
 
 
 def test_in_system_bound_formula():
