@@ -153,7 +153,7 @@ class DhlApi:
                         return
                     tracer.instant("open.deferred", track=shard_track,
                                    shard=shard_index)
-                    system.metrics.counter(COUNT_PREFIX + "open_deferrals").inc()
+                    system._count(COUNT_PREFIX + "open_deferrals")
                     yield self.env.timeout(
                         max(system.shuttle_policy.max_backoff_s, 1.0)
                     )
@@ -241,15 +241,16 @@ class DhlApi:
                             yield self.env.timeout(
                                 system.failover.transfer_time(shard.size_bytes)
                             )
-                        system.metrics.counter(COUNT_PREFIX + "failovers").inc()
-                        system.metrics.counter(
-                            ENERGY_PREFIX + "network_failover"
-                        ).inc(system.failover.transfer_energy(shard.size_bytes))
+                        system._count(COUNT_PREFIX + "failovers")
+                        system._count(
+                            ENERGY_PREFIX + "network_failover",
+                            system.failover.transfer_energy(shard.size_bytes),
+                        )
                         yield delivered.put(shard.size_bytes)
                         return
                     tracer.instant("open.deferred", track=shard_track,
                                    shard=shard.index)
-                    system.metrics.counter(COUNT_PREFIX + "open_deferrals").inc()
+                    system._count(COUNT_PREFIX + "open_deferrals")
                     yield self.env.timeout(
                         max(system.shuttle_policy.max_backoff_s, 1.0)
                     )
@@ -300,9 +301,7 @@ class DhlApi:
                     track=f"cart-{cart.cart_id}",
                     cart=cart.cart_id,
                 )
-                self.system.metrics.counter(
-                    COUNT_PREFIX + "return_deferrals"
-                ).inc()
+                self.system._count(COUNT_PREFIX + "return_deferrals")
                 yield self.env.timeout(
                     max(self.system.shuttle_policy.max_backoff_s, 1.0)
                 )
@@ -330,10 +329,10 @@ class DhlApi:
         finally:
             active.add(-1)
             self.system.tracer.counter("occupancy.optical_failover", active.value)
-        self.system.metrics.counter(COUNT_PREFIX + "failovers").inc()
-        self.system.metrics.counter(
-            ENERGY_PREFIX + "network_failover"
-        ).inc(policy.transfer_energy(size))
+        self.system._count(COUNT_PREFIX + "failovers")
+        self.system._count(
+            ENERGY_PREFIX + "network_failover", policy.transfer_energy(size)
+        )
         return size
 
     def _library_shards(self, dataset: str):

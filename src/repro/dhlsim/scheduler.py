@@ -34,7 +34,7 @@ from ..errors import (
     ShuttleTimeoutError,
     TrackFaultError,
 )
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Counter, MetricsRegistry
 from ..obs.probe import ResourceProbe
 from ..obs.tracer import NULL_SPAN, TraceLevel, Tracer
 from ..sim import Environment, Event, Interrupt
@@ -118,6 +118,7 @@ class DhlSystem:
                     n_stations=self.stations_per_rack,
                 )
         self.metrics = MetricsRegistry(self.env)
+        self._counters: dict[str, Counter] = {}
         # Claim/release probes keyed to match leaked_resources(), so the
         # trace-derived leak audit lines up with the scheduler's own.
         # Only an enabled tracer pays the wrapping cost.
@@ -136,6 +137,13 @@ class DhlSystem:
         self.pre_shuttle_hooks = []
         self.post_shuttle_hooks = []
         self._retry_rng = np.random.default_rng(self.retry_seed)
+
+    def _count(self, name: str, by: float = 1.0) -> None:
+        """Bump registry counter ``name``, creating its handle on first use."""
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.metrics.counter(name)
+        counter.inc(by)
 
     # -- factories ---------------------------------------------------------------
 
@@ -243,7 +251,7 @@ class DhlSystem:
             if deadline_at is not None:
                 remaining = deadline_at - self.env.now
                 if remaining <= 0:
-                    self.metrics.counter(COUNT_PREFIX + "shuttle_timeouts").inc()
+                    self._count(COUNT_PREFIX + "shuttle_timeouts")
                     self.tracer.instant("shuttle.timeout", track=cart_track,
                                         attempt=attempt_number)
                     raise ShuttleTimeoutError(
@@ -273,7 +281,7 @@ class DhlSystem:
                     yield proc  # wait for the attempt to unwind cleanly
                 except (Interrupt, TrackFaultError):
                     pass
-                self.metrics.counter(COUNT_PREFIX + "shuttle_timeouts").inc()
+                self._count(COUNT_PREFIX + "shuttle_timeouts")
                 self.tracer.instant("shuttle.timeout", track=cart_track,
                                     attempt=attempt_number)
                 raise ShuttleTimeoutError(
@@ -282,7 +290,7 @@ class DhlSystem:
                 )
             except TrackFaultError as fault:
                 last_fault = fault
-                self.metrics.counter(COUNT_PREFIX + "shuttle_faults").inc()
+                self._count(COUNT_PREFIX + "shuttle_faults")
                 self.tracer.instant("shuttle.fault", track=cart_track,
                                     attempt=attempt_number, cause=fault.cause)
             if (
@@ -296,7 +304,7 @@ class DhlSystem:
                 ) from last_fault
             if attempt_number == policy.max_attempts:
                 break
-            self.metrics.counter(COUNT_PREFIX + "shuttle_retries").inc()
+            self._count(COUNT_PREFIX + "shuttle_retries")
             self.tracer.instant("shuttle.retry", track=cart_track,
                                 attempt=attempt_number)
             backoff = policy.backoff_delay(attempt_number, self._retry_rng)
@@ -349,16 +357,15 @@ class DhlSystem:
                     yield self.env.timeout(self.params.undock_time)
                 cart.transition(CartState.IN_TRANSIT)
                 cart.location = dst
+                hop = track.hop(src, dst)
                 # A degraded LIM launches slower but still launches.
-                travel = track.travel_time(src, dst) * track.health.lim_slowdown
+                travel = hop.motion_time_s * track.health.lim_slowdown
                 with tracer.span("transit", track=cart_track):
                     if attempt.stall_s > 0.0 or attempt.abort_in_tube:
                         yield self.env.timeout(travel / 2.0)
-                        self.metrics.counter(COUNT_PREFIX + "cart_stalls").inc()
+                        self._count(COUNT_PREFIX + "cart_stalls")
                         if attempt.stall_s > 0.0:
-                            self.metrics.counter(
-                                DURATION_PREFIX + "stall"
-                            ).inc(attempt.stall_s)
+                            self._count(DURATION_PREFIX + "stall", attempt.stall_s)
                             with tracer.span("stall", track=cart_track):
                                 yield self.env.timeout(attempt.stall_s)
                         if attempt.abort_in_tube:
@@ -385,10 +392,10 @@ class DhlSystem:
                 cart.abort_transit(src)
             raise
         attempt_span.end()
-        energy = track.hop_energy(src, dst)
-        self.metrics.counter(ENERGY_PREFIX + "launch").inc(energy)
-        self.metrics.counter(COUNT_PREFIX + "launches").inc()
-        track.record_traversal(src, dst)
+        self._count(ENERGY_PREFIX + "launch", hop.energy_j)
+        self._count(COUNT_PREFIX + "launches")
+        track.traversals += 1
+        track.metres_travelled += hop.distance_m
         cart.trips_completed += 1
         for hook in list(self.post_shuttle_hooks):
             hook(attempt)
@@ -424,7 +431,7 @@ class DhlSystem:
                     self.library.admit(cart)
                 raise
             station.slot_claim = slot  # released on return
-            self.metrics.counter(COUNT_PREFIX + "dispatches").inc()
+            self._count(COUNT_PREFIX + "dispatches")
         return station
 
     def return_to_library(self, cart: Cart, endpoint_id: int) -> Event:
@@ -475,12 +482,12 @@ class DhlSystem:
             else:
                 recovery.release()
                 rack.strand(cart)
-                self.metrics.counter(COUNT_PREFIX + "stranded_carts").inc()
+                self._count(COUNT_PREFIX + "stranded_carts")
                 self.tracer.instant("cart.stranded", track=f"cart-{cart.cart_id}",
                                     endpoint=endpoint_id)
             raise
         self.library.admit(cart)
-        self.metrics.counter(COUNT_PREFIX + "returns").inc()
+        self._count(COUNT_PREFIX + "returns")
         return cart
 
     # -- accounting helpers ---------------------------------------------------------

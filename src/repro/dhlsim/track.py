@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from ..core.params import DhlParams
 from ..core.physics import launch_energy, motion_profile
-from ..errors import SchedulingError
+from ..errors import ConfigurationError, SchedulingError
 from ..sim import Environment, Resource
 from ..units import assert_non_negative
 
@@ -50,6 +50,21 @@ def default_endpoints(params: DhlParams, n_racks: int = 1) -> tuple[Endpoint, ..
         for rack in range(n_racks):
             endpoints.append(Endpoint(rack + 1, f"rack-{rack}", start + rack * step))
     return tuple(endpoints)
+
+
+@dataclass(frozen=True, slots=True)
+class Hop:
+    """The resolved physics of one directed hop along a track.
+
+    Both values depend only on the design point and the hop distance,
+    so a track computes them once, at construction.
+    """
+
+    distance_m: float
+    motion_time_s: float
+    """Paper-profile rail time, no dock handling."""
+    energy_j: float
+    """Launch energy for one launch-and-stop over the hop."""
 
 
 @dataclass
@@ -124,6 +139,35 @@ class Track:
         self.tube = Resource(self.env, capacity=1)
         self.health = TrackHealth()
         self._by_id = {endpoint.endpoint_id: endpoint for endpoint in self.endpoints}
+        self._hops = self._hop_table()
+
+    def _hop_table(self) -> dict[tuple[int, int], Hop]:
+        """Resolve every ordered endpoint pair's physics once.
+
+        ``params`` and ``endpoints`` are fixed for the track's lifetime,
+        so every launch reads its hop from this table instead of
+        rebuilding a per-hop :class:`DhlParams`.
+        """
+        hops = {}
+        for src in self.endpoints:
+            for dst in self.endpoints:
+                if src is dst:
+                    continue
+                distance = abs(src.position_m - dst.position_m)
+                if distance == 0.0:
+                    raise ConfigurationError(
+                        f"endpoints {src.endpoint_id} ({src.name!r}) and "
+                        f"{dst.endpoint_id} ({dst.name!r}) on track {self.name} "
+                        f"share position {src.position_m:g} m; a hop needs "
+                        "a positive distance"
+                    )
+                hop_params = self.params.with_(track_length=distance)
+                hops[src.endpoint_id, dst.endpoint_id] = Hop(
+                    distance_m=distance,
+                    motion_time_s=motion_profile(hop_params).motion_time,
+                    energy_j=launch_energy(hop_params),
+                )
+        return hops
 
     def endpoint(self, endpoint_id: int) -> Endpoint:
         try:
@@ -134,6 +178,13 @@ class Track:
                 f"unknown endpoint {endpoint_id} on track {self.name}; known: {known}"
             ) from None
 
+    def hop(self, src: int, dst: int) -> Hop:
+        """The precomputed physics of the hop from ``src`` to ``dst``."""
+        hop = self._hops.get((src, dst))
+        if hop is None:
+            self.distance(src, dst)  # raises the specific SchedulingError
+        return hop
+
     def distance(self, src: int, dst: int) -> float:
         """Rail distance between two endpoints, metres."""
         if src == dst:
@@ -142,19 +193,19 @@ class Track:
 
     def travel_time(self, src: int, dst: int, profile: str = "paper") -> float:
         """Rail time (no dock handling) between two endpoints."""
-        distance = self.distance(src, dst)
-        hop_params = self.params.with_(track_length=distance)
+        if profile == "paper":
+            return self.hop(src, dst).motion_time_s
+        hop_params = self.params.with_(track_length=self.distance(src, dst))
         return motion_profile(hop_params, profile).motion_time
 
     def hop_energy(self, src: int, dst: int) -> float:
         """Launch energy for one hop (speed-dominated; distance matters
         only when the hop is shorter than the LIM ramp)."""
-        distance = self.distance(src, dst)
-        return launch_energy(self.params.with_(track_length=distance))
+        return self.hop(src, dst).energy_j
 
     def record_traversal(self, src: int, dst: int) -> None:
         self.traversals += 1
-        self.metres_travelled += self.distance(src, dst)
+        self.metres_travelled += self.hop(src, dst).distance_m
 
 
 def build_tracks(

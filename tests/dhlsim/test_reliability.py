@@ -361,6 +361,70 @@ class TestChaosDeterminism:
         assert report_a.elapsed_s != report_b.elapsed_s
 
 
+class TestRegistryPin:
+    """Registry state after retries, faults, stalls and a timeout.
+
+    The scheduler and API bump counters through one first-use memo; the
+    registry must still hold the same names, created in the same order,
+    with the same values.
+    """
+
+    def test_memoised_counters_leave_the_registry_unchanged(self):
+        env = Environment()
+        policy = ShuttlePolicy(
+            max_attempts=20, base_backoff_s=0.5, backoff_factor=2.0,
+            max_backoff_s=4.0, jitter_frac=0.25,
+        )
+        system = DhlSystem(env, parity_drives=4, shuttle_policy=policy)
+        dataset = synthetic_dataset(20 * 200 * TB, name="chaos")
+        system.load_dataset(dataset)
+        handles = install_chaos(system, ChaosSpec(
+            track_mttf_s=150.0, track_mttr_s=30.0, stall_prob=0.1,
+            stall_time_s=5.0, stall_abort_prob=0.2,
+            drive_failure_prob=0.0005, seed=5,
+        ))
+        report = env.run(until=DhlApi(system).bulk_transfer(
+            dataset, read_payload=False
+        ))
+        handles.stop()
+        system.shuttle_policy = ShuttlePolicy(max_attempts=1, deadline_s=1.0)
+        cart = system.library.checkout(next(iter(system.library.carts)))
+        with pytest.raises(ShuttleTimeoutError):
+            env.run(until=system.shuttle(cart, dst=1))
+
+        assert (report.shards_moved, report.launches) == (18, 36)
+        assert list(system.metrics._metrics) == [
+            "energy_j.launch",
+            "count.launches",
+            "count.dispatches",
+            "count.returns",
+            "count.cart_stalls",
+            "duration_s.stall",
+            "count.shuttle_faults",
+            "count.shuttle_retries",
+            "count.track_outages",
+            "duration_s.track_downtime",
+            "count.shuttle_timeouts",
+        ]
+        values = {
+            name: entry["value"]
+            for name, entry in system.metrics.snapshot().items()
+        }
+        assert values == {
+            "count.cart_stalls": 2.0,
+            "count.dispatches": 18.0,
+            "count.launches": 36.0,
+            "count.returns": 18.0,
+            "count.shuttle_faults": 18.0,
+            "count.shuttle_retries": 18.0,
+            "count.shuttle_timeouts": 1.0,
+            "count.track_outages": 1.0,
+            "duration_s.stall": 10.0,
+            "duration_s.track_downtime": 22.505742959909707,
+            "energy_j.launch": 541286.4,
+        }
+
+
 class TestChaosAcceptance:
     """The headline invariant: a seeded chaos campaign completes with no
     leaked resources and lands within 10% of the closed-form model."""

@@ -1,9 +1,11 @@
 """Tests for rail geometry, travel timing and dual-rail selection."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from repro.core.params import DhlParams
-from repro.core.physics import launch_energy, motion_profile
+from repro.core.params import BrakingMode, DhlParams
+from repro.core.physics import launch_energy, lim, motion_profile
 from repro.dhlsim.track import (
     Endpoint,
     Track,
@@ -11,7 +13,7 @@ from repro.dhlsim.track import (
     default_endpoints,
     pick_track,
 )
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.sim import Environment
 
 
@@ -64,14 +66,26 @@ class TestTrack:
     def test_travel_time_matches_motion_profile(self, env):
         params = DhlParams()
         track = Track(env, params, default_endpoints(params))
-        assert track.travel_time(0, 1) == pytest.approx(
-            motion_profile(params).motion_time
-        )
+        assert track.travel_time(0, 1) == motion_profile(params).motion_time
 
     def test_hop_energy_matches_launch_energy(self, env):
         params = DhlParams()
         track = Track(env, params, default_endpoints(params))
-        assert track.hop_energy(0, 1) == pytest.approx(launch_energy(params))
+        assert track.hop_energy(0, 1) == launch_energy(params)
+
+    def test_exact_profile_still_computed_fresh(self, env):
+        params = DhlParams()
+        track = Track(env, params, default_endpoints(params))
+        exact = track.travel_time(0, 1, profile="exact")
+        assert exact == motion_profile(params, "exact").motion_time
+        assert exact > track.travel_time(0, 1)
+
+    def test_hop_lookup_errors(self, env):
+        track = Track(env, DhlParams(), default_endpoints(DhlParams()))
+        with pytest.raises(SchedulingError, match="both 0"):
+            track.hop(0, 0)
+        with pytest.raises(SchedulingError, match="unknown endpoint"):
+            track.hop(0, 42)
 
     def test_short_hop_cheaper_than_full_speed(self, env):
         # Between two nearby stops the cart cannot reach top speed, so the
@@ -100,6 +114,64 @@ class TestTrack:
         endpoints = (Endpoint(0, "a", 0.0), Endpoint(0, "b", 1.0))
         with pytest.raises(SchedulingError, match="duplicate"):
             Track(env, DhlParams(), endpoints)
+
+    def test_zero_length_hop_rejected_at_construction(self, env):
+        endpoints = (
+            Endpoint(0, "library", 0.0, is_library=True),
+            Endpoint(1, "rack-a", 250.0),
+            Endpoint(2, "rack-b", 250.0),
+        )
+        with pytest.raises(ConfigurationError,
+                           match=r"endpoints 1 \('rack-a'\) and 2 \('rack-b'\)"):
+            Track(env, DhlParams(), endpoints)
+
+
+class TestHopTable:
+    """The table must hold exactly what fresh per-hop physics gives."""
+
+    @given(
+        speed=st.floats(min_value=10.0, max_value=400.0),
+        length=st.floats(min_value=1.0, max_value=2000.0),
+        ssds=st.integers(min_value=1, max_value=64),
+        acceleration=st.floats(min_value=50.0, max_value=2000.0),
+        braking=st.sampled_from(BrakingMode.ALL),
+        regen=st.floats(min_value=0.0, max_value=1.0),
+        n_racks=st.integers(min_value=1, max_value=6),
+        dual_rail=st.booleans(),
+    )
+    # Every hop shorter than the 80 m LIM ramp: triangular profiles only.
+    @example(speed=400.0, length=60.0, ssds=32, acceleration=1000.0,
+             braking=BrakingMode.REGENERATIVE, regen=0.4, n_racks=6,
+             dual_rail=True)
+    def test_matches_fresh_physics(self, speed, length, ssds, acceleration,
+                                   braking, regen, n_racks, dual_rail):
+        params = DhlParams(
+            max_speed=speed, track_length=length, ssds_per_cart=ssds,
+            acceleration=acceleration, braking=braking,
+            regen_recovery=regen if braking == BrakingMode.REGENERATIVE else 0.0,
+            dual_rail=dual_rail,
+        )
+        ramp = lim(params).length_for_speed(speed)
+        for track in build_tracks(Environment(), params, n_racks):
+            metres = 0.0
+            for src in track.endpoints:
+                for dst in track.endpoints:
+                    if src is dst:
+                        continue
+                    a, b = src.endpoint_id, dst.endpoint_id
+                    distance = abs(src.position_m - dst.position_m)
+                    fresh = params.with_(track_length=distance)
+                    hop = track.hop(a, b)
+                    assert hop.distance_m == distance == track.distance(a, b)
+                    assert track.travel_time(a, b) == motion_profile(fresh).motion_time
+                    assert hop.motion_time_s == track.travel_time(a, b)
+                    assert track.hop_energy(a, b) == launch_energy(fresh)
+                    assert hop.energy_j == track.hop_energy(a, b)
+                    if distance < ramp:
+                        assert motion_profile(fresh).peak_speed < speed
+                    track.record_traversal(a, b)
+                    metres += distance
+            assert track.metres_travelled == metres
 
 
 class TestBuildAndPick:

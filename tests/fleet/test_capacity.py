@@ -1,7 +1,13 @@
 """Tests for the capacity planner, including engine parity."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
+import repro.dhlsim.track as track_module
+from repro.core.params import DhlParams
 from repro.errors import ConfigurationError
 from repro.fleet.capacity import (
     SlaRequirement,
@@ -11,11 +17,23 @@ from repro.fleet.capacity import (
 from repro.fleet.controlplane import default_scenario
 
 HORIZON = 900.0
+#: SHA-256 of ``plan_digest`` for TestPlanCapacity's requirement and grid.
+PLAN_DIGEST = "d3e4171cbee1b906ad395fe230856e537baec0afadd5c7f458ae0f988a29419a"
 
 
 def base_scenario(seed=0):
     return default_scenario(policy="fcfs", cache="lru", seed=seed,
                             horizon_s=HORIZON)
+
+
+def plan_digest(plan):
+    """SHA-256 of the plan's evaluations and choice, canonically rendered."""
+    payload = {
+        "evaluations": [dataclasses.asdict(e) for e in plan.evaluations],
+        "best": dataclasses.asdict(plan.best) if plan.best is not None else None,
+    }
+    rendered = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
 
 
 class TestSlaRequirement:
@@ -110,6 +128,51 @@ class TestPlanCapacity:
         first = plan_capacity(requirement, base_scenario(), **self.GRID)
         second = plan_capacity(requirement, base_scenario(), **self.GRID)
         assert first == second
+        assert plan_digest(first) == PLAN_DIGEST
+
+
+class TestHopPhysicsProxy:
+    """A launch reads its hop's physics from the track's table.
+
+    On the exhaustive 36-candidate grid at a one-hour horizon the plan
+    builds 72 single-rack tracks, so 144 ordered hops.  Each hop costs
+    one ``DhlParams.with_`` and one ``launch_energy``, at construction;
+    the thousands of launches that follow cost none.
+    """
+
+    def test_physics_resolved_once_per_hop(self, monkeypatch):
+        calls = {"with_": 0, "with_in_table": 0, "launch_energy": 0}
+        building = []
+        original_with = DhlParams.with_
+        original_energy = track_module.launch_energy
+        original_table = track_module.Track._hop_table
+
+        def counting_with(params, **changes):
+            calls["with_in_table" if building else "with_"] += 1
+            return original_with(params, **changes)
+
+        def counting_energy(params, *args, **kwargs):
+            calls["launch_energy"] += 1
+            return original_energy(params, *args, **kwargs)
+
+        def flagged_table(track):
+            building.append(track)
+            try:
+                return original_table(track)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(DhlParams, "with_", counting_with)
+        monkeypatch.setattr(track_module, "launch_energy", counting_energy)
+        monkeypatch.setattr(track_module.Track, "_hop_table", flagged_table)
+        plan = plan_capacity(
+            SlaRequirement(max_p99_s=150.0, max_miss_rate=0.05),
+            default_scenario(seed=0, horizon_s=3600.0),
+            cache_options=("none", "lru"), engine="serial",
+        )
+        assert len(plan.evaluations) == 36
+        assert sum(e.launches for e in plan.evaluations) > 144
+        assert calls == {"with_": 0, "with_in_table": 144, "launch_energy": 144}
 
 
 class TestEarlyExit:
