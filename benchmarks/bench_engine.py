@@ -22,10 +22,11 @@ def test_microbench_gate(benchmark):
     fn, n = WORKLOADS[GATE_WORKLOAD]
 
     benchmark(lambda: fn(OPTIMISED, n))
-    # The gate ratio is timed explicitly (best of 3, gc paused) so it
-    # also holds under --benchmark-disable runs of the harness.
-    events, optimised_s = _best_of(lambda: fn(OPTIMISED, n), 3)
-    reference_events, reference_s = _best_of(lambda: fn(REFERENCE, n), 3)
+    # The gate ratio is timed explicitly (best of 3 interleaved rounds,
+    # gc paused) so it also holds under --benchmark-disable runs.
+    (events, optimised_s), (reference_events, reference_s) = _best_of(
+        [lambda: fn(OPTIMISED, n), lambda: fn(REFERENCE, n)], 3
+    )
 
     assert events == reference_events, "engines disagree on event counts"
     speedup = reference_s / optimised_s

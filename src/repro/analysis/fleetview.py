@@ -280,17 +280,17 @@ def shard_pod_table(
 def shard_timing_table(
     payload: "Mapping[str, object]",
 ) -> tuple[list[str], list[list[object]]]:
-    """Executor wall-clock comparison from a ``BENCH_shard.json`` payload.
+    """Engine wall-clock comparison from a ``BENCH_shard.json`` payload.
 
     Wall times are machine-dependent (informational); the byte-identity
-    of the two executors is the part every machine must reproduce.
+    of the two engines is the part every machine must reproduce.
     """
     timings = dict(payload.get("timings_informational", {}))
     if not timings:
         raise ConfigurationError(
             "the shard payload carries no timings_informational block"
         )
-    headers = ["Executor", "Workers", "Wall (s)", "Speedup"]
+    headers = ["Engine", "Workers", "Wall (s)", "Speedup"]
     rows: list[list[object]] = [
         ["serial", 1, f"{timings['serial_wall_s']:.2f}", "1.00x"],
         [

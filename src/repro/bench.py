@@ -297,9 +297,10 @@ def _shard(args: argparse.Namespace) -> dict[str, object]:
     _table(shard_pod_table(bench.serial),
            f"Shard bench ({bench.plan.n_pods} pods over "
            f"{bench.plan.scenario.spec.n_tracks} tracks, "
-           f"W={bench.plan.window_s:g} s, {bench.serial.epochs} epochs)")
+           f"W={bench.plan.window_s:g} s, {bench.serial.epochs} input "
+           "windows)")
     print()
-    _table(shard_timing_table(payload), "Executor timings (informational)")
+    _table(shard_timing_table(payload), "Engine timings (informational)")
     print(f"\nserial sha256 {bench.serial_digest[:16]}.., process "
           f"sha256 {bench.process_digest[:16]}.., identical: {bench.identical}")
     for name, reason in dict(payload["skipped"]).items():

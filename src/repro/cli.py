@@ -99,15 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--interpod-latency",
         type=float,
         default=5.0,
-        help="fleet --shards: boundary latency between pods in simulated "
-             "seconds (also the conservative epoch window)",
+        help="fleet --shards: forwarding latency between pods in simulated "
+             "seconds (also the width of each pod's input windows)",
     )
     parser.add_argument(
         "--shard-engine",
         choices=("serial", "process"),
         default="process",
-        help="fleet --shards: epoch executor (results are byte-identical "
-             "either way)",
+        help="fleet --shards: run the pods in-process or on a process "
+             "pool (results are byte-identical either way)",
     )
     parser.add_argument(
         "--seed",
@@ -369,9 +369,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print()
         headers, rows = fleet_sla_table(report.fleet)
         print(render_table(headers, rows, title="Merged per-class SLA"))
-        print(f"\n{report.epochs} epochs, {report.forwarded} cross-pod "
-              f"forwards, {sum(report.remote_outcomes.values())} outcome "
-              f"notes, signature {signature_digest(report.fleet)[:16]}.., "
+        print(f"\n{report.epochs} input windows (most in any pod), "
+              f"{report.forwarded} cross-pod forwards, "
+              f"{sum(report.remote_outcomes.values())} remote outcomes, "
+              f"signature {signature_digest(report.fleet)[:16]}.., "
               f"{report.wall_s:.2f} s wall")
         return 0
     if args.artefact == "bench" or args.artefact in BENCHES:

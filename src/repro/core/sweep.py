@@ -114,10 +114,10 @@ def map_chunks(
     identical whichever engine ran it.
 
     This helper parallelises across *independent* items.  To
-    parallelise one large fleet simulation from the inside — where the
-    pods hold live, unpicklable DES state and must exchange messages —
-    use :func:`repro.fleet.shard.run_sharded`, which runs its own
-    persistent-worker executor instead of a chunk pool.
+    parallelise one large fleet simulation from the inside, use
+    :func:`repro.fleet.shard.run_sharded`: it splits the fleet into
+    pods that do not depend on each other and maps them over this
+    helper, one task per pod.
     """
     item_list = tuple(items)
     if not item_list:

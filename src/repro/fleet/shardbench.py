@@ -2,8 +2,8 @@
 
 Runs the 10× ``BENCH_fleet`` topology (20 tracks, 60 carts, a
 120-dataset catalog) under 4× its design load through the sharded
-runner, once on the serial epoch executor and once on the process
-executor, and serialises the results to ``BENCH_shard.json``.
+runner, once with the ``serial`` engine and once with the ``process``
+engine, and serialises the results to ``BENCH_shard.json``.
 
 Two things are gated:
 
@@ -11,7 +11,7 @@ Two things are gated:
   byte-identical merged :class:`~repro.fleet.controlplane.FleetReport`
   signatures (compared as SHA-256 digests of the canonical rendering),
   on every machine, always.
-* **Speedup** — the process executor must beat the serial executor by
+* **Speedup** — the process engine must beat the serial engine by
   ``SPEEDUP_TARGET``× wall-clock, asserted only where it is measurable
   (``cpu_count >= n_pods``); single-core machines record the skip in
   the payload the same way ``BENCH_sweep.json`` does.
@@ -37,12 +37,12 @@ SCHEMA = "repro-bench-shard/1"
 DEFAULT_SEED = 0
 DEFAULT_HORIZON_S = 3600.0
 DEFAULT_N_PODS = 4
-#: Boundary latency for the bench plan: wide enough that epoch-barrier
-#: overhead is amortised (60 s of virtual time per synchronisation).
+#: Forwarding latency W for the bench plan; each pod steps its inputs
+#: in 60 s windows.
 DEFAULT_WINDOW_S = 60.0
 #: Traffic multiplier over :data:`~repro.fleet.controlplane.FLEET_MIX`.
 #: 40× the base mix over 10× the tracks is 4× the per-track design
-#: load — a saturation stress that keeps every pod busy all epoch.
+#: load — a saturation stress that keeps every pod busy all run.
 DEFAULT_RATE_MULTIPLIER = 40.0
 #: Required process-over-serial wall-clock win where cores allow it.
 SPEEDUP_TARGET = 3.0
@@ -83,7 +83,7 @@ def bench_plan(
 
 @dataclass(frozen=True)
 class ShardBenchReport:
-    """Both executor runs of one shard bench, plus the identity verdict."""
+    """Both engine runs of one shard bench, plus the identity verdict."""
 
     plan: ShardPlan
     serial: ShardReport
@@ -94,7 +94,7 @@ class ShardBenchReport:
 
     @property
     def identical(self) -> bool:
-        """Whether the two executors produced byte-identical reports."""
+        """Whether the two engines produced byte-identical reports."""
         return self.serial_digest == self.process_digest
 
     @property
@@ -114,7 +114,7 @@ def run_shard_bench(
     interpod_latency_s: float = DEFAULT_WINDOW_S,
     workers: int | None = None,
 ) -> ShardBenchReport:
-    """Run the bench plan on both executors and digest the reports."""
+    """Run the bench plan on both engines and digest the reports."""
     plan = bench_plan(
         seed=seed,
         horizon_s=horizon_s,

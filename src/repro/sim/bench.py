@@ -7,7 +7,8 @@ events/sec each, and pins the speedup as a committed invariant in
 ``BENCH_engine.json`` — the same machine-portable regression-gate
 pattern as ``BENCH_sweep.json``.  Speedups are ratios of two runs on
 the *same* machine, so the gate transfers across hardware even though
-absolute events/sec do not.
+absolute events/sec do not.  The two engines are timed in alternating
+rounds, so a burst of host load hits both sides of a ratio alike.
 
 The gated number is the ``microbench`` workload — the mixed primitive
 loop (two already-processed-event resumes plus one timeout per
@@ -36,7 +37,7 @@ import os
 import time
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from ..errors import ConfigurationError
 from . import engine as _engine
@@ -317,21 +318,28 @@ class EngineBenchReport:
         return all(entry.events_identical for entry in self.results)
 
 
-def _best_of(fn: Callable[[], int], repeats: int) -> tuple[int, float]:
-    """(result, best wall-clock) over ``repeats`` runs, gc paused."""
-    best = math.inf
-    value = 0
+def _best_of(
+    fns: Sequence[Callable[[], int]], repeats: int
+) -> list[tuple[int, float]]:
+    """(result, best wall-clock) of each function over ``repeats`` rounds.
+
+    Every round runs each function once, in order, so timings that are
+    compared with each other see the same host load; gc is paused.
+    """
+    best = [math.inf] * len(fns)
+    values = [0] * len(fns)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(repeats):
-            started = time.perf_counter()
-            value = fn()
-            best = min(best, time.perf_counter() - started)
+            for index, fn in enumerate(fns):
+                started = time.perf_counter()
+                values[index] = fn()
+                best[index] = min(best[index], time.perf_counter() - started)
     finally:
         if gc_was_enabled:
             gc.enable()
-    return value, best
+    return list(zip(values, best))
 
 
 def _time_scenario(repeats: int) -> dict[str, object]:
@@ -350,7 +358,7 @@ def _time_scenario(repeats: int) -> dict[str, object]:
         env.run(until=api.bulk_transfer(dataset))
         return env._eid
 
-    events, best_s = _best_of(run, repeats)
+    [(events, best_s)] = _best_of([run], repeats)
     return {
         "name": "dhlsim-bulk-6-carts",
         "events": events,
@@ -408,8 +416,9 @@ def run_engine_bench(
     results: list[WorkloadResult] = []
     for name, (fn, base_n) in WORKLOADS.items():
         n = max(1, int(base_n * scale))
-        opt_events, opt_s = _best_of(lambda: fn(OPTIMISED, n), repeats)
-        ref_events, ref_s = _best_of(lambda: fn(REFERENCE, n), repeats)
+        (opt_events, opt_s), (ref_events, ref_s) = _best_of(
+            [lambda: fn(OPTIMISED, n), lambda: fn(REFERENCE, n)], repeats
+        )
         results.append(WorkloadResult(
             name=name,
             iterations=n,

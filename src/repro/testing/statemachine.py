@@ -413,13 +413,13 @@ class ShardCosimMachine:
 
     Rules either *reshard* the fleet (change the pod count or the
     inter-pod latency), toggle the chaos campaign, reseed the workload,
-    or *run* the current plan through the serial epoch executor.  After
+    or *run* the current plan through the serial engine.  After
     every run:
 
     * every bound job resolved exactly once — the merged record ids
       are exactly ``0..n-1`` no matter how the fleet was cut;
-    * cross-pod conservation held — every forwarded job's outcome note
-      is accounted for (``forwarded == sum(remote_outcomes)``);
+    * cross-pod conservation held — every forwarded job's outcome is
+      counted once (``forwarded == sum(remote_outcomes)``);
     * the resolved-job total matches every other sharding of the same
       workload — pods change the model's boundary latencies, never the
       offered load;
@@ -500,7 +500,7 @@ class ShardCosimMachine:
         )
         assert report.forwarded == sum(report.remote_outcomes.values()), (
             f"{report.forwarded} forwarded jobs but "
-            f"{sum(report.remote_outcomes.values())} outcome notes"
+            f"{sum(report.remote_outcomes.values())} remote outcomes"
         )
         if plan.n_pods == 1:
             assert report.forwarded == 0

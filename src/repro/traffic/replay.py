@@ -249,9 +249,12 @@ def replay_fleet_sharded(
 ) -> tuple[ReplayResult, "ShardReport"]:
     """Stream a trace through the sharded multi-process fleet runner.
 
-    The same bounded-lookahead cursor feeds the parent's epoch pump, so
-    the memory contract is unchanged: at most ``max_pending`` decoded
-    records plus one epoch window of bound jobs exist at any moment.
+    The same bounded-lookahead cursor feeds the parent, which routes
+    each bound job to its pod and spools every pod's inputs to a file,
+    one input window at a time.  So the memory contract is unchanged:
+    at most ``max_pending`` decoded records plus one window of bound
+    jobs exist in the parent at any moment, and each pod reads its
+    spool batch by batch.
     Returns the familiar :class:`ReplayResult` (built from the merged
     fleet report) alongside the full
     :class:`~repro.fleet.shard.ShardReport`.  This is how a 1M-request

@@ -1,7 +1,10 @@
 """Tests for the sharded multi-process fleet co-simulation."""
 
 import json
+import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -62,6 +65,26 @@ class TestShardPlan:
         with pytest.raises(ConfigurationError, match="interpod_latency_s"):
             ShardPlan(scenario=small_scenario(), n_pods=2,
                       interpod_latency_s=0.0)
+
+    @pytest.mark.parametrize("latency", [math.nan, math.inf])
+    def test_nonfinite_latency_rejected(self, latency):
+        # nan used to pass the "<= 0" check and hang run_sharded; inf
+        # returned makespan_s=inf and p99=nan.
+        with pytest.raises(ConfigurationError, match="finite"):
+            ShardPlan(scenario=small_scenario(), n_pods=2,
+                      interpod_latency_s=latency)
+
+    def test_cli_rejects_nan_latency(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "fleet", "--shards", "2",
+             "--interpod-latency", "nan", "--horizon", "60"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.returncode != 0
+        assert "interpod_latency_s must be positive and finite" in (
+            result.stderr
+        )
 
     def test_chaos_event_beyond_fleet_rejected(self):
         campaign = default_campaign(seed=0)
@@ -187,18 +210,18 @@ class TestDeterminism:
         ) == render_signature(report_signature(serial_report.fleet))
         assert again.metrics == serial_report.metrics
 
-    def test_process_executor_matches_serial_at_any_worker_count(
-        self, two_pod_plan, serial_report
-    ):
-        expected = render_signature(report_signature(serial_report.fleet))
-        for workers in (1, 2):
-            report = run_sharded(
-                two_pod_plan, engine="process", workers=workers
-            )
+    def test_process_executor_matches_serial_at_any_worker_count(self):
+        plan = ShardPlan(scenario=small_scenario(), n_pods=4)
+        serial = run_sharded(plan, engine="serial")
+        expected = render_signature(report_signature(serial.fleet))
+        for workers in (1, 2, 4):
+            report = run_sharded(plan, engine="process", workers=workers)
             assert render_signature(
                 report_signature(report.fleet)
-            ) == expected, f"process executor diverged at {workers} worker(s)"
-            assert report.metrics == serial_report.metrics
+            ) == expected, f"process engine diverged at {workers} worker(s)"
+            assert report.metrics == serial.metrics
+            assert report.pod_rows == serial.pod_rows
+            assert report.epochs == serial.epochs
             assert report.workers == workers
 
     def test_signature_digest_is_stable_sha256(self, serial_report):

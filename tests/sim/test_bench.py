@@ -16,6 +16,7 @@ from repro.sim.bench import (
     SCHEMA,
     SPEEDUP_FLOORS,
     WORKLOADS,
+    _best_of,
     compare_to_baseline,
     report_payload,
     run_engine_bench,
@@ -62,6 +63,20 @@ class TestRunEngineBench:
     def test_unknown_workload_lookup_rejected(self):
         with pytest.raises(ConfigurationError):
             tiny_bench().result("warp-drive")
+
+    def test_best_of_interleaves_the_timed_functions(self):
+        calls = []
+
+        def timed(name, value):
+            def fn():
+                calls.append(name)
+                return value
+            return fn
+
+        results = _best_of([timed("opt", 1), timed("ref", 2)], 3)
+        assert calls == ["opt", "ref"] * 3
+        assert [value for value, _ in results] == [1, 2]
+        assert all(best_s >= 0 for _, best_s in results)
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ConfigurationError):

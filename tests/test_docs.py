@@ -147,11 +147,11 @@ class TestScalingDocNumbers:
         expected = {
             "Pods": [baseline["n_pods"]],
             "Tracks": [baseline["n_tracks"]],
-            "Synchronisation epochs": [baseline["epochs"]],
+            "Input windows": [baseline["epochs"]],
             "Jobs ingested": [baseline["kpis"]["n_jobs"]],
             "Jobs per pod": list(baseline["shards"]["pod_jobs"]),
             "Boundary forwards": [baseline["shards"]["forwarded"]],
-            "Remote outcome notes": [
+            "Remote outcomes": [
                 sum(baseline["shards"]["remote_outcomes"].values())
             ],
         }
