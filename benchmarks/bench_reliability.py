@@ -96,11 +96,11 @@ def test_retry_overhead_is_bounded(benchmark):
         return run_campaign(spec)
 
     system, report, handles = benchmark.pedantic(campaign, rounds=1, iterations=1)
-    downtime = system.telemetry.total_duration("track_downtime")
+    downtime = system.metrics.value("duration_s.track_downtime")
     # The campaign stretches by roughly the downtime it overlapped, not
     # by a large multiple of it (retries are cheap; launches are not).
     _, baseline, _ = run_campaign(None)
     stretch = report.elapsed_s - baseline.elapsed_s
     record_comparison(benchmark, "stretch_vs_downtime", 1.0, stretch / downtime)
     assert 0.25 <= stretch / downtime <= 2.0
-    assert system.telemetry.count("shuttle_retries") > 0
+    assert system.metrics.value("count.shuttle_retries") > 0

@@ -196,13 +196,13 @@ def reliability_table(shards: int = 100, seed: int = 11) -> Rows:
         system, report, handles = campaign(spec)
         model = handles.availability_model(per_shuttle)
         measured = baseline.effective_bandwidth / report.effective_bandwidth
-        downtime = system.telemetry.total_duration("track_downtime")
+        downtime = system.metrics.value("duration_s.track_downtime")
         rows.append([
             label,
             f"{model.availability:.1%}",
             f"{model.slowdown:.2f}x",
             f"{measured:.2f}x",
-            system.telemetry.count("shuttle_retries"),
+            int(system.metrics.value("count.shuttle_retries")),
             format_time(downtime),
             sum(abs(v) for v in system.leaked_resources().values()),
         ])

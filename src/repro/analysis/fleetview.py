@@ -303,93 +303,6 @@ def shard_timing_table(
     return headers, rows
 
 
-def surrogate_validation_table(
-    payload: "Mapping[str, object]",
-) -> tuple[list[str], list[list[object]]]:
-    """Held-out prediction errors vs their pinned bounds, per target.
-
-    Takes the JSON payload (not the report object) so the committed
-    ``BENCH_surrogate.json`` renders identically to a fresh run.
-    """
-    validation = dict(payload["validation"])
-    bounds = dict(validation["bounds"])
-    headers = ["Target", "Metric", "Error", "Bound"]
-    rows: list[list[object]] = [
-        [
-            "p99",
-            "mean rel",
-            f"{float(validation['p99_mean_rel_error']):.3f}",
-            f"{float(bounds['p99_mean']):.2f}",
-        ],
-        [
-            "p99",
-            "max rel",
-            f"{float(validation['p99_max_rel_error']):.3f}",
-            f"{float(bounds['p99_max']):.2f}",
-        ],
-        [
-            "energy",
-            "aggregate rel",
-            f"{float(validation['energy_aggregate_rel_error']):.3f}",
-            f"{float(bounds['energy_aggregate']):.2f}",
-        ],
-        [
-            "energy",
-            "mean rel",
-            f"{float(validation['energy_mean_rel_error']):.3f}",
-            f"{float(bounds['energy_mean']):.2f}",
-        ],
-        [
-            "miss rate",
-            "max abs",
-            f"{float(validation['miss_max_abs_error']):.3f}",
-            "-",
-        ],
-    ]
-    return headers, rows
-
-
-def surrogate_planner_table(
-    payload: "Mapping[str, object]",
-) -> tuple[list[str], list[list[object]]]:
-    """Exhaustive vs surrogate-guided planner, from a bench payload."""
-    exhaustive = dict(payload["exhaustive"])
-    surrogate = dict(payload["surrogate"])
-
-    def best_label(section: "Mapping[str, object]") -> str:
-        best = section.get("best")
-        if not best:
-            return "-"
-        best = dict(best)
-        return (
-            f"t{best['n_tracks']}c{best['cart_pool']}:"
-            f"{best['policy']}+{best['cache_policy']}"
-        )
-
-    headers = ["Planner", "DES evals", "Pruned", "Best deployment"]
-    rows: list[list[object]] = [
-        [
-            "exhaustive",
-            int(exhaustive["des_evaluations"]),
-            0,
-            best_label(exhaustive),
-        ],
-        [
-            "surrogate",
-            int(surrogate["des_evaluations"]),
-            int(surrogate["pruned"]),
-            best_label(surrogate),
-        ],
-        [
-            "reduction",
-            f"{float(surrogate['reduction']):.1f}x",
-            "-",
-            "-",
-        ],
-    ]
-    return headers, rows
-
-
 def capacity_table(plan: CapacityPlan) -> tuple[list[str], list[list[object]]]:
     """Every evaluated candidate, cheapest first, winner marked."""
     if not plan.evaluations:

@@ -1,8 +1,8 @@
 """The bench registry: how a named bench is run, rendered, written and gated.
 
-Eight benches write committed ``BENCH_<name>.json`` baselines.  Six of
-them (``fleet``, ``chaos``, ``traffic``, ``shard``, ``learn``,
-``surrogate``) are seeded virtual-time simulations, so one comparator,
+Seven benches write committed ``BENCH_<name>.json`` baselines.  Five of
+them (``fleet``, ``chaos``, ``traffic``, ``shard``, ``learn``) are
+seeded virtual-time simulations, so one comparator,
 :func:`compare`, gates them all: every baseline leaf must reappear in
 the fresh payload, numbers within ``rel_tol`` and everything else
 exactly.  The two wall-clock benches (``sweep``, ``engine``) keep their
@@ -333,38 +333,6 @@ def _learn(args: argparse.Namespace) -> dict[str, object]:
     return payload
 
 
-def _surrogate(args: argparse.Namespace) -> dict[str, object]:
-    from .analysis.fleetview import (
-        surrogate_planner_table,
-        surrogate_validation_table,
-    )
-    from .surrogate import bench as surrogate_bench
-
-    bench = surrogate_bench.run_surrogate_bench(
-        seed=args.seed, check_process_parity=not args.no_parity_probe
-    )
-    payload = surrogate_bench.report_payload(bench)
-    seeds = surrogate_bench.VALIDATION_SEEDS
-    requirement = surrogate_bench.GATE_REQUIREMENT
-    _table(surrogate_validation_table(payload),
-           f"Surrogate validation (seeds {seeds[0]}..{seeds[-1]}, "
-           "seed-median DES truth)")
-    print()
-    _table(surrogate_planner_table(payload),
-           f"Capacity planners (p99 <= {requirement.max_p99_s:g} s, "
-           f"miss <= {requirement.max_miss_rate:.0%})")
-    print(f"\ntraining: {bench.training_rows} rows over "
-          f"{len(surrogate_bench.TRAIN_SEEDS)} seeds in "
-          f"{bench.train_wall_s:.1f} s wall, fit in {bench.fit_wall_s:.1f} s")
-    print(f"model fingerprint {bench.model_fingerprint_serial[:16]}.., "
-          f"training set {bench.train_fingerprint_serial[:16]}..")
-    wall = dict(payload["wall_informational"])
-    print(f"plan wall: exhaustive {wall['exhaustive_plan_s']:.3f} s, "
-          f"surrogate {wall['surrogate_plan_s']:.3f} s "
-          f"({wall['plan_speedup']:.1f}x, informational)")
-    return payload
-
-
 def _sweep_failures(payload: Payload) -> list[str]:
     if payload["identical_results"]:
         return []
@@ -389,5 +357,4 @@ BENCHES: dict[str, Bench] = {
     "traffic": Bench("traffic KPI baseline", _traffic),
     "shard": Bench("shard baseline", _shard),
     "learn": Bench("learn baseline", _learn),
-    "surrogate": Bench("surrogate baseline", _surrogate),
 }

@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     choices = list(_TABLES) + ["fig6", "validate", "export", "trace", "bench",
                                "fleet", "chaos", "replicate", "traffic",
-                               "learn", "surrogate", "all"]
+                               "learn", "all"]
     parser.add_argument(
         "artefact",
         choices=choices,
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-parity-probe",
         action="store_true",
-        help="learn/surrogate: skip the serial/process training parity "
+        help="learn: skip the serial/process training parity "
              "probe (marks the invariant false; quick local iterations "
              "only)",
     )

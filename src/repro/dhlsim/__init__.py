@@ -12,7 +12,6 @@ from .cart import Cart, CartState
 from .docking import DockingStation, RackEndpoint
 from .faults import FaultInjector, expected_failures_per_campaign
 from .library_node import LibraryNode
-from .metrics import EnergySample, Telemetry, telemetry_view
 from .multistop import (
     ContentionReport,
     MultiStopExperiment,
@@ -56,7 +55,6 @@ __all__ = [
     "DockOutageInjector",
     "DockingStation",
     "Endpoint",
-    "EnergySample",
     "FailoverPolicy",
     "FaultInjector",
     "LibraryNode",
@@ -69,7 +67,6 @@ __all__ = [
     "ShuttleAttempt",
     "ShuttlePolicy",
     "Span",
-    "Telemetry",
     "TimelineEvent",
     "TimelineRecorder",
     "Track",
@@ -84,6 +81,5 @@ __all__ = [
     "install_chaos",
     "pick_track",
     "speed_contention_sweep",
-    "telemetry_view",
     "timeline_events",
 ]

@@ -1,118 +1,11 @@
-"""Operational telemetry — a compatibility facade over the metrics registry.
+"""Metric-name prefixes the DHL simulator writes under.
 
-.. deprecated::
-    :class:`Telemetry` predates the observability subsystem and is kept
-    as a thin shim so the scheduler's call sites and downstream tests
-    keep working unchanged.  Every sample now lands in a
-    :class:`repro.obs.MetricsRegistry` (energy under ``energy_j.*``,
-    counters under ``count.*``, durations under ``duration_s.*``), which
-    is the one metrics path shared with tracing, probes and the CLI's
-    trace artefacts.  New code should talk to the registry directly via
-    :attr:`Telemetry.registry` or :attr:`DhlSystem.metrics`.
-
-The analytical model predicts campaign energy and time in closed form;
-the simulator *measures* them.  This module accumulates those
-measurements so tests can cross-validate the two.
+Every sample lands in the system's :class:`repro.obs.MetricsRegistry`
+(:attr:`DhlSystem.metrics`): energy under ``energy_j.*``, counters
+under ``count.*`` and durations under ``duration_s.*``.  Read them back
+with ``system.metrics.value(COUNT_PREFIX + "launches")``.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-from ..errors import SimulationError
-from ..obs.metrics import MetricsRegistry
-from ..sim import Environment
 
 ENERGY_PREFIX = "energy_j."
 COUNT_PREFIX = "count."
 DURATION_PREFIX = "duration_s."
-
-
-@dataclass(frozen=True)
-class EnergySample:
-    """One energy expenditure: when, what for, how much."""
-
-    time_s: float
-    category: str
-    joules: float
-
-
-@dataclass
-class Telemetry:
-    """Accumulates energy samples and operation counters during a run.
-
-    A per-sample log (:attr:`samples`) is retained for tests that need
-    individual timestamps; the aggregates live in :attr:`registry`.
-    """
-
-    env: Environment
-    registry: MetricsRegistry | None = None
-    samples: list[EnergySample] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.registry is None:
-            self.registry = MetricsRegistry(self.env)
-
-    def record_energy(self, category: str, joules: float) -> None:
-        if joules < 0:
-            raise SimulationError(f"energy must be >= 0, got {joules}")
-        self.samples.append(EnergySample(self.env.now, category, joules))
-        self.registry.counter(ENERGY_PREFIX + category).inc(joules)
-
-    def increment(self, counter: str, by: int = 1) -> None:
-        self.registry.counter(COUNT_PREFIX + counter).inc(by)
-
-    def record_duration(self, category: str, seconds: float) -> None:
-        """Accumulate elapsed seconds against a category (e.g. downtime)."""
-        if seconds < 0:
-            raise SimulationError(f"duration must be >= 0, got {seconds}")
-        self.registry.counter(DURATION_PREFIX + category).inc(seconds)
-
-    def total_duration(self, category: str) -> float:
-        return self.registry.value(DURATION_PREFIX + category)
-
-    def total_energy(self, category: str | None = None) -> float:
-        """Total joules, optionally restricted to one category."""
-        if category is not None:
-            return self.registry.value(ENERGY_PREFIX + category)
-        return sum(self.energy_by_category().values())
-
-    def energy_by_category(self) -> dict[str, float]:
-        return self.registry.counters_with_prefix(ENERGY_PREFIX)
-
-    def average_power(self) -> float:
-        """Mean power over the elapsed simulation time."""
-        if self.env.now <= 0:
-            raise SimulationError("no simulated time has elapsed")
-        return self.total_energy() / self.env.now
-
-    def count(self, counter: str) -> int:
-        return int(self.registry.value(COUNT_PREFIX + counter))
-
-    @property
-    def counters(self) -> dict[str, int]:
-        """Operation counters as a plain dict (compatibility view)."""
-        return {
-            name: int(value)
-            for name, value in self.registry.counters_with_prefix(
-                COUNT_PREFIX
-            ).items()
-        }
-
-    @property
-    def durations(self) -> dict[str, float]:
-        """Accumulated durations by category (compatibility view)."""
-        return self.registry.counters_with_prefix(DURATION_PREFIX)
-
-
-def telemetry_view(env: Environment, registry: MetricsRegistry) -> Telemetry:
-    """A deprecated-API view over an existing registry.
-
-    The scheduler and fault models now write to the
-    :class:`~repro.obs.metrics.MetricsRegistry` directly; this factory
-    exists so :attr:`DhlSystem.telemetry` can keep serving the old query
-    API (``count``/``total_energy``/``total_duration``/``counters``) to
-    analysis tables and downstream tests without any ``dhlsim`` module
-    other than this one naming the facade class.
-    """
-    return Telemetry(env, registry=registry)

@@ -44,12 +44,7 @@ from ..storage.ssd_array import SsdArray
 from .cart import Cart, CartState
 from .docking import DockingStation, RackEndpoint
 from .library_node import LibraryNode
-from .metrics import (
-    COUNT_PREFIX,
-    DURATION_PREFIX,
-    ENERGY_PREFIX,
-    telemetry_view,
-)
+from .metrics import COUNT_PREFIX, DURATION_PREFIX, ENERGY_PREFIX
 from .policy import NO_RETRY, FailoverPolicy, ShuttlePolicy
 from .track import Track, build_tracks, pick_track
 
@@ -491,16 +486,6 @@ class DhlSystem:
         return cart
 
     # -- accounting helpers ---------------------------------------------------------
-
-    @property
-    def telemetry(self):
-        """Deprecated query view over :attr:`metrics`.
-
-        Kept so analysis tables and older tests can keep reading
-        ``count``/``total_energy``/``total_duration``/``counters``; the
-        scheduler itself writes to the registry directly.
-        """
-        return telemetry_view(self.env, self.metrics)
 
     @property
     def total_launch_energy(self) -> float:

@@ -3,10 +3,12 @@
 Given a workload scenario and an SLA requirement, sweep candidate
 deployments — number of tracks, cart-pool size, scheduling policy —
 and return the cheapest candidate whose simulated run satisfies the
-requirement.  Candidates are evaluated through
-:func:`repro.core.sweep.map_chunks`, so a plan can fan out across a
-process pool; virtual-time determinism guarantees the serial and
-parallel engines return the *same* plan, which the test suite pins.
+requirement.  The sweep is exhaustive: every candidate is simulated, so
+the plan is the DES's own answer, not a model's.  Candidates are
+evaluated through :func:`repro.core.sweep.map_chunks`, so a plan can
+fan out across a process pool; virtual-time determinism guarantees
+the serial and parallel engines return the *same* plan, which the test
+suite pins.
 The parallelism here is *across* candidate fleets (each one a small
 independent run); to put every core on a single large fleet instead,
 shard that run with :func:`repro.fleet.shard.run_sharded` — see
@@ -162,18 +164,6 @@ def candidate_scenarios(
     return tuple(scenarios)
 
 
-def evaluate_candidate(
-    scenario: FleetScenario, requirement: SlaRequirement
-) -> CandidateEvaluation:
-    """Run one candidate through the DES and judge it against the SLA.
-
-    The single-candidate unit both the exhaustive sweep and the
-    surrogate-guided planner (:mod:`repro.surrogate.planner`) build on,
-    so "confirmed in the real DES" means the same thing everywhere.
-    """
-    return _evaluate(scenario, requirement)
-
-
 def plan_capacity(
     requirement: SlaRequirement,
     base: FleetScenario,
@@ -184,50 +174,27 @@ def plan_capacity(
     engine: str = "serial",
     workers: int | None = None,
     chunk_size: int | None = None,
-    early_exit: bool = False,
 ) -> CapacityPlan:
-    """Sweep the candidate grid and pick the minimal feasible fleet.
+    """Sweep the whole candidate grid and pick the minimal feasible fleet.
 
-    With ``early_exit`` the sweep stops at the first (cheapest)
-    feasible candidate instead of evaluating the full grid: the
-    returned plan's ``best`` is pinned identical to the exhaustive
-    sweep's — candidates are confirmed in increasing-cost order, so
-    the first feasible one *is* the minimum — but ``evaluations`` only
-    covers the prefix actually simulated.  Exhaustive remains the
-    default because the full frontier is what capacity studies plot.
+    Every candidate is simulated, so ``evaluations`` is the full
+    feasibility frontier capacity studies plot; ``best`` is the first
+    feasible candidate in increasing-cost order.
     """
     scenarios = candidate_scenarios(base, n_tracks_options,
                                     cart_pool_options, policies,
                                     cache_options)
     chunk_fn = functools.partial(_candidate_chunk, requirement=requirement)
-    if early_exit:
-        evaluations: list[CandidateEvaluation] = []
-        step = chunk_size or max(2, (workers or 1))
-        for start in range(0, len(scenarios), step):
-            batch = map_chunks(
-                chunk_fn,
-                scenarios[start:start + step],
-                engine=engine,
-                workers=workers,
-                chunk_size=chunk_size,
-            )
-            for evaluation in batch:
-                evaluations.append(evaluation)
-                if evaluation.feasible:
-                    break
-            if evaluations and evaluations[-1].feasible:
-                break
-    else:
-        evaluations = list(map_chunks(
-            chunk_fn,
-            scenarios,
-            engine=engine,
-            workers=workers,
-            chunk_size=chunk_size,
-        ))
+    evaluations = map_chunks(
+        chunk_fn,
+        scenarios,
+        engine=engine,
+        workers=workers,
+        chunk_size=chunk_size,
+    )
     best = next((e for e in evaluations if e.feasible), None)
     return CapacityPlan(
         requirement=requirement,
-        evaluations=tuple(evaluations),
+        evaluations=evaluations,
         best=best,
     )

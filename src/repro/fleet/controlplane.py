@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -131,8 +132,10 @@ class FleetScenario:
             raise ConfigurationError(
                 f"policy must be one of {POLICIES}, got {self.policy!r}"
             )
-        if self.horizon_s <= 0:
-            raise ConfigurationError("horizon_s must be positive")
+        if not math.isfinite(self.horizon_s) or self.horizon_s <= 0:
+            raise ConfigurationError(
+                f"horizon_s must be positive and finite, got {self.horizon_s}"
+            )
 
     @property
     def cache_label(self) -> str:

@@ -13,8 +13,8 @@ problem over the simulator (the PyDCM direction from PAPERS.md):
   cache hit rates, breaker health, deadline slack and streaming SLA
   windows;
 * :mod:`repro.learn.policies` — seeded, picklable learners with no
-  heavy dependencies: fixed-action baselines, epsilon-greedy and
-  LinUCB bandits, tabular Q-learning over discretised observations;
+  heavy dependencies: fixed-action baselines and tabular Q-learning
+  over discretised observations;
 * :mod:`repro.learn.train` — synchronous batched episode fan-out over
   :func:`repro.core.sweep.map_chunks` with serial == process
   byte-identical policy fingerprints, greedy freezing, and the
@@ -44,9 +44,7 @@ from .env import (
 )
 from .policies import (
     DEFAULT_BINS,
-    EpsilonGreedyBandit,
     FixedPolicy,
-    LinUCB,
     Policy,
     TabularQ,
     discretise,
@@ -75,11 +73,9 @@ __all__ = [
     "EVICTION_CHOICES",
     "EnvConfig",
     "EpisodeResult",
-    "EpsilonGreedyBandit",
     "FixedPolicy",
     "FleetEnv",
     "LearnReport",
-    "LinUCB",
     "N_ACTIONS",
     "OVERFLOW_CHOICES",
     "Policy",

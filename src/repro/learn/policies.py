@@ -1,19 +1,11 @@
 """Online policies over the fleet's joint action space — no heavy deps.
 
-Four families, all seeded, picklable and cheap enough to run inside
+Two families, both seeded, picklable and cheap enough to run inside
 the DES loop:
 
 * :class:`FixedPolicy` — adapters pinning one joint action forever;
   every fixed (dispatch, eviction) combo from the fleet bench becomes
-  a baseline the learners are scored against.
-* :class:`EpsilonGreedyBandit` — context-free bandit over running
-  action means; the simplest learner that can exploit a stationary
-  best arm.
-* :class:`LinUCB` — contextual bandit with per-action ridge-regression
-  payoff models and optimistic exploration (uses numpy's ``solve``;
-  its float reductions may differ across BLAS builds, so committed
-  bench gates pin the pure-Python learners and LinUCB is exercised by
-  relative regret tests instead).
+  a baseline the learner is scored against.
 * :class:`TabularQ` — epsilon-greedy tabular Q-learning over the
   discretised observation vector.  Pure-Python float arithmetic
   end-to-end, which is what makes its fingerprints byte-identical
@@ -33,8 +25,6 @@ import copy
 import hashlib
 import random
 import struct
-
-import numpy as np
 
 from ..errors import ConfigurationError
 from .env import ACTIONS, Action, N_ACTIONS, action_index
@@ -82,11 +72,6 @@ def _canonical_bytes(value) -> bytes:
                 for key, item in items
             )
             + b"}"
-        )
-    if isinstance(value, np.ndarray):
-        return (
-            b"a" + str(value.shape).encode() + b":"
-            + np.ascontiguousarray(value, dtype=np.float64).tobytes()
         )
     raise ConfigurationError(
         f"cannot canonically encode {type(value).__name__} for fingerprinting"
@@ -191,101 +176,6 @@ def fixed_policy(dispatch: str, eviction: str,
     return FixedPolicy(action)
 
 
-class EpsilonGreedyBandit(Policy):
-    """Context-free epsilon-greedy over running per-action means."""
-
-    def __init__(self, epsilon: float = 0.1, seed: int = 0,
-                 n_actions: int = N_ACTIONS):
-        if not 0.0 <= epsilon <= 1.0:
-            raise ConfigurationError(
-                f"epsilon must be within [0, 1], got {epsilon}"
-            )
-        self.epsilon = epsilon
-        self.seed = seed
-        self.n_actions = n_actions
-        self.counts = [0] * n_actions
-        self.means = [0.0] * n_actions
-        self.frozen = False
-        self.seed_episode(0)
-
-    def act(self, obs) -> int:
-        if not self.frozen and self._rng.random() < self.epsilon:
-            return self._rng.randrange(self.n_actions)
-        return self._argmax(self.means)
-
-    def update(self, obs, action, reward, next_obs, done) -> None:
-        if self.frozen:
-            return
-        self.counts[action] += 1
-        self.means[action] += (reward - self.means[action]) / self.counts[action]
-
-    def freeze(self) -> None:
-        self.frozen = True
-
-    def params(self):
-        return (tuple(self.counts), tuple(self.means))
-
-
-class LinUCB(Policy):
-    """Disjoint-arms LinUCB: ridge payoff model + optimism per action.
-
-    Maintains ``A_a = lambda I + sum x x^T`` and ``b_a = sum r x`` per
-    action; acts by ``argmax theta_a . x + alpha sqrt(x^T A_a^-1 x)``.
-    Numpy-based — fine for learning quality studies and the regret
-    tests, but committed cross-machine gates should prefer the
-    pure-Python learners (BLAS reduction order is not part of any
-    standard).
-    """
-
-    def __init__(self, dim: int, alpha: float = 1.0, ridge: float = 1.0,
-                 seed: int = 0, n_actions: int = N_ACTIONS):
-        if dim < 1:
-            raise ConfigurationError(f"dim must be >= 1, got {dim}")
-        if alpha < 0:
-            raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
-        if ridge <= 0:
-            raise ConfigurationError(f"ridge must be > 0, got {ridge}")
-        self.dim = dim
-        self.alpha = alpha
-        self.seed = seed
-        self.n_actions = n_actions
-        self.A = [np.eye(dim) * ridge for _ in range(n_actions)]
-        self.b = [np.zeros(dim) for _ in range(n_actions)]
-        self.frozen = False
-        self.seed_episode(0)
-
-    def _features(self, obs) -> np.ndarray:
-        x = np.asarray(obs, dtype=float)
-        if x.shape != (self.dim,):
-            raise ConfigurationError(
-                f"observation has dim {x.shape}, policy expects ({self.dim},)"
-            )
-        return x
-
-    def act(self, obs) -> int:
-        x = self._features(obs)
-        scores = []
-        for action in range(self.n_actions):
-            theta = np.linalg.solve(self.A[action], self.b[action])
-            spread = float(x @ np.linalg.solve(self.A[action], x))
-            bonus = 0.0 if self.frozen else self.alpha * (max(spread, 0.0) ** 0.5)
-            scores.append(float(theta @ x) + bonus)
-        return self._argmax(scores)
-
-    def update(self, obs, action, reward, next_obs, done) -> None:
-        if self.frozen:
-            return
-        x = self._features(obs)
-        self.A[action] += np.outer(x, x)
-        self.b[action] += reward * x
-
-    def freeze(self) -> None:
-        self.frozen = True
-
-    def params(self):
-        return (tuple(self.A), tuple(self.b))
-
-
 class TabularQ(Policy):
     """Epsilon-greedy tabular Q-learning over discretised observations.
 
@@ -360,9 +250,7 @@ class TabularQ(Policy):
 
 __all__ = [
     "DEFAULT_BINS",
-    "EpsilonGreedyBandit",
     "FixedPolicy",
-    "LinUCB",
     "Policy",
     "TabularQ",
     "discretise",

@@ -23,13 +23,6 @@ raises a clear error instead of an obscure one mid-suite.
   monotone records, encodes them live through both codecs, and
   open-loop injects them into a chaos-ridden control plane while
   checking round-trip identity and cart conservation.
-* :mod:`repro.testing.surrogate` — the surrogate layer's vocabulary
-  and fuzz target: strategies for scenario points, fit configurations
-  and synthetic training rows, plus :class:`SurrogateFitMachine`,
-  which drives random train/predict/refit sequences (with misuse
-  probes) while checking fingerprint determinism, finite non-negative
-  predictions, pessimistic >= median ordering and capacity
-  monotonicity after every rule.
 * :mod:`repro.testing.learn` — the learned-control layer's vocabulary
   and fuzz target: strategies for joint actions, environment
   configurations and policies of every family, plus
@@ -75,14 +68,6 @@ from .strategies import (
     valid_speeds,
     valid_ssds,
 )
-from .surrogate import (
-    SurrogateFitMachine,
-    SurrogateFitStateMachine,
-    fit_configs,
-    scenario_points,
-    synthetic_row,
-    training_rows,
-)
 from .traffic import (
     TraceReplayMachine,
     TraceReplayStateMachine,
@@ -101,8 +86,6 @@ __all__ = [
     "FleetStateMachine",
     "ShardCosimMachine",
     "ShardCosimStateMachine",
-    "SurrogateFitMachine",
-    "SurrogateFitStateMachine",
     "TraceReplayMachine",
     "TraceReplayStateMachine",
     "actions",
@@ -112,14 +95,10 @@ __all__ = [
     "degradation_policies",
     "dhl_params",
     "env_configs",
-    "fit_configs",
     "fleet_scenarios",
     "fuzz_header",
     "learn_policies",
     "random_walk",
-    "scenario_points",
-    "synthetic_row",
-    "training_rows",
     "tenant_profiles",
     "trace_records",
     "trace_specs",

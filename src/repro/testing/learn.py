@@ -32,11 +32,7 @@ from ..errors import ConfigurationError
 from ..fleet.controlplane import default_scenario
 from ..fleet.topology import DatasetCatalog, FleetSpec
 from ..learn.env import ACTIONS, Action, EnvConfig, FleetEnv, N_ACTIONS
-from ..learn.policies import (
-    EpsilonGreedyBandit,
-    FixedPolicy,
-    TabularQ,
-)
+from ..learn.policies import FixedPolicy, TabularQ
 from ..units import TB
 
 
@@ -74,23 +70,16 @@ def env_configs(draw) -> EnvConfig:
 
 @st.composite
 def learn_policies(draw, n_actions: int = N_ACTIONS):
-    """A policy from any family, validly constructed and seeded."""
-    family = draw(st.sampled_from(("fixed", "bandit", "tabular")))
-    seed = draw(st.integers(min_value=0, max_value=2**16))
-    if family == "fixed":
+    """A fixed or tabular policy, validly constructed and seeded."""
+    if draw(st.booleans()):
         return FixedPolicy(draw(st.integers(min_value=0,
                                             max_value=n_actions - 1)))
-    if family == "bandit":
-        return EpsilonGreedyBandit(
-            epsilon=draw(st.floats(min_value=0.0, max_value=1.0)),
-            seed=seed,
-        )
     return TabularQ(
         epsilon=draw(st.floats(min_value=0.0, max_value=1.0)),
         alpha=draw(st.floats(min_value=0.05, max_value=1.0)),
         gamma=draw(st.floats(min_value=0.0, max_value=0.99)),
         bins=draw(st.integers(min_value=1, max_value=6)),
-        seed=seed,
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
     )
 
 

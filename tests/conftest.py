@@ -56,4 +56,3 @@ chaos_bench = _committed_bench("chaos", "repro.chaos.bench")
 traffic_bench = _committed_bench("traffic", "repro.traffic.bench")
 shard_bench = _committed_bench("shard", "repro.fleet.shardbench")
 learn_bench = _committed_bench("learn", "repro.learn.bench")
-surrogate_bench = _committed_bench("surrogate", "repro.surrogate.bench")

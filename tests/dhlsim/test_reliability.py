@@ -112,8 +112,8 @@ class TestTrackOutage:
 
         env.run(until=env.process(run()))
         assert cart.location == 1
-        assert system.telemetry.count("shuttle_retries") >= 1
-        assert system.telemetry.count("shuttle_faults") >= 1
+        assert system.metrics.value("count.shuttle_retries") >= 1
+        assert system.metrics.value("count.shuttle_faults") >= 1
 
     def test_stop_repairs_outstanding_fault(self, env):
         system = DhlSystem(env)
@@ -168,7 +168,7 @@ class TestDockOutage:
         rack = system.rack(1)
         assert sum(1 for s in rack.stations if s.out_of_service) == 1
         assert rack.slots.count == 1  # the crew holds the slot
-        assert system.telemetry.count("dock_outages") == 1
+        assert system.metrics.value("count.dock_outages") == 1
         env.run(until=115.0)  # repaired at 110; next outage fires at 120
         assert all(not s.out_of_service for s in rack.stations)
         assert rack.slots.count == 0
@@ -187,8 +187,8 @@ class TestCartStall:
         cart = ready_cart(system)
         env.run(until=system.shuttle(cart, dst=1))
         assert env.now == pytest.approx(trip_time(DhlParams()) + 7.0)
-        assert system.telemetry.count("cart_stalls") == 1
-        assert system.telemetry.total_duration("stall") == pytest.approx(7.0)
+        assert system.metrics.value("count.cart_stalls") == 1
+        assert system.metrics.value("duration_s.stall") == pytest.approx(7.0)
 
     def test_abort_fails_the_attempt(self, env):
         system = DhlSystem(env)
@@ -223,7 +223,7 @@ class TestDeadline:
         assert cart.state == CartState.READY
         assert cart.location == 0
         assert system.tracks[0].tube.count == 0
-        assert system.telemetry.count("shuttle_timeouts") == 1
+        assert system.metrics.value("count.shuttle_timeouts") == 1
 
     def test_generous_deadline_is_invisible(self, env):
         policy = ShuttlePolicy(max_attempts=1, deadline_s=1e6)
@@ -249,7 +249,7 @@ class TestDeadline:
         assert env.now == pytest.approx(10.0)
         assert cart.state == CartState.READY
         assert system.tracks[0].tube.count == 0
-        assert system.telemetry.count("shuttle_timeouts") == 1
+        assert system.metrics.value("count.shuttle_timeouts") == 1
         env.run()  # no orphaned attempt left behind to crash the drain
 
     def test_won_race_leaves_no_deadline_event_queued(self, env):
@@ -286,8 +286,8 @@ class TestGiveUp:
         cart = ready_cart(system)
         with pytest.raises(DegradedServiceError, match="after 3 attempts"):
             env.run(until=system.shuttle(cart, dst=1))
-        assert system.telemetry.count("shuttle_faults") == 3
-        assert system.telemetry.count("shuttle_retries") == 2
+        assert system.metrics.value("count.shuttle_faults") == 3
+        assert system.metrics.value("count.shuttle_retries") == 2
 
 
 class TestFailover:
@@ -303,8 +303,8 @@ class TestFailover:
         api = DhlApi(system)
         report = env.run(until=api.bulk_transfer(dataset))
         assert report.bytes_delivered == pytest.approx(dataset.size_bytes)
-        assert system.telemetry.count("failovers") == report.shards_moved
-        assert system.telemetry.total_energy("network_failover") > 0
+        assert system.metrics.value("count.failovers") == report.shards_moved
+        assert system.metrics.value("energy_j.network_failover") > 0
         assert report.launches == 0  # nothing ever rode the tube
         # Failover time is the optical link's, not the hyperloop's.
         shard_bytes = dataset.size_bytes / report.shards_moved
@@ -323,8 +323,8 @@ class TestFailover:
         assert report.bytes_delivered == pytest.approx(dataset.size_bytes)
         # The outbound launch beats the breach; the return leg must wait
         # out the 50 s repair rather than abandoning the cart.
-        assert system.telemetry.count("return_deferrals") >= 1
-        assert system.telemetry.count("failovers") == 0
+        assert system.metrics.value("count.return_deferrals") >= 1
+        assert system.metrics.value("count.failovers") == 0
         assert report.elapsed_s > 50.0
 
 
@@ -346,7 +346,7 @@ class TestChaosDeterminism:
         install_chaos(system, spec)
         api = DhlApi(system)
         report = env.run(until=api.bulk_transfer(dataset, read_payload=False))
-        return report, dict(system.telemetry.counters)
+        return report, system.metrics.counters_with_prefix("count.")
 
     def test_same_seed_same_telemetry(self):
         report_a, counters_a = self.run_campaign(seed=5)
@@ -468,12 +468,12 @@ class TestChaosAcceptance:
         # 2. Zero leaked claims on tubes and dock slots.
         assert all(count == 0 for count in system.leaked_resources().values())
 
-        # 3. Telemetry tells the reliability story.
-        telemetry = system.telemetry
-        assert telemetry.count("track_outages") >= 1
-        assert telemetry.count("shuttle_retries") >= 1
-        assert telemetry.count("cart_stalls") >= 1
-        assert telemetry.total_duration("track_downtime") > 0
+        # 3. The metrics registry tells the reliability story.
+        metrics = system.metrics
+        assert metrics.value("count.track_outages") >= 1
+        assert metrics.value("count.shuttle_retries") >= 1
+        assert metrics.value("count.cart_stalls") >= 1
+        assert metrics.value("duration_s.track_downtime") > 0
 
         # 4. DES-measured bandwidth within 10% of the closed-form model.
         model = handles.availability_model(per_shuttle)

@@ -116,7 +116,7 @@ class TestDispatchReturn:
         station = env.run(until=system.dispatch_to_rack(cart.cart_id, 1))
         assert station.cart is cart
         assert cart.state == CartState.DOCKED
-        assert system.telemetry.count("dispatches") == 1
+        assert system.metrics.value("count.dispatches") == 1
 
     def test_return_frees_slot_and_stores(self, env):
         system = make_system(env, stations_per_rack=1)
@@ -129,7 +129,7 @@ class TestDispatchReturn:
         assert system.rack(1).slots.count == 0
         assert cart.state == CartState.STORED
         assert system.library.stored_count == 1
-        assert system.telemetry.count("returns") == 1
+        assert system.metrics.value("count.returns") == 1
 
     def test_dock_capacity_limits_concurrency(self, env):
         # With 1 station, the second dispatch waits for the first return.
@@ -246,7 +246,7 @@ class TestFailureRecovery:
         env.run(until=env.process(run()))
         rack = system.rack(1)
         assert first in rack.stranded
-        assert system.telemetry.count("stranded_carts") == 1
+        assert system.metrics.value("count.stranded_carts") == 1
 
         # A later return attempt picks the cart up from the recovery bay.
         self.repair(system)

@@ -174,45 +174,3 @@ class TestHopPhysicsProxy:
         assert sum(e.launches for e in plan.evaluations) > 144
         assert calls == {"with_": 0, "with_in_table": 144, "launch_energy": 144}
 
-
-class TestEarlyExit:
-    GRID = dict(n_tracks_options=(1, 2), cart_pool_options=(4, 6),
-                policies=("fcfs", "edf"))
-    REQUIREMENT = SlaRequirement(max_p99_s=300.0, max_miss_rate=0.05)
-
-    def test_best_pinned_equal_to_exhaustive(self):
-        """The satellite gate: early exit changes cost, never the plan."""
-        exhaustive = plan_capacity(self.REQUIREMENT, base_scenario(),
-                                   **self.GRID)
-        early = plan_capacity(self.REQUIREMENT, base_scenario(),
-                              early_exit=True, **self.GRID)
-        assert early.best == exhaustive.best
-        assert early.best is not None
-
-    def test_evaluations_are_a_prefix_ending_at_best(self):
-        exhaustive = plan_capacity(self.REQUIREMENT, base_scenario(),
-                                   **self.GRID)
-        early = plan_capacity(self.REQUIREMENT, base_scenario(),
-                              early_exit=True, **self.GRID)
-        n = len(early.evaluations)
-        assert early.evaluations == exhaustive.evaluations[:n]
-        assert early.evaluations[-1] == early.best
-        assert n <= len(exhaustive.evaluations)
-
-    def test_prefix_is_engine_and_batch_independent(self):
-        serial = plan_capacity(self.REQUIREMENT, base_scenario(),
-                               early_exit=True, **self.GRID)
-        process = plan_capacity(self.REQUIREMENT, base_scenario(),
-                                early_exit=True, engine="process",
-                                workers=2, **self.GRID)
-        chunked = plan_capacity(self.REQUIREMENT, base_scenario(),
-                                early_exit=True, chunk_size=3, **self.GRID)
-        assert serial == process == chunked
-
-    def test_infeasible_requirement_sweeps_everything(self):
-        requirement = SlaRequirement(max_p99_s=0.001, max_miss_rate=0.0)
-        exhaustive = plan_capacity(requirement, base_scenario(), **self.GRID)
-        early = plan_capacity(requirement, base_scenario(),
-                              early_exit=True, **self.GRID)
-        assert early.best is None
-        assert early.evaluations == exhaustive.evaluations

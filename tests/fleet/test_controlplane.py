@@ -5,6 +5,11 @@ cache-enabled EDF beats cache-less FCFS on *both* p99 latency and
 launch energy for the hot-dataset mix, reproduced deterministically.
 """
 
+import math
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -40,6 +45,22 @@ class TestScenario:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ConfigurationError):
             FleetScenario(horizon_s=0.0)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_rejects_nonfinite_horizon(self, horizon):
+        with pytest.raises(ConfigurationError, match="horizon_s"):
+            FleetScenario(horizon_s=horizon)
+
+    def test_cli_rejects_infinite_horizon(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "fleet", "--horizon", "inf"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.returncode != 0
+        assert "ConfigurationError: horizon_s must be positive and finite" in (
+            result.stderr
+        )
 
     def test_labels(self):
         assert default_scenario(policy="edf", cache="lru").label == "edf+lru"

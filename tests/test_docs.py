@@ -10,9 +10,8 @@ Four gates over every markdown document in the repo:
   (its classes live in ``repro.obs.metrics``);
 * numbers quoted from committed bench baselines must still match the
   baseline — ``docs/scaling.md``'s marker-delimited table is parsed
-  and compared against ``BENCH_shard.json``, ``docs/learning.md``'s
-  against ``BENCH_learn.json``, and ``docs/surrogates.md``'s against
-  ``BENCH_surrogate.json``.
+  and compared against ``BENCH_shard.json``, and ``docs/learning.md``'s
+  against ``BENCH_learn.json``.
 """
 
 from __future__ import annotations
@@ -266,121 +265,6 @@ class TestLearningDocNumbers:
         """The doc leans on the gate; the committed gate must be green."""
         assert baseline["schema"] == "repro-bench-learn/1"
         assert all(baseline["invariants"].values()), baseline["invariants"]
-
-
-class TestSurrogateDocNumbers:
-    """``docs/surrogates.md``'s table must match ``BENCH_surrogate.json``.
-
-    Same contract as the scaling and learning gates: the doc quotes the
-    committed surrogate bench inside ``<!-- surrogate-bench:begin/end
-    -->`` markers, so regenerating the baseline without refreshing the
-    doc (or vice versa) fails here, not in a reader's terminal.
-    """
-
-    _MARKED = re.compile(
-        r"<!-- surrogate-bench:begin -->\n"
-        r"(?P<table>.*?)<!-- surrogate-bench:end -->",
-        re.DOTALL,
-    )
-
-    @pytest.fixture(scope="class")
-    def doc_rows(self):
-        text = (REPO_ROOT / "docs" / "surrogates.md").read_text(
-            encoding="utf-8"
-        )
-        match = self._MARKED.search(text)
-        assert match, (
-            "docs/surrogates.md lost its surrogate-bench marker block"
-        )
-        rows = {}
-        for line in match.group("table").splitlines():
-            cells = [cell.strip(" `") for cell in line.strip("| ").split("|")]
-            if len(cells) == 2 and not set(cells[1]) <= {"-", ""}:
-                rows[cells[0]] = cells[1]
-        return rows
-
-    @pytest.fixture(scope="class")
-    def baseline(self):
-        return json.loads(
-            (REPO_ROOT / "BENCH_surrogate.json").read_text(encoding="utf-8")
-        )
-
-    @staticmethod
-    def _floats(cell: str) -> list[float]:
-        return [float(n) for n in re.findall(r"[\d.]+", cell)]
-
-    def _row(self, doc_rows, label):
-        row = next(
-            (cell for key, cell in doc_rows.items() if label in key), None
-        )
-        assert row is not None, f"missing table row for {label!r}"
-        return row
-
-    def test_training_shape(self, doc_rows, baseline):
-        assert self._floats(self._row(doc_rows, "Training rows")) == [
-            baseline["training"]["rows"],
-            baseline["training"]["grid_points"],
-            len(baseline["training"]["seeds"]),
-        ]
-
-    def test_validation_errors_and_bounds(self, doc_rows, baseline):
-        validation = baseline["validation"]
-        bounds = validation["bounds"]
-        expected = {
-            "p99 error, mean": [
-                validation["p99_mean_rel_error"], bounds["p99_mean"],
-            ],
-            "p99 error, max": [
-                validation["p99_max_rel_error"], bounds["p99_max"],
-            ],
-            "Launch-energy error, aggregate": [
-                validation["energy_aggregate_rel_error"],
-                bounds["energy_aggregate"],
-            ],
-            "Launch-energy error, mean": [
-                validation["energy_mean_rel_error"], bounds["energy_mean"],
-            ],
-            "Pruning margin": [baseline["margin"]["p99_rel"]],
-        }
-        problems = []
-        for label, want in expected.items():
-            got = self._floats(self._row(doc_rows, label))
-            if len(got) != len(want) or not all(
-                math.isclose(g, w, rel_tol=1e-9)
-                for g, w in zip(got, want)
-            ):
-                problems.append(f"{label}: doc says {got}, baseline {want}")
-        assert problems == [], "; ".join(problems)
-
-    def test_planner_counts(self, doc_rows, baseline):
-        assert self._floats(
-            self._row(doc_rows, "Exhaustive DES evaluations")
-        ) == [baseline["exhaustive"]["des_evaluations"]]
-        assert self._floats(
-            self._row(doc_rows, "Surrogate DES evaluations")
-        ) == [
-            baseline["surrogate"]["des_evaluations"],
-            baseline["surrogate"]["pruned"],
-            baseline["surrogate"]["reduction"],
-        ]
-
-    def test_best_deployment_row(self, doc_rows, baseline):
-        best = baseline["surrogate"]["best"]
-        row = self._row(doc_rows, "Best deployment")
-        label = (
-            f"t{best['n_tracks']}c{best['cart_pool']}:"
-            f"{best['policy']}+{best['cache_policy']}"
-        )
-        assert label in row
-        assert math.isclose(
-            self._floats(row)[-1], best["p99_s"], rel_tol=1e-9
-        )
-
-    def test_baseline_invariants_all_hold(self, baseline):
-        """The doc leans on the gate; the committed gate must be green."""
-        assert baseline["schema"] == "repro-bench-surrogate/1"
-        assert all(baseline["invariants"].values()), baseline["invariants"]
-        assert baseline["surrogate"]["best"] == baseline["exhaustive"]["best"]
 
 
 def test_committed_grid_sweep_docstring_doctest():

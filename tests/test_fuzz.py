@@ -24,8 +24,6 @@ from repro.testing import (
     FleetStateMachine,
     ShardCosimMachine,
     ShardCosimStateMachine,
-    SurrogateFitMachine,
-    SurrogateFitStateMachine,
     TraceReplayMachine,
     TraceReplayStateMachine,
     random_walk,
@@ -200,33 +198,6 @@ class TestDeterministicWalks:
 
         assert run_once() == run_once()
 
-    def test_surrogate_machine_survives_500_rules(self):
-        machine = random_walk(SurrogateFitMachine(seed=0), n_rules=500, seed=0)
-        assert machine.rules >= 500
-        # The walk genuinely exercised every face of the lifecycle:
-        # repeated fits over a growing pool, prediction probes (all
-        # contract assertions live inside the rules) and rejected
-        # misuse without model corruption.
-        assert machine.fits >= 5
-        assert machine.predictions >= 10
-        assert machine.rejected >= 1
-        assert len(machine.rows) > 5
-
-    def test_surrogate_walk_replays_bit_identically(self):
-        def run_once():
-            machine = random_walk(
-                SurrogateFitMachine(seed=6), n_rules=120, seed=29
-            )
-            return (
-                machine.fits,
-                machine.predictions,
-                machine.rejected,
-                len(machine.rows),
-                machine.model.fingerprint(),
-            )
-
-        assert run_once() == run_once()
-
     def test_different_walk_seeds_diverge(self):
         first = random_walk(DhlApiMachine(seed=0), n_rules=60, seed=0)
         second = random_walk(DhlApiMachine(seed=0), n_rules=60, seed=1)
@@ -255,11 +226,6 @@ class TestHypothesisMachines:
     def test_fleet_env_state_machine(self):
         run_state_machine_as_test(
             FleetEnvStateMachine, settings=FUZZ_SETTINGS
-        )
-
-    def test_surrogate_state_machine(self):
-        run_state_machine_as_test(
-            SurrogateFitStateMachine, settings=FUZZ_SETTINGS
         )
 
 
@@ -312,11 +278,3 @@ class TestLongFuzz:
         assert machine.done
         assert machine.rejected >= 1
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_surrogate_machine_long_walk(self, seed):
-        machine = random_walk(
-            SurrogateFitMachine(seed=seed), n_rules=2000, seed=seed
-        )
-        assert machine.rules >= 2000
-        assert machine.fits >= 10
-        assert machine.rejected >= 1
