@@ -40,6 +40,7 @@ from .controlplane import (
     ControlHooks,
     FleetReport,
     FleetScenario,
+    build_plane,
     default_scenario,
     run_fleet,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "SlaReport",
     "SlaRequirement",
     "SlaTracker",
+    "build_plane",
     "default_scenario",
     "illegal_transitions",
     "montecarlo_payload",

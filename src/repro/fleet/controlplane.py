@@ -33,7 +33,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .sla import (
     SlaReport,
     SlaTracker,
 )
-from .topology import DatasetCatalog, FleetSpec, FleetTopology
+from .topology import DatasetCatalog, DatasetHome, FleetSpec, FleetTopology
 
 #: Seconds between retries of a Close that keeps failing: the cart has
 #: exactly one way home, so eviction and post-serve returns park at the
@@ -846,11 +846,12 @@ class ControlPlane:
 
     # -- sharded intake ----------------------------------------------------------
     #
-    # The sharded runner (:mod:`repro.fleet.shard`) cannot hand the
-    # plane a lazy job stream: arrivals and forwarded jobs come in
-    # per-epoch batches at conservative time barriers.  These three
-    # hooks expose the exact intake path ``run`` drives, one event at a
-    # time, with ``_maybe_done`` semantics unchanged.
+    # A shard pod (:mod:`repro.fleet.shard`) cannot hand the plane a
+    # lazy job stream: it reads its own arrivals and the jobs other
+    # pods forwarded from a spool file, one window of virtual time at a
+    # time.  These three hooks expose the exact intake path ``run``
+    # drives, one event at a time, with ``_maybe_done`` semantics
+    # unchanged.
 
     def start_workers(self) -> None:
         """Spawn every lane's per-station worker processes."""
@@ -863,8 +864,9 @@ class ControlPlane:
 
         Injection order is creation order for equal timestamps (the
         engine breaks ties FIFO by event id), which is what makes a
-        fixed canonical injection order reproduce bit-identically under
-        any epoch executor.
+        pod's fixed canonical injection order (each window's forwarded
+        jobs, then its own arrivals) reproduce bit-identically whether
+        the pod runs in this process or in a worker.
         """
         event = self.env.event()
 
@@ -985,6 +987,34 @@ def _bind_jobs(
         )
 
 
+def build_plane(scenario: FleetScenario, *,
+                tracer: Tracer | None = None,
+                hooks: ControlHooks | None = None,
+                homes: Mapping[str, DatasetHome] | None = None) -> ControlPlane:
+    """Assemble one fleet: clock, topology, control plane, armed chaos.
+
+    The one way a fleet is built: a fresh :class:`~repro.sim.Environment`
+    (with ``tracer``'s clock attached), the scenario's
+    :class:`FleetTopology` (``homes`` overrides dataset placement, as a
+    shard pod's local reindexing does) and a :class:`ControlPlane` with
+    ``hooks``.  The scenario's chaos campaign is armed before any worker
+    starts.  Reach the clock and topology as ``plane.env`` and
+    ``plane.topology``; drive the plane with :meth:`ControlPlane.run` or
+    by hand (``start_workers``, then ``submit`` or ``inject``).
+    """
+    env = Environment()
+    if tracer is not None:
+        tracer.attach_clock(env)
+    topology = FleetTopology(env, scenario.spec, scenario.catalog,
+                             tracer=tracer, homes=homes)
+    plane = ControlPlane(env, topology, scenario, tracer=tracer, hooks=hooks)
+    if scenario.chaos is not None:
+        plane.attach_campaign(
+            install_campaign(env, topology.systems, scenario.chaos)
+        )
+    return plane
+
+
 def run_fleet(scenario: FleetScenario,
               tracer: Tracer | None = None,
               jobs: Iterable[TransferJob] | None = None,
@@ -1001,14 +1031,5 @@ def run_fleet(scenario: FleetScenario,
     control plane's decision points (:class:`ControlHooks`); ``None``
     keeps the historical behaviour, bit for bit.
     """
-    env = Environment()
-    if tracer is not None:
-        tracer.attach_clock(env)
-    topology = FleetTopology(env, scenario.spec, scenario.catalog,
-                             tracer=tracer)
-    plane = ControlPlane(env, topology, scenario, tracer=tracer, hooks=hooks)
-    if scenario.chaos is not None:
-        plane.attach_campaign(
-            install_campaign(env, topology.systems, scenario.chaos)
-        )
-    return plane.run(_bind_jobs(scenario, topology, jobs=jobs))
+    plane = build_plane(scenario, tracer=tracer, hooks=hooks)
+    return plane.run(_bind_jobs(scenario, plane.topology, jobs=jobs))

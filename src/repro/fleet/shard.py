@@ -51,18 +51,16 @@ from functools import partial
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from ..chaos.campaigns import ChaosCampaign
-from ..chaos.runner import install_campaign
 from ..core.sweep import map_chunks
 from ..errors import ConfigurationError
 from ..obs import merge_snapshots_additive
-from ..sim import Environment
 from ..workloads.generator import TransferJob
 from .controlplane import (
-    ControlPlane,
     FleetReport,
     FleetScenario,
     _bind_jobs,
     _FleetJob,
+    build_plane,
 )
 from .sla import (
     JobRecord,
@@ -72,7 +70,7 @@ from .sla import (
     report_from_state,
     tenant_report_from_state,
 )
-from .topology import DatasetHome, FleetSpec, FleetTopology, assign_homes
+from .topology import DatasetHome, FleetSpec, assign_homes
 
 #: Default inter-pod forwarding latency W (seconds of virtual time).
 #: A forwarded job reaches its owning pod W after it arrived.
@@ -326,20 +324,6 @@ def _read_batches(handle: BinaryIO) -> Iterator[tuple[int, list, list]]:
             return
 
 
-def _build_plane(
-    scenario: FleetScenario, homes: Mapping[str, DatasetHome] | None = None
-) -> tuple[Environment, ControlPlane]:
-    """A fresh environment and control plane, with the scenario's chaos armed."""
-    env = Environment()
-    topology = FleetTopology(env, scenario.spec, scenario.catalog, homes=homes)
-    plane = ControlPlane(env, topology, scenario)
-    if scenario.chaos is not None:
-        plane.attach_campaign(
-            install_campaign(env, topology.systems, scenario.chaos)
-        )
-    return env, plane
-
-
 def _run_pod(plan: ShardPlan, pod_index: int, spool: str) -> _PodState:
     """Simulate one pod from its spooled inputs, window by window.
 
@@ -348,10 +332,11 @@ def _run_pod(plan: ShardPlan, pod_index: int, spool: str) -> _PodState:
     ``(k+1)*W``.  Once its inputs are drained the pod closes intake and
     runs to quiescence.
     """
-    env, plane = _build_plane(
-        plan.pod_scenario(pod_index), plan.pod_homes(pod_index)
+    plane = build_plane(
+        plan.pod_scenario(pod_index), homes=plan.pod_homes(pod_index)
     )
     plane.start_workers()
+    env = plane.env
     registry = plane.registry
     n_pods, window = plan.n_pods, plan.window_s
 
@@ -609,7 +594,7 @@ def run_sharded(
     started = time.perf_counter()
     if plan.n_pods == 1:
         # Inline run_fleet so the registry snapshot can ride along.
-        _env, plane = _build_plane(scenario)
+        plane = build_plane(scenario)
         fleet = plane.run(_bind_jobs(scenario, plane.topology, jobs=jobs))
         return ShardReport(
             plan=plan,

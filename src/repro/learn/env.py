@@ -49,11 +49,11 @@ from ..fleet.controlplane import (
     FleetReport,
     FleetScenario,
     _bind_jobs,
+    build_plane,
     run_fleet,
 )
 from ..fleet.sla import ClassSla, Outcome
 from ..fleet.topology import FleetTopology
-from ..sim import Environment
 from ..traffic.replay import bound_jobs
 from ..traffic.schema import TraceRecord
 from ..traffic.synth import TraceSpec, synthesise
@@ -344,14 +344,10 @@ class FleetEnv:
 
     def reset(self) -> tuple[float, ...]:
         """Build a fresh fleet and return the initial observation."""
-        self.sim = Environment()
-        self.topology = FleetTopology(
-            self.sim, self.scenario.spec, self.scenario.catalog
-        )
         self.hooks = AdaptiveHooks()
-        self.plane = ControlPlane(
-            self.sim, self.topology, self.scenario, hooks=self.hooks
-        )
+        self.plane = build_plane(self.scenario, hooks=self.hooks)
+        self.sim = self.plane.env
+        self.topology = self.plane.topology
         self.plane.start_workers()
         self.plane.start_intake(
             episode_jobs(self.config, self.scenario, self.topology)

@@ -10,26 +10,31 @@ raises a clear error instead of an obscure one mid-suite.
   Promoted out of the test tree so every suite (and downstream users)
   draw from one vocabulary of "valid configuration".
 * :mod:`repro.testing.statemachine` — stateful fuzzing: a DHL API
-  machine issuing random Open/Close/Read/Write sequences and a fleet
-  machine issuing dispatch sequences, both optionally under an active
-  chaos campaign, with conservation/leak/ordering invariants checked
-  after every rule.  Each machine doubles as a plain object with
-  ``do_*`` methods plus a deterministic seeded :func:`random_walk`
-  driver, so CI can pin an exact >= 500-rule replay independent of
-  hypothesis' example scheduling.
+  machine issuing random Open/Close/Read/Write sequences, a fleet
+  machine issuing dispatch sequences and a shard co-sim machine that
+  reshards a fleet between runs, optionally under an active chaos
+  campaign, with conservation/leak/ordering invariants checked after
+  every rule.  Each machine doubles as a plain object with ``do_*``
+  methods plus a deterministic seeded :func:`random_walk` driver, so
+  CI can pin an exact >= 500-rule replay independent of hypothesis'
+  example scheduling.  ``@fuzz_rule`` declares each rule's argument
+  strategies next to its ``do_*`` method and :func:`state_machine`
+  derives every hypothesis wrapper from those declarations;
+  ``drain_and_audit`` is the one end-of-run fleet audit (jobs resolved
+  exactly once, outcome counts reconciled, no leaked cart or rail).
 * :mod:`repro.testing.traffic` — the demand layer's vocabulary and
   fuzz target: strategies for trace records, tenant profiles and whole
   synthesis specs, plus :class:`TraceReplayMachine`, which emits
   monotone records, encodes them live through both codecs, and
   open-loop injects them into a chaos-ridden control plane while
-  checking round-trip identity and cart conservation.
+  checking round-trip identity and the shared fleet audit.
 * :mod:`repro.testing.learn` — the learned-control layer's vocabulary
   and fuzz target: strategies for joint actions, environment
   configurations and policies of every family, plus
   :class:`FleetEnvMachine`, which interleaves legal epoch steps with
   illegal-usage probes against the gym contract (monotone virtual
   time, normalised observations, rejected misuse without side effects,
-  no leaked carts at drain).
+  the shared fleet audit at drain).
 """
 
 try:
@@ -55,6 +60,7 @@ from .statemachine import (
     ShardCosimMachine,
     ShardCosimStateMachine,
     random_walk,
+    state_machine,
 )
 from .strategies import (
     campaign_events,
@@ -99,6 +105,7 @@ __all__ = [
     "fuzz_header",
     "learn_policies",
     "random_walk",
+    "state_machine",
     "tenant_profiles",
     "trace_records",
     "trace_specs",

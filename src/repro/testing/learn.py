@@ -12,12 +12,11 @@ indices, stepping a finished episode, premature reports) that must be
 rejected with :class:`~repro.errors.ConfigurationError` and leave the
 environment untouched.  After every rule it checks the gym contract —
 monotone virtual time, normalised observations, finite non-positive
-rewards — and at teardown drains the episode and audits the underlying
-fleet for leaked carts and pool tokens via the same ``obs.probe``-style
-resource audits the chaos machines rely on.  Like the other machines
-it is usable directly, through
-:func:`~repro.testing.statemachine.random_walk`, or as the hypothesis
-:class:`FleetEnvStateMachine`.
+rewards — and at teardown drains the episode and runs the shared
+:func:`~repro.testing.statemachine.drain_and_audit` on its fleet.  Like
+the other machines it is usable directly, through
+:func:`~repro.testing.statemachine.random_walk`, or as the derived
+hypothesis :class:`FleetEnvStateMachine`.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import math
 
 import numpy as np
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from ..errors import ConfigurationError
 from ..fleet.controlplane import default_scenario
@@ -34,6 +32,12 @@ from ..fleet.topology import DatasetCatalog, FleetSpec
 from ..learn.env import ACTIONS, Action, EnvConfig, FleetEnv, N_ACTIONS
 from ..learn.policies import FixedPolicy, TabularQ
 from ..units import TB
+from .statemachine import (
+    assert_monotone,
+    drain_and_audit,
+    fuzz_rule,
+    state_machine,
+)
 
 
 def actions() -> st.SearchStrategy[Action]:
@@ -125,10 +129,11 @@ class FleetEnvMachine:
 
     # -- rules -------------------------------------------------------------------
 
+    @fuzz_rule(action_index=st.integers(min_value=0, max_value=N_ACTIONS - 1))
     def do_step(self, action_index: int) -> None:
         self.rules += 1
         if self.done:
-            self.do_illegal_step_after_done(action_index)
+            self._step_after_done(action_index)
             return
         obs, reward, done, info = self.env.step(action_index % N_ACTIONS)
         self.obs = obs
@@ -140,17 +145,13 @@ class FleetEnvMachine:
         )
         assert info["epoch"] == self.env.epoch
 
+    @fuzz_rule(offset=st.integers(min_value=-100, max_value=100))
     def do_illegal_action(self, offset: int) -> None:
         """Out-of-range indices are rejected without side effects."""
         self.rules += 1
         bad = N_ACTIONS + (offset % 50) if offset >= 0 else -1 - (-offset % 50)
         before = (self.env.sim.now, self.env.epoch, self.env.observe())
-        try:
-            self.env.step(bad)
-        except ConfigurationError:
-            self.rejected += 1
-        else:  # pragma: no cover - the failure the fuzz exists to catch
-            raise AssertionError(f"action index {bad} was accepted")
+        self._rejects(lambda: self.env.step(bad), f"action index {bad}")
         assert before == (self.env.sim.now, self.env.epoch,
                           self.env.observe()), (
             "rejected action mutated the environment"
@@ -159,26 +160,28 @@ class FleetEnvMachine:
     def do_illegal_step_after_done(self, action_index: int) -> None:
         """A finished episode refuses further steps."""
         self.rules += 1
-        if not self.done:
-            return
-        try:
-            self.env.step(action_index % N_ACTIONS)
-        except ConfigurationError:
-            self.rejected += 1
-        else:  # pragma: no cover
-            raise AssertionError("stepping a finished episode succeeded")
+        if self.done:
+            self._step_after_done(action_index)
 
+    def _step_after_done(self, action_index: int) -> None:
+        self._rejects(lambda: self.env.step(action_index % N_ACTIONS),
+                      "stepping a finished episode")
+
+    @fuzz_rule()
     def do_premature_report(self) -> None:
         """``report()`` before the episode drains is a usage error."""
         self.rules += 1
-        if self.done:
-            return
+        if not self.done:
+            self._rejects(self.env.report, "report() before done")
+
+    def _rejects(self, call, what: str) -> None:
+        """``call()`` must raise :class:`ConfigurationError`."""
         try:
-            self.env.report()
+            call()
         except ConfigurationError:
             self.rejected += 1
-        else:  # pragma: no cover
-            raise AssertionError("report() before done succeeded")
+        else:  # pragma: no cover - the failure the fuzz exists to catch
+            raise AssertionError(f"{what} was accepted")
 
     def step(self, rng: np.random.Generator) -> None:
         """One random rule — the deterministic-walk driver's unit."""
@@ -195,11 +198,7 @@ class FleetEnvMachine:
     # -- invariants --------------------------------------------------------------
 
     def check(self) -> None:
-        now = self.env.sim.now
-        assert now >= self._last_now, (
-            f"virtual time ran backwards: {now} < {self._last_now}"
-        )
-        self._last_now = now
+        self._last_now = assert_monotone(self.env.sim.now, self._last_now)
         obs = self.env.observe()
         assert len(obs) == self.n_obs == len(self.env.obs_names()), (
             f"observation dimensionality drifted: {len(obs)}"
@@ -214,53 +213,16 @@ class FleetEnvMachine:
         )
 
     def finish(self) -> None:
-        """Drain the episode, then audit the fleet for leaks."""
+        """Drain the episode, then audit the fleet end to end."""
         while not self.done:
             self.do_step(0)
             self.check()
         report = self.env.report()
-        assert report.n_jobs == self.env.plane._resolved
-        # No leaked carts: every held pool token is a cache resident,
-        # and the per-rail probe audits read zero.
-        topology = self.env.topology
-        resident = sum(
-            len(lane.cache.entries)
-            for lane in self.env.plane.lanes.values()
-            if lane.cache is not None
-        )
-        assert topology.cart_pool.count == resident, (
-            f"cart-pool tokens held ({topology.cart_pool.count}) != "
-            f"cache residency ({resident})"
-        )
-        for system in topology.systems:
-            audit = system.leaked_resources()
-            assert all(count == 0 for count in audit.values()), (
-                f"fleet-env leak audit: {audit}"
-            )
+        plane = self.env.plane
+        assert report.n_jobs == plane._resolved
+        # No settling run: the episode's clock stops at its last epoch
+        # boundary, which the pinned walks replay.
+        drain_and_audit(plane, plane._submitted, self.check, settle_s=0.0)
 
 
-class FleetEnvStateMachine(RuleBasedStateMachine):
-    """Hypothesis wrapper: shrinkable legal/illegal step sequences."""
-
-    def __init__(self):
-        super().__init__()
-        self.machine = FleetEnvMachine(seed=0)
-
-    @rule(index=st.integers(min_value=0, max_value=N_ACTIONS - 1))
-    def legal_step(self, index):
-        self.machine.do_step(index)
-
-    @rule(offset=st.integers(min_value=-100, max_value=100))
-    def illegal_action(self, offset):
-        self.machine.do_illegal_action(offset)
-
-    @rule()
-    def premature_report(self):
-        self.machine.do_premature_report()
-
-    @invariant()
-    def invariants_hold(self):
-        self.machine.check()
-
-    def teardown(self):
-        self.machine.finish()
+FleetEnvStateMachine = state_machine(FleetEnvMachine)

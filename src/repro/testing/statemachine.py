@@ -7,10 +7,13 @@ Each machine here is usable three ways:
 * through :func:`random_walk` — a seeded, deterministic driver that
   issues a pinned number of random rules (CI's >= 500-rule gate replays
   bit-identically);
-* through hypothesis — :class:`DhlApiStateMachine`,
-  :class:`FleetStateMachine` and :class:`ShardCosimStateMachine` wrap
-  them as :class:`~hypothesis.stateful.RuleBasedStateMachine`\\ s, so
+* through hypothesis — each rule declares its argument strategies
+  once, with :func:`fuzz_rule`, and :func:`state_machine` derives the
+  :class:`~hypothesis.stateful.RuleBasedStateMachine` from them, so
   shrinking finds minimal failing operation sequences.
+
+Every fleet machine (here and in :mod:`repro.testing.traffic` and
+:mod:`repro.testing.learn`) ends with :func:`drain_and_audit`.
 
 :class:`ShardCosimMachine` fuzzes the sharded co-simulator itself:
 rules reshard the fleet (pod count, boundary latency, chaos on/off)
@@ -37,6 +40,9 @@ Invariants checked after **every** rule:
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Callable, Iterable
+
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -55,7 +61,13 @@ from ..dhlsim.api import DhlApi
 from ..dhlsim.reliability import ChaosSpec
 from ..dhlsim.scheduler import DhlSystem
 from ..errors import ReproError, SchedulingError
-from ..fleet.controlplane import ControlPlane, FleetScenario, _FleetJob, default_scenario
+from ..fleet.controlplane import (
+    ControlPlane,
+    FleetScenario,
+    _FleetJob,
+    build_plane,
+    default_scenario,
+)
 from ..fleet.health import BREAKER_STATES, DegradationPolicy, illegal_transitions
 from ..fleet.shard import (
     ShardPlan,
@@ -63,14 +75,152 @@ from ..fleet.shard import (
     report_signature,
     run_sharded,
 )
-from ..fleet.sla import DEFAULT_TARGET, Outcome
-from ..fleet.topology import FleetSpec, FleetTopology
+from ..fleet.sla import DEFAULT_TARGET, JobRecord, Outcome
+from ..fleet.topology import FleetSpec
 from ..obs import TraceLevel, Tracer
 from ..obs.probe import trace_leaked_resources
 from ..obs.tracer import span_nesting_violations
 from ..sim import Environment
 from ..storage.datasets import synthetic_dataset
 from ..units import TB
+
+
+# -- the shared fuzz contract -------------------------------------------------
+
+_STRATEGIES = "_fuzz_strategies"
+
+_LEGAL_OUTCOMES = frozenset(Outcome)
+
+
+def fuzz_rule(**strategies: st.SearchStrategy):
+    """Declare a ``do_*`` method a hypothesis rule drawing ``strategies``.
+
+    The keywords name the method's parameters; :func:`state_machine`
+    turns every marked method into one rule of the derived wrapper.
+    """
+
+    def mark(method):
+        setattr(method, _STRATEGIES, strategies)
+        return method
+
+    return mark
+
+
+def state_machine(machine_cls: type) -> type[RuleBasedStateMachine]:
+    """Derive the hypothesis wrapper of a fuzz machine class.
+
+    Each example drives ``machine_cls(seed=0)``: every
+    :func:`fuzz_rule` method becomes a rule of the same name,
+    ``check()`` the invariant and ``finish()`` the teardown.  The
+    wrapper holds the machine rather than subclassing it: hypothesis
+    sets an instance attribute ``rules``, which would clobber the
+    machine's rule counter.
+    """
+
+    class Wrapper(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            self.machine = machine_cls(seed=0)
+
+        @invariant()
+        def check(self):
+            self.machine.check()
+
+        def teardown(self):
+            self.machine.finish()
+
+    def forward(name: str):
+        def call(self, **kwargs):
+            getattr(self.machine, name)(**kwargs)
+
+        call.__name__ = name
+        return call
+
+    for name, method in vars(machine_cls).items():
+        if hasattr(method, _STRATEGIES):
+            strategies = getattr(method, _STRATEGIES)
+            setattr(Wrapper, name, rule(**strategies)(forward(name)))
+    Wrapper.__name__ = machine_cls.__name__.replace("Machine", "StateMachine")
+    Wrapper.__qualname__ = Wrapper.__name__
+    Wrapper.__module__ = machine_cls.__module__
+    return Wrapper
+
+
+def assert_monotone(now: float, last_now: float) -> float:
+    """Assert virtual time never ran backwards; return ``now``."""
+    assert now >= last_now, (
+        f"virtual time ran backwards: {now} < {last_now}"
+    )
+    return now
+
+
+def assert_legal_outcomes(records: Iterable[JobRecord]) -> None:
+    """Every resolved record carries one of the four outcomes."""
+    for record in records:
+        assert record.outcome in _LEGAL_OUTCOMES, (
+            f"unknown outcome {record.outcome!r}"
+        )
+
+
+def drain_and_audit(plane: ControlPlane, submitted: int,
+                    check: Callable[[], None], settle_s: float = 3600.0) -> None:
+    """Drain a hand-driven fleet, then audit its end-of-run contract.
+
+    Runs the clock in 300 s steps (``check()`` after each, 400 steps at
+    most) until all ``submitted`` jobs resolved, stops the campaign and
+    lets in-flight evictions land for ``settle_s``.  Then every submitted
+    job resolved exactly once, the outcome counts sum to the resolved
+    count, each held cart-pool token is a (resident or fetching) cache
+    entry, and every rail's leak audit reads zero — docked cache
+    residents hold their dock slots, which the audit nets out.
+    """
+    env = plane.env
+    steps = 0
+    while plane._resolved < submitted:
+        env.run(until=env.now + 300.0)
+        check()
+        steps += 1
+        assert steps < 400, (
+            f"fleet failed to drain: {plane._resolved} of {submitted} "
+            f"jobs resolved after {steps} steps"
+        )
+    if plane._campaign is not None:
+        plane._campaign.stop()
+    if settle_s > 0.0:
+        env.run(until=env.now + settle_s)
+        check()
+    seen = [record.job_id for record in plane.sla.records]
+    assert len(seen) == len(set(seen)) == submitted, (
+        f"every submitted job must resolve exactly once: {len(seen)} "
+        f"records, {len(set(seen))} distinct ids, {submitted} submitted"
+    )
+    outcomes = sum(plane._counts.values())
+    assert outcomes == plane._resolved, (
+        f"outcome counts sum to {outcomes}, not the {plane._resolved} "
+        "resolved jobs"
+    )
+    resident = sum(
+        len(lane.cache.entries)
+        for lane in plane.lanes.values()
+        if lane.cache is not None
+    )
+    held = plane.topology.cart_pool.count
+    assert held == resident, (
+        f"cart-pool tokens held ({held}) != cache residency ({resident})"
+    )
+    for system in plane.topology.systems:
+        audit = system.leaked_resources()
+        assert all(count == 0 for count in audit.values()), (
+            f"fleet leak audit: {audit}"
+        )
+
+
+def chaos_fleet_scenario(seed: int, **overrides) -> FleetScenario:
+    """An edf+lru fleet under the default campaign, degradation on."""
+    overrides.setdefault("spec", FleetSpec(shuttle_policy=CHAOS_SHUTTLE_POLICY))
+    return default_scenario(policy="edf", cache="lru", seed=seed,
+                            chaos=default_campaign(seed=seed),
+                            degradation=DegradationPolicy(), **overrides)
 
 
 def api_fuzz_campaign(seed: int = 0) -> ChaosCampaign:
@@ -145,6 +295,7 @@ class DhlApiMachine:
 
     # -- rules -------------------------------------------------------------------
 
+    @fuzz_rule(index=st.integers(min_value=0, max_value=7))
     def do_open(self, index: int) -> None:
         self.rules += 1
         dataset = self.datasets[index % len(self.datasets)]
@@ -161,6 +312,8 @@ class DhlApiMachine:
         if ok:
             self.docked[dataset] = station
 
+    @fuzz_rule(index=st.integers(min_value=0, max_value=7),
+               fraction=st.floats(min_value=0.0, max_value=1.0))
     def do_read(self, index: int, fraction: float) -> None:
         self.rules += 1
         if not self.docked:
@@ -180,6 +333,8 @@ class DhlApiMachine:
             )
             self.bytes_read += done
 
+    @fuzz_rule(index=st.integers(min_value=0, max_value=7),
+               fraction=st.floats(min_value=0.0, max_value=1.0))
     def do_write(self, index: int, fraction: float) -> None:
         self.rules += 1
         if not self.docked:
@@ -193,6 +348,7 @@ class DhlApiMachine:
             return
         self._complete(event)
 
+    @fuzz_rule(index=st.integers(min_value=0, max_value=7))
     def do_close(self, index: int) -> None:
         self.rules += 1
         if not self.docked:
@@ -208,6 +364,7 @@ class DhlApiMachine:
         )
         assert ok, "persistent close must always land"
 
+    @fuzz_rule(dt=st.floats(min_value=0.1, max_value=120.0))
     def do_advance(self, dt: float) -> None:
         self.rules += 1
         self.env.run(until=self.env.now + max(0.1, dt))
@@ -231,11 +388,7 @@ class DhlApiMachine:
     # -- invariants --------------------------------------------------------------
 
     def check(self) -> None:
-        now = self.env.now
-        assert now >= self._last_now, (
-            f"virtual time ran backwards: {now} < {self._last_now}"
-        )
-        self._last_now = now
+        self._last_now = assert_monotone(self.env.now, self._last_now)
         violations = span_nesting_violations(self.tracer.spans)
         assert not violations, f"span nesting violations: {violations[:3]}"
         audit = self.system.leaked_resources()
@@ -275,34 +428,23 @@ class FleetDispatchMachine:
 
     def __init__(self, seed: int = 0, scenario: FleetScenario | None = None):
         if scenario is None:
-            scenario = default_scenario(
-                policy="edf",
-                cache="lru",
-                seed=seed,
-                spec=FleetSpec(shuttle_policy=CHAOS_SHUTTLE_POLICY),
-                chaos=default_campaign(seed=seed),
-                degradation=DegradationPolicy(),
-            )
+            scenario = chaos_fleet_scenario(seed)
         self.scenario = scenario
-        self.env = Environment()
-        self.topology = FleetTopology(self.env, scenario.spec, scenario.catalog)
-        self.plane = ControlPlane(self.env, self.topology, scenario)
-        if scenario.chaos is not None:
-            self.plane.attach_campaign(
-                install_campaign(self.env, self.topology.systems, scenario.chaos)
-            )
-        for lane in self.plane.lanes.values():
-            for _ in range(lane.stations):
-                self.env.process(self.plane._worker(lane))
+        self.plane = build_plane(scenario)
+        self.plane.start_workers()
+        self.env = self.plane.env
+        self.topology = self.plane.topology
         self.targets = dict(scenario.targets)
         self.datasets = list(self.topology.homes)
         self.submitted = 0
         self.rules = 0
-        self._next_job_id = 0
         self._last_now = self.env.now
 
     # -- rules -------------------------------------------------------------------
 
+    @fuzz_rule(kind_index=st.integers(min_value=0, max_value=2),
+               dataset_index=st.integers(min_value=0, max_value=11),
+               size_fraction=st.floats(min_value=0.0, max_value=1.0))
     def do_dispatch(self, kind_index: int, dataset_index: int,
                     size_fraction: float) -> None:
         self.rules += 1
@@ -313,7 +455,7 @@ class FleetDispatchMachine:
         size = max(1.0, size_fraction * 8 * TB)
         self.plane.submit(
             _FleetJob(
-                job_id=self._next_job_id,
+                job_id=self.submitted,
                 arrival_s=self.env.now,
                 size_bytes=size,
                 kind=kind,
@@ -323,9 +465,9 @@ class FleetDispatchMachine:
                 priority=target.priority,
             )
         )
-        self._next_job_id += 1
         self.submitted += 1
 
+    @fuzz_rule(dt=st.floats(min_value=0.1, max_value=90.0))
     def do_advance(self, dt: float) -> None:
         self.rules += 1
         self.env.run(until=self.env.now + max(0.1, dt))
@@ -343,11 +485,7 @@ class FleetDispatchMachine:
     # -- invariants --------------------------------------------------------------
 
     def check(self) -> None:
-        now = self.env.now
-        assert now >= self._last_now, (
-            f"virtual time ran backwards: {now} < {self._last_now}"
-        )
-        self._last_now = now
+        self._last_now = assert_monotone(self.env.now, self._last_now)
         for monitor in self.plane.monitors.values():
             bad = illegal_transitions(monitor.breaker.transitions)
             assert not bad, f"illegal breaker transitions on {monitor.name}: {bad}"
@@ -364,48 +502,11 @@ class FleetDispatchMachine:
         assert len(outcomes) <= self.submitted, (
             f"{len(outcomes)} outcomes for {self.submitted} submitted jobs"
         )
-        legal = {Outcome.SERVED, Outcome.FAILOVER, Outcome.SHED, Outcome.FAILED}
-        for record in outcomes:
-            assert record.outcome in legal, f"unknown outcome {record.outcome!r}"
+        assert_legal_outcomes(outcomes)
 
-    def finish(self, drain_step_s: float = 300.0, max_steps: int = 400) -> None:
+    def finish(self) -> None:
         """Drain every submitted job, then audit conservation end-to-end."""
-        steps = 0
-        while len(self.plane.sla.records) < self.submitted:
-            self.env.run(until=self.env.now + drain_step_s)
-            self.check()
-            steps += 1
-            assert steps < max_steps, (
-                f"fleet failed to drain: {len(self.plane.sla.records)} of "
-                f"{self.submitted} jobs resolved after {steps} steps"
-            )
-        if self.plane._campaign is not None:
-            self.plane._campaign.stop()
-        # Let in-flight evictions land so pool accounting is exact.
-        self.env.run(until=self.env.now + 3600.0)
-        self.check()
-        seen = [record.job_id for record in self.plane.sla.records]
-        assert len(seen) == len(set(seen)) == self.submitted, (
-            "every submitted job must resolve exactly once"
-        )
-        # Cart-pool conservation: each held token is a resident (or
-        # still-fetching) cache entry; nothing else may hold one.
-        resident = sum(
-            len(lane.cache.entries)
-            for lane in self.plane.lanes.values()
-            if lane.cache is not None
-        )
-        held = self.topology.cart_pool.count
-        assert held == resident, (
-            f"cart-pool tokens held ({held}) != cache residency ({resident})"
-        )
-        for system in self.topology.systems:
-            audit = system.leaked_resources()
-            # Docked cache residents legitimately hold their dock slots;
-            # the audit already nets docked carts out, so zero it is.
-            assert all(count == 0 for count in audit.values()), (
-                f"fleet leak audit: {audit}"
-            )
+        drain_and_audit(self.plane, self.submitted, self.check)
 
 
 class ShardCosimMachine:
@@ -443,43 +544,34 @@ class ShardCosimMachine:
         self._workload_jobs: dict[tuple, int] = {}
 
     def _scenario(self) -> FleetScenario:
+        spec = FleetSpec(n_tracks=self.N_TRACKS, cart_pool=3 * self.N_TRACKS)
         if self.with_chaos:
-            return default_scenario(
-                policy="edf",
-                cache="lru",
-                seed=self.seed,
-                horizon_s=self.horizon_s,
-                spec=FleetSpec(
-                    n_tracks=self.N_TRACKS,
-                    cart_pool=3 * self.N_TRACKS,
-                    shuttle_policy=CHAOS_SHUTTLE_POLICY,
-                ),
-                chaos=default_campaign(seed=self.seed),
-                degradation=DegradationPolicy(),
-            )
-        return default_scenario(
-            policy="edf",
-            cache="lru",
-            seed=self.seed,
-            horizon_s=self.horizon_s,
-            spec=FleetSpec(n_tracks=self.N_TRACKS, cart_pool=3 * self.N_TRACKS),
-        )
+            spec = replace(spec, shuttle_policy=CHAOS_SHUTTLE_POLICY)
+            return chaos_fleet_scenario(self.seed, horizon_s=self.horizon_s,
+                                        spec=spec)
+        return default_scenario(policy="edf", cache="lru", seed=self.seed,
+                                horizon_s=self.horizon_s, spec=spec)
 
     # -- rules -------------------------------------------------------------------
 
+    @fuzz_rule(n_pods=st.integers(min_value=1, max_value=4),
+               latency_s=st.floats(min_value=1.0, max_value=90.0))
     def do_reshard(self, n_pods: int, latency_s: float) -> None:
         self.rules += 1
         self.n_pods = 1 + (n_pods - 1) % self.N_TRACKS
         self.interpod_latency_s = min(120.0, max(1.0, latency_s))
 
+    @fuzz_rule()
     def do_toggle_chaos(self) -> None:
         self.rules += 1
         self.with_chaos = not self.with_chaos
 
+    @fuzz_rule(seed=st.integers(min_value=0, max_value=2))
     def do_reseed(self, seed: int) -> None:
         self.rules += 1
         self.seed = seed % 3
 
+    @fuzz_rule()
     def do_run(self) -> None:
         self.rules += 1
         plan = ShardPlan(
@@ -570,95 +662,6 @@ def random_walk(machine, n_rules: int = 500, seed: int = 0):
     return machine
 
 
-class DhlApiStateMachine(RuleBasedStateMachine):
-    """Hypothesis wrapper: shrinkable Open/Close/Read/Write sequences."""
-
-    def __init__(self):
-        super().__init__()
-        self.machine = DhlApiMachine(seed=0)
-
-    @rule(index=st.integers(min_value=0, max_value=7))
-    def open(self, index):
-        self.machine.do_open(index)
-
-    @rule(index=st.integers(min_value=0, max_value=7),
-          fraction=st.floats(min_value=0.0, max_value=1.0))
-    def read(self, index, fraction):
-        self.machine.do_read(index, fraction)
-
-    @rule(index=st.integers(min_value=0, max_value=7),
-          fraction=st.floats(min_value=0.0, max_value=1.0))
-    def write(self, index, fraction):
-        self.machine.do_write(index, fraction)
-
-    @rule(index=st.integers(min_value=0, max_value=7))
-    def close(self, index):
-        self.machine.do_close(index)
-
-    @rule(dt=st.floats(min_value=0.1, max_value=120.0))
-    def advance(self, dt):
-        self.machine.do_advance(dt)
-
-    @invariant()
-    def invariants_hold(self):
-        self.machine.check()
-
-    def teardown(self):
-        self.machine.finish()
-
-
-class ShardCosimStateMachine(RuleBasedStateMachine):
-    """Hypothesis wrapper: shrinkable reshard/run sequences."""
-
-    def __init__(self):
-        super().__init__()
-        self.machine = ShardCosimMachine(seed=0)
-
-    @rule(n_pods=st.integers(min_value=1, max_value=4),
-          latency=st.floats(min_value=1.0, max_value=90.0))
-    def reshard(self, n_pods, latency):
-        self.machine.do_reshard(n_pods, latency)
-
-    @rule()
-    def toggle_chaos(self):
-        self.machine.do_toggle_chaos()
-
-    @rule(seed=st.integers(min_value=0, max_value=2))
-    def reseed(self, seed):
-        self.machine.do_reseed(seed)
-
-    @rule()
-    def run(self):
-        self.machine.do_run()
-
-    @invariant()
-    def invariants_hold(self):
-        self.machine.check()
-
-    def teardown(self):
-        self.machine.finish()
-
-
-class FleetStateMachine(RuleBasedStateMachine):
-    """Hypothesis wrapper: shrinkable fleet dispatch sequences."""
-
-    def __init__(self):
-        super().__init__()
-        self.machine = FleetDispatchMachine(seed=0)
-
-    @rule(kind=st.integers(min_value=0, max_value=2),
-          dataset=st.integers(min_value=0, max_value=11),
-          size=st.floats(min_value=0.0, max_value=1.0))
-    def dispatch(self, kind, dataset, size):
-        self.machine.do_dispatch(kind, dataset, size)
-
-    @rule(dt=st.floats(min_value=0.1, max_value=90.0))
-    def advance(self, dt):
-        self.machine.do_advance(dt)
-
-    @invariant()
-    def invariants_hold(self):
-        self.machine.check()
-
-    def teardown(self):
-        self.machine.finish()
+DhlApiStateMachine = state_machine(DhlApiMachine)
+ShardCosimStateMachine = state_machine(ShardCosimMachine)
+FleetStateMachine = state_machine(FleetDispatchMachine)

@@ -10,11 +10,11 @@ production uses it: records are emitted with non-decreasing arrivals,
 encoded live into **both** codecs, and injected open-loop into a real
 :class:`~repro.fleet.controlplane.ControlPlane` under an active chaos
 campaign.  After every rule it checks the layer's three contracts —
-monotone arrivals, codec round-trip identity, and (at teardown) no
-leaked carts or cart-pool tokens despite mid-replay chaos.  Like the
-other machines it is usable directly, through
-:func:`~repro.testing.statemachine.random_walk`, or as the hypothesis
-:class:`TraceReplayStateMachine`.
+monotone arrivals, codec round-trip identity, and (at teardown) the
+shared :func:`~repro.testing.statemachine.drain_and_audit` despite
+mid-replay chaos.  Like the other machines it is usable directly,
+through :func:`~repro.testing.statemachine.random_walk`, or as the
+derived hypothesis :class:`TraceReplayStateMachine`.
 """
 
 from __future__ import annotations
@@ -23,15 +23,10 @@ import io
 
 import numpy as np
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from ..chaos.campaigns import CHAOS_SHUTTLE_POLICY, default_campaign
-from ..chaos.runner import install_campaign
-from ..fleet.controlplane import ControlPlane, FleetScenario, _FleetJob, default_scenario
-from ..fleet.health import DegradationPolicy
-from ..fleet.sla import DEFAULT_TARGET, Outcome
-from ..fleet.topology import DatasetCatalog, FleetSpec, FleetTopology
-from ..sim import Environment
+from ..fleet.controlplane import FleetScenario, _FleetJob, build_plane
+from ..fleet.sla import DEFAULT_TARGET
+from ..fleet.topology import DatasetCatalog
 from ..traffic.codec import (
     BinaryTraceWriter,
     JsonlTraceWriter,
@@ -43,6 +38,14 @@ from ..traffic.codec import (
 from ..traffic.schema import TraceHeader, TraceRecord
 from ..traffic.synth import DemandClass, FlashCrowd, TenantProfile, TraceSpec
 from ..units import TB
+from .statemachine import (
+    assert_legal_outcomes,
+    assert_monotone,
+    chaos_fleet_scenario,
+    drain_and_audit,
+    fuzz_rule,
+    state_machine,
+)
 
 #: The fuzz vocabulary: small closed tables every fuzzed trace uses.
 FUZZ_TENANTS = ("alpha", "beta", "gamma")
@@ -141,26 +144,12 @@ class TraceReplayMachine:
 
     def __init__(self, seed: int = 0, scenario: FleetScenario | None = None):
         if scenario is None:
-            scenario = default_scenario(
-                policy="edf",
-                cache="lru",
-                seed=seed,
-                spec=FleetSpec(shuttle_policy=CHAOS_SHUTTLE_POLICY),
-                chaos=default_campaign(seed=seed),
-                degradation=DegradationPolicy(),
-            )
+            scenario = chaos_fleet_scenario(seed)
         self.scenario = scenario
-        self.env = Environment()
-        self.topology = FleetTopology(self.env, scenario.spec, scenario.catalog)
-        self.plane = ControlPlane(self.env, self.topology, scenario)
-        if scenario.chaos is not None:
-            self.plane.attach_campaign(
-                install_campaign(self.env, self.topology.systems,
-                                 scenario.chaos)
-            )
-        for lane in self.plane.lanes.values():
-            for _ in range(lane.stations):
-                self.env.process(self.plane._worker(lane))
+        self.plane = build_plane(scenario)
+        self.plane.start_workers()
+        self.env = self.plane.env
+        self.topology = self.plane.topology
         self.header = fuzz_header(scenario.catalog)
         self.targets = dict(scenario.targets)
         self._binary = io.BytesIO()
@@ -172,11 +161,16 @@ class TraceReplayMachine:
         self.injected = 0
         self.rules = 0
         self._clock = 0.0
-        self._next_job_id = 0
         self._last_now = self.env.now
 
     # -- rules -------------------------------------------------------------------
 
+    @fuzz_rule(tenant_index=st.integers(min_value=0, max_value=2),
+               dataset_index=st.integers(min_value=0, max_value=11),
+               kind_index=st.integers(min_value=0, max_value=2),
+               gap_s=st.floats(min_value=0.0, max_value=60.0),
+               size_fraction=st.floats(min_value=0.0, max_value=1.0),
+               deadline_slack_s=st.floats(min_value=1.0, max_value=1800.0))
     def do_emit(self, tenant_index: int, dataset_index: int, kind_index: int,
                 gap_s: float, size_fraction: float,
                 deadline_slack_s: float) -> None:
@@ -198,6 +192,7 @@ class TraceReplayMachine:
         self.emitted.append(record)
         self.pending.append(record)
 
+    @fuzz_rule(dt=st.floats(min_value=0.1, max_value=90.0))
     def do_advance(self, dt: float) -> None:
         self.rules += 1
         self.env.run(until=self.env.now + max(0.1, dt))
@@ -210,7 +205,7 @@ class TraceReplayMachine:
             record = self.pending.pop(0)
             target = self.targets.get(record.kind, DEFAULT_TARGET)
             self.plane.submit(_FleetJob(
-                job_id=self._next_job_id,
+                job_id=self.injected,
                 arrival_s=record.arrival_s,
                 size_bytes=record.size_bytes,
                 kind=record.kind,
@@ -221,7 +216,6 @@ class TraceReplayMachine:
                 priority=target.priority,
                 tenant=record.tenant,
             ))
-            self._next_job_id += 1
             self.injected += 1
 
     def step(self, rng: np.random.Generator) -> None:
@@ -241,60 +235,35 @@ class TraceReplayMachine:
     # -- invariants --------------------------------------------------------------
 
     def check(self) -> None:
-        now = self.env.now
-        assert now >= self._last_now, (
-            f"virtual time ran backwards: {now} < {self._last_now}"
-        )
-        self._last_now = now
+        self._last_now = assert_monotone(self.env.now, self._last_now)
         arrivals = [record.arrival_s for record in self.emitted]
         assert arrivals == sorted(arrivals), "emitted arrivals not monotone"
-        assert self._decode_binary() == self.emitted, (
+        stream = io.BytesIO(self._binary.getvalue())
+        decoded = list(read_binary_records(stream, read_binary_header(stream)))
+        assert decoded == self.emitted, (
             f"binary round-trip mismatch after {len(self.emitted)} records"
         )
         assert self.plane._resolved <= self.injected, (
             f"{self.plane._resolved} outcomes for {self.injected} "
             "injected records"
         )
-        legal = {Outcome.SERVED, Outcome.FAILOVER, Outcome.SHED,
-                 Outcome.FAILED}
+        assert_legal_outcomes(self.plane.sla.records)
         for record in self.plane.sla.records:
-            assert record.outcome in legal, (
-                f"unknown outcome {record.outcome!r}"
-            )
             assert record.tenant in self.header.tenants, (
                 f"outcome lost its tenant: {record!r}"
             )
 
-    def _decode_binary(self) -> list[TraceRecord]:
-        stream = io.BytesIO(self._binary.getvalue())
-        return list(read_binary_records(stream, read_binary_header(stream)))
-
-    def _decode_jsonl(self) -> list[TraceRecord]:
-        stream = io.StringIO(self._jsonl.getvalue())
-        return list(read_jsonl_records(stream, read_jsonl_header(stream)))
-
-    def finish(self, drain_step_s: float = 300.0, max_steps: int = 400) -> None:
+    def finish(self) -> None:
         """Inject and drain everything, then audit conservation."""
         if self.pending:
-            self.env.run(until=max(self.env.now + drain_step_s,
+            self.env.run(until=max(self.env.now + 300.0,
                                    self.pending[-1].arrival_s + 1.0))
             self._inject_due()
         assert not self.pending, "all emitted records must inject"
-        steps = 0
-        while self.plane._resolved < self.injected:
-            self.env.run(until=self.env.now + drain_step_s)
-            self.check()
-            steps += 1
-            assert steps < max_steps, (
-                f"replay failed to drain: {self.plane._resolved} of "
-                f"{self.injected} records resolved after {steps} steps"
-            )
-        if self.plane._campaign is not None:
-            self.plane._campaign.stop()
-        # Let in-flight evictions land so pool accounting is exact.
-        self.env.run(until=self.env.now + 3600.0)
-        self.check()
-        assert self._decode_jsonl() == self.emitted, (
+        drain_and_audit(self.plane, self.injected, self.check)
+        stream = io.StringIO(self._jsonl.getvalue())
+        decoded = list(read_jsonl_records(stream, read_jsonl_header(stream)))
+        assert decoded == self.emitted, (
             "JSONL round-trip mismatch at teardown"
         )
         # Per-tenant accounting reconciles: every resolved record kept
@@ -306,47 +275,6 @@ class TraceReplayMachine:
             f"tenant accounting lost records: {tenant_jobs} != "
             f"{self.plane._resolved}"
         )
-        # No leaked carts under mid-replay chaos: each held pool token
-        # is a cache resident, and the per-rail audits read zero.
-        resident = sum(
-            len(lane.cache.entries)
-            for lane in self.plane.lanes.values()
-            if lane.cache is not None
-        )
-        held = self.topology.cart_pool.count
-        assert held == resident, (
-            f"cart-pool tokens held ({held}) != cache residency ({resident})"
-        )
-        for system in self.topology.systems:
-            audit = system.leaked_resources()
-            assert all(count == 0 for count in audit.values()), (
-                f"replay leak audit: {audit}"
-            )
 
 
-class TraceReplayStateMachine(RuleBasedStateMachine):
-    """Hypothesis wrapper: shrinkable emit/advance replay sequences."""
-
-    def __init__(self):
-        super().__init__()
-        self.machine = TraceReplayMachine(seed=0)
-
-    @rule(tenant=st.integers(min_value=0, max_value=2),
-          dataset=st.integers(min_value=0, max_value=11),
-          kind=st.integers(min_value=0, max_value=2),
-          gap=st.floats(min_value=0.0, max_value=60.0),
-          size=st.floats(min_value=0.0, max_value=1.0),
-          slack=st.floats(min_value=1.0, max_value=1800.0))
-    def emit(self, tenant, dataset, kind, gap, size, slack):
-        self.machine.do_emit(tenant, dataset, kind, gap, size, slack)
-
-    @rule(dt=st.floats(min_value=0.1, max_value=90.0))
-    def advance(self, dt):
-        self.machine.do_advance(dt)
-
-    @invariant()
-    def invariants_hold(self):
-        self.machine.check()
-
-    def teardown(self):
-        self.machine.finish()
+TraceReplayStateMachine = state_machine(TraceReplayMachine)

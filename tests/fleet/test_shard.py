@@ -1,6 +1,5 @@
 """Tests for the sharded multi-process fleet co-simulation."""
 
-import json
 import math
 import os
 import subprocess
@@ -352,44 +351,6 @@ class TestShardBench:
                 name.startswith("process_speedup")
                 for name in payload["invariants"]
             )
-
-    def test_write_check_round_trip(self, bench, tmp_path):
-        from repro.bench import compare, load, write
-        from repro.fleet import shardbench
-
-        path = write(shardbench.report_payload(bench),
-                     str(tmp_path / "BENCH_shard.json"))
-        payload = json.loads(json.dumps(shardbench.report_payload(bench)))
-        assert compare(payload, load(path)) == []
-
-    def test_kpi_drift_is_reported(self, bench):
-        from repro.bench import compare
-        from repro.fleet import shardbench
-
-        payload = shardbench.report_payload(bench)
-        baseline = json.loads(json.dumps(payload))
-        baseline["kpis"]["n_jobs"] += 1
-        baseline["shards"]["forwarded"] += 1
-        problems = compare(payload, baseline)
-        assert len(problems) == 2
-        assert any("n_jobs" in problem for problem in problems)
-
-    def test_committed_baseline_matches_this_tree(self, bench):
-        """BENCH_shard.json was generated by the code in this tree."""
-        from pathlib import Path
-
-        from repro.bench import load
-        from repro.fleet import shardbench
-
-        committed = Path(__file__).resolve().parents[2] / "BENCH_shard.json"
-        baseline = load(str(committed))
-        assert baseline["schema"] == shardbench.SCHEMA
-        assert all(dict(baseline["invariants"]).values())
-        assert baseline["n_pods"] == shardbench.DEFAULT_N_PODS
-        assert baseline["interpod_latency_s"] == shardbench.DEFAULT_WINDOW_S
-        assert baseline["shards"]["forwarded"] == sum(
-            baseline["shards"]["remote_outcomes"].values()
-        )
 
 
 class TestShardedReplay:

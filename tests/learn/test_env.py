@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.chaos.campaigns import default_campaign
 from repro.errors import ConfigurationError
 from repro.fleet.controlplane import default_scenario, run_fleet
+from repro.fleet.health import DegradationPolicy
 from repro.fleet.topology import DatasetCatalog, FleetSpec
 from repro.learn import (
     ACTIONS,
@@ -237,3 +239,32 @@ class TestHookEquivalence:
         assert stepped.p99_s == straight.p99_s
         assert stepped.launches == straight.launches
         assert stepped.launch_energy_j == straight.launch_energy_j
+
+    @pytest.mark.parametrize("policy,cache", [
+        ("edf", "lru"), ("fcfs", "lru"), ("sjf", "ttl"),
+    ])
+    def test_epoch_slicing_does_not_change_a_chaos_run(self, policy, cache):
+        # The env arms the scenario's campaign exactly as run_fleet
+        # does, so the storm hits the stepped run event for event.
+        scenario = default_scenario(
+            policy=policy,
+            cache=cache,
+            seed=0,
+            horizon_s=1800.0,
+            spec=FleetSpec(n_tracks=2, racks_per_track=1,
+                           stations_per_rack=2, cart_pool=6),
+            catalog=DatasetCatalog(n_datasets=6, dataset_bytes=24 * TB),
+            chaos=default_campaign(seed=0),
+            degradation=DegradationPolicy(),
+        )
+        config = EnvConfig(scenario=scenario, epoch_s=120.0, max_epochs=60)
+        action = Action(policy, cache, "failover")
+        stepped = fixed_episode_report(config, action, seed=scenario.seed)
+        straight = run_fleet(scenario)
+        assert straight.chaos_entries and straight.failovers > 0
+        assert stepped.n_jobs == straight.n_jobs
+        assert stepped.p99_s == straight.p99_s
+        assert stepped.launches == straight.launches
+        assert stepped.launch_energy_j == straight.launch_energy_j
+        assert stepped.failovers == straight.failovers
+        assert stepped.chaos_entries == straight.chaos_entries
