@@ -449,7 +449,6 @@ class ControlPlane:
         self.peak_in_system = 0
         self._counts: dict[str, int] = {outcome: 0 for outcome in Outcome}
         self._max_completed_s = 0.0
-        self._tenants_seen = False
         self._evictions_in_flight = 0
         self.failover_energy_j = 0.0
         # Counter handles by name, fetched on first use so registry
@@ -517,8 +516,6 @@ class ControlPlane:
         self._in_system += 1
         if self._in_system > self.peak_in_system:
             self.peak_in_system = self._in_system
-        if fjob.tenant:
-            self._tenants_seen = True
         admission = self.scenario.admission
         lane = self.lane_for(fjob.dataset)
         if self.tracer is not None:
@@ -931,11 +928,7 @@ class ControlPlane:
                 else ()
             ),
             peak_in_system=self.peak_in_system,
-            tenant_sla=(
-                self.sla.tenant_report(self.scenario.horizon_s)
-                if self._tenants_seen
-                else None
-            ),
+            tenant_sla=self.sla.tenant_report(self.scenario.horizon_s),
         )
 
 

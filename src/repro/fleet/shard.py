@@ -536,11 +536,7 @@ def _merge_states(
         # Per-pod peaks need not coincide in virtual time, so the sum
         # is an upper bound on the true fleet-wide peak.
         peak_in_system=sum(report.peak_in_system for report in reports),
-        tenant_sla=(
-            tenant_report_from_state(sla_state, horizon_s)
-            if sla_state.by_tenant
-            else None
-        ),
+        tenant_sla=tenant_report_from_state(sla_state, horizon_s),
     )
     return fleet, metrics
 

@@ -3,9 +3,8 @@
 Each resolved (completed, failed or shed) job is observed once by the
 :class:`SlaTracker`, which streams it into the fleet's
 :class:`~repro.obs.metrics.MetricsRegistry` — latency histograms per
-class, outcome counters — and into streaming accumulators, keeping the
-job's :class:`JobRecord` when the final report should quote exact
-percentiles.
+class, outcome counters — and either keeps the job's :class:`JobRecord`
+or folds it into streaming accumulators.
 
 Percentiles come from :mod:`repro.core.percentiles`, the same
 linear-interpolation rule the service study uses, so "p95" means one
@@ -13,16 +12,17 @@ thing across the whole repo.  The registry histograms remain available
 for live/streaming views at bucket resolution.
 
 Two retention modes serve two scales.  The default
-(``retain_records=True``) keeps every :class:`JobRecord` so the final
+(``retain_records=True``) keeps every :class:`JobRecord`, so the final
 report quotes exact percentiles — right for hour-long fleet studies.
-For trace-driven days with millions of requests
-(:mod:`repro.traffic`), ``retain_records=False`` switches the tracker
-to constant-memory streaming accumulators: counts, goodput bytes and
+For trace-driven days with millions of requests (:mod:`repro.traffic`),
+``retain_records=False`` keeps no records, only constant-memory
+accumulators overall, per class and per **tenant** (the multi-tenant
+dimension trace replay introduces).  Their counts, goodput bytes and
 deadline misses are exact, and latency percentiles come from a
 deterministic bounded reservoir that is *also* exact until a class
-exceeds ``sample_cap`` completions.  Both modes additionally account
-per **tenant** (the multi-tenant dimension trace replay introduces),
-surfaced through :meth:`SlaTracker.tenant_report`.
+exceeds ``DEFAULT_SAMPLE_CAP`` completions.  Either way, a tracker, a
+merge of sharded trackers and the per-tenant view all report through
+one summariser over a :class:`SlaState`.
 """
 
 from __future__ import annotations
@@ -206,12 +206,12 @@ class _StreamStats:
 
     __slots__ = ("n_jobs", "n_completed", "misses", "good_bytes", "reservoir")
 
-    def __init__(self, sample_cap: int, seed: int):
+    def __init__(self, key: str):
         self.n_jobs = 0
         self.n_completed = 0
         self.misses = 0
         self.good_bytes = 0.0
-        self.reservoir = LatencyReservoir(sample_cap, seed)
+        self.reservoir = LatencyReservoir(DEFAULT_SAMPLE_CAP, _stream_seed(key))
 
     def observe(self, latency_s: float | None, met_deadline: bool,
                 read_bytes: float) -> None:
@@ -225,21 +225,14 @@ class _StreamStats:
         else:
             self.good_bytes += read_bytes
 
-    def summarise(self, kind: str, horizon_s: float) -> ClassSla:
-        if self.reservoir.samples:
-            points = percentiles(self.reservoir.samples)
-            p50, p95, p99 = points[50.0], points[95.0], points[99.0]
-        else:
-            p50 = p95 = p99 = float("inf")
-        return ClassSla(
-            kind=kind,
+    def export(self) -> StreamStatsState:
+        return StreamStatsState(
             n_jobs=self.n_jobs,
             n_completed=self.n_completed,
-            p50_s=p50,
-            p95_s=p95,
-            p99_s=p99,
-            deadline_miss_rate=self.misses / self.n_jobs if self.n_jobs else 0.0,
-            goodput_bytes_per_s=self.good_bytes / horizon_s,
+            misses=self.misses,
+            good_bytes=self.good_bytes,
+            samples=tuple(self.reservoir.samples),
+            n_observed=self.reservoir.n,
         )
 
 
@@ -252,11 +245,13 @@ class SlaTracker:
     """Streams job records into metrics and builds the final report.
 
     ``retain_records=True`` (the default) keeps every record and quotes
-    exact percentiles; ``retain_records=False`` holds only streaming
-    accumulators plus bounded reservoirs, so memory stays constant no
+    exact percentiles from them.  ``retain_records=False`` keeps no
+    records, only streaming accumulators (overall, per kind and per
+    named tenant) with bounded reservoirs, so memory stays constant no
     matter how many jobs flow through — the contract trace replay
-    relies on.  Per-tenant accumulators are maintained in both modes
-    for any record carrying a non-empty ``tenant``.
+    relies on.  Each mode keeps one of the two, and both report through
+    :meth:`export_state`.  The :meth:`take_window` accumulator is fed in
+    both modes.
     """
 
     def __init__(
@@ -265,21 +260,18 @@ class SlaTracker:
         targets: Mapping[str, ClassTarget],
         default: ClassTarget = DEFAULT_TARGET,
         retain_records: bool = True,
-        sample_cap: int = DEFAULT_SAMPLE_CAP,
     ):
         self.registry = registry
         self.targets = dict(targets)
         self.default = default
         self.retain_records = retain_records
-        self.sample_cap = sample_cap
         self.records: list[JobRecord] = []
         self._by_kind: dict[str, _StreamStats] = {}
         self._by_tenant: dict[str, _StreamStats] = {}
-        self._overall = _StreamStats(sample_cap, _stream_seed("overall"))
-        self._window = _StreamStats(sample_cap, _stream_seed("window"))
-        # The accumulators one (kind, tenant) pair feeds: overall, its
-        # kind and (when named) its tenant.  The rolling window is fed
-        # separately because ``take_window`` replaces it.
+        self._overall = _StreamStats("overall")
+        self._window = _StreamStats("window")
+        # Streaming mode: the accumulators one (kind, tenant) pair
+        # feeds — overall, its kind and (when named) its tenant.
         self._groups: dict[tuple[str, str], tuple[_StreamStats, ...]] = {}
         # Registry handles, fetched on first use so the registry's
         # metric names and creation order match per-record lookups.
@@ -289,19 +281,18 @@ class SlaTracker:
     def target_for(self, kind: str) -> ClassTarget:
         return self.targets.get(kind, self.default)
 
-    def _stats(self, table: dict[str, _StreamStats], key: str) -> _StreamStats:
-        stats = table.get(key)
-        if stats is None:
-            stats = _StreamStats(self.sample_cap, _stream_seed(key))
-            table[key] = stats
-        return stats
-
     def _count(self, suffix: str) -> None:
         counter = self._counters.get(suffix)
         if counter is None:
             counter = self.registry.counter(f"count.fleet.{suffix}")
             self._counters[suffix] = counter
         counter.inc()
+
+    def _stats(self, table: dict[str, _StreamStats], key: str) -> _StreamStats:
+        stats = table.get(key)
+        if stats is None:
+            stats = table[key] = _StreamStats(key)
+        return stats
 
     def _group(self, kind: str, tenant: str) -> tuple[_StreamStats, ...]:
         group = (self._overall, self._stats(self._by_kind, kind))
@@ -350,91 +341,28 @@ class SlaTracker:
             met = completed_s <= deadline_s and outcome in (SERVED, FAILOVER)
         if not met:
             self._count("deadline_missed")
-        group = self._groups.get((kind, tenant))
-        if group is None:
-            group = self._group(kind, tenant)
-        for stats in group:
-            stats.observe(latency_s, met, read_bytes)
         self._window.observe(latency_s, met, read_bytes)
-
-    # -- mid-run snapshots -------------------------------------------------------
-    #
-    # The streaming accumulators are maintained in *both* retention
-    # modes, so these reads are O(reservoir) regardless of how many
-    # records have flowed through — the contract the learned control
-    # layer's per-epoch reward signal relies on.
-
-    def live_overall(self, horizon_s: float) -> ClassSla:
-        """Overall SLA over everything observed so far, mid-run.
-
-        Built from the always-on streaming accumulator, never from the
-        retained record list, so it costs the same at job 10 and job
-        10 million.  For completed jobs the percentiles agree with the
-        end-of-run :meth:`report` up to the reservoir cap (exactly,
-        while within it).
-        """
-        assert_positive("horizon_s", horizon_s)
-        return self._overall.summarise("overall", horizon_s)
+        if not self.retain_records:
+            group = self._groups.get((kind, tenant))
+            if group is None:
+                group = self._group(kind, tenant)
+            for stats in group:
+                stats.observe(latency_s, met, read_bytes)
 
     def take_window(self, horizon_s: float) -> ClassSla:
         """Summarise and reset the rolling window accumulator.
 
         The window collects every record observed since the previous
         ``take_window`` call (or construction) — the per-decision-epoch
-        view a reward signal needs.  Resetting re-seeds the window
-        reservoir identically, so epoch boundaries never perturb the
-        run's determinism.
+        view a reward signal needs, at O(reservoir) cost in either
+        mode.  Resetting re-seeds the window reservoir identically, so
+        epoch boundaries never perturb the run's determinism.
         """
         assert_positive("horizon_s", horizon_s)
-        snapshot = self._window.summarise("window", horizon_s)
-        self._window = _StreamStats(self.sample_cap, _stream_seed("window"))
-        return snapshot
+        window, self._window = self._window, _StreamStats("window")
+        return _class_sla("window", window.export(), horizon_s)
 
     # -- reporting ---------------------------------------------------------------
-
-    @staticmethod
-    def _summarise(kind: str, records: list[JobRecord], horizon_s: float) -> ClassSla:
-        completed = [r.latency_s for r in records if r.completed_s is not None]
-        if completed:
-            points = percentiles(completed)
-            p50, p95, p99 = points[50.0], points[95.0], points[99.0]
-        else:
-            # No completions: the tail is unbounded, which reads as
-            # infeasible to the capacity planner.
-            p50 = p95 = p99 = float("inf")
-        misses = sum(1 for r in records if not r.met_deadline)
-        good_bytes = sum(r.read_bytes for r in records if r.met_deadline)
-        return ClassSla(
-            kind=kind,
-            n_jobs=len(records),
-            n_completed=len(completed),
-            p50_s=p50,
-            p95_s=p95,
-            p99_s=p99,
-            deadline_miss_rate=misses / len(records) if records else 0.0,
-            goodput_bytes_per_s=good_bytes / horizon_s,
-        )
-
-    def report(self, horizon_s: float) -> SlaReport:
-        assert_positive("horizon_s", horizon_s)
-        if self.retain_records:
-            by_kind: dict[str, list[JobRecord]] = {}
-            for record in self.records:
-                by_kind.setdefault(record.kind, []).append(record)
-            classes = tuple(
-                self._summarise(kind, records, horizon_s)
-                for kind, records in sorted(by_kind.items())
-            )
-            overall = self._summarise("overall", list(self.records), horizon_s)
-        else:
-            classes = tuple(
-                stats.summarise(kind, horizon_s)
-                for kind, stats in sorted(self._by_kind.items())
-            )
-            overall = self._overall.summarise("overall", horizon_s)
-        return SlaReport(horizon_s=horizon_s, classes=classes, overall=overall)
-
-    # -- sharded state export ----------------------------------------------------
 
     def export_state(self) -> SlaState:
         """Snapshot the tracker as a picklable :class:`SlaState`.
@@ -443,51 +371,33 @@ class SlaTracker:
         state per pod, ships them across process boundaries, and folds
         them with :func:`merge_sla_states` — the registry reference is
         deliberately left behind (metrics travel separately as
-        snapshots).
+        snapshots).  A record-retaining tracker exports its records and
+        empty accumulators; a streaming one the reverse.
         """
         return SlaState(
             retain_records=self.retain_records,
-            sample_cap=self.sample_cap,
             records=tuple(self.records),
             by_kind={
-                kind: _export_stream(stats)
+                kind: stats.export()
                 for kind, stats in sorted(self._by_kind.items())
             },
             by_tenant={
-                tenant: _export_stream(stats)
+                tenant: stats.export()
                 for tenant, stats in sorted(self._by_tenant.items())
             },
-            overall=_export_stream(self._overall),
+            overall=self._overall.export(),
         )
 
-    def tenant_report(self, horizon_s: float) -> SlaReport:
-        """Per-tenant SLA attainment: one :class:`ClassSla` per tenant.
+    def report(self, horizon_s: float) -> SlaReport:
+        """One :class:`ClassSla` per traffic class, plus ``overall``."""
+        return report_from_state(self.export_state(), horizon_s)
 
-        ``ClassSla.kind`` carries the tenant name; records without a
-        tenant are excluded from the per-tenant rows but still count in
-        ``overall``, so the two reports reconcile.
-        """
-        assert_positive("horizon_s", horizon_s)
-        if self.retain_records:
-            by_tenant: dict[str, list[JobRecord]] = {}
-            for record in self.records:
-                if record.tenant:
-                    by_tenant.setdefault(record.tenant, []).append(record)
-            classes = tuple(
-                self._summarise(tenant, records, horizon_s)
-                for tenant, records in sorted(by_tenant.items())
-            )
-            overall = self._summarise("overall", list(self.records), horizon_s)
-        else:
-            classes = tuple(
-                stats.summarise(tenant, horizon_s)
-                for tenant, stats in sorted(self._by_tenant.items())
-            )
-            overall = self._overall.summarise("overall", horizon_s)
-        return SlaReport(horizon_s=horizon_s, classes=classes, overall=overall)
+    def tenant_report(self, horizon_s: float) -> SlaReport | None:
+        """One :class:`ClassSla` per tenant (``None`` if no job had one)."""
+        return tenant_report_from_state(self.export_state(), horizon_s)
 
 
-# -- picklable state for sharded merging -----------------------------------------
+# -- picklable state, merging and the one summariser -----------------------------
 
 
 @dataclass(frozen=True)
@@ -519,44 +429,35 @@ class SlaState:
     """
 
     retain_records: bool
-    sample_cap: int
     records: tuple[JobRecord, ...]
     by_kind: Mapping[str, StreamStatsState]
     by_tenant: Mapping[str, StreamStatsState]
     overall: StreamStatsState
 
 
-def _export_stream(stats: _StreamStats) -> StreamStatsState:
-    return StreamStatsState(
-        n_jobs=stats.n_jobs,
-        n_completed=stats.n_completed,
-        misses=stats.misses,
-        good_bytes=stats.good_bytes,
-        samples=tuple(stats.reservoir.samples),
-        n_observed=stats.reservoir.n,
-    )
-
-
-def _merge_streams(
-    key: str, parts: Sequence[StreamStatsState], cap: int
-) -> StreamStatsState:
+def _merge_streams(key: str, parts: Sequence[StreamStatsState]) -> StreamStatsState:
     """Fold per-pod accumulators for one key, deterministically.
 
     Counters and byte totals add exactly.  Reservoirs concatenate in
-    pod order; while the union fits ``cap`` samples the merge is exact
-    (same multiset a monolithic reservoir under cap would hold), beyond
-    that a generator seeded from the key — the same
-    :func:`_stream_seed` rule per-pod reservoirs use — picks a uniform
-    ``cap``-subset, keeping the estimate unbiased and bit-reproducible
-    for a fixed pod order.
+    pod order while together they fit ``DEFAULT_SAMPLE_CAP`` samples,
+    which is exactly what one uncapped reservoir would hold.  Beyond
+    that, a generator seeded from the key (the :func:`_stream_seed`
+    rule per-pod reservoirs use) splits the cap across the pods by a
+    multivariate hypergeometric draw over their ``n_observed``, then
+    keeps a uniform subset of that size from each pod's reservoir.  The
+    result is a uniform sample of every completion the pods observed,
+    bit-reproducible for a fixed pod order.
     """
-    samples: list[float] = []
-    for part in parts:
-        samples.extend(part.samples)
-    if len(samples) > cap:
+    samples = [sample for part in parts for sample in part.samples]
+    if len(samples) > DEFAULT_SAMPLE_CAP:
         rng = np.random.default_rng(_stream_seed(key))
-        keep = sorted(rng.choice(len(samples), size=cap, replace=False).tolist())
-        samples = [samples[index] for index in keep]
+        quotas = rng.multivariate_hypergeometric(
+            [part.n_observed for part in parts], DEFAULT_SAMPLE_CAP
+        )
+        samples = []
+        for part, quota in zip(parts, quotas.tolist()):
+            keep = rng.choice(len(part.samples), size=quota, replace=False)
+            samples.extend(part.samples[index] for index in sorted(keep.tolist()))
     return StreamStatsState(
         n_jobs=sum(part.n_jobs for part in parts),
         n_completed=sum(part.n_completed for part in parts),
@@ -571,105 +472,106 @@ def merge_sla_states(states: Sequence[SlaState]) -> SlaState:
     """Merge per-pod SLA states (in pod order) into one fleet state."""
     if not states:
         raise ConfigurationError("merge_sla_states needs >= 1 state")
-    first = states[0]
-    for state in states[1:]:
-        if state.retain_records != first.retain_records:
-            raise ConfigurationError(
-                "cannot merge SLA states with mixed retain_records modes"
-            )
-        if state.sample_cap != first.sample_cap:
-            raise ConfigurationError(
-                f"cannot merge SLA states with different sample caps "
-                f"({first.sample_cap} vs {state.sample_cap})"
-            )
-    records = tuple(
-        sorted(
-            (record for state in states for record in state.records),
-            key=lambda record: record.job_id,
+    retain_records = states[0].retain_records
+    if any(state.retain_records != retain_records for state in states):
+        raise ConfigurationError(
+            "cannot merge SLA states with mixed retain_records modes"
         )
-    )
-    cap = first.sample_cap
 
     def merge_tables(
         tables: Sequence[Mapping[str, StreamStatsState]],
     ) -> dict[str, StreamStatsState]:
         keys = sorted({key for table in tables for key in table})
         return {
-            key: _merge_streams(
-                key, [table[key] for table in tables if key in table], cap
-            )
+            key: _merge_streams(key, [table[key] for table in tables if key in table])
             for key in keys
         }
 
     return SlaState(
-        retain_records=first.retain_records,
-        sample_cap=cap,
-        records=records,
+        retain_records=retain_records,
+        records=tuple(
+            sorted(
+                (record for state in states for record in state.records),
+                key=lambda record: record.job_id,
+            )
+        ),
         by_kind=merge_tables([state.by_kind for state in states]),
         by_tenant=merge_tables([state.by_tenant for state in states]),
-        overall=_merge_streams(
-            "overall", [state.overall for state in states], cap
-        ),
+        overall=_merge_streams("overall", [state.overall for state in states]),
     )
 
 
-def _summarise_stream(kind: str, state: StreamStatsState,
-                      horizon_s: float) -> ClassSla:
-    if state.samples:
-        points = percentiles(list(state.samples))
+def _fold_records(records: Sequence[JobRecord]) -> StreamStatsState:
+    """The state an uncapped accumulator would reach on ``records``."""
+    samples = tuple(
+        record.latency_s for record in records if record.completed_s is not None
+    )
+    met = [record for record in records if record.met_deadline]
+    return StreamStatsState(
+        n_jobs=len(records),
+        n_completed=len(samples),
+        misses=len(records) - len(met),
+        good_bytes=sum((record.read_bytes for record in met), 0.0),
+        samples=samples,
+        n_observed=len(samples),
+    )
+
+
+def _class_sla(kind: str, stats: StreamStatsState, horizon_s: float) -> ClassSla:
+    if stats.samples:
+        points = percentiles(stats.samples)
         p50, p95, p99 = points[50.0], points[95.0], points[99.0]
     else:
+        # No completions: the tail is unbounded, which reads as
+        # infeasible to the capacity planner.
         p50 = p95 = p99 = float("inf")
     return ClassSla(
         kind=kind,
-        n_jobs=state.n_jobs,
-        n_completed=state.n_completed,
+        n_jobs=stats.n_jobs,
+        n_completed=stats.n_completed,
         p50_s=p50,
         p95_s=p95,
         p99_s=p99,
-        deadline_miss_rate=state.misses / state.n_jobs if state.n_jobs else 0.0,
-        goodput_bytes_per_s=state.good_bytes / horizon_s,
+        deadline_miss_rate=stats.misses / stats.n_jobs if stats.n_jobs else 0.0,
+        goodput_bytes_per_s=stats.good_bytes / horizon_s,
+    )
+
+
+def _report(state: SlaState, horizon_s: float, field: str) -> SlaReport | None:
+    """Summarise ``state`` with one row per ``field`` value plus ``overall``.
+
+    ``field`` is ``"kind"`` or ``"tenant"``.  Retained records are
+    grouped here; a streaming state carries its groups.  Records without
+    a tenant join no tenant row but still count in ``overall``, so the
+    two reports reconcile.  With no tenant rows there is no tenant
+    report (``None``).
+    """
+    assert_positive("horizon_s", horizon_s)
+    if state.retain_records:
+        groups: dict[str, list[JobRecord]] = {}
+        for record in state.records:
+            key = getattr(record, field)
+            if key or field == "kind":
+                groups.setdefault(key, []).append(record)
+        rows = {key: _fold_records(records) for key, records in groups.items()}
+        overall = _fold_records(state.records)
+    else:
+        rows = state.by_kind if field == "kind" else state.by_tenant
+        overall = state.overall
+    if field == "tenant" and not rows:
+        return None
+    return SlaReport(
+        horizon_s=horizon_s,
+        classes=tuple(_class_sla(key, rows[key], horizon_s) for key in sorted(rows)),
+        overall=_class_sla("overall", overall, horizon_s),
     )
 
 
 def report_from_state(state: SlaState, horizon_s: float) -> SlaReport:
-    """Build the per-class :class:`SlaReport` a tracker with this state would."""
-    assert_positive("horizon_s", horizon_s)
-    if state.retain_records:
-        by_kind: dict[str, list[JobRecord]] = {}
-        for record in state.records:
-            by_kind.setdefault(record.kind, []).append(record)
-        classes = tuple(
-            SlaTracker._summarise(kind, records, horizon_s)
-            for kind, records in sorted(by_kind.items())
-        )
-        overall = SlaTracker._summarise("overall", list(state.records), horizon_s)
-    else:
-        classes = tuple(
-            _summarise_stream(kind, stats, horizon_s)
-            for kind, stats in sorted(state.by_kind.items())
-        )
-        overall = _summarise_stream("overall", state.overall, horizon_s)
-    return SlaReport(horizon_s=horizon_s, classes=classes, overall=overall)
+    """The per-class :class:`SlaReport` a tracker with this state emits."""
+    return _report(state, horizon_s, "kind")
 
 
-def tenant_report_from_state(state: SlaState, horizon_s: float) -> SlaReport:
-    """Build the per-tenant :class:`SlaReport` a tracker with this state would."""
-    assert_positive("horizon_s", horizon_s)
-    if state.retain_records:
-        by_tenant: dict[str, list[JobRecord]] = {}
-        for record in state.records:
-            if record.tenant:
-                by_tenant.setdefault(record.tenant, []).append(record)
-        classes = tuple(
-            SlaTracker._summarise(tenant, records, horizon_s)
-            for tenant, records in sorted(by_tenant.items())
-        )
-        overall = SlaTracker._summarise("overall", list(state.records), horizon_s)
-    else:
-        classes = tuple(
-            _summarise_stream(tenant, stats, horizon_s)
-            for tenant, stats in sorted(state.by_tenant.items())
-        )
-        overall = _summarise_stream("overall", state.overall, horizon_s)
-    return SlaReport(horizon_s=horizon_s, classes=classes, overall=overall)
+def tenant_report_from_state(state: SlaState, horizon_s: float) -> SlaReport | None:
+    """The per-tenant :class:`SlaReport` (``None`` without tenant rows)."""
+    return _report(state, horizon_s, "tenant")

@@ -59,6 +59,7 @@ from .statemachine import (
     FleetStateMachine,
     ShardCosimMachine,
     ShardCosimStateMachine,
+    audit_shard_report,
     random_walk,
     state_machine,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "TraceReplayMachine",
     "TraceReplayStateMachine",
     "actions",
+    "audit_shard_report",
     "campaign_events",
     "chaos_campaigns",
     "chaos_specs",

@@ -71,6 +71,7 @@ from ..fleet.controlplane import (
 from ..fleet.health import BREAKER_STATES, DegradationPolicy, illegal_transitions
 from ..fleet.shard import (
     ShardPlan,
+    ShardReport,
     render_signature,
     report_signature,
     run_sharded,
@@ -213,6 +214,21 @@ def drain_and_audit(plane: ControlPlane, submitted: int,
         assert all(count == 0 for count in audit.values()), (
             f"fleet leak audit: {audit}"
         )
+
+
+def audit_shard_report(report: ShardReport) -> None:
+    """A sharded run resolved each job once, and all its job counts agree."""
+    fleet, n_jobs = report.fleet, report.fleet.n_jobs
+    ids = sorted(record.job_id for record in fleet.records)
+    assert not fleet.scenario.retain_records or ids == list(range(n_jobs)), (
+        f"{len(ids)} records, {len(set(ids))} distinct ids for {n_jobs} jobs"
+    )
+    outcomes = fleet.served + fleet.shed + fleet.failovers + fleet.failed
+    tally = (sum(report.pod_jobs), outcomes, fleet.sla.overall.n_jobs)
+    assert tally == (n_jobs,) * 3, f"pod rows, outcomes, SLA: {tally} != {n_jobs}"
+    remote = sum(report.remote_outcomes.values())
+    assert report.forwarded == remote, f"{report.forwarded} forwards, {remote} outcomes"
+    assert report.plan.n_pods > 1 or report.forwarded == report.epochs == 0
 
 
 def chaos_fleet_scenario(seed: int, **overrides) -> FleetScenario:
@@ -420,25 +436,32 @@ class DhlApiMachine:
         self.check()
 
 
-class FleetDispatchMachine:
+class PlaneMachine:
+    """A working plane on ``scenario`` (default: the seed's chaos fleet)."""
+
+    def __init__(self, seed: int = 0, scenario: FleetScenario | None = None):
+        if scenario is None:
+            scenario = chaos_fleet_scenario(seed)
+        self.scenario = scenario
+        self.plane = build_plane(self.scenario)
+        self.plane.start_workers()
+        self.env = self.plane.env
+        self.topology = self.plane.topology
+        self.targets = dict(self.scenario.targets)
+        self.rules = 0
+        self._last_now = self.env.now
+
+
+class FleetDispatchMachine(PlaneMachine):
     """Fleet dispatch fuzzing: random jobs through the real admission,
     queueing, breaker and failover paths, under an active campaign."""
 
     KINDS = ("interactive", "batch", "archive")
 
     def __init__(self, seed: int = 0, scenario: FleetScenario | None = None):
-        if scenario is None:
-            scenario = chaos_fleet_scenario(seed)
-        self.scenario = scenario
-        self.plane = build_plane(scenario)
-        self.plane.start_workers()
-        self.env = self.plane.env
-        self.topology = self.plane.topology
-        self.targets = dict(scenario.targets)
+        super().__init__(seed, scenario)
         self.datasets = list(self.topology.homes)
         self.submitted = 0
-        self.rules = 0
-        self._last_now = self.env.now
 
     # -- rules -------------------------------------------------------------------
 
@@ -517,10 +540,9 @@ class ShardCosimMachine:
     or *run* the current plan through the serial engine.  After
     every run:
 
-    * every bound job resolved exactly once — the merged record ids
-      are exactly ``0..n-1`` no matter how the fleet was cut;
-    * cross-pod conservation held — every forwarded job's outcome is
-      counted once (``forwarded == sum(remote_outcomes)``);
+    * :func:`audit_shard_report` holds — every bound job resolved
+      exactly once, every forwarded job's outcome counted once, and a
+      one-pod plan forwards nothing;
     * the resolved-job total matches every other sharding of the same
       workload — pods change the model's boundary latencies, never the
       offered load;
@@ -581,22 +603,7 @@ class ShardCosimMachine:
         )
         report = run_sharded(plan, engine="serial")
         fleet = report.fleet
-        assert fleet.n_jobs == sum(report.pod_jobs), (
-            f"pod rows account for {sum(report.pod_jobs)} jobs but the "
-            f"merged report has {fleet.n_jobs}"
-        )
-        ids = sorted(record.job_id for record in fleet.records)
-        assert ids == list(range(fleet.n_jobs)), (
-            "jobs lost or duplicated across shard boundaries: "
-            f"{fleet.n_jobs} jobs but ids {ids[:5]}..{ids[-5:]}"
-        )
-        assert report.forwarded == sum(report.remote_outcomes.values()), (
-            f"{report.forwarded} forwarded jobs but "
-            f"{sum(report.remote_outcomes.values())} remote outcomes"
-        )
-        if plan.n_pods == 1:
-            assert report.forwarded == 0
-            assert report.epochs == 0
+        audit_shard_report(report)
         workload = (self.seed, self.horizon_s, self.with_chaos)
         expected = self._workload_jobs.setdefault(workload, fleet.n_jobs)
         assert expected == fleet.n_jobs, (

@@ -24,7 +24,7 @@ import io
 import numpy as np
 from hypothesis import strategies as st
 
-from ..fleet.controlplane import FleetScenario, _FleetJob, build_plane
+from ..fleet.controlplane import FleetScenario, _FleetJob
 from ..fleet.sla import DEFAULT_TARGET
 from ..fleet.topology import DatasetCatalog
 from ..traffic.codec import (
@@ -39,9 +39,9 @@ from ..traffic.schema import TraceHeader, TraceRecord
 from ..traffic.synth import DemandClass, FlashCrowd, TenantProfile, TraceSpec
 from ..units import TB
 from .statemachine import (
+    PlaneMachine,
     assert_legal_outcomes,
     assert_monotone,
-    chaos_fleet_scenario,
     drain_and_audit,
     fuzz_rule,
     state_machine,
@@ -130,7 +130,7 @@ def trace_specs(draw) -> TraceSpec:
     )
 
 
-class TraceReplayMachine:
+class TraceReplayMachine(PlaneMachine):
     """Emit -> encode -> inject fuzzing of the trace replay pipeline.
 
     ``do_emit`` appends a record at (or after) the machine's trace
@@ -143,15 +143,8 @@ class TraceReplayMachine:
     """
 
     def __init__(self, seed: int = 0, scenario: FleetScenario | None = None):
-        if scenario is None:
-            scenario = chaos_fleet_scenario(seed)
-        self.scenario = scenario
-        self.plane = build_plane(scenario)
-        self.plane.start_workers()
-        self.env = self.plane.env
-        self.topology = self.plane.topology
-        self.header = fuzz_header(scenario.catalog)
-        self.targets = dict(scenario.targets)
+        super().__init__(seed, scenario)
+        self.header = fuzz_header(self.scenario.catalog)
         self._binary = io.BytesIO()
         self._jsonl = io.StringIO()
         self._bin_writer = BinaryTraceWriter(self._binary, self.header)
@@ -159,9 +152,7 @@ class TraceReplayMachine:
         self.emitted: list[TraceRecord] = []
         self.pending: list[TraceRecord] = []
         self.injected = 0
-        self.rules = 0
         self._clock = 0.0
-        self._last_now = self.env.now
 
     # -- rules -------------------------------------------------------------------
 
@@ -268,9 +259,8 @@ class TraceReplayMachine:
         )
         # Per-tenant accounting reconciles: every resolved record kept
         # its tenant, and the tenant rows sum to the overall count.
-        tenant_jobs = sum(
-            stats.n_jobs for stats in self.plane.sla._by_tenant.values()
-        )
+        tenants = self.plane.sla.tenant_report(self.scenario.horizon_s)
+        tenant_jobs = sum(row.n_jobs for row in tenants.classes) if tenants else 0
         assert tenant_jobs == self.plane._resolved, (
             f"tenant accounting lost records: {tenant_jobs} != "
             f"{self.plane._resolved}"

@@ -27,6 +27,7 @@ from repro.fleet.shard import (
     signature_digest,
 )
 from repro.fleet.topology import FleetSpec, assign_homes
+from repro.testing import audit_shard_report
 
 HORIZON = 600.0
 
@@ -174,19 +175,11 @@ class TestDegenerateCases:
 
 class TestConservation:
     def test_no_job_lost_or_duplicated_across_epochs(self, serial_report):
-        fleet = serial_report.fleet
-        ids = sorted(record.job_id for record in fleet.records)
-        assert ids == list(range(fleet.n_jobs))
-        assert fleet.n_jobs == sum(serial_report.pod_jobs)
-        assert fleet.n_jobs == (
-            fleet.served + fleet.shed + fleet.failovers + fleet.failed
-        )
+        audit_shard_report(serial_report)
 
     def test_forwarded_jobs_all_report_back(self, serial_report):
         assert serial_report.forwarded > 0  # the split genuinely crossed
-        assert serial_report.forwarded == sum(
-            serial_report.remote_outcomes.values()
-        )
+        audit_shard_report(serial_report)
         assert serial_report.metrics[FORWARDED_COUNTER]["value"] == (
             serial_report.forwarded
         )

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.fleet.sla import (
+    DEFAULT_SAMPLE_CAP,
     DEFAULT_TARGET,
     FAILED,
     FAILOVER,
@@ -15,6 +16,9 @@ from repro.fleet.sla import (
     SHED,
     SlaTracker,
     StreamStatsState,
+    merge_sla_states,
+    report_from_state,
+    tenant_report_from_state,
 )
 from repro.obs import MetricsRegistry
 from repro.sim import Environment
@@ -95,7 +99,7 @@ class TestSlaTrackerMetrics:
         assert "fleet.latency_s.batch" in snapshot
 
     def test_mixed_outcomes_pin_registry_and_state(self):
-        """Metric names, creation order, values and exported state."""
+        """Metric names, creation order, values and streaming state."""
 
         def record(job_id, kind, outcome, arrival, completed, tenant=""):
             return JobRecord(
@@ -105,7 +109,7 @@ class TestSlaTrackerMetrics:
                 completed_s=completed, tenant=tenant,
             )
 
-        registry, tracker = make_tracker()
+        registry, tracker = make_tracker(retain_records=False)
         for rec in (
             record(0, "interactive", SERVED, 0.0, 30.0),
             record(1, "batch", SHED, 5.0, None),
@@ -165,6 +169,20 @@ class TestSlaTrackerMetrics:
         assert state.by_tenant["search"] == StreamStatsState(
             n_jobs=2, n_completed=2, misses=1, good_bytes=4e12,
             samples=(50.0, 260.0), n_observed=2,
+        )
+
+    def test_retained_tracker_exports_records_only(self):
+        _, tracker = make_tracker()
+        records = [served(0, "interactive", 0.0, 30.0),
+                   tenant_served(1, "search", 0.0, 500.0)]
+        for record in records:
+            observe(tracker, record)
+        state = tracker.export_state()
+        assert state.records == tuple(records)
+        assert state.by_kind == {} and state.by_tenant == {}
+        assert state.overall == StreamStatsState(
+            n_jobs=0, n_completed=0, misses=0, good_bytes=0.0,
+            samples=(), n_observed=0,
         )
 
 
@@ -270,13 +288,14 @@ class TestStreamingMode:
         assert approx == exact
 
     def test_streaming_counts_exact_past_cap(self):
-        _, tracker = make_tracker(retain_records=False, sample_cap=32)
-        for index in range(500):
+        _, tracker = make_tracker(retain_records=False)
+        n = DEFAULT_SAMPLE_CAP + 500
+        for index in range(n):
             observe(tracker, served(index, "interactive", 0.0, 30.0))
         sla = tracker.report(horizon_s=100.0).for_kind("interactive")
-        assert sla.n_jobs == sla.n_completed == 500
+        assert sla.n_jobs == sla.n_completed == n
         assert sla.deadline_miss_rate == 0.0
-        assert sla.goodput_bytes_per_s == pytest.approx(500 * 1e12 / 100.0)
+        assert sla.goodput_bytes_per_s == pytest.approx(n * 1e12 / 100.0)
 
 
 def tenant_served(job_id, tenant, arrival, completed):
@@ -334,45 +353,17 @@ class TestTenantReport:
             == retained.tenant_report(horizon_s=3600.0)
         )
 
+    @pytest.mark.parametrize("retain", [True, False])
+    def test_no_tenant_rows_means_no_tenant_report(self, retain):
+        _, tracker = make_tracker(retain_records=retain)
+        assert tracker.tenant_report(horizon_s=100.0) is None
+        observe(tracker, served(0, "interactive", 0.0, 30.0))
+        assert tracker.tenant_report(horizon_s=100.0) is None
+        assert tracker.report(horizon_s=100.0).overall.n_jobs == 1
+
 
 class TestLiveSnapshots:
-    """Mid-run reads from the always-on streaming accumulators."""
-
-    @pytest.mark.parametrize("retain", [True, False])
-    def test_mid_run_snapshot_equals_end_of_run(self, retain):
-        """For the jobs completed so far, live == final, both modes."""
-        _, tracker = make_tracker(retain_records=retain)
-        rng = np.random.default_rng(3)
-        records = [
-            served(i, "interactive", float(i), float(i) + float(rng.uniform(1.0, 90.0)))
-            for i in range(120)
-        ]
-        for record in records:
-            observe(tracker, record)
-        live = tracker.live_overall(horizon_s=3600.0)
-
-        _, fresh = make_tracker(retain_records=retain)
-        for record in records:
-            observe(fresh, record)
-        final = fresh.report(horizon_s=3600.0).overall
-        if retain:
-            # Retained mode quotes exact percentiles from records; the
-            # live view's reservoir is also exact under the cap.
-            assert live == final
-        else:
-            assert live == fresh.live_overall(horizon_s=3600.0)
-        # Observing more jobs afterwards must not have been required:
-        # the snapshot above was taken mid-stream relative to nothing.
-        assert live.n_jobs == 120
-
-    def test_live_does_not_materialise_records(self):
-        _, tracker = make_tracker(retain_records=False)
-        for i in range(50):
-            observe(tracker, served(i, "interactive", float(i), float(i) + 10.0))
-        assert tracker.records == []
-        live = tracker.live_overall(horizon_s=100.0)
-        assert live.n_completed == 50
-        assert live.p99_s == pytest.approx(10.0)
+    """Mid-run reads from the rolling window, fed in both modes."""
 
     def test_take_window_resets_between_epochs(self):
         _, tracker = make_tracker()
@@ -390,8 +381,8 @@ class TestLiveSnapshots:
         second = tracker.take_window(horizon_s=100.0)
         assert second.n_jobs == 4
         assert second.p99_s == pytest.approx(7.0)
-        # The overall accumulator is unaffected by window takes.
-        assert tracker.live_overall(horizon_s=100.0).n_jobs == 14
+        # The report is unaffected by window takes.
+        assert tracker.report(horizon_s=100.0).overall.n_jobs == 14
 
     def test_window_reset_is_deterministic(self):
         """Epoch boundaries never perturb the window's reservoir seeding."""
@@ -412,3 +403,65 @@ class TestLiveSnapshots:
             chunked.take_window(horizon_s=100.0)
             == straight.take_window(horizon_s=100.0)
         )
+
+
+def mixed_record(job_id):
+    """A deterministic mix of kinds, tenants and outcomes."""
+    kind = ("interactive", "batch", "archive")[job_id % 3]
+    tenant = ("", "search", "backup", "analytics")[job_id % 4]
+    arrival = float(job_id)
+    if job_id % 5 == 4:
+        outcome, completed = (SHED, FAILED)[job_id % 2], None
+    else:
+        outcome = (SERVED, FAILOVER)[job_id % 2]
+        completed = arrival + 1.0 + (job_id * 37 % 101) * 0.75
+    return JobRecord(
+        job_id=job_id, kind=kind, dataset="ds-000", arrival_s=arrival,
+        deadline_s=arrival + 60.0, read_bytes=1e12 * (job_id % 7 + 1),
+        outcome=outcome, completed_s=completed, tenant=tenant,
+    )
+
+
+class TestMergeSlaStates:
+    @pytest.mark.parametrize("retain", [True, False])
+    def test_parity_split_merges_to_one_tracker(self, retain):
+        records = [mixed_record(job_id) for job_id in range(400)]
+        _, single = make_tracker(retain_records=retain)
+        pods = [make_tracker(retain_records=retain)[1] for _ in range(2)]
+        for record in records:
+            observe(single, record)
+            observe(pods[record.job_id % 2], record)
+        merged = merge_sla_states([pod.export_state() for pod in pods])
+        assert report_from_state(merged, 3600.0) == single.report(3600.0)
+        tenants = tenant_report_from_state(merged, 3600.0)
+        assert tenants == single.tenant_report(3600.0)
+        assert [row.kind for row in tenants.classes] == [
+            "analytics", "backup", "search"
+        ]
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ConfigurationError, match=">= 1 state"):
+            merge_sla_states([])
+
+    def test_mixed_retention_rejected(self):
+        states = [make_tracker(retain_records=retain)[1].export_state()
+                  for retain in (True, False)]
+        with pytest.raises(ConfigurationError, match="mixed retain_records"):
+            merge_sla_states(states)
+
+    def test_subsampled_reservoir_keeps_its_weight(self):
+        """A pod past the cap must not be outvoted by a small exact pod."""
+        _, fast = make_tracker(retain_records=False)
+        _, slow = make_tracker(retain_records=False)
+        for job_id in range(100_000):
+            observe(fast, served(job_id, "interactive", 0.0, 10.0))
+        for job_id in range(100_000, 100_100):
+            observe(slow, served(job_id, "interactive", 0.0, 1000.0))
+        merged = merge_sla_states([fast.export_state(), slow.export_state()])
+        samples = merged.overall.samples
+        assert len(samples) == DEFAULT_SAMPLE_CAP
+        # 100 of 100,100 completions (0.1 %) were slow.
+        assert samples.count(1000.0) / len(samples) < 0.005
+        report = report_from_state(merged, 3600.0)
+        assert report.overall.p99_s == 10.0
+        assert report.for_kind("interactive").p99_s == 10.0
