@@ -63,36 +63,60 @@ class DhlApi:
     # -- the four commands ----------------------------------------------------
 
     def open(self, dataset: str, shard_index: int, endpoint_id: int) -> Event:
-        """Process: fetch the cart holding a shard; returns its station."""
-        return self.env.process(self._open(dataset, shard_index, endpoint_id))
+        """Fetch the cart holding a shard and dock it at ``endpoint_id``.
 
-    def _open(self, dataset: str, shard_index: int, endpoint_id: int):
-        cart = self.system.library.cart_holding(dataset, shard_index)
-        station = yield self.system.dispatch_to_rack(cart.cart_id, endpoint_id)
-        return station
+        The returned event fires with the docking station.
+        """
+        system = self.system
+        done = self.env.event()
+
+        def start(_event: Event) -> None:
+            try:
+                cart = system.library.cart_holding(dataset, shard_index)
+            except Exception as error:
+                done.fail(error)
+                return
+            _settle(done, system.dispatch_to_rack(cart.cart_id, endpoint_id))
+
+        self.env.timeout(0.0).callbacks.append(start)
+        return done
 
     def close(self, cart: Cart, endpoint_id: int) -> Event:
-        """Process: disconnect a cart and shuttle it back to the library."""
+        """Disconnect a cart and shuttle it back to the library."""
         return self.system.return_to_library(cart, endpoint_id)
 
     def read(self, endpoint_id: int, dataset: str, shard_index: int,
              n_bytes: float | None = None) -> Event:
-        """Process: read shard bytes from the docked cart holding it."""
-        return self.env.process(self._read(endpoint_id, dataset, shard_index, n_bytes))
+        """Read shard bytes from the docked cart holding it.
 
-    def _read(self, endpoint_id: int, dataset: str, shard_index: int,
-              n_bytes: float | None):
-        station = self.system.station_for_shard(endpoint_id, dataset, shard_index)
-        cart = station.cart
-        assert cart is not None
-        cart.check_integrity()  # surfaces in-flight SSD failures at access time
-        shard = cart.shards[(dataset, shard_index)]
-        amount = shard.size_bytes if n_bytes is None else min(n_bytes, shard.size_bytes)
-        done = yield station.read(amount)
+        The returned event fires with the number of bytes read.
+        """
+        system = self.system
+        done = self.env.event()
+
+        def start(_event: Event) -> None:
+            try:
+                station = system.station_for_shard(endpoint_id, dataset, shard_index)
+                cart = station.cart
+                assert cart is not None
+                cart.check_integrity()  # surfaces in-flight SSD failures at access time
+                shard = cart.shards[(dataset, shard_index)]
+            except Exception as error:
+                done.fail(error)
+                return
+            amount = (
+                shard.size_bytes if n_bytes is None else min(n_bytes, shard.size_bytes)
+            )
+            _settle(done, station.read(amount))
+
+        self.env.timeout(0.0).callbacks.append(start)
         return done
 
     def write(self, station: DockingStation, n_bytes: float) -> Event:
-        """Process: write bytes to the cart at a specific docking station."""
+        """Write bytes to the cart at a specific docking station.
+
+        The returned event fires with the number of bytes written.
+        """
         if station.cart is None:
             raise SchedulingError(
                 f"write to empty dock {station.station_id}@{station.endpoint_id}"
@@ -340,3 +364,20 @@ class DhlApi:
             for (name, index) in cart.shards:
                 if name == dataset:
                     yield (name, index)
+
+
+def _settle(done: Event, step: Event) -> None:
+    """Settle ``done`` with ``step``'s outcome once ``step`` fires.
+
+    The hand-off is one more queue entry, as when a process returns the
+    value of the child process it waited on.
+    """
+
+    def forward(event: Event) -> None:
+        if event._ok:
+            done.succeed(event._value)
+        else:
+            event._defused = True
+            done.fail(event._value)
+
+    step.callbacks.append(forward)

@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..errors import CartStateError, StorageError
+from ..obs.tracer import TraceLevel, Tracer
 from ..storage.library import Shard
 from ..storage.ssd_array import SsdArray
 
@@ -66,6 +67,9 @@ class Cart:
     shards: dict[tuple[str, int], Shard] = field(default_factory=dict)
     failed_drives: int = 0
     trips_completed: int = 0
+    tracer: Tracer | None = field(default=None, repr=False, compare=False)
+    """Where transitions land as ``cart.state`` instants (carts a
+    :class:`~repro.dhlsim.scheduler.DhlSystem` makes carry its tracer)."""
 
     def __post_init__(self) -> None:
         if self.state not in CartState.ALL:
@@ -74,7 +78,11 @@ class Cart:
     # -- state machine -------------------------------------------------------
 
     def transition(self, new_state: str) -> None:
-        """Move to ``new_state``, validating against the transition table."""
+        """Move to ``new_state``, validating against the transition table.
+
+        The level is checked per call, so a tracer raised after the cart
+        exists (a timeline recorder) still sees every later transition.
+        """
         if new_state not in CartState.ALL:
             raise CartStateError(f"unknown cart state {new_state!r}")
         allowed = _TRANSITIONS[self.state]
@@ -84,6 +92,10 @@ class Cart:
                 f"{self.state} -> {new_state} (allowed: {allowed})"
             )
         self.state = new_state
+        tracer = self.tracer
+        if tracer is not None and tracer.level >= TraceLevel.METRICS:
+            tracer.instant("cart.state", track=f"cart-{self.cart_id}",
+                           cart=self.cart_id, state=new_state)
 
     @property
     def in_motion(self) -> bool:

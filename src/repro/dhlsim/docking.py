@@ -62,48 +62,78 @@ class DockingStation:
         cart.transition(CartState.READY)
         return cart
 
-    # -- I/O processes ---------------------------------------------------------
+    # -- I/O ------------------------------------------------------------------
+    #
+    # Each transfer is a chain of plain-event callbacks that pushes the
+    # queue entries a generator process would: a kick-off, the busy
+    # grant, the transfer timeout and the completion (see
+    # ``repro.dhlsim.scheduler``).
 
     def read(self, n_bytes: float) -> Event:
-        """Process: read ``n_bytes`` from the docked cart at PCIe/SSD speed."""
-        return self.env.process(self._read(n_bytes))
+        """Read ``n_bytes`` from the docked cart at PCIe/SSD speed.
 
-    def _read(self, n_bytes: float):
-        cart = self._require_cart("read")
-        if n_bytes < 0:
-            raise SchedulingError(f"read size must be >= 0, got {n_bytes}")
-        with self.busy.request() as claim:
-            yield claim
-            array = cart.array
-            if cart.failed_drives:
-                bandwidth = min(
-                    array.surviving(cart.failed_drives).read_bw, self.link.bandwidth
-                )
-            else:
-                bandwidth = array.effective_read_bw(self.link)
-            yield self.env.timeout(n_bytes / bandwidth)
-            self.bytes_read += n_bytes
-        return n_bytes
+        The returned event fires with ``n_bytes`` once the transfer ends.
+        """
+        return self._transfer(n_bytes, writing=False)
 
     def write(self, n_bytes: float) -> Event:
-        """Process: write ``n_bytes`` to the docked cart at PCIe/SSD speed."""
-        return self.env.process(self._write(n_bytes))
+        """Write ``n_bytes`` to the docked cart at PCIe/SSD speed.
 
-    def _write(self, n_bytes: float):
-        cart = self._require_cart("write")
-        if n_bytes < 0:
-            raise SchedulingError(f"write size must be >= 0, got {n_bytes}")
-        if n_bytes > cart.array.usable_capacity_bytes:
-            raise SchedulingError(
-                f"write of {n_bytes:.3g} B exceeds cart capacity "
-                f"{cart.array.usable_capacity_bytes:.3g} B"
-            )
-        with self.busy.request() as claim:
-            yield claim
-            bandwidth = cart.array.effective_write_bw(self.link)
-            yield self.env.timeout(n_bytes / bandwidth)
-            self.bytes_written += n_bytes
-        return n_bytes
+        The returned event fires with ``n_bytes`` once the transfer ends.
+        """
+        return self._transfer(n_bytes, writing=True)
+
+    def _transfer(self, n_bytes: float, writing: bool) -> Event:
+        env = self.env
+        done = env.event()
+        operation = "write" if writing else "read"
+
+        def start(_event: Event) -> None:
+            try:
+                cart = self._require_cart(operation)
+                if n_bytes < 0:
+                    raise SchedulingError(f"{operation} size must be >= 0, got {n_bytes}")
+                if writing and n_bytes > cart.array.usable_capacity_bytes:
+                    raise SchedulingError(
+                        f"write of {n_bytes:.3g} B exceeds cart capacity "
+                        f"{cart.array.usable_capacity_bytes:.3g} B"
+                    )
+            except Exception as error:
+                done.fail(error)
+                return
+            claim = self.busy.request()
+
+            def granted(_event: Event) -> None:
+                array = cart.array
+                try:
+                    if writing:
+                        bandwidth = array.effective_write_bw(self.link)
+                    elif cart.failed_drives:
+                        bandwidth = min(
+                            array.surviving(cart.failed_drives).read_bw,
+                            self.link.bandwidth,
+                        )
+                    else:
+                        bandwidth = array.effective_read_bw(self.link)
+                    transfer = env.timeout(n_bytes / bandwidth)
+                except Exception as error:
+                    claim.release()
+                    done.fail(error)
+                    return
+                transfer.callbacks.append(finished)
+
+            def finished(_event: Event) -> None:
+                if writing:
+                    self.bytes_written += n_bytes
+                else:
+                    self.bytes_read += n_bytes
+                claim.release()
+                done.succeed(n_bytes)
+
+            claim.callbacks.append(granted)
+
+        env.timeout(0.0).callbacks.append(start)
+        return done
 
     def _require_cart(self, operation: str) -> Cart:
         if self.cart is None:

@@ -6,7 +6,7 @@ This module injects per-trip drive failures so tests and benches can
 measure the cost of that recovery path.
 
 The injector registers on :attr:`DhlSystem.pre_shuttle_hooks` rather
-than monkey-patching ``_shuttle``: multiple injectors compose cleanly
+than monkey-patching the shuttle: multiple injectors compose cleanly
 (each rolls its own RNG) and :meth:`FaultInjector.detach` removes one
 without disturbing the others — the old wrapping approach silently
 double-wrapped the shuttle and could never be undone.  Track, dock and

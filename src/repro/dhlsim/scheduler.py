@@ -17,7 +17,7 @@ Reliability: every shuttle operation runs under the system's
 breach, in-tube stall) are retried with exponential backoff and the
 whole operation can race a deadline.  Fault models observe and steer
 attempts through the ``pre_shuttle_hooks`` / ``post_shuttle_hooks``
-lists instead of monkey-patching ``_shuttle``.
+lists instead of monkey-patching the shuttle.
 """
 
 from __future__ import annotations
@@ -150,23 +150,10 @@ class DhlSystem:
         )
 
     def make_cart(self) -> Cart:
-        cart = Cart(array=self.make_array(), location=self.library.endpoint_id)
         # Every state transition lands in the trace as a `cart.state`
         # instant; the timeline renderer is built entirely from these.
-        tracer = self.tracer
-
-        def traced_transition(cart_self: Cart, new_state: str,
-                              _original=Cart.transition) -> None:
-            _original(cart_self, new_state)
-            tracer.instant(
-                "cart.state",
-                track=f"cart-{cart_self.cart_id}",
-                cart=cart_self.cart_id,
-                state=new_state,
-            )
-
-        cart.transition = traced_transition.__get__(cart)  # type: ignore[method-assign]
-        return cart
+        return Cart(array=self.make_array(), location=self.library.endpoint_id,
+                    tracer=self.tracer)
 
     def load_dataset(self, dataset: Dataset) -> PlacementPlan:
         """Stage a dataset in the library, one loaded cart per shard."""
@@ -197,293 +184,28 @@ class DhlSystem:
     # -- the shuttle primitive ------------------------------------------------------
 
     def shuttle(self, cart: Cart, dst: int) -> Event:
-        """Process: move a READY cart from its location to endpoint ``dst``.
+        """Move a READY cart from its location to endpoint ``dst``.
 
         Sequence: undock handling, exclusive tube traversal, dock
         handling — wrapped in the system's retry/deadline policy.
         Launch energy is metered per hop.  The caller is responsible for
-        slot reservations at the destination.
-        """
-        return self.env.process(self._shuttle(cart, dst))
-
-    def _shuttle(self, cart: Cart, dst: int):
-        """Retry wrapper: run attempts under the shuttle policy.
-
-        Raises :class:`ShuttleTimeoutError` when the per-operation
-        deadline races ahead of the attempt, and
+        slot reservations at the destination.  The returned event fires
+        with the cart, or fails with :class:`ShuttleTimeoutError` when
+        the per-operation deadline races ahead of the attempt and with
         :class:`DegradedServiceError` when attempts are exhausted or the
         track outage has outlasted ``give_up_outage_s``.
         """
-        if cart.state != CartState.READY:
-            raise SchedulingError(
-                f"cart {cart.cart_id} must be READY to shuttle, is {cart.state}"
-            )
-        src = cart.location
-        if src == dst:
-            raise SchedulingError(f"cart {cart.cart_id} is already at endpoint {dst}")
-        policy = self.shuttle_policy
-        deadline_at = (
-            None if policy.deadline_s is None else self.env.now + policy.deadline_s
-        )
-        track = pick_track(self.tracks, src, dst)
-        cart_track = f"cart-{cart.cart_id}"
-        with self.tracer.span("shuttle", track=cart_track,
-                              cart=cart.cart_id, src=src, dst=dst):
-            result = yield from self._shuttle_with_retries(
-                cart, src, dst, track, policy, deadline_at, cart_track
-            )
-        return result
-
-    def _shuttle_with_retries(self, cart: Cart, src: int, dst: int, track: Track,
-                              policy: ShuttlePolicy, deadline_at: float | None,
-                              cart_track: str):
-        last_fault: TrackFaultError | None = None
-        for attempt_number in range(1, policy.max_attempts + 1):
-            # Exhaustion check must precede spawning the attempt: a
-            # process launched here with no one left to yield it would
-            # fail undefused and crash the whole run.
-            remaining = None
-            if deadline_at is not None:
-                remaining = deadline_at - self.env.now
-                if remaining <= 0:
-                    self._count(COUNT_PREFIX + "shuttle_timeouts")
-                    self.tracer.instant("shuttle.timeout", track=cart_track,
-                                        attempt=attempt_number)
-                    raise ShuttleTimeoutError(
-                        f"cart {cart.cart_id} {src}->{dst}: deadline "
-                        f"{policy.deadline_s:.3g}s exhausted before attempt "
-                        f"{attempt_number}"
-                    )
-            attempt = ShuttleAttempt(cart=cart, src=src, dst=dst, number=attempt_number)
-            proc = self.env.process(self._shuttle_once(attempt, track))
-            try:
-                if remaining is None:
-                    return (yield proc)
-                # The paper-prescribed deadline: race the attempt against
-                # a timeout; whichever fires first decides the outcome.
-                deadline_event = self.env.timeout(remaining)
-                race = self.env.any_of([proc, deadline_event])
-                yield race
-                if proc.triggered:
-                    # Drop the losing timeout so a draining run() does
-                    # not spin virtual time out to the full deadline.
-                    deadline_event.cancel()
-                    if proc.ok:
-                        return proc.value
-                    raise proc.value
-                proc.interrupt("shuttle deadline exceeded")
-                try:
-                    yield proc  # wait for the attempt to unwind cleanly
-                except (Interrupt, TrackFaultError):
-                    pass
-                self._count(COUNT_PREFIX + "shuttle_timeouts")
-                self.tracer.instant("shuttle.timeout", track=cart_track,
-                                    attempt=attempt_number)
-                raise ShuttleTimeoutError(
-                    f"cart {cart.cart_id} {src}->{dst} exceeded its "
-                    f"{policy.deadline_s:.3g}s deadline on attempt {attempt_number}"
-                )
-            except TrackFaultError as fault:
-                last_fault = fault
-                self._count(COUNT_PREFIX + "shuttle_faults")
-                self.tracer.instant("shuttle.fault", track=cart_track,
-                                    attempt=attempt_number, cause=fault.cause)
-            if (
-                policy.give_up_outage_s is not None
-                and track.health.outage_age(self.env.now) >= policy.give_up_outage_s
-            ):
-                raise DegradedServiceError(
-                    f"track {track.name} has been down "
-                    f"{track.health.outage_age(self.env.now):.3g}s "
-                    f"(threshold {policy.give_up_outage_s:.3g}s); degrading"
-                ) from last_fault
-            if attempt_number == policy.max_attempts:
-                break
-            self._count(COUNT_PREFIX + "shuttle_retries")
-            self.tracer.instant("shuttle.retry", track=cart_track,
-                                attempt=attempt_number)
-            backoff = policy.backoff_delay(attempt_number, self._retry_rng)
-            if deadline_at is not None:
-                # Never sleep past the deadline: wake exactly at it so
-                # the exhaustion check above fires on time.
-                backoff = min(backoff, max(deadline_at - self.env.now, 0.0))
-            yield self.env.timeout(backoff)
-        if policy.max_attempts == 1 and last_fault is not None:
-            raise last_fault  # fail-fast policy: surface the root cause directly
-        raise DegradedServiceError(
-            f"cart {cart.cart_id} {src}->{dst} failed after "
-            f"{policy.max_attempts} attempts"
-        ) from last_fault
-
-    def _shuttle_once(self, attempt: ShuttleAttempt, track: Track):
-        """One physical launch attempt; normalises cart state on failure."""
-        cart, src, dst = attempt.cart, attempt.src, attempt.dst
-        tracer = self.tracer
-        cart_track = f"cart-{cart.cart_id}"
-        # The attempt span and its phase children (tube.wait, undock,
-        # transit[/stall], dock) partition the attempt exactly: the
-        # trace-invariant tests hold their durations to sum to the
-        # attempt's, even when an interrupt unwinds mid-phase.
-        attempt_span = tracer.span("attempt", track=cart_track,
-                                   number=attempt.number, src=src, dst=dst)
-        wait_span = NULL_SPAN
-        try:
-            if not track.health.tube_available:
-                raise TrackFaultError(
-                    f"tube {track.name} is unavailable (breach under repair)",
-                    track=track.name,
-                    cause="breach",
-                )
-            wait_span = tracer.span("tube.wait", track=cart_track)
-            with track.tube.request() as tube_claim:
-                yield tube_claim
-                wait_span.end()
-                # Re-check: the breach may have struck while we queued.
-                if not track.health.tube_available:
-                    raise TrackFaultError(
-                        f"tube {track.name} went down while cart "
-                        f"{cart.cart_id} queued for it",
-                        track=track.name,
-                        cause="breach",
-                    )
-                for hook in list(self.pre_shuttle_hooks):
-                    hook(attempt)
-                with tracer.span("undock", track=cart_track):
-                    yield self.env.timeout(self.params.undock_time)
-                cart.transition(CartState.IN_TRANSIT)
-                cart.location = dst
-                hop = track.hop(src, dst)
-                # A degraded LIM launches slower but still launches.
-                travel = hop.motion_time_s * track.health.lim_slowdown
-                with tracer.span("transit", track=cart_track):
-                    if attempt.stall_s > 0.0 or attempt.abort_in_tube:
-                        yield self.env.timeout(travel / 2.0)
-                        self._count(COUNT_PREFIX + "cart_stalls")
-                        if attempt.stall_s > 0.0:
-                            self._count(DURATION_PREFIX + "stall", attempt.stall_s)
-                            with tracer.span("stall", track=cart_track):
-                                yield self.env.timeout(attempt.stall_s)
-                        if attempt.abort_in_tube:
-                            raise TrackFaultError(
-                                f"cart {cart.cart_id} stalled in {track.name} "
-                                "and was extracted",
-                                track=track.name,
-                                cause=attempt.abort_reason or "stall",
-                            )
-                        yield self.env.timeout(travel / 2.0)
-                    else:
-                        yield self.env.timeout(travel)
-                cart.transition(CartState.ARRIVED)
-                # Docking blocks the tube: hold the claim through the dock.
-                with tracer.span("dock", track=cart_track):
-                    yield self.env.timeout(self.params.dock_time)
-        except BaseException:
-            # Breach, extraction or deadline interrupt: the tube claim is
-            # released by the context manager; park the cart READY at its
-            # origin so the retry layer can relaunch or re-store it.
-            wait_span.end()
-            attempt_span.end(failed=True)
-            if cart.state in (CartState.IN_TRANSIT, CartState.ARRIVED):
-                cart.abort_transit(src)
-            raise
-        attempt_span.end()
-        self._count(ENERGY_PREFIX + "launch", hop.energy_j)
-        self._count(COUNT_PREFIX + "launches")
-        track.traversals += 1
-        track.metres_travelled += hop.distance_m
-        cart.trips_completed += 1
-        for hook in list(self.post_shuttle_hooks):
-            hook(attempt)
-        return cart
+        return _Shuttle(self, cart, dst).done
 
     # -- high-level movements -----------------------------------------------------
 
     def dispatch_to_rack(self, cart_id: int, endpoint_id: int) -> Event:
-        """Process: library -> rack, ending docked at a free station."""
-        return self.env.process(self._dispatch(cart_id, endpoint_id))
-
-    def _dispatch(self, cart_id: int, endpoint_id: int):
-        rack = self.rack(endpoint_id)
-        cart_track = f"cart-{cart_id}"
-        with self.tracer.span("dispatch", track=cart_track,
-                              cart=cart_id, endpoint=endpoint_id):
-            with self.tracer.span("slot.wait", track=cart_track):
-                slot = rack.slots.request()
-                yield slot
-            cart = self.library.checkout(cart_id)
-            try:
-                yield self.env.process(self._shuttle(cart, endpoint_id))
-                station = rack.free_station()
-                station.attach(cart)
-            except BaseException:
-                slot.release()
-                # A failed attempt parks the cart READY at its origin (the
-                # library); re-admit it so the cart is never leaked.
-                if (
-                    cart.state == CartState.READY
-                    and cart.location == self.library.endpoint_id
-                ):
-                    self.library.admit(cart)
-                raise
-            station.slot_claim = slot  # released on return
-            self._count(COUNT_PREFIX + "dispatches")
-        return station
+        """Library -> rack, ending docked at a free station (the event's value)."""
+        return _Dispatch(self, cart_id, endpoint_id).done
 
     def return_to_library(self, cart: Cart, endpoint_id: int) -> Event:
-        """Process: rack -> library, freeing the dock slot."""
-        return self.env.process(self._return(cart, endpoint_id))
-
-    def _return(self, cart: Cart, endpoint_id: int):
-        with self.tracer.span("return", track=f"cart-{cart.cart_id}",
-                              cart=cart.cart_id, endpoint=endpoint_id):
-            result = yield from self._return_inner(cart, endpoint_id)
-        return result
-
-    def _return_inner(self, cart: Cart, endpoint_id: int):
-        rack = self.rack(endpoint_id)
-        if cart in rack.stranded:
-            # A previous return attempt failed and parked the cart in
-            # the recovery bay; it is READY at the rack, not docked.
-            rack.stranded.remove(cart)
-        else:
-            station = rack.station_holding(cart)
-            cart = station.detach()
-            slot_claim = getattr(station, "slot_claim", None)
-            if slot_claim is not None:
-                slot_claim.release()
-                station.slot_claim = None
-        try:
-            yield self.env.process(self._shuttle(cart, self.library.endpoint_id))
-        except BaseException:
-            # The cart is parked READY back at the rack.  Without this
-            # handler a mid-shuttle fault stranded it detached with its
-            # dock slot already released.  Re-dock it if a slot and a
-            # station are still free, otherwise park it in the rack's
-            # recovery bay for a later return attempt.
-            recovery = rack.slots.request()
-            station = None
-            if recovery.triggered:
-                station = next(
-                    (
-                        candidate
-                        for candidate in rack.stations
-                        if not candidate.occupied and not candidate.out_of_service
-                    ),
-                    None,
-                )
-            if station is not None:
-                station.attach(cart)
-                station.slot_claim = recovery
-            else:
-                recovery.release()
-                rack.strand(cart)
-                self._count(COUNT_PREFIX + "stranded_carts")
-                self.tracer.instant("cart.stranded", track=f"cart-{cart.cart_id}",
-                                    endpoint=endpoint_id)
-            raise
-        self.library.admit(cart)
-        self._count(COUNT_PREFIX + "returns")
-        return cart
+        """Rack -> library, freeing the dock slot; the event's value is the cart."""
+        return _Return(self, cart, endpoint_id).done
 
     # -- accounting helpers ---------------------------------------------------------
 
@@ -516,3 +238,497 @@ class DhlSystem:
             )
             leaks[f"slots:{endpoint_id}"] = held - docked - out_of_service
         return leaks
+
+
+# -- the DHL commands as callback chains -------------------------------------------
+#
+# Each command runs as a chain of plain-event callbacks.  Wherever a
+# generator process would push a queue entry — its kick-off, a resource
+# grant or timeout it waits on, its completion — the chain pushes one
+# plain event at the same point, with the next step as its only
+# callback.  ``env._eid``, the fired-event count and every same-instant
+# tie are therefore those of the equivalent nested processes.  A
+# kick-off is ``env.timeout(0.0)``: the entry ``env.process`` pushes.
+
+
+class _Shuttle:
+    """One shuttle operation: the retry loop and its launch attempts.
+
+    ``done`` fires with the cart; an attempt's own completion is the
+    separate ``attempt_done`` event, which the retry loop (or the
+    deadline race) waits on.  ``target`` is the event the live attempt
+    waits on, so a deadline interrupt can detach the attempt from it.
+    """
+
+    __slots__ = (
+        "system", "env", "tracer", "cart", "src", "dst", "track", "policy",
+        "deadline_at", "cart_track", "done", "span", "attempt", "attempt_done",
+        "deadline_event", "target", "claim", "attempt_span", "wait_span",
+        "phase_span", "transit_span", "hop", "travel",
+    )
+
+    def __init__(self, system: DhlSystem, cart: Cart, dst: int):
+        env = self.env = system.env
+        self.system = system
+        self.tracer = system.tracer
+        self.cart = cart
+        self.dst = dst
+        self.done = env.event()
+        env.timeout(0.0).callbacks.append(self._start)
+
+    # -- the retry loop ------------------------------------------------------------
+
+    def _start(self, _event: Event) -> None:
+        system, cart, dst = self.system, self.cart, self.dst
+        try:
+            if cart.state != CartState.READY:
+                raise SchedulingError(
+                    f"cart {cart.cart_id} must be READY to shuttle, is {cart.state}"
+                )
+            src = self.src = cart.location
+            if src == dst:
+                raise SchedulingError(
+                    f"cart {cart.cart_id} is already at endpoint {dst}"
+                )
+            policy = self.policy = system.shuttle_policy
+            self.deadline_at = (
+                None if policy.deadline_s is None
+                else self.env.now + policy.deadline_s
+            )
+            self.track = pick_track(system.tracks, src, dst)
+        except Exception as error:
+            self.done.fail(error)
+            return
+        cart_track = self.cart_track = f"cart-{cart.cart_id}"
+        self.span = self.tracer.span("shuttle", track=cart_track,
+                                     cart=cart.cart_id, src=src, dst=dst)
+        self._launch(1)
+
+    def _launch(self, number: int) -> None:
+        """Top of the retry loop: start attempt ``number``."""
+        env = self.env
+        remaining = None
+        if self.deadline_at is not None:
+            # Exhaustion check must precede the attempt: an attempt
+            # launched with no one left to wait on it would fail
+            # undefused and crash the whole run.
+            remaining = self.deadline_at - env.now
+            if remaining <= 0:
+                self._timeout(number, (
+                    f"cart {self.cart.cart_id} {self.src}->{self.dst}: deadline "
+                    f"{self.policy.deadline_s:.3g}s exhausted before attempt "
+                    f"{number}"
+                ))
+                return
+        self.attempt = ShuttleAttempt(cart=self.cart, src=self.src, dst=self.dst,
+                                      number=number)
+        done = self.attempt_done = env.event()
+        env.timeout(0.0).callbacks.append(self._attempt_start)
+        if remaining is None:
+            done.callbacks.append(self._attempt_settled)
+            return
+        # The paper-prescribed deadline: race the attempt against a
+        # timeout; whichever fires first decides the outcome.
+        deadline = self.deadline_event = env.timeout(remaining)
+        env.any_of([done, deadline]).callbacks.append(self._raced)
+
+    def _attempt_settled(self, event: Event) -> None:
+        if event._ok:
+            self._finish(event._value)
+        else:
+            event._defused = True
+            self._attempt_failed(event._value)
+
+    def _raced(self, race: Event) -> None:
+        done = self.attempt_done
+        if not race._ok:
+            race._defused = True
+            self._attempt_failed(race._value)
+        elif done.triggered:
+            # Drop the losing timeout so a draining run() does not spin
+            # virtual time out to the full deadline.
+            self.deadline_event.cancel()
+            self._attempt_settled(done)
+        else:
+            # Abort the attempt at the band-0 position an interrupt
+            # takes, then wait for it to unwind.
+            interrupt = self.env.event()
+            interrupt._ok = False
+            interrupt._value = Interrupt("shuttle deadline exceeded")
+            interrupt._defused = True
+            interrupt.callbacks.append(self._interrupted)
+            self.env._schedule(interrupt, priority=0)
+            done.callbacks.append(self._unwound)
+
+    def _unwound(self, event: Event) -> None:
+        if not event._ok:
+            event._defused = True
+            if not isinstance(event._value, (Interrupt, TrackFaultError)):
+                self._fail(event._value)
+                return
+        number = self.attempt.number
+        self._timeout(number, (
+            f"cart {self.cart.cart_id} {self.src}->{self.dst} exceeded its "
+            f"{self.policy.deadline_s:.3g}s deadline on attempt {number}"
+        ))
+
+    def _timeout(self, number: int, message: str) -> None:
+        self.system._count(COUNT_PREFIX + "shuttle_timeouts")
+        self.tracer.instant("shuttle.timeout", track=self.cart_track, attempt=number)
+        self._fail(ShuttleTimeoutError(message))
+
+    def _attempt_failed(self, error: BaseException) -> None:
+        if not isinstance(error, TrackFaultError):
+            self._fail(error)
+            return
+        system, policy, track = self.system, self.policy, self.track
+        number = self.attempt.number
+        now = self.env.now
+        system._count(COUNT_PREFIX + "shuttle_faults")
+        self.tracer.instant("shuttle.fault", track=self.cart_track,
+                            attempt=number, cause=error.cause)
+        if (
+            policy.give_up_outage_s is not None
+            and track.health.outage_age(now) >= policy.give_up_outage_s
+        ):
+            self._fail(DegradedServiceError(
+                f"track {track.name} has been down "
+                f"{track.health.outage_age(now):.3g}s "
+                f"(threshold {policy.give_up_outage_s:.3g}s); degrading"
+            ), cause=error)
+            return
+        if number == policy.max_attempts:
+            if number == 1:
+                self._fail(error)  # fail-fast policy: surface the root cause
+            else:
+                self._fail(DegradedServiceError(
+                    f"cart {self.cart.cart_id} {self.src}->{self.dst} failed "
+                    f"after {policy.max_attempts} attempts"
+                ), cause=error)
+            return
+        system._count(COUNT_PREFIX + "shuttle_retries")
+        self.tracer.instant("shuttle.retry", track=self.cart_track, attempt=number)
+        backoff = policy.backoff_delay(number, system._retry_rng)
+        if self.deadline_at is not None:
+            # Never sleep past the deadline: wake exactly at it so the
+            # exhaustion check fires on time.
+            backoff = min(backoff, max(self.deadline_at - now, 0.0))
+        self.env.timeout(backoff).callbacks.append(self._retry)
+
+    def _retry(self, _event: Event) -> None:
+        self._launch(self.attempt.number + 1)
+
+    def _finish(self, cart: Cart) -> None:
+        self.span.end()
+        self.done.succeed(cart)
+
+    def _fail(self, error: BaseException, cause: BaseException | None = None) -> None:
+        """Fail with ``error``, as ``raise error from cause`` would."""
+        if cause is not None:
+            error.__cause__ = cause
+        self.span.end()
+        self.done.fail(error)
+
+    # -- one launch attempt --------------------------------------------------------
+    #
+    # The attempt span and its phase children (tube.wait, undock,
+    # transit[/stall], dock) partition the attempt exactly: the
+    # trace-invariant tests hold their durations to sum to the
+    # attempt's, even when a deadline interrupt cuts a phase short.
+
+    def _attempt_start(self, _event: Event) -> None:
+        tracer, track = self.tracer, self.track
+        self.attempt_span = tracer.span("attempt", track=self.cart_track,
+                                        number=self.attempt.number,
+                                        src=self.src, dst=self.dst)
+        self.wait_span = self.phase_span = self.transit_span = NULL_SPAN
+        self.claim = None
+        if not track.health.tube_available:
+            self._abort(TrackFaultError(
+                f"tube {track.name} is unavailable (breach under repair)",
+                track=track.name,
+                cause="breach",
+            ))
+            return
+        self.wait_span = tracer.span("tube.wait", track=self.cart_track)
+        claim = self.claim = self.target = track.tube.request()
+        claim.callbacks.append(self._tube_granted)
+
+    def _tube_granted(self, _event: Event) -> None:
+        self.wait_span.end()
+        track = self.track
+        # Re-check: the breach may have struck while we queued.
+        if not track.health.tube_available:
+            self._abort(TrackFaultError(
+                f"tube {track.name} went down while cart "
+                f"{self.cart.cart_id} queued for it",
+                track=track.name,
+                cause="breach",
+            ))
+            return
+        try:
+            for hook in list(self.system.pre_shuttle_hooks):
+                hook(self.attempt)
+        except Exception as error:
+            self._abort(error)
+            return
+        self.phase_span = self.tracer.span("undock", track=self.cart_track)
+        wait = self.target = self.env.timeout(self.system.params.undock_time)
+        wait.callbacks.append(self._undocked)
+
+    def _undocked(self, _event: Event) -> None:
+        self.phase_span.end()
+        cart, track, attempt = self.cart, self.track, self.attempt
+        try:
+            cart.transition(CartState.IN_TRANSIT)
+            cart.location = self.dst
+            hop = self.hop = track.hop(self.src, self.dst)
+        except Exception as error:
+            self._abort(error)
+            return
+        # A degraded LIM launches slower but still launches.
+        travel = self.travel = hop.motion_time_s * track.health.lim_slowdown
+        self.transit_span = self.tracer.span("transit", track=self.cart_track)
+        if attempt.stall_s > 0.0 or attempt.abort_in_tube:
+            wait = self.target = self.env.timeout(travel / 2.0)
+            wait.callbacks.append(self._midway)
+        else:
+            wait = self.target = self.env.timeout(travel)
+            wait.callbacks.append(self._arrived)
+
+    def _midway(self, _event: Event) -> None:
+        attempt, system = self.attempt, self.system
+        system._count(COUNT_PREFIX + "cart_stalls")
+        if attempt.stall_s > 0.0:
+            system._count(DURATION_PREFIX + "stall", attempt.stall_s)
+            self.phase_span = self.tracer.span("stall", track=self.cart_track)
+            wait = self.target = self.env.timeout(attempt.stall_s)
+            wait.callbacks.append(self._stalled)
+        else:
+            self._stalled(_event)
+
+    def _stalled(self, _event: Event) -> None:
+        self.phase_span.end()
+        if self.attempt.abort_in_tube:
+            self._abort(TrackFaultError(
+                f"cart {self.cart.cart_id} stalled in {self.track.name} "
+                "and was extracted",
+                track=self.track.name,
+                cause=self.attempt.abort_reason or "stall",
+            ))
+            return
+        wait = self.target = self.env.timeout(self.travel / 2.0)
+        wait.callbacks.append(self._arrived)
+
+    def _arrived(self, _event: Event) -> None:
+        self.transit_span.end()
+        try:
+            self.cart.transition(CartState.ARRIVED)
+        except Exception as error:
+            self._abort(error)
+            return
+        # Docking blocks the tube: hold the claim through the dock.
+        self.phase_span = self.tracer.span("dock", track=self.cart_track)
+        wait = self.target = self.env.timeout(self.system.params.dock_time)
+        wait.callbacks.append(self._docked)
+
+    def _docked(self, _event: Event) -> None:
+        self.phase_span.end()
+        self.claim.release()
+        self.attempt_span.end()
+        system, track, hop, cart = self.system, self.track, self.hop, self.cart
+        try:
+            system._count(ENERGY_PREFIX + "launch", hop.energy_j)
+            system._count(COUNT_PREFIX + "launches")
+            track.traversals += 1
+            track.metres_travelled += hop.distance_m
+            cart.trips_completed += 1
+            for hook in list(system.post_shuttle_hooks):
+                hook(self.attempt)
+        except Exception as error:
+            self.attempt_done.fail(error)
+            return
+        self.attempt_done.succeed(cart)
+
+    def _interrupted(self, event: Event) -> None:
+        """The deadline interrupt: detach from the awaited event, unwind."""
+        if self.attempt_done.triggered:
+            return
+        callbacks = self.target.callbacks
+        if callbacks is not None:
+            callbacks[:] = [
+                callback for callback in callbacks
+                if getattr(callback, "__self__", None) is not self
+            ]
+        self._abort(event._value)
+
+    def _abort(self, error: BaseException) -> None:
+        """A failed attempt: release the tube, park the cart READY at its
+        origin so the retry layer can relaunch or re-store it, and fail."""
+        self.phase_span.end()
+        self.transit_span.end()
+        if self.claim is not None:
+            self.claim.release()
+        self.wait_span.end()
+        self.attempt_span.end(failed=True)
+        cart = self.cart
+        if cart.state in (CartState.IN_TRANSIT, CartState.ARRIVED):
+            cart.abort_transit(self.src)
+        self.attempt_done.fail(error)
+
+
+class _Dispatch:
+    """Library -> rack: a dock slot, the cart's checkout, then the shuttle."""
+
+    __slots__ = ("system", "cart_id", "endpoint_id", "done", "rack", "span",
+                 "wait_span", "slot", "cart")
+
+    def __init__(self, system: DhlSystem, cart_id: int, endpoint_id: int):
+        self.system = system
+        self.cart_id = cart_id
+        self.endpoint_id = endpoint_id
+        env = system.env
+        self.done = env.event()
+        env.timeout(0.0).callbacks.append(self._start)
+
+    def _start(self, _event: Event) -> None:
+        system = self.system
+        try:
+            rack = self.rack = system.rack(self.endpoint_id)
+        except Exception as error:
+            self.done.fail(error)
+            return
+        cart_track = f"cart-{self.cart_id}"
+        self.span = system.tracer.span("dispatch", track=cart_track,
+                                       cart=self.cart_id, endpoint=self.endpoint_id)
+        self.wait_span = system.tracer.span("slot.wait", track=cart_track)
+        slot = self.slot = rack.slots.request()
+        slot.callbacks.append(self._granted)
+
+    def _granted(self, _event: Event) -> None:
+        self.wait_span.end()
+        system = self.system
+        try:
+            cart = self.cart = system.library.checkout(self.cart_id)
+        except Exception as error:
+            # The cart is not in the library (already out, or unknown):
+            # hand the slot back before failing, or it leaks.
+            self.slot.release()
+            self._fail(error)
+            return
+        _Shuttle(system, cart, self.endpoint_id).done.callbacks.append(self._shuttled)
+
+    def _shuttled(self, event: Event) -> None:
+        if not event._ok:
+            event._defused = True
+            self._recover(event._value)
+            return
+        try:
+            station = self.rack.free_station()
+            station.attach(self.cart)
+        except Exception as error:
+            self._recover(error)
+            return
+        station.slot_claim = self.slot  # released on return
+        self.system._count(COUNT_PREFIX + "dispatches")
+        self.span.end()
+        self.done.succeed(station)
+
+    def _recover(self, error: BaseException) -> None:
+        self.slot.release()
+        # A failed attempt parks the cart READY at its origin (the
+        # library); re-admit it so the cart is never leaked.
+        cart, library = self.cart, self.system.library
+        try:
+            if cart.state == CartState.READY and cart.location == library.endpoint_id:
+                library.admit(cart)
+        except Exception as admit_error:
+            error = admit_error
+        self._fail(error)
+
+    def _fail(self, error: BaseException) -> None:
+        self.span.end()
+        self.done.fail(error)
+
+
+class _Return:
+    """Rack -> library: undock (or leave the recovery bay), then shuttle home."""
+
+    __slots__ = ("system", "cart", "endpoint_id", "done", "rack", "span")
+
+    def __init__(self, system: DhlSystem, cart: Cart, endpoint_id: int):
+        self.system = system
+        self.cart = cart
+        self.endpoint_id = endpoint_id
+        env = system.env
+        self.done = env.event()
+        env.timeout(0.0).callbacks.append(self._start)
+
+    def _start(self, _event: Event) -> None:
+        system, cart = self.system, self.cart
+        self.span = system.tracer.span("return", track=f"cart-{cart.cart_id}",
+                                       cart=cart.cart_id, endpoint=self.endpoint_id)
+        try:
+            rack = self.rack = system.rack(self.endpoint_id)
+            if cart in rack.stranded:
+                # A previous return attempt failed and parked the cart in
+                # the recovery bay; it is READY at the rack, not docked.
+                rack.stranded.remove(cart)
+            else:
+                station = rack.station_holding(cart)
+                station.detach()
+                if station.slot_claim is not None:
+                    station.slot_claim.release()
+                    station.slot_claim = None
+        except Exception as error:
+            self._fail(error)
+            return
+        _Shuttle(system, cart, system.library.endpoint_id).done.callbacks.append(
+            self._shuttled
+        )
+
+    def _shuttled(self, event: Event) -> None:
+        system, cart = self.system, self.cart
+        if not event._ok:
+            event._defused = True
+            self._strand(event._value)
+            return
+        try:
+            system.library.admit(cart)
+        except Exception as error:
+            self._fail(error)
+            return
+        system._count(COUNT_PREFIX + "returns")
+        self.span.end()
+        self.done.succeed(cart)
+
+    def _strand(self, error: BaseException) -> None:
+        """The cart is parked READY back at the rack: re-dock it if a slot
+        and a station are still free, otherwise park it in the rack's
+        recovery bay for a later return attempt."""
+        system, cart, rack = self.system, self.cart, self.rack
+        recovery = rack.slots.request()
+        station = None
+        if recovery.triggered:
+            station = next(
+                (
+                    candidate
+                    for candidate in rack.stations
+                    if not candidate.occupied and not candidate.out_of_service
+                ),
+                None,
+            )
+        if station is not None:
+            station.attach(cart)
+            station.slot_claim = recovery
+        else:
+            recovery.release()
+            rack.strand(cart)
+            system._count(COUNT_PREFIX + "stranded_carts")
+            system.tracer.instant("cart.stranded", track=f"cart-{cart.cart_id}",
+                                  endpoint=self.endpoint_id)
+        self._fail(error)
+
+    def _fail(self, error: BaseException) -> None:
+        self.span.end()
+        self.done.fail(error)

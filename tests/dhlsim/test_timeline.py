@@ -11,18 +11,31 @@ from repro.storage.datasets import synthetic_dataset
 from repro.units import TB
 
 
-def run_transfer(shards=3, stations=2):
+def run_transfer(shards=3, stations=2, attach_after_load=False):
     env = Environment()
     system = DhlSystem(env, stations_per_rack=stations)
-    recorder = TimelineRecorder(system)
+    if not attach_after_load:
+        recorder = TimelineRecorder(system)
     dataset = synthetic_dataset(shards * 256 * TB, name="tl")
     system.load_dataset(dataset)
+    if attach_after_load:
+        recorder = TimelineRecorder(system)
     api = DhlApi(system)
     env.run(until=api.bulk_transfer(dataset))
     return recorder
 
 
 class TestRecorder:
+    def test_recorder_attached_after_the_carts_exist_sees_every_move(self):
+        # Carts check their tracer's level on each transition, so
+        # raising it after the carts were made still records the run.
+        early = run_transfer(shards=3).events
+        late = run_transfer(shards=3, attach_after_load=True).events
+        assert len(late) == 3 * 8  # out and home: 4 transitions each way
+        assert [(e.time_s, e.state) for e in late] == [
+            (e.time_s, e.state) for e in early
+        ]
+
     def test_events_recorded_for_every_cart(self):
         recorder = run_transfer(shards=3)
         cart_ids = {event.cart_id for event in recorder.events}
