@@ -83,43 +83,6 @@ def fleet_sla_table(report: FleetReport) -> tuple[list[str], list[list[object]]]
     return headers, rows
 
 
-def learn_comparison_table(
-    payload: "Mapping[str, object]",
-) -> tuple[list[str], list[list[object]]]:
-    """Learned policy vs every fixed combo, from a learn bench payload.
-
-    Takes the JSON payload (not the report object) so the committed
-    ``BENCH_learn.json`` renders identically to a fresh run.
-    """
-    headers = [
-        "Control",
-        "Jobs",
-        "p99 (s)",
-        "Miss rate",
-        "Hit rate",
-        "Launches",
-        "Launch MJ",
-    ]
-
-    def row(label: str, kpis: "Mapping[str, object]") -> list[object]:
-        return [
-            label,
-            int(kpis["n_jobs"]),
-            f"{float(kpis['p99_s']):.1f}",
-            f"{float(kpis['deadline_miss_rate']):.1%}",
-            f"{float(kpis['cache_hit_rate']):.1%}",
-            int(kpis["launches"]),
-            f"{float(kpis['launch_energy_mj']):.2f}",
-        ]
-
-    best = payload["best_fixed"]
-    rows = [row("learned (tabular-q)", dict(payload["learned"]))]
-    for label, kpis in sorted(dict(payload["fixed"]).items()):
-        marker = " *best fixed" if label == best else ""
-        rows.append(row(f"{label}{marker}", dict(kpis)))
-    return headers, rows
-
-
 def chaos_mode_table(
     bench: "ChaosBenchReport",
 ) -> tuple[list[str], list[list[object]]]:

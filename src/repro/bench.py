@@ -1,7 +1,7 @@
 """The bench registry: how a named bench is run, rendered, written and gated.
 
-Seven benches write committed ``BENCH_<name>.json`` baselines.  Five of
-them (``fleet``, ``chaos``, ``traffic``, ``shard``, ``learn``) are
+Six benches write committed ``BENCH_<name>.json`` baselines.  Four of
+them (``fleet``, ``chaos``, ``traffic``, ``shard``) are
 seeded virtual-time simulations, so one comparator,
 :func:`compare`, gates them all: every baseline leaf must reappear in
 the fresh payload, numbers within ``rel_tol`` and everything else
@@ -308,31 +308,6 @@ def _shard(args: argparse.Namespace) -> dict[str, object]:
     return payload
 
 
-def _learn(args: argparse.Namespace) -> dict[str, object]:
-    from .analysis.fleetview import learn_comparison_table
-    from .learn import bench as learn_bench
-
-    bench = learn_bench.run_learn_bench(
-        seed=args.seed,
-        rounds=args.rounds or learn_bench.DEFAULT_ROUNDS,
-        episodes_per_round=(
-            args.episodes_per_round or learn_bench.DEFAULT_EPISODES_PER_ROUND
-        ),
-        check_process_parity=not args.no_parity_probe,
-    )
-    payload = learn_bench.report_payload(bench)
-    _table(learn_comparison_table(payload),
-           f"Learned vs fixed control (eval seed {bench.report.eval_seed}, "
-           f"{bench.rounds}x{bench.episodes_per_round} training episodes)")
-    margins = dict(payload["margins"])
-    print(f"\npolicy fingerprint {bench.report.fingerprint[:16]}.., "
-          f"trained in {bench.train_wall_s:.1f} s wall")
-    print(f"margins over best fixed ({payload['best_fixed']}): "
-          f"p99 {margins['p99_s']:+.1f} s, "
-          f"launch energy {margins['launch_energy_mj']:+.3f} MJ")
-    return payload
-
-
 def _sweep_failures(payload: Payload) -> list[str]:
     if payload["identical_results"]:
         return []
@@ -356,5 +331,4 @@ BENCHES: dict[str, Bench] = {
     "chaos": Bench("chaos KPI baseline", _chaos),
     "traffic": Bench("traffic KPI baseline", _traffic),
     "shard": Bench("shard baseline", _shard),
-    "learn": Bench("learn baseline", _learn),
 }

@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     choices = list(_TABLES) + ["fig6", "validate", "export", "trace", "bench",
                                "fleet", "chaos", "replicate", "traffic",
-                               "learn", "all"]
+                               "all"]
     parser.add_argument(
         "artefact",
         choices=choices,
@@ -238,25 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="traffic: approximate request count the synthesised trace "
              "targets over the horizon",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=None,
-        help="learn: training rounds (default the committed-gate shape)",
-    )
-    parser.add_argument(
-        "--episodes-per-round",
-        type=int,
-        default=None,
-        help="learn: episodes fanned out per training round",
-    )
-    parser.add_argument(
-        "--no-parity-probe",
-        action="store_true",
-        help="learn: skip the serial/process training parity "
-             "probe (marks the invariant false; quick local iterations "
-             "only)",
     )
     return parser
 

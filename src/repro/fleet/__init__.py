@@ -24,7 +24,6 @@ from .cache import (
     CacheEntry,
     EVICTION_POLICIES,
     RackCache,
-    select_victim,
 )
 from .capacity import (
     CandidateEvaluation,
@@ -37,7 +36,6 @@ from .controlplane import (
     FLEET_TARGETS,
     POLICIES,
     AdmissionControl,
-    ControlHooks,
     FleetReport,
     FleetScenario,
     build_plane,
@@ -90,7 +88,6 @@ __all__ = [
     "CircuitBreaker",
     "ClassSla",
     "ClassTarget",
-    "ControlHooks",
     "DEFAULT_INTERPOD_LATENCY_S",
     "DEFAULT_REPLICATIONS",
     "DEFAULT_SAMPLE_CAP",
@@ -128,6 +125,5 @@ __all__ = [
     "run_fleet",
     "run_seeded",
     "run_sharded",
-    "select_victim",
     "signature_digest",
 ]

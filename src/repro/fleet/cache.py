@@ -41,33 +41,6 @@ FETCHING = "fetching"
 RESIDENT = "resident"
 
 
-def select_victim(idle, policy: str, ttl_s: float, now: float):
-    """The entry ``policy`` would evict next among ``idle`` entries.
-
-    The single source of truth for victim selection: both the passive
-    :meth:`RackCache.evictable` query and the learned eviction hook
-    (:mod:`repro.learn.env`) rank candidates through this function, so
-    an adaptive policy that picks ``"lru"`` is the LRU cache, decision
-    for decision.  Returns ``None`` when ``idle`` is empty.
-    """
-    if policy not in EVICTION_POLICIES:
-        raise ConfigurationError(
-            f"victim policy must be one of {EVICTION_POLICIES}, got {policy!r}"
-        )
-    idle = list(idle)
-    if not idle:
-        return None
-    if policy == "lru":
-        return min(idle, key=lambda e: (e.last_access_s, e.dataset))
-    if policy == "lfu":
-        return min(idle, key=lambda e: (e.accesses, e.last_access_s, e.dataset))
-    # ttl: expired entries first (oldest residency), else LRU.
-    expired = [e for e in idle if now - e.created_s >= ttl_s]
-    if expired:
-        return min(expired, key=lambda e: (e.created_s, e.dataset))
-    return min(idle, key=lambda e: (e.last_access_s, e.dataset))
-
-
 @dataclass(frozen=True)
 class CacheConfig:
     """Eviction behaviour of the rack-side cart cache."""
@@ -222,14 +195,23 @@ class RackCache:
     # -- victim selection --------------------------------------------------------
 
     def evictable(self) -> Optional[CacheEntry]:
-        """The entry this lane would evict next, or None if all are busy."""
-        return select_victim(
-            self.idle_entries(),
-            self.config.policy,
-            self.config.ttl_s,
-            self.env.now,
-        )
+        """The idle entry this lane would evict next, or None if all are busy.
 
-    def idle_entries(self) -> list[CacheEntry]:
-        """Resident entries with no readers — the eviction candidates."""
-        return [entry for entry in self.entries.values() if entry.idle]
+        ``lru`` picks the least recently read, ``lfu`` the least read
+        (ties by recency), and ``ttl`` the oldest expired residency,
+        falling back to LRU while nothing has expired.  Ties break by
+        dataset name, so the choice is deterministic.
+        """
+        idle = [entry for entry in self.entries.values() if entry.idle]
+        if not idle:
+            return None
+        policy = self.config.policy
+        if policy == "lfu":
+            return min(idle, key=lambda e: (e.accesses, e.last_access_s, e.dataset))
+        if policy == "ttl":
+            now = self.env.now
+            ttl_s = self.config.ttl_s
+            expired = [e for e in idle if now - e.created_s >= ttl_s]
+            if expired:
+                return min(expired, key=lambda e: (e.created_s, e.dataset))
+        return min(idle, key=lambda e: (e.last_access_s, e.dataset))

@@ -200,135 +200,51 @@ def _policy_key(policy: str):
     return lambda f: (f.priority, f.deadline_at, f.job_id)
 
 
-class ControlHooks:
-    """Pluggable control-plane decision points.
-
-    The control loop owns *when* a decision happens — a worker freeing
-    up, residency exceeding the stations, a queue overflowing — and
-    hooks own *which way it goes* at three decision points — dispatch
-    order, cache eviction, overflow: the order a lane serves its queue
-    in, which idle cache entry to evict, and whether an overflowing job
-    fails over to the optical network or is shed.
-    The base class *is* the default implementation and reproduces the
-    historical behaviour decision for decision (the committed
-    ``BENCH_fleet.json`` gate pins this bit-identically);
-    :mod:`repro.learn` subclasses it to put an online learner behind
-    the same three choices without copying any of the control loop.
-    Dispatch is named, not picked: hooks return an order and the lane
-    queue keeps a heap for it, so a dispatch costs O(log n) rather
-    than a scan of the queue.
-
-    Hooks are bound to exactly one :class:`ControlPlane` via
-    :meth:`bind` before the run starts.  They must be deterministic
-    functions of bound state + arguments: the fleet's reproducibility
-    guarantee extends through them.
-    """
-
-    plane: "ControlPlane | None" = None
-
-    def bind(self, plane: "ControlPlane") -> None:
-        """Attach to the plane whose decisions this instance makes."""
-        if self.plane is not None and self.plane is not plane:
-            raise ConfigurationError(
-                "ControlHooks instances bind to exactly one ControlPlane"
-            )
-        self.plane = plane
-
-    def dispatch_order(self, lane: "_Lane") -> str:
-        """The order (one of :data:`POLICIES`) ``lane`` dispatches in.
-
-        Asked each time a freed worker on ``lane`` takes its next job;
-        the queue serves the minimum-key pending job under that order.
-        Default: the scenario policy.
-        """
-        return self.plane.scenario.policy
-
-    def pick_eviction(self, lane: "_Lane"):
-        """The cache entry ``lane`` should evict next, or ``None``.
-
-        Called when residency exceeds the docking stations and when the
-        cart pool runs dry.  The returned entry must be idle (resident,
-        no readers) and belong to ``lane.cache``.  Default: the lane
-        cache's configured policy via :meth:`RackCache.evictable`.
-        """
-        return lane.cache.evictable()
-
-    def pick_overflow(self, fjob: "_FleetJob", lane: "_Lane",
-                      can_failover: bool) -> str:
-        """``Outcome.FAILOVER`` or ``Outcome.SHED`` past admission depth.
-
-        ``can_failover`` is False when the scenario reserved no optical
-        links — ``Outcome.FAILOVER`` is then ignored and the job sheds.
-        Default: always fail over when links exist.
-        """
-        return Outcome.FAILOVER if can_failover else Outcome.SHED
-
-
 class _LaneQueue:
     """Policy-ordered job queue with blocking get for lane workers.
 
-    Jobs live in an insertion-ordered dict keyed by a push sequence
-    number; one binary heap of ``(key, seq)`` holds the active dispatch
-    order.  Popping the heap minimum serves exactly the job ``min()``
-    over the pending jobs in arrival order would: equal keys (duplicate
-    job ids included) fall back to ``seq``, i.e. to the earlier push.
-    A change of order rebuilds the heap from the dict in O(n); every
-    other push and pop is O(log n).
+    One binary heap of ``(key, seq, job)`` under the lane's fixed
+    dispatch order.  Popping the heap minimum serves exactly the job
+    ``min()`` over the pending jobs in arrival order would: equal keys
+    (duplicate job ids included) fall back to the push sequence number
+    ``seq``, i.e. to the earlier push.  Push and pop are O(log n).
     """
 
-    def __init__(self, env: Environment, lane: "_Lane", hooks: ControlHooks):
+    def __init__(self, env: Environment, key: Callable[[_FleetJob], tuple]):
         self.env = env
-        self.lane = lane
-        self.hooks = hooks
-        self._jobs: dict[int, _FleetJob] = {}
+        self._key = key
         self._seq = itertools.count()
-        self._order: str | None = None
-        self._key = None
-        self._heap: list[tuple[tuple, int]] = []
+        self._heap: list[tuple[tuple, int, _FleetJob]] = []
         self.waiters: deque[Event] = deque()
 
     @property
-    def pending(self):
-        """Read-only view of the queued jobs, in arrival order."""
-        return self._jobs.values()
-
-    @property
     def depth(self) -> int:
-        return len(self._jobs)
+        return len(self._heap)
 
     def push(self, fjob: _FleetJob) -> None:
-        seq = next(self._seq)
-        self._jobs[seq] = fjob
-        if self._key is not None:
-            heapq.heappush(self._heap, (self._key(fjob), seq))
+        heapq.heappush(self._heap, (self._key(fjob), next(self._seq), fjob))
         if self.waiters:
             self.waiters.popleft().succeed(None)
 
     def get(self):
         """Process helper: next job under the policy (blocks when empty)."""
-        while not self._jobs:
+        while not self._heap:
             waiter = Event(self.env)
             self.waiters.append(waiter)
             yield waiter
-        order = self.hooks.dispatch_order(self.lane)
-        if order != self._order:
-            self._order = order
-            self._key = key = _policy_key(order)
-            self._heap = [(key(fjob), seq) for seq, fjob in self._jobs.items()]
-            heapq.heapify(self._heap)
-        return self._jobs.pop(heapq.heappop(self._heap)[1])
+        return heapq.heappop(self._heap)[2]
 
 
 class _Lane:
     """One (track, rack) service point: queue, workers, optional cache."""
 
-    def __init__(self, env, track_index, endpoint_id, api, stations, hooks,
+    def __init__(self, env, track_index, endpoint_id, api, stations, key,
                  cache_config):
         self.track_index = track_index
         self.endpoint_id = endpoint_id
         self.api = api
         self.stations = stations
-        self.queue = _LaneQueue(env, self, hooks)
+        self.queue = _LaneQueue(env, key)
         self.cache = (
             RackCache(env, cache_config) if cache_config is not None else None
         )
@@ -399,7 +315,6 @@ class ControlPlane:
         topology: FleetTopology,
         scenario: FleetScenario,
         tracer: Tracer | None = None,
-        hooks: ControlHooks | None = None,
     ):
         self.env = env
         self.topology = topology
@@ -409,8 +324,7 @@ class ControlPlane:
         self.targets = dict(scenario.targets)
         self.sla = SlaTracker(self.registry, self.targets,
                               retain_records=scenario.retain_records)
-        self.hooks = hooks if hooks is not None else ControlHooks()
-        self.hooks.bind(self)
+        key = _policy_key(scenario.policy)
         self.lanes: dict[tuple[int, int], _Lane] = {}
         for track_index, endpoint_id in topology.lanes:
             self.lanes[(track_index, endpoint_id)] = _Lane(
@@ -419,7 +333,7 @@ class ControlPlane:
                 endpoint_id,
                 topology.apis[track_index],
                 scenario.spec.stations_per_rack,
-                self.hooks,
+                key,
                 scenario.cache,
             )
         # One lock per dataset serialises fetch / evict / exclusive use,
@@ -528,17 +442,14 @@ class ControlPlane:
             )
         if lane.queue.depth >= admission.max_queue_depth:
             self._count("count.fleet.admission_rejections")
-            choice = self.hooks.pick_overflow(
-                fjob, lane, self._failover_streams is not None
-            )
-            if choice == Outcome.FAILOVER and self._failover_streams is not None:
+            if self._failover_streams is not None:
                 self.env.process(self._failover_job(fjob))
             else:
                 self._finish(fjob, Outcome.SHED, None)
         else:
             lane.queue.push(fjob)
 
-    def start_intake(self, fjobs: Iterable[_FleetJob]) -> None:
+    def _start_intake(self, fjobs: Iterable[_FleetJob]) -> None:
         """Submit ``fjobs`` as the DES clock reaches each arrival.
 
         Intake is a chain of plain callbacks, not a process.  A start
@@ -720,7 +631,7 @@ class ControlPlane:
                 # whenever residency exceeds the stations (at most one
                 # entry per worker can be busy, and this worker's is
                 # the new one).
-                victim = self.hooks.pick_eviction(lane)
+                victim = cache.evictable()
                 if victim is not None:
                     self._start_eviction(lane, victim)
             lock = self._locks[fjob.dataset].request()
@@ -778,7 +689,7 @@ class ControlPlane:
             best = None
             best_lane = None
             for lane in self.lanes.values():
-                candidate = self.hooks.pick_eviction(lane)
+                candidate = lane.cache.evictable()
                 if candidate is not None and (
                     best is None or candidate.last_access_s < best.last_access_s
                 ):
@@ -824,15 +735,6 @@ class ControlPlane:
             hook(record)
         self._maybe_done()
 
-    @property
-    def drained(self) -> bool:
-        """True once intake is closed and every submitted job resolved.
-
-        The epoch-stepping learned-control environment polls this
-        between decision epochs instead of racing the ``_done`` event.
-        """
-        return self._done.triggered
-
     def _maybe_done(self) -> None:
         if (
             self._intake_closed
@@ -846,7 +748,7 @@ class ControlPlane:
     # A shard pod (:mod:`repro.fleet.shard`) cannot hand the plane a
     # lazy job stream: it reads its own arrivals and the jobs other
     # pods forwarded from a spool file, one window of virtual time at a
-    # time.  These three hooks expose the exact intake path ``run``
+    # time.  These three methods expose the exact intake path ``run``
     # drives, one event at a time, with ``_maybe_done`` semantics
     # unchanged.
 
@@ -892,7 +794,7 @@ class ControlPlane:
                 "no jobs arrived within the horizon"
             ) from None
         self.start_workers()
-        self.start_intake(itertools.chain((first,), iterator))
+        self._start_intake(itertools.chain((first,), iterator))
         self.env.run(until=self._done)
         return self._build_report()
 
@@ -982,15 +884,14 @@ def _bind_jobs(
 
 def build_plane(scenario: FleetScenario, *,
                 tracer: Tracer | None = None,
-                hooks: ControlHooks | None = None,
                 homes: Mapping[str, DatasetHome] | None = None) -> ControlPlane:
     """Assemble one fleet: clock, topology, control plane, armed chaos.
 
     The one way a fleet is built: a fresh :class:`~repro.sim.Environment`
     (with ``tracer``'s clock attached), the scenario's
     :class:`FleetTopology` (``homes`` overrides dataset placement, as a
-    shard pod's local reindexing does) and a :class:`ControlPlane` with
-    ``hooks``.  The scenario's chaos campaign is armed before any worker
+    shard pod's local reindexing does) and a :class:`ControlPlane`.  The
+    scenario's chaos campaign is armed before any worker
     starts.  Reach the clock and topology as ``plane.env`` and
     ``plane.topology``; drive the plane with :meth:`ControlPlane.run` or
     by hand (``start_workers``, then ``submit`` or ``inject``).
@@ -1000,7 +901,7 @@ def build_plane(scenario: FleetScenario, *,
         tracer.attach_clock(env)
     topology = FleetTopology(env, scenario.spec, scenario.catalog,
                              tracer=tracer, homes=homes)
-    plane = ControlPlane(env, topology, scenario, tracer=tracer, hooks=hooks)
+    plane = ControlPlane(env, topology, scenario, tracer=tracer)
     if scenario.chaos is not None:
         plane.attach_campaign(
             install_campaign(env, topology.systems, scenario.chaos)
@@ -1010,8 +911,7 @@ def build_plane(scenario: FleetScenario, *,
 
 def run_fleet(scenario: FleetScenario,
               tracer: Tracer | None = None,
-              jobs: Iterable[TransferJob] | None = None,
-              hooks: ControlHooks | None = None) -> FleetReport:
+              jobs: Iterable[TransferJob] | None = None) -> FleetReport:
     """Simulate one fleet scenario end to end.
 
     Module-level and driven entirely by the scenario value, so it is
@@ -1020,9 +920,7 @@ def run_fleet(scenario: FleetScenario,
     optionally replaces the scenario's synthetic stream with any lazy
     :class:`~repro.workloads.generator.TransferJob` iterator — the
     control plane consumes it incrementally on the DES clock, so the
-    full job list never needs to exist in memory.  ``hooks`` swaps the
-    control plane's decision points (:class:`ControlHooks`); ``None``
-    keeps the historical behaviour, bit for bit.
+    full job list never needs to exist in memory.
     """
-    plane = build_plane(scenario, tracer=tracer, hooks=hooks)
+    plane = build_plane(scenario, tracer=tracer)
     return plane.run(_bind_jobs(scenario, plane.topology, jobs=jobs))

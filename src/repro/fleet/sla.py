@@ -250,8 +250,7 @@ class SlaTracker:
     named tenant) with bounded reservoirs, so memory stays constant no
     matter how many jobs flow through — the contract trace replay
     relies on.  Each mode keeps one of the two, and both report through
-    :meth:`export_state`.  The :meth:`take_window` accumulator is fed in
-    both modes.
+    :meth:`export_state`.
     """
 
     def __init__(
@@ -269,7 +268,6 @@ class SlaTracker:
         self._by_kind: dict[str, _StreamStats] = {}
         self._by_tenant: dict[str, _StreamStats] = {}
         self._overall = _StreamStats("overall")
-        self._window = _StreamStats("window")
         # Streaming mode: the accumulators one (kind, tenant) pair
         # feeds — overall, its kind and (when named) its tenant.
         self._groups: dict[tuple[str, str], tuple[_StreamStats, ...]] = {}
@@ -341,26 +339,12 @@ class SlaTracker:
             met = completed_s <= deadline_s and outcome in (SERVED, FAILOVER)
         if not met:
             self._count("deadline_missed")
-        self._window.observe(latency_s, met, read_bytes)
         if not self.retain_records:
             group = self._groups.get((kind, tenant))
             if group is None:
                 group = self._group(kind, tenant)
             for stats in group:
                 stats.observe(latency_s, met, read_bytes)
-
-    def take_window(self, horizon_s: float) -> ClassSla:
-        """Summarise and reset the rolling window accumulator.
-
-        The window collects every record observed since the previous
-        ``take_window`` call (or construction) — the per-decision-epoch
-        view a reward signal needs, at O(reservoir) cost in either
-        mode.  Resetting re-seeds the window reservoir identically, so
-        epoch boundaries never perturb the run's determinism.
-        """
-        assert_positive("horizon_s", horizon_s)
-        window, self._window = self._window, _StreamStats("window")
-        return _class_sla("window", window.export(), horizon_s)
 
     # -- reporting ---------------------------------------------------------------
 

@@ -62,6 +62,11 @@ class ResourceProbe:
         resource._release = probed_release  # type: ignore[method-assign]
 
     def _granted(self, request: Any) -> None:
+        if request not in self.resource.users:
+            # Released in the instant of its grant (a deadline abort),
+            # before this callback ran: there is no claim left to trace,
+            # and the release already sampled the occupancy.
+            return
         span = self.tracer.span_async(CLAIM_SPAN, track=self.name,
                                       resource=self.name)
         if span.name is not None:  # a real span, not the disabled singleton

@@ -28,13 +28,6 @@ raises a clear error instead of an obscure one mid-suite.
   monotone records, encodes them live through both codecs, and
   open-loop injects them into a chaos-ridden control plane while
   checking round-trip identity and the shared fleet audit.
-* :mod:`repro.testing.learn` — the learned-control layer's vocabulary
-  and fuzz target: strategies for joint actions, environment
-  configurations and policies of every family, plus
-  :class:`FleetEnvMachine`, which interleaves legal epoch steps with
-  illegal-usage probes against the gym contract (monotone virtual
-  time, normalised observations, rejected misuse without side effects,
-  the shared fleet audit at drain).
 """
 
 try:
@@ -45,13 +38,6 @@ except ImportError as exc:  # pragma: no cover - exercised only sans extra
         "project's [test] extra"
     ) from exc
 
-from .learn import (
-    FleetEnvMachine,
-    FleetEnvStateMachine,
-    actions,
-    env_configs,
-    learn_policies,
-)
 from .statemachine import (
     DhlApiMachine,
     DhlApiStateMachine,
@@ -88,24 +74,19 @@ __all__ = [
     "DhlApiMachine",
     "DhlApiStateMachine",
     "FleetDispatchMachine",
-    "FleetEnvMachine",
-    "FleetEnvStateMachine",
     "FleetStateMachine",
     "ShardCosimMachine",
     "ShardCosimStateMachine",
     "TraceReplayMachine",
     "TraceReplayStateMachine",
-    "actions",
     "audit_shard_report",
     "campaign_events",
     "chaos_campaigns",
     "chaos_specs",
     "degradation_policies",
     "dhl_params",
-    "env_configs",
     "fleet_scenarios",
     "fuzz_header",
-    "learn_policies",
     "random_walk",
     "state_machine",
     "tenant_profiles",

@@ -12,8 +12,8 @@ Each machine here is usable three ways:
   :class:`~hypothesis.stateful.RuleBasedStateMachine` from them, so
   shrinking finds minimal failing operation sequences.
 
-Every fleet machine (here and in :mod:`repro.testing.traffic` and
-:mod:`repro.testing.learn`) ends with :func:`drain_and_audit`.
+Every fleet machine (here and in :mod:`repro.testing.traffic`) ends
+with :func:`drain_and_audit`.
 
 :class:`ShardCosimMachine` fuzzes the sharded co-simulator itself:
 rules reshard the fleet (pod count, boundary latency, chaos on/off)
@@ -164,12 +164,12 @@ def assert_legal_outcomes(records: Iterable[JobRecord]) -> None:
 
 
 def drain_and_audit(plane: ControlPlane, submitted: int,
-                    check: Callable[[], None], settle_s: float = 3600.0) -> None:
+                    check: Callable[[], None]) -> None:
     """Drain a hand-driven fleet, then audit its end-of-run contract.
 
     Runs the clock in 300 s steps (``check()`` after each, 400 steps at
     most) until all ``submitted`` jobs resolved, stops the campaign and
-    lets in-flight evictions land for ``settle_s``.  Then every submitted
+    lets in-flight evictions land for an hour.  Then every submitted
     job resolved exactly once, the outcome counts sum to the resolved
     count, each held cart-pool token is a (resident or fetching) cache
     entry, and every rail's leak audit reads zero — docked cache
@@ -187,9 +187,8 @@ def drain_and_audit(plane: ControlPlane, submitted: int,
         )
     if plane._campaign is not None:
         plane._campaign.stop()
-    if settle_s > 0.0:
-        env.run(until=env.now + settle_s)
-        check()
+    env.run(until=env.now + 3600.0)
+    check()
     seen = [record.job_id for record in plane.sla.records]
     assert len(seen) == len(set(seen)) == submitted, (
         f"every submitted job must resolve exactly once: {len(seen)} "

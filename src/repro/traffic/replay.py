@@ -8,7 +8,7 @@ the way a live fleet would — not to a pre-built job list.
 Two bounds keep a 10M-request day in constant memory:
 
 * the control plane's lazy intake holds at most **one** bound job ahead
-  of the clock (see ``ControlPlane.start_intake``);
+  of the clock (see ``ControlPlane._start_intake``);
 * the :class:`LookaheadCursor` in front of it decodes records in small
   chunks, never buffering more than ``max_pending`` records nor more
   than ``lookahead_s`` of virtual time past the last record it handed

@@ -55,4 +55,3 @@ fleet_bench = _committed_bench("fleet", "repro.fleet.bench")
 chaos_bench = _committed_bench("chaos", "repro.chaos.bench")
 traffic_bench = _committed_bench("traffic", "repro.traffic.bench")
 shard_bench = _committed_bench("shard", "repro.fleet.shardbench")
-learn_bench = _committed_bench("learn", "repro.learn.bench")

@@ -49,6 +49,7 @@ from repro.fleet.controlplane import (
     run_fleet,
 )
 from repro.fleet.sla import Outcome
+from repro.obs.probe import trace_leaked_resources
 from repro.obs.tracer import NULL_SPAN, TraceLevel, Tracer
 from repro.sim import Environment, Interrupt
 from repro.storage.datasets import synthetic_dataset
@@ -619,9 +620,12 @@ class TestDifferential:
         assert any(name == "shuttle" for name, *_ in result["spans"])
 
 
-def race_at_tube_handover(oracle):
+def run_race(oracle):
     """Two carts launch at t=0 under a deadline that ends exactly when the
-    first cart's dock releases the tube to the second."""
+    first cart's dock releases the tube to the second.
+
+    Returns ``(env, system, tracer, log)`` after the run.
+    """
     with fresh_cart_ids(), command_path(oracle):
         env = Environment()
         tracer = Tracer()
@@ -644,6 +648,12 @@ def race_at_tube_handover(oracle):
         for cart in system.add_empty_carts(2):
             env.process(launch(cart))
         env.run()
+    return env, system, tracer, log
+
+
+def race_at_tube_handover(oracle):
+    """The race's event count, shuttle log and spans, for chain parity."""
+    env, _system, tracer, log = run_race(oracle)
     spans = [(span.name, span.start_s, span.end_s) for span in tracer.spans]
     return env._eid, log, spans
 
@@ -659,6 +669,17 @@ class TestDeadlineInterrupt:
         _eid, log, spans = callbacks
         assert [entry[2] for entry in log] == ["ok", "ShuttleTimeoutError"]
         assert [name for name, *_ in spans].count("undock") == 1
+
+
+class TestClaimSpanAtHandover:
+    @pytest.mark.parametrize("oracle", [False, True], ids=["callbacks", "process"])
+    def test_a_claim_released_before_its_grant_ran_opens_no_span(self, oracle):
+        # The second cart's tube grant and its deadline abort land in one
+        # instant: the abort releases the request before the grant's
+        # callback runs, so the probe must not open a claim span for it.
+        _env, system, tracer, _log = run_race(oracle)
+        assert tracer.open_spans() == []
+        assert trace_leaked_resources(tracer, system) == system.leaked_resources()
 
 
 class TestDockSlotLeak:

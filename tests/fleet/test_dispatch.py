@@ -1,10 +1,11 @@
 """Heap dispatch in the fleet lane queues.
 
-``_LaneQueue`` keeps one heap of ``(key, seq)`` for the active dispatch
-order.  The differential test drives it next to the min-scan queue it
-replaced (kept here, as the oracle, and nowhere in ``src``); the proxy
-test counts dispatch-key evaluations on the saturated shard-bench fleet,
-a machine-portable stand-in for dispatch cost.
+``_LaneQueue`` keeps one heap of ``(key, seq, job)`` under the
+scenario's fixed dispatch order.  The differential test drives it next
+to the min-scan queue it replaced (kept here, as the oracle, and nowhere
+in ``src``); the proxy test counts dispatch-key evaluations on the
+saturated shard-bench fleet, a machine-portable stand-in for dispatch
+cost.
 """
 
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.fleet import controlplane, shard, shardbench
 from repro.fleet.controlplane import POLICIES, _FleetJob, _LaneQueue, _policy_key
-from repro.fleet.topology import FleetTopology
 from repro.sim import Environment
 
 #: ``shard.signature_digest`` of the seed-0 shard-bench fleet report,
@@ -34,16 +34,6 @@ class MinScanQueue:
         best = min(self.pending, key=_policy_key(order))
         self.pending.remove(best)
         return best
-
-
-class OrderHooks:
-    """Hooks stub whose dispatch order the test switches at will."""
-
-    def __init__(self, order):
-        self.order = order
-
-    def dispatch_order(self, lane):
-        return self.order
 
 
 def take(queue):
@@ -74,7 +64,6 @@ steps = st.lists(
     st.one_of(
         st.tuples(st.just("push"), jobs),
         st.tuples(st.just("get"), st.none()),
-        st.tuples(st.just("order"), st.sampled_from(POLICIES)),
     ),
     max_size=60,
 )
@@ -82,21 +71,20 @@ steps = st.lists(
 
 class TestDifferentialOracle:
     @settings(max_examples=300)
-    @given(first=st.sampled_from(POLICIES), steps=steps)
-    def test_heap_pops_what_min_scan_pops(self, first, steps):
-        hooks = OrderHooks(first)
-        queue = _LaneQueue(Environment(), lane=None, hooks=hooks)
+    @given(order=st.sampled_from(POLICIES), steps=steps)
+    def test_heap_pops_what_min_scan_pops(self, order, steps):
+        queue = _LaneQueue(Environment(), _policy_key(order))
         oracle = MinScanQueue()
         for op, arg in steps:
             if op == "push":
                 queue.push(arg)
                 oracle.push(arg)
-            elif op == "order":
-                hooks.order = arg
             elif oracle.pending:
-                assert take(queue) is oracle.get(hooks.order)
-            assert list(map(id, queue.pending)) == list(map(id, oracle.pending))
+                assert take(queue) is oracle.get(order)
             assert queue.depth == len(oracle.pending)
+        while oracle.pending:
+            assert take(queue) is oracle.get(order)
+        assert queue.depth == 0
 
     def test_equal_keys_pop_in_push_order(self):
         twins = [
@@ -106,7 +94,7 @@ class TestDifferentialOracle:
             for _ in range(3)
         ]
         for order in POLICIES:
-            queue = _LaneQueue(Environment(), lane=None, hooks=OrderHooks(order))
+            queue = _LaneQueue(Environment(), _policy_key(order))
             for twin in twins:
                 queue.push(twin)
             popped = [take(queue) for _ in twins]
@@ -115,21 +103,20 @@ class TestDifferentialOracle:
 
 class TestDispatchProxy:
     def test_each_job_is_keyed_once_on_the_saturated_fleet(self, monkeypatch):
-        """Key evaluations = jobs pushed + heap-rebuild sizes.
+        """Key evaluations = jobs pushed, with no heap rebuilds.
 
-        Under a fixed policy every lane builds its heap once, at its
-        first dispatch, from whatever it queued so far; every later push
-        keys its job on the way in.  So each queued job is keyed exactly
-        once: 9,275 evaluations, where the min-scan made 565,636.
+        The plane builds its one dispatch key at construction and every
+        push keys its job on the way into the heap, so nothing is ever
+        re-keyed: 9,275 evaluations, where the min-scan made 565,636.
         """
         evaluations = 0
-        rebuilds = 0
+        keys_built = 0
         pushes = 0
         real_key, real_push = controlplane._policy_key, _LaneQueue.push
 
         def counting_key(order):
-            nonlocal rebuilds
-            rebuilds += 1
+            nonlocal keys_built
+            keys_built += 1
             key = real_key(order)
 
             def counted(fjob):
@@ -149,10 +136,7 @@ class TestDispatchProxy:
         scenario = shardbench.bench_scenario(seed=0, horizon_s=3600.0)
         report = controlplane.run_fleet(scenario)
 
-        lanes = FleetTopology(Environment(), scenario.spec,
-                              scenario.catalog).lanes
         assert report.n_jobs == report.served == SEED0_JOBS
-        assert pushes == SEED0_JOBS
-        assert evaluations == pushes
-        assert 0 < rebuilds <= len(lanes)
+        assert keys_built == 1
+        assert evaluations == pushes == SEED0_JOBS
         assert shard.signature_digest(report) == SEED0_DIGEST

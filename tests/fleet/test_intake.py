@@ -1,6 +1,6 @@
 """Callback intake and the control plane's per-record bookkeeping.
 
-``ControlPlane.start_intake`` feeds jobs to ``submit`` from a chain of
+``ControlPlane._start_intake`` feeds jobs to ``submit`` from a chain of
 plain engine callbacks.  The differential test drives it next to the
 generator process it replaced (kept here, as the oracle, and nowhere in
 ``src``) and demands bit-identical reports and resolution sequences.
@@ -55,7 +55,7 @@ def drive(scenario, fjobs, oracle, hook=True):
     if oracle:
         env.process(generator_intake(plane, iter(fjobs)))
     else:
-        plane.start_intake(fjobs)
+        plane._start_intake(fjobs)
     env.run(until=plane._done)
     if scenario.retain_records and hook:
         assert [record for _, record in resolved] == plane.sla.records

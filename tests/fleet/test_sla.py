@@ -362,49 +362,6 @@ class TestTenantReport:
         assert tracker.report(horizon_s=100.0).overall.n_jobs == 1
 
 
-class TestLiveSnapshots:
-    """Mid-run reads from the rolling window, fed in both modes."""
-
-    def test_take_window_resets_between_epochs(self):
-        _, tracker = make_tracker()
-        for i in range(10):
-            observe(tracker, served(i, "interactive", float(i), float(i) + 5.0))
-        first = tracker.take_window(horizon_s=100.0)
-        assert first.n_jobs == 10
-        assert first.p99_s == pytest.approx(5.0)
-        # Nothing new: the window is empty after the take.
-        empty = tracker.take_window(horizon_s=100.0)
-        assert empty.n_jobs == 0
-        assert empty.p99_s == float("inf")
-        for i in range(10, 14):
-            observe(tracker, served(i, "interactive", float(i), float(i) + 7.0))
-        second = tracker.take_window(horizon_s=100.0)
-        assert second.n_jobs == 4
-        assert second.p99_s == pytest.approx(7.0)
-        # The report is unaffected by window takes.
-        assert tracker.report(horizon_s=100.0).overall.n_jobs == 14
-
-    def test_window_reset_is_deterministic(self):
-        """Epoch boundaries never perturb the window's reservoir seeding."""
-        _, chunked = make_tracker()
-        _, straight = make_tracker()
-        rng = np.random.default_rng(11)
-        records = [
-            served(i, "interactive", float(i), float(i) + float(rng.uniform(1.0, 60.0)))
-            for i in range(40)
-        ]
-        for i, record in enumerate(records):
-            observe(chunked, record)
-            if i == 19:
-                chunked.take_window(horizon_s=100.0)
-        for record in records[20:]:
-            observe(straight, record)
-        assert (
-            chunked.take_window(horizon_s=100.0)
-            == straight.take_window(horizon_s=100.0)
-        )
-
-
 def mixed_record(job_id):
     """A deterministic mix of kinds, tenants and outcomes."""
     kind = ("interactive", "batch", "archive")[job_id % 3]

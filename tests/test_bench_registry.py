@@ -15,7 +15,7 @@ from repro.bench import BENCHES, compare, load, write
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The benches gated by the one generic comparator.
-DETERMINISTIC = ("chaos", "fleet", "learn", "shard", "traffic")
+DETERMINISTIC = ("chaos", "fleet", "shard", "traffic")
 
 BASELINE = {
     "schema": "repro-bench-toy/1",

@@ -19,8 +19,6 @@ from repro.testing import (
     DhlApiMachine,
     DhlApiStateMachine,
     FleetDispatchMachine,
-    FleetEnvMachine,
-    FleetEnvStateMachine,
     FleetStateMachine,
     ShardCosimMachine,
     ShardCosimStateMachine,
@@ -172,32 +170,6 @@ class TestDeterministicWalks:
 
         assert run_once() == run_once()
 
-    def test_fleet_env_machine_survives_500_rules(self):
-        machine = random_walk(FleetEnvMachine(seed=0), n_rules=500, seed=0)
-        assert machine.rules >= 500
-        # The walk genuinely exercised both halves of the contract:
-        # legal epochs advanced the episode to completion, and every
-        # illegal probe (bad index, post-done step, premature report)
-        # was rejected without side effects (check() enforced both
-        # after every rule).
-        assert machine.steps >= 10
-        assert machine.done
-        assert machine.rejected >= 1
-        assert machine.total_reward <= 0.0
-
-    def test_fleet_env_walk_replays_bit_identically(self):
-        def run_once():
-            machine = random_walk(FleetEnvMachine(seed=4), n_rules=120, seed=23)
-            return (
-                machine.env.sim.now,
-                machine.steps,
-                machine.rejected,
-                machine.total_reward,
-                machine.obs,
-            )
-
-        assert run_once() == run_once()
-
     def test_different_walk_seeds_diverge(self):
         first = random_walk(DhlApiMachine(seed=0), n_rules=60, seed=0)
         second = random_walk(DhlApiMachine(seed=0), n_rules=60, seed=1)
@@ -221,11 +193,6 @@ class TestHypothesisMachines:
     def test_shard_cosim_state_machine(self):
         run_state_machine_as_test(
             ShardCosimStateMachine, settings=FUZZ_SETTINGS
-        )
-
-    def test_fleet_env_state_machine(self):
-        run_state_machine_as_test(
-            FleetEnvStateMachine, settings=FUZZ_SETTINGS
         )
 
 
@@ -268,13 +235,3 @@ class TestLongFuzz:
         assert machine.plane._resolved == machine.injected == len(
             machine.emitted
         )
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_fleet_env_machine_long_walk(self, seed):
-        machine = random_walk(
-            FleetEnvMachine(seed=seed), n_rules=1500, seed=seed
-        )
-        assert machine.rules >= 1500
-        assert machine.done
-        assert machine.rejected >= 1
-

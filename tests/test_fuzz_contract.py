@@ -1,5 +1,5 @@
-"""The shared fuzz contract: derived hypothesis wrappers, the end-of-run
-fleet audit, and per-call rule accounting."""
+"""The shared fuzz contract: derived hypothesis wrappers and the end-of-run
+fleet audit."""
 
 import pytest
 
@@ -7,8 +7,6 @@ from repro.fleet.sla import Outcome
 from repro.testing import (
     DhlApiStateMachine,
     FleetDispatchMachine,
-    FleetEnvMachine,
-    FleetEnvStateMachine,
     FleetStateMachine,
     ShardCosimStateMachine,
     TraceReplayStateMachine,
@@ -25,24 +23,12 @@ class TestDerivedWrappers:
         (ShardCosimStateMachine,
          {"do_reshard", "do_toggle_chaos", "do_reseed", "do_run"}),
         (TraceReplayStateMachine, {"do_emit", "do_advance"}),
-        (FleetEnvStateMachine,
-         {"do_step", "do_illegal_action", "do_premature_report"}),
     ])
     def test_each_declared_rule_becomes_one_hypothesis_rule(self, wrapper,
                                                             rules):
         state = wrapper.setup_state()
         assert {rule.function.__name__ for rule in state.rules} == rules
         assert len(state.invariants) == 1
-
-
-class TestRuleAccounting:
-    def test_a_step_after_done_counts_one_rule_and_one_rejection(self):
-        machine = random_walk(FleetEnvMachine(seed=0), n_rules=120, seed=0)
-        assert machine.done
-        rules, rejected = machine.rules, machine.rejected
-        machine.do_step(0)
-        assert machine.rules == rules + 1
-        assert machine.rejected == rejected + 1
 
 
 class TestFleetAudit:

@@ -242,7 +242,7 @@ class TestRecordPathProxy:
             dict(scenario.targets), scenario.catalog.dataset_bytes,
         )
         before = env._eid
-        plane.start_intake(jobs)
+        plane._start_intake(jobs)
         env.run()
         assert plane._submitted == len(records)
         # One start event, then at most one event per record.
