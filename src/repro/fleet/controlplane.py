@@ -235,6 +235,27 @@ class _LaneQueue:
         return heapq.heappop(self._heap)[2]
 
 
+class _LaneIndex(dict):
+    """Dataset name -> its home lane, filled on each dataset's first lookup.
+
+    A miss resolves the dataset's home once; an unknown dataset raises
+    the topology's :class:`~repro.errors.ConfigurationError`.
+    """
+
+    def __init__(self, topology: FleetTopology,
+                 lanes: Mapping[tuple[int, int], "_Lane"]):
+        super().__init__()
+        self._topology = topology
+        self._lanes = lanes
+
+    def __missing__(self, dataset: str) -> "_Lane":
+        home = self._topology.home(dataset)
+        lane = self[dataset] = self._lanes[
+            (home.track_index, home.endpoint_id)
+        ]
+        return lane
+
+
 class _Lane:
     """One (track, rack) service point: queue, workers, optional cache."""
 
@@ -336,12 +357,15 @@ class ControlPlane:
                 key,
                 scenario.cache,
             )
+        # Each dataset's lane, resolved through its home on first use.
+        self._lane_of = _LaneIndex(topology, self.lanes)
         # One lock per dataset serialises fetch / evict / exclusive use,
         # so two jobs can never launch the same cart twice.
         self._locks = {
             name: Resource(env, capacity=1) for name in topology.homes
         }
         admission = scenario.admission
+        self._max_queue_depth = admission.max_queue_depth
         if admission.failover_links > 0:
             link = OpticalLink(route=ROUTE_B,
                                rate_bytes_per_s=gbps(admission.link_gbps))
@@ -414,8 +438,7 @@ class ControlPlane:
     # -- lane lookup -------------------------------------------------------------
 
     def lane_for(self, dataset: str) -> _Lane:
-        home = self.topology.home(dataset)
-        return self.lanes[(home.track_index, home.endpoint_id)]
+        return self._lane_of[dataset]
 
     # -- job intake --------------------------------------------------------------
 
@@ -430,8 +453,7 @@ class ControlPlane:
         self._in_system += 1
         if self._in_system > self.peak_in_system:
             self.peak_in_system = self._in_system
-        admission = self.scenario.admission
-        lane = self.lane_for(fjob.dataset)
+        lane = self._lane_of[fjob.dataset]
         if self.tracer is not None:
             self.tracer.instant(
                 "job.admit",
@@ -440,7 +462,7 @@ class ControlPlane:
                 kind=fjob.kind,
                 dataset=fjob.dataset,
             )
-        if lane.queue.depth >= admission.max_queue_depth:
+        if len(lane.queue._heap) >= self._max_queue_depth:
             self._count("count.fleet.admission_rejections")
             if self._failover_streams is not None:
                 self.env.process(self._failover_job(fjob))

@@ -284,7 +284,7 @@ class SlaTracker:
         if counter is None:
             counter = self.registry.counter(f"count.fleet.{suffix}")
             self._counters[suffix] = counter
-        counter.inc()
+        counter.value += 1.0
 
     def _stats(self, table: dict[str, _StreamStats], key: str) -> _StreamStats:
         stats = table.get(key)
@@ -343,8 +343,14 @@ class SlaTracker:
             group = self._groups.get((kind, tenant))
             if group is None:
                 group = self._group(kind, tenant)
-            for stats in group:
-                stats.observe(latency_s, met, read_bytes)
+            if latency_s is None:
+                # Never completed: no latency sample and a certain miss.
+                for stats in group:
+                    stats.n_jobs += 1
+                    stats.misses += 1
+            else:
+                for stats in group:
+                    stats.observe(latency_s, met, read_bytes)
 
     # -- reporting ---------------------------------------------------------------
 

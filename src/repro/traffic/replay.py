@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ..errors import ConfigurationError
 from ..obs import Tracer
-from ..fleet.controlplane import FleetReport, FleetScenario, run_fleet
+from ..fleet.controlplane import FleetReport, FleetScenario, build_plane
 from ..fleet.controlplane import _FleetJob
 from ..fleet.sla import DEFAULT_TARGET, ClassTarget, SlaReport
 from .schema import TraceHeader, TraceRecord
@@ -148,21 +148,21 @@ def bound_jobs(
     Unlike the synthetic path there is no random binding draw: the
     trace already names dataset, tenant and deadline.  Job ids number
     records in arrival order.  Priorities still come from the
-    scenario's targets so scheduling policy and trace stay decoupled.
-    Each record binds straight into one flat fleet job; the record's
-    own construction already checked its arrival and size.
+    scenario's targets (looked up once per kind) so scheduling policy
+    and trace stay decoupled.  Each record unpacks straight into one
+    flat fleet job; the record's own construction already checked
+    every field.
     """
-    for job_id, record in enumerate(records):
+    priorities: dict[str, int] = {}
+    for job_id, (arrival_s, tenant, dataset, size_bytes, kind,
+                 deadline_s) in enumerate(records):
+        priority = priorities.get(kind)
+        if priority is None:
+            priority = priorities[kind] = targets.get(kind, default).priority
         yield _FleetJob(
-            job_id=job_id,
-            arrival_s=record.arrival_s,
-            size_bytes=record.size_bytes,
-            kind=record.kind,
-            dataset=record.dataset,
-            read_bytes=min(record.size_bytes, cart_bytes),
-            deadline_at=record.deadline_s,
-            priority=targets.get(record.kind, default).priority,
-            tenant=record.tenant,
+            job_id, arrival_s, size_bytes, kind, dataset,
+            cart_bytes if cart_bytes < size_bytes else size_bytes,
+            deadline_s, priority, tenant,
         )
 
 
@@ -208,10 +208,12 @@ def replay_fleet(
     header: TraceHeader | None = None,
     tracer: Tracer | None = None,
 ) -> ReplayResult:
-    """Stream a trace through :func:`~repro.fleet.controlplane.run_fleet`.
+    """Stream a trace through one fleet built by
+    :func:`~repro.fleet.controlplane.build_plane`.
 
     ``records`` may be a live synthesis stream or a codec reader; either
-    way it is consumed incrementally behind a :class:`LookaheadCursor`.
+    way it is consumed incrementally behind a :class:`LookaheadCursor`
+    and bound by :func:`bound_jobs` straight into the plane's intake.
     Pass the trace ``header`` when available to validate dataset
     compatibility before the first launch.  Day-scale traces should use
     a scenario with ``retain_records=False`` so SLA accounting stays
@@ -222,13 +224,9 @@ def replay_fleet(
         check_compatible(header, scenario)
     cursor = LookaheadCursor(records, config)
     started = time.perf_counter()
-    report = run_fleet(
-        scenario,
-        tracer=tracer,
-        jobs=bound_jobs(
-            cursor, dict(scenario.targets), scenario.catalog.dataset_bytes
-        ),
-    )
+    report = build_plane(scenario, tracer=tracer).run(bound_jobs(
+        cursor, dict(scenario.targets), scenario.catalog.dataset_bytes
+    ))
     return ReplayResult(
         fleet=report,
         n_records=cursor.n_records,

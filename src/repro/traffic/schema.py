@@ -17,7 +17,8 @@ records in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from math import isfinite
+from typing import Iterable, Iterator, NamedTuple
 
 from ..errors import ConfigurationError, DataIntegrityError
 from ..units import assert_positive
@@ -33,34 +34,74 @@ TRACE_MAGIC = b"DHT1"
 JSONL_SCHEMA = f"dhl-trace/{TRACE_SCHEMA_VERSION}"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One demand event: who wants which dataset, how much, by when."""
+_INF = float("inf")
+_tuple_new = tuple.__new__
 
+
+class _TraceRecordFields(NamedTuple):
     arrival_s: float
     tenant: str
     dataset: str
     size_bytes: float
     kind: str
     deadline_s: float
-    """Absolute virtual time by which the request should complete —
-    pre-resolved at synthesis so replay never needs the SLA table to
-    interpret a record."""
 
-    def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ConfigurationError(
-                f"arrival_s must be >= 0, got {self.arrival_s}"
-            )
-        assert_positive("size_bytes", self.size_bytes)
-        if self.deadline_s < self.arrival_s:
-            raise ConfigurationError(
-                f"deadline_s ({self.deadline_s}) precedes arrival_s "
-                f"({self.arrival_s})"
-            )
-        for name in ("tenant", "dataset", "kind"):
-            if not getattr(self, name):
-                raise ConfigurationError(f"record {name} must be non-empty")
+
+class TraceRecord(_TraceRecordFields):
+    """One demand event: who wants which dataset, how much, by when.
+
+    ``deadline_s`` is the absolute virtual time by which the request
+    should complete — pre-resolved at synthesis so replay never needs
+    the SLA table to interpret a record.
+
+    A validating immutable tuple: construction (positional, by keyword,
+    through ``_make``/``_replace`` or unpickling) checks every field, so
+    a record that exists is valid, and a decoder can unpack one as
+    cheaply as any tuple.  Arrival, size and deadline must be finite,
+    with ``0 <= arrival_s <= deadline_s`` and ``size_bytes > 0``; the
+    three names must be non-empty.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, arrival_s: float, tenant: str, dataset: str,
+                size_bytes: float, kind: str,
+                deadline_s: float) -> "TraceRecord":
+        # One chained comparison accepts every valid record; NaN fails
+        # each comparison, so it falls through to the precise checks.
+        if not (0.0 <= arrival_s <= deadline_s < _INF
+                and 0.0 < size_bytes < _INF
+                and tenant and dataset and kind):
+            _reject(arrival_s, tenant, dataset, size_bytes, kind, deadline_s)
+        return _tuple_new(
+            cls, (arrival_s, tenant, dataset, size_bytes, kind, deadline_s)
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "TraceRecord":
+        return cls(*iterable)
+
+
+def _reject(arrival_s: float, tenant: str, dataset: str, size_bytes: float,
+            kind: str, deadline_s: float) -> None:
+    """Raise the error for the first invalid field of a record."""
+    if not isfinite(arrival_s):
+        raise ConfigurationError(f"arrival_s must be finite, got {arrival_s}")
+    if arrival_s < 0:
+        raise ConfigurationError(f"arrival_s must be >= 0, got {arrival_s}")
+    if not isfinite(size_bytes):
+        raise ConfigurationError(f"size_bytes must be finite, got {size_bytes}")
+    assert_positive("size_bytes", size_bytes)
+    if not isfinite(deadline_s):
+        raise ConfigurationError(f"deadline_s must be finite, got {deadline_s}")
+    if deadline_s < arrival_s:
+        raise ConfigurationError(
+            f"deadline_s ({deadline_s}) precedes arrival_s ({arrival_s})"
+        )
+    for name, value in (("tenant", tenant), ("dataset", dataset),
+                        ("kind", kind)):
+        if not value:
+            raise ConfigurationError(f"record {name} must be non-empty")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
@@ -314,22 +315,19 @@ def synthesise_window(spec: TraceSpec,
         deadlines = times + deadline[kind_idx]
         tenant = component.tenant.name
         per_component.append([
-            TraceRecord(
-                arrival_s=float(times[i]),
-                tenant=tenant,
-                dataset=datasets[int(dataset_idx[i])],
-                size_bytes=float(sizes[i]),
-                kind=kinds[int(kind_idx[i])],
-                deadline_s=float(deadlines[i]),
+            TraceRecord(arrival, tenant, datasets[dataset], size,
+                        kinds[kind], due)
+            for arrival, dataset, size, kind, due in zip(
+                times.tolist(), dataset_idx.tolist(), sizes.tolist(),
+                kind_idx.tolist(), deadlines.tolist(),
             )
-            for i in range(n)
         ])
     merged: list[TraceRecord] = [
         record for records in per_component for record in records
     ]
     # Stable sort: equal arrivals keep component order, so the merge is
     # deterministic without comparing beyond the timestamp.
-    merged.sort(key=lambda record: record.arrival_s)
+    merged.sort(key=attrgetter("arrival_s"))
     return tuple(merged)
 
 

@@ -126,6 +126,36 @@ class TestBinaryCodec:
             f"arrives at 5.0 after {10.0 + bad - 1}"
         )
 
+    @pytest.mark.parametrize("fields, detail", [
+        ((0.0, 0.0, 60.0), "size_bytes must be > 0, got 0.0"),
+        ((-1.0, 1e12, 60.0), "arrival_s must be >= 0, got -1.0"),
+        ((5.0, 1e12, 4.0), "deadline_s (4.0) precedes arrival_s (5.0)"),
+        ((float("nan"), 1e12, 60.0), "arrival_s must be finite, got nan"),
+    ], ids=["zero-size", "negative-arrival", "deadline-before-arrival",
+            "nan-arrival"])
+    def test_read_names_a_corrupt_record_by_index(self, fields, detail):
+        # ``fields`` is (arrival, size, deadline) of the record at
+        # ``bad``, in the second decode batch; the writer refuses such
+        # a record, so the trace is packed by hand.
+        bad = DECODE_BATCH + 2
+        stream = encode_binary([])
+        stream.seek(0, io.SEEK_END)
+        for index in range(bad + 3):
+            arrival, size, deadline = (
+                fields if index == bad else (0.0, 1e12, 60.0)
+            )
+            stream.write(RECORD_STRUCT.pack(arrival, 0, 0, 0, size, deadline))
+        stream.seek(0)
+        records = read_binary_records(stream, read_binary_header(stream))
+        decoded = 0
+        with pytest.raises(DataIntegrityError) as raised:
+            for _record in records:
+                decoded += 1
+        assert decoded == bad
+        assert str(raised.value) == (
+            f"corrupt binary trace record {bad}: {detail}"
+        )
+
 
 class TestJsonlCodec:
     def test_round_trip_is_bit_exact(self):

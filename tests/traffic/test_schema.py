@@ -1,8 +1,23 @@
 """Tests for the versioned trace record schema and header tables."""
 
+import io
+import math
+import pickle
+import struct
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, DataIntegrityError
+from repro.traffic.codec import (
+    BinaryTraceWriter,
+    JsonlTraceWriter,
+    read_binary_header,
+    read_binary_records,
+    read_jsonl_header,
+    read_jsonl_records,
+)
 from repro.traffic.schema import (
     JSONL_SCHEMA,
     TRACE_SCHEMA_VERSION,
@@ -53,6 +68,115 @@ class TestTraceRecord:
     def test_rejects_empty_names(self, field):
         with pytest.raises(ConfigurationError):
             record(**{field: ""})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["arrival", "size", "deadline"])
+    def test_rejects_non_finite_fields(self, field, value):
+        fields = dict(arrival=10.0, size=2e12, deadline=70.0)
+        fields[field] = value
+        with pytest.raises(ConfigurationError):
+            record(**fields)
+
+    def test_replace_and_make_validate_too(self):
+        valid = record()
+        with pytest.raises(ValueError):
+            valid._replace(size_bytes=0.0)
+        with pytest.raises(ConfigurationError):
+            TraceRecord._make((math.nan, "search", "ds-000", 1.0, "kind", 5.0))
+        assert TraceRecord._make(tuple(valid)) == valid
+
+    def test_is_immutable(self):
+        with pytest.raises(AttributeError):
+            record().arrival_s = 0.0
+
+
+#: Floats a decoder can meet: NaN, both infinities, both zeros, others.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0]),
+    st.floats(),
+)
+NAMES = st.sampled_from(["", "a", "ds-000"])
+
+
+def expected_error(arrival, tenant, dataset, size, kind, deadline):
+    """The exception type construction must raise (``None``: accepted)."""
+    if not (math.isfinite(arrival) and arrival >= 0):
+        return ConfigurationError
+    if not math.isfinite(size):
+        return ConfigurationError
+    if not size > 0:
+        return ValueError
+    if not (math.isfinite(deadline) and deadline >= arrival):
+        return ConfigurationError
+    if not (tenant and dataset and kind):
+        return ConfigurationError
+    return None
+
+
+def bits(rec):
+    """A record's fields with each float as its exact IEEE-754 bytes."""
+    return tuple(
+        struct.pack("<d", value) if isinstance(value, float) else value
+        for value in rec
+    )
+
+
+def round_trips(rec):
+    """``rec`` decoded back from each codec, under a one-name header."""
+    head = TraceHeader(tenants=(rec.tenant,), datasets=(rec.dataset,),
+                       kinds=(rec.kind,))
+    binary = io.BytesIO()
+    BinaryTraceWriter(binary, head).write(rec)
+    binary.seek(0)
+    text = io.StringIO()
+    JsonlTraceWriter(text, head).write(rec)
+    text.seek(0)
+    return (
+        list(read_binary_records(binary, read_binary_header(binary))),
+        list(read_jsonl_records(text, read_jsonl_header(text))),
+    )
+
+
+class TestTraceRecordProperty:
+    @given(arrival=EDGE_FLOATS, size=EDGE_FLOATS, deadline=EDGE_FLOATS,
+           relative=st.booleans(), tenant=NAMES, dataset=NAMES, kind=NAMES)
+    @example(arrival=math.nan, size=1.0, deadline=1.0, relative=True,
+             tenant="a", dataset="a", kind="a")
+    @example(arrival=-0.0, size=5e-324, deadline=0.0, relative=True,
+             tenant="a", dataset="a", kind="a")
+    @example(arrival=1.0, size=1.0, deadline=math.inf, relative=True,
+             tenant="a", dataset="a", kind="a")
+    @example(arrival=1.0, size=math.nan, deadline=1.0, relative=True,
+             tenant="a", dataset="a", kind="a")
+    @example(arrival=1.0, size=-1.0, deadline=1.0, relative=True,
+             tenant="a", dataset="a", kind="a")
+    @example(arrival=1.0, size=1.0, deadline=1.0, relative=True,
+             tenant="a", dataset="", kind="a")
+    def test_matches_reference_and_round_trips(self, arrival, size, deadline,
+                                               relative, tenant, dataset,
+                                               kind):
+        # A relative deadline sits ``deadline`` after the arrival, so
+        # accepted records are common among the draws.
+        if relative:
+            deadline = arrival + deadline
+        fields = (arrival, tenant, dataset, size, kind, deadline)
+        expected = expected_error(*fields)
+        if expected is not None:
+            with pytest.raises(ValueError) as raised:
+                TraceRecord(*fields)
+            assert type(raised.value) is expected
+            return
+        rec = TraceRecord(*fields)
+        assert bits(rec) == bits(fields)
+        for decoded in round_trips(rec):
+            assert [bits(item) for item in decoded] == [bits(rec)]
+            assert type(decoded[0]) is TraceRecord
+        copy = pickle.loads(pickle.dumps(rec))
+        assert type(copy) is TraceRecord
+        assert copy == rec == TraceRecord(*fields)
+        assert hash(copy) == hash(rec)
+        assert repr(copy) == repr(rec)
+        assert repr(rec).startswith("TraceRecord(arrival_s=")
 
 
 class TestTraceHeader:
