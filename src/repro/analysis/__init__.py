@@ -1,69 +1,21 @@
 """Table and figure generators reproducing the paper's evaluation."""
 
-from .export import EXPORTABLE_TABLES, export_tables, write_table_csv
-from .extensions import (
-    engineering_table,
-    hybrid_policy_table,
-    multistop_table,
-    reliability_table,
-    reuse_table,
-    sneakernet_table,
-)
-from .figures import dock_time_sensitivity, figure6, figure6_ascii
-from .fleetview import capacity_table, fleet_policy_table, fleet_sla_table
-from .validation import Check, ValidationSuite, run_validation, validation_table
-from .formatting import format_number, render_table
-from .tables import (
-    breakeven_summary,
-    fig2_table,
-    intro_example,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-    table7a,
-    table7b,
-    table8a,
-    table8b,
-    table8c,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EXPORTABLE_TABLES",
-    "export_tables",
-    "write_table_csv",
-    "Check",
-    "ValidationSuite",
-    "breakeven_summary",
-    "capacity_table",
-    "fleet_policy_table",
-    "fleet_sla_table",
-    "run_validation",
-    "validation_table",
-    "dock_time_sensitivity",
-    "engineering_table",
-    "fig2_table",
-    "hybrid_policy_table",
-    "multistop_table",
-    "reliability_table",
-    "reuse_table",
-    "sneakernet_table",
-    "figure6",
-    "figure6_ascii",
-    "format_number",
-    "intro_example",
-    "render_table",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7a",
-    "table7b",
-    "table8a",
-    "table8b",
-    "table8c",
-]
+_EXPORTS = {
+    ".export": ("export_tables", "EXPORTABLE_TABLES", "write_table_csv"),
+    ".extensions": (
+        "engineering_table", "hybrid_policy_table", "multistop_table",
+        "reliability_table", "reuse_table", "sneakernet_table",
+    ),
+    ".figures": ("dock_time_sensitivity", "figure6", "figure6_ascii"),
+    ".fleetview": ("capacity_table", "fleet_policy_table", "fleet_sla_table"),
+    ".validation": ("Check", "run_validation", "validation_table", "ValidationSuite"),
+    ".formatting": ("format_number", "render_table"),
+    ".tables": (
+        "breakeven_summary", "fig2_table", "intro_example", "table1", "table2",
+        "table3", "table4", "table5", "table6", "table7a", "table7b", "table8a",
+        "table8b", "table8c",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

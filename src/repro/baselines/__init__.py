@@ -5,24 +5,13 @@ class trucking) from Sections II-C and VII-B, quantified so the DHL's
 frictionless-maglev advantage can be measured rather than asserted.
 """
 
-from .sneakernet import (
-    FrictionCarrier,
-    HUMAN_PORTER,
-    SNOWMOBILE_TRUCK,
-    SneakernetPlan,
-    breakeven_against_carrier,
-    metabolic_equivalent_note,
-    plan_sneakernet,
-    snowmobile_reference_time,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FrictionCarrier",
-    "HUMAN_PORTER",
-    "SNOWMOBILE_TRUCK",
-    "SneakernetPlan",
-    "breakeven_against_carrier",
-    "metabolic_equivalent_note",
-    "plan_sneakernet",
-    "snowmobile_reference_time",
-]
+_EXPORTS = {
+    ".sneakernet": (
+        "breakeven_against_carrier", "FrictionCarrier", "HUMAN_PORTER",
+        "metabolic_equivalent_note", "plan_sneakernet", "SneakernetPlan",
+        "snowmobile_reference_time", "SNOWMOBILE_TRUCK",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,55 +25,18 @@ one pod are correlated.  This package turns those scenarios into data:
   deadline-miss gates committed to ``BENCH_chaos.json``.
 """
 
-from .campaigns import (
-    BROWNOUT,
-    CACHE_NODE_LOSS,
-    CART_BATCH_FAILURE,
-    CHAOS_SHUTTLE_POLICY,
-    CampaignEvent,
-    ChaosCampaign,
-    EVENT_KINDS,
-    TRACK_OUTAGE,
-    default_campaign,
-)
-from .crew import RepairCrewPool
-from .runner import CampaignLog, CampaignRunner, install_campaign
+from .._lazy import lazy_exports
 
-#: Bench re-exports resolve lazily: :mod:`repro.chaos.bench` imports the
-#: fleet control plane, which itself imports this package's campaign
-#: vocabulary, so an eager import here would be circular.
-_BENCH_EXPORTS = (
-    "ChaosBenchReport",
-    "P99_DEGRADATION_BOUND",
-    "chaos_scenario",
-    "run_chaos_bench",
-)
-
-
-def __getattr__(name: str):
-    if name in _BENCH_EXPORTS:
-        from . import bench
-
-        return getattr(bench, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "BROWNOUT",
-    "CACHE_NODE_LOSS",
-    "CART_BATCH_FAILURE",
-    "CHAOS_SHUTTLE_POLICY",
-    "CampaignEvent",
-    "CampaignLog",
-    "CampaignRunner",
-    "ChaosBenchReport",
-    "ChaosCampaign",
-    "EVENT_KINDS",
-    "P99_DEGRADATION_BOUND",
-    "RepairCrewPool",
-    "TRACK_OUTAGE",
-    "chaos_scenario",
-    "default_campaign",
-    "install_campaign",
-    "run_chaos_bench",
-]
+_EXPORTS = {
+    ".campaigns": (
+        "BROWNOUT", "CACHE_NODE_LOSS", "CampaignEvent", "CART_BATCH_FAILURE",
+        "CHAOS_SHUTTLE_POLICY", "ChaosCampaign", "default_campaign", "EVENT_KINDS",
+        "TRACK_OUTAGE",
+    ),
+    ".crew": ("RepairCrewPool",),
+    ".runner": ("CampaignLog", "CampaignRunner", "install_campaign"),
+    ".bench": (
+        "chaos_scenario", "ChaosBenchReport", "P99_DEGRADATION_BOUND", "run_chaos_bench",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

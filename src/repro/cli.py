@@ -11,59 +11,45 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import Callable, Sequence
 
 from .bench import BENCHES, run as run_bench
-from .core.sensitivity import sensitivity_table
-from .analysis import (
-    breakeven_summary,
-    engineering_table,
-    fig2_table,
-    figure6_ascii,
-    hybrid_policy_table,
-    intro_example,
-    multistop_table,
-    reliability_table,
-    render_table,
-    reuse_table,
-    sneakernet_table,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-    table7a,
-    table7b,
-    table8a,
-    table8b,
-    table8c,
-)
 
-_TABLES: dict[str, tuple[str, Callable[[], tuple[list[str], list[list[object]]]]]] = {
-    "intro": ("Section I/II-C motivating numbers", intro_example),
-    "table1": ("Table I: large emerging datasets", table1),
-    "table2": ("Table II: storage solutions", table2),
-    "table3": ("Table III: networking power", table3),
-    "fig2": ("Figure 2: 29 PB route energies", fig2_table),
-    "table4": ("Table IV: large ML models", table4),
-    "table5": ("Table V: DHL parameters", table5),
-    "table6": ("Table VI: design-space exploration", table6),
-    "table7a": ("Table VII(a): iso-power comparison", table7a),
-    "table7b": ("Table VII(b): iso-time comparison", table7b),
-    "table8a": ("Table VIII(a): rail cost", table8a),
-    "table8b": ("Table VIII(b): LIM cost", table8b),
-    "table8c": ("Table VIII(c): total cost", table8c),
-    "breakeven": ("Section V-E: minimum specifications", breakeven_summary),
-    "sneakernet": ("Extension: friction-limited baselines", sneakernet_table),
-    "hybrid": ("Extension: hybrid routing policies", hybrid_policy_table),
-    "engineering": ("Extension: Section VI feasibility checks", engineering_table),
-    "multistop": ("Extension: multi-stop contention vs speed", multistop_table),
-    "reliability": ("Extension: fault tolerance vs availability model", reliability_table),
-    "reuse": ("Extension: dataset-reuse economics", reuse_table),
-    "sensitivity": ("Extension: parameter elasticities", sensitivity_table),
+#: name -> (title, generator).  Every generator lives in :mod:`repro.analysis`
+#: except ``sensitivity``'s; each is imported only when its table is printed.
+_TABLES: dict[str, tuple[str, str]] = {
+    "intro": ("Section I/II-C motivating numbers", "analysis:intro_example"),
+    "table1": ("Table I: large emerging datasets", "analysis:table1"),
+    "table2": ("Table II: storage solutions", "analysis:table2"),
+    "table3": ("Table III: networking power", "analysis:table3"),
+    "fig2": ("Figure 2: 29 PB route energies", "analysis:fig2_table"),
+    "table4": ("Table IV: large ML models", "analysis:table4"),
+    "table5": ("Table V: DHL parameters", "analysis:table5"),
+    "table6": ("Table VI: design-space exploration", "analysis:table6"),
+    "table7a": ("Table VII(a): iso-power comparison", "analysis:table7a"),
+    "table7b": ("Table VII(b): iso-time comparison", "analysis:table7b"),
+    "table8a": ("Table VIII(a): rail cost", "analysis:table8a"),
+    "table8b": ("Table VIII(b): LIM cost", "analysis:table8b"),
+    "table8c": ("Table VIII(c): total cost", "analysis:table8c"),
+    "breakeven": ("Section V-E: minimum specifications", "analysis:breakeven_summary"),
+    "sneakernet": ("Extension: friction-limited baselines", "analysis:sneakernet_table"),
+    "hybrid": ("Extension: hybrid routing policies", "analysis:hybrid_policy_table"),
+    "engineering": ("Extension: Section VI feasibility checks", "analysis:engineering_table"),
+    "multistop": ("Extension: multi-stop contention vs speed", "analysis:multistop_table"),
+    "reliability": ("Extension: fault tolerance vs availability model",
+                    "analysis:reliability_table"),
+    "reuse": ("Extension: dataset-reuse economics", "analysis:reuse_table"),
+    "sensitivity": ("Extension: parameter elasticities",
+                    "core.sensitivity:sensitivity_table"),
 }
+
+
+def _generator(name: str) -> Callable[[], tuple[list[str], list[list[object]]]]:
+    """The table generator registered under ``name``."""
+    module, _, attribute = _TABLES[name][1].partition(":")
+    return getattr(importlib.import_module(f".{module}", __package__), attribute)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _capacity_plan(args: argparse.Namespace) -> int:
     """``repro fleet --capacity``: the planner over the candidate grid."""
     from .analysis.fleetview import capacity_table
+    from .analysis.formatting import render_table
     from .fleet.capacity import SlaRequirement, plan_capacity
     from .fleet.controlplane import default_scenario
 
@@ -266,7 +253,10 @@ def _capacity_plan(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point: render the requested artefact(s) to stdout."""
     args = build_parser().parse_args(argv)
+    from .analysis.formatting import render_table
+
     if args.artefact == "fig6":
+        from .analysis.figures import figure6_ascii
         from .mlsim.analysis import figure6_series
 
         print(figure6_ascii(figure6_series(max_tracks=args.max_tracks)))
@@ -402,14 +392,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"wrote replication report to {args.replicate_out}")
         return 0
     if args.artefact == "all":
-        for name, (title, generator) in _TABLES.items():
-            headers, rows = generator()
-            print(render_table(headers, rows, title=f"[{name}] {title}"))
+        for name, (title, _) in _TABLES.items():
+            print(render_table(*_generator(name)(), title=f"[{name}] {title}"))
             print()
         return 0
-    title, generator = _TABLES[args.artefact]
-    headers, rows = generator()
-    print(render_table(headers, rows, title=title))
+    print(render_table(*_generator(args.artefact)(), title=_TABLES[args.artefact][0]))
     return 0
 
 

@@ -5,228 +5,65 @@ campaign models (Table VI), commodity cost (Table VIII), break-even
 analysis (Section V-E) and design-space sweeps.
 """
 
-from .availability import (
-    AvailabilityModel,
-    RepairableComponent,
-    series_availability,
-    stall_overhead,
-)
-from .breakeven import (
-    BreakEven,
-    break_even,
-    break_even_batch,
-    min_distance_for_time_win,
-    paper_minimum_example,
-)
-from .engineering import (
-    ConnectorWear,
-    M2_CYCLES,
-    MaintenancePlan,
-    SafetyAssessment,
-    ThermalAssessment,
-    USB_C_CYCLES,
-    assess_cart_thermals,
-    assess_safety,
-    campaign_dock_cycles,
-    connector_wear,
-    maintenance_plan,
-    max_duty_cycle_for_lifetime,
-    max_safe_speed,
-    required_sink_resistance,
-)
-from .cost import (
-    DhlCost,
-    LimCost,
-    RailCost,
-    REFERENCE_400G_SWITCH_USD,
-    amortised_cost_per_pb,
-    copper_mass_kg,
-    cost_matrix,
-    cost_versus_switch,
-    dhl_cost,
-    lim_length_m,
-)
-from .model import (
-    Campaign,
-    CampaignBatch,
-    DesignPointReport,
-    LaunchMetrics,
-    MetricsBatch,
-    NetworkComparison,
-    compare_with_routes,
-    design_point_report,
-    design_point_reports,
-    launch_metrics,
-    launch_metrics_batch,
-    plan_campaign,
-    plan_campaign_batch,
-)
-from .params import (
-    BrakingMode,
-    DEFAULT_PARAMS,
-    DhlParams,
-    LENGTH_CANDIDATES_M,
-    SPEED_CANDIDATES_M_S,
-    SSD_COUNT_CANDIDATES,
-    table_v_design_points,
-    table_vi_design_points,
-)
-from .optimizer import (
-    DesignRecommendation,
-    design_for_deadline,
-    max_dataset_within_deadline,
-    min_speed_for_deadline,
-    min_speeds_for_deadline,
-)
-from .sensitivity import (
-    Elasticity,
-    METRICS,
-    elasticity,
-    sensitivity_matrix,
-    sensitivity_table,
-    tornado,
-)
-from .scaling import (
-    NAND_DENSITY_CAGR,
-    ScalingPoint,
-    UpgradeCosts,
-    density_projection,
-    scaled_device,
-    upgrade_economics,
-)
-from .physics import (
-    CartMass,
-    Lim,
-    MotionProfile,
-    air_drag_power,
-    average_trip_power,
-    cart_mass,
-    drag_fraction_of_launch,
-    drag_loss,
-    launch_energy,
-    lim,
-    motion_profile,
-    peak_launch_power,
-    trip_time,
-    vacuum_sustain_power,
-)
-from .percentiles import (
-    STANDARD_POINTS,
-    percentile,
-    percentiles,
-    percentiles_by_class,
-)
-from .sweep import (
-    ENGINES,
-    SweepResult,
-    clear_report_cache,
-    evaluate_reports,
-    grid_sweep,
-    map_chunks,
-    pareto_front,
-    report_cache_stats,
-    run_sweep,
-    table_vi_sweep,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AvailabilityModel",
-    "RepairableComponent",
-    "series_availability",
-    "stall_overhead",
-    "BrakingMode",
-    "BreakEven",
-    "Campaign",
-    "CartMass",
-    "ConnectorWear",
-    "M2_CYCLES",
-    "MaintenancePlan",
-    "SafetyAssessment",
-    "ThermalAssessment",
-    "USB_C_CYCLES",
-    "assess_cart_thermals",
-    "assess_safety",
-    "campaign_dock_cycles",
-    "connector_wear",
-    "maintenance_plan",
-    "max_duty_cycle_for_lifetime",
-    "max_safe_speed",
-    "required_sink_resistance",
-    "CampaignBatch",
-    "DEFAULT_PARAMS",
-    "DesignPointReport",
-    "ENGINES",
-    "MetricsBatch",
-    "DhlCost",
-    "DhlParams",
-    "LENGTH_CANDIDATES_M",
-    "LaunchMetrics",
-    "Lim",
-    "LimCost",
-    "DesignRecommendation",
-    "design_for_deadline",
-    "max_dataset_within_deadline",
-    "min_speed_for_deadline",
-    "METRICS",
-    "MotionProfile",
-    "Elasticity",
-    "elasticity",
-    "sensitivity_matrix",
-    "sensitivity_table",
-    "tornado",
-    "NAND_DENSITY_CAGR",
-    "NetworkComparison",
-    "ScalingPoint",
-    "UpgradeCosts",
-    "density_projection",
-    "scaled_device",
-    "upgrade_economics",
-    "REFERENCE_400G_SWITCH_USD",
-    "RailCost",
-    "SPEED_CANDIDATES_M_S",
-    "SSD_COUNT_CANDIDATES",
-    "SweepResult",
-    "air_drag_power",
-    "amortised_cost_per_pb",
-    "average_trip_power",
-    "break_even",
-    "break_even_batch",
-    "cart_mass",
-    "clear_report_cache",
-    "compare_with_routes",
-    "copper_mass_kg",
-    "cost_matrix",
-    "cost_versus_switch",
-    "design_point_report",
-    "design_point_reports",
-    "dhl_cost",
-    "evaluate_reports",
-    "drag_fraction_of_launch",
-    "drag_loss",
-    "grid_sweep",
-    "launch_energy",
-    "launch_metrics",
-    "launch_metrics_batch",
-    "lim",
-    "lim_length_m",
-    "map_chunks",
-    "min_distance_for_time_win",
-    "min_speeds_for_deadline",
-    "motion_profile",
-    "paper_minimum_example",
-    "pareto_front",
-    "percentile",
-    "percentiles",
-    "percentiles_by_class",
-    "STANDARD_POINTS",
-    "peak_launch_power",
-    "plan_campaign",
-    "plan_campaign_batch",
-    "report_cache_stats",
-    "run_sweep",
-    "table_v_design_points",
-    "table_vi_design_points",
-    "table_vi_sweep",
-    "trip_time",
-    "vacuum_sustain_power",
-]
+_EXPORTS = {
+    ".availability": (
+        "AvailabilityModel", "RepairableComponent", "series_availability",
+        "stall_overhead",
+    ),
+    ".breakeven": (
+        "break_even", "break_even_batch", "BreakEven", "min_distance_for_time_win",
+        "paper_minimum_example",
+    ),
+    ".engineering": (
+        "assess_cart_thermals", "assess_safety", "campaign_dock_cycles",
+        "connector_wear", "ConnectorWear", "M2_CYCLES", "maintenance_plan",
+        "MaintenancePlan", "max_duty_cycle_for_lifetime", "max_safe_speed",
+        "required_sink_resistance", "SafetyAssessment", "ThermalAssessment",
+        "USB_C_CYCLES",
+    ),
+    ".cost": (
+        "amortised_cost_per_pb", "copper_mass_kg", "cost_matrix", "cost_versus_switch",
+        "dhl_cost", "DhlCost", "lim_length_m", "LimCost", "RailCost",
+        "REFERENCE_400G_SWITCH_USD",
+    ),
+    ".model": (
+        "Campaign", "CampaignBatch", "compare_with_routes", "design_point_report",
+        "design_point_reports", "DesignPointReport", "launch_metrics",
+        "launch_metrics_batch", "LaunchMetrics", "MetricsBatch", "NetworkComparison",
+        "plan_campaign", "plan_campaign_batch",
+    ),
+    ".params": (
+        "BrakingMode", "DEFAULT_PARAMS", "DhlParams", "LENGTH_CANDIDATES_M",
+        "SPEED_CANDIDATES_M_S", "SSD_COUNT_CANDIDATES", "table_v_design_points",
+        "table_vi_design_points",
+    ),
+    ".optimizer": (
+        "design_for_deadline", "DesignRecommendation", "max_dataset_within_deadline",
+        "min_speed_for_deadline", "min_speeds_for_deadline",
+    ),
+    ".sensitivity": (
+        "Elasticity", "elasticity", "METRICS", "sensitivity_matrix",
+        "sensitivity_table", "tornado",
+    ),
+    ".scaling": (
+        "density_projection", "NAND_DENSITY_CAGR", "scaled_device", "ScalingPoint",
+        "upgrade_economics", "UpgradeCosts",
+    ),
+    ".physics": (
+        "air_drag_power", "average_trip_power", "cart_mass", "CartMass",
+        "drag_fraction_of_launch", "drag_loss", "launch_energy", "Lim", "lim",
+        "motion_profile", "MotionProfile", "peak_launch_power", "trip_time",
+        "vacuum_sustain_power",
+    ),
+    ".percentiles": (
+        "percentile", "percentiles", "percentiles_by_class", "STANDARD_POINTS",
+    ),
+    ".sweep": (
+        "clear_report_cache", "ENGINES", "evaluate_reports", "grid_sweep", "map_chunks",
+        "pareto_front", "report_cache_stats", "run_sweep", "SweepResult",
+        "table_vi_sweep",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

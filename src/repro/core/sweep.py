@@ -31,7 +31,6 @@ import functools
 import itertools
 import os
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -131,6 +130,8 @@ def map_chunks(
     if engine == "serial":
         results = tuple(chunk_fn(item_list))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         n_workers = workers or os.cpu_count() or 1
         n_workers = max(1, min(n_workers, len(item_list)))
         if chunk_size is None:

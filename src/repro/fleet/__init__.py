@@ -19,111 +19,32 @@ how many carts and which scheduling policy serve a tenant mix within
 tail-latency targets.
 """
 
-from .cache import (
-    CacheConfig,
-    CacheEntry,
-    EVICTION_POLICIES,
-    RackCache,
-)
-from .capacity import (
-    CandidateEvaluation,
-    CapacityPlan,
-    SlaRequirement,
-    plan_capacity,
-)
-from .controlplane import (
-    FLEET_MIX,
-    FLEET_TARGETS,
-    POLICIES,
-    AdmissionControl,
-    FleetReport,
-    FleetScenario,
-    build_plane,
-    default_scenario,
-    run_fleet,
-)
-from .health import (
-    BREAKER_STATES,
-    CircuitBreaker,
-    DegradationPolicy,
-    LaneHealthMonitor,
-    illegal_transitions,
-)
-from .montecarlo import (
-    DEFAULT_REPLICATIONS,
-    montecarlo_payload,
-    replicate_fleet,
-    run_seeded,
-)
-from .shard import (
-    DEFAULT_INTERPOD_LATENCY_S,
-    SHARD_ENGINES,
-    ShardPlan,
-    ShardReport,
-    render_signature,
-    report_signature,
-    run_sharded,
-    signature_digest,
-)
-from .sla import (
-    DEFAULT_SAMPLE_CAP,
-    DEFAULT_TARGET,
-    ClassSla,
-    ClassTarget,
-    JobRecord,
-    LatencyReservoir,
-    Outcome,
-    SlaReport,
-    SlaTracker,
-)
-from .topology import DatasetCatalog, DatasetHome, FleetSpec, FleetTopology
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionControl",
-    "BREAKER_STATES",
-    "CacheConfig",
-    "CacheEntry",
-    "CandidateEvaluation",
-    "CapacityPlan",
-    "CircuitBreaker",
-    "ClassSla",
-    "ClassTarget",
-    "DEFAULT_INTERPOD_LATENCY_S",
-    "DEFAULT_REPLICATIONS",
-    "DEFAULT_SAMPLE_CAP",
-    "DEFAULT_TARGET",
-    "DatasetCatalog",
-    "DatasetHome",
-    "DegradationPolicy",
-    "EVICTION_POLICIES",
-    "FLEET_MIX",
-    "FLEET_TARGETS",
-    "FleetReport",
-    "FleetScenario",
-    "FleetSpec",
-    "FleetTopology",
-    "JobRecord",
-    "LaneHealthMonitor",
-    "LatencyReservoir",
-    "Outcome",
-    "POLICIES",
-    "RackCache",
-    "SHARD_ENGINES",
-    "ShardPlan",
-    "ShardReport",
-    "SlaReport",
-    "SlaRequirement",
-    "SlaTracker",
-    "build_plane",
-    "default_scenario",
-    "illegal_transitions",
-    "montecarlo_payload",
-    "plan_capacity",
-    "render_signature",
-    "replicate_fleet",
-    "report_signature",
-    "run_fleet",
-    "run_seeded",
-    "run_sharded",
-    "signature_digest",
-]
+_EXPORTS = {
+    ".cache": ("CacheConfig", "CacheEntry", "EVICTION_POLICIES", "RackCache"),
+    ".capacity": (
+        "CandidateEvaluation", "CapacityPlan", "plan_capacity", "SlaRequirement",
+    ),
+    ".controlplane": (
+        "AdmissionControl", "build_plane", "default_scenario", "FLEET_MIX",
+        "FLEET_TARGETS", "FleetReport", "FleetScenario", "POLICIES", "run_fleet",
+    ),
+    ".health": (
+        "BREAKER_STATES", "CircuitBreaker", "DegradationPolicy", "illegal_transitions",
+        "LaneHealthMonitor",
+    ),
+    ".montecarlo": (
+        "DEFAULT_REPLICATIONS", "montecarlo_payload", "replicate_fleet", "run_seeded",
+    ),
+    ".shard": (
+        "DEFAULT_INTERPOD_LATENCY_S", "render_signature", "report_signature",
+        "run_sharded", "SHARD_ENGINES", "ShardPlan", "ShardReport", "signature_digest",
+    ),
+    ".sla": (
+        "ClassSla", "ClassTarget", "DEFAULT_SAMPLE_CAP", "DEFAULT_TARGET", "JobRecord",
+        "LatencyReservoir", "Outcome", "SlaReport", "SlaTracker",
+    ),
+    ".topology": ("DatasetCatalog", "DatasetHome", "FleetSpec", "FleetTopology"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

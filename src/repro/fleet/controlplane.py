@@ -33,12 +33,10 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from ..chaos.campaigns import ChaosCampaign
-from ..chaos.runner import CampaignRunner, install_campaign
 from ..errors import ConfigurationError, DataIntegrityError, SchedulingError
 from ..network.routes import ROUTE_B
 from ..network.transfer import DEFAULT_LINK_GBPS, OpticalLink
@@ -59,6 +57,10 @@ from .sla import (
     SlaTracker,
 )
 from .topology import DatasetCatalog, DatasetHome, FleetSpec, FleetTopology
+
+if TYPE_CHECKING:
+    from ..chaos.campaigns import ChaosCampaign
+    from ..chaos.runner import CampaignRunner
 
 #: Seconds between retries of a Close that keeps failing: the cart has
 #: exactly one way home, so eviction and post-serve returns park at the
@@ -377,6 +379,7 @@ class ControlPlane:
             self._failover_policy = None
             self._failover_streams = None
         self._done = Event(env)
+        self._workers: list = []
         # Streaming intake/outcome accounting: the plane never needs
         # the whole job list, only how many came in and how many
         # resolved — which is what lets a lazy iterator drive it.
@@ -770,7 +773,7 @@ class ControlPlane:
     # A shard pod (:mod:`repro.fleet.shard`) cannot hand the plane a
     # lazy job stream: it reads its own arrivals and the jobs other
     # pods forwarded from a spool file, one window of virtual time at a
-    # time.  These three methods expose the exact intake path ``run``
+    # time.  These methods expose the exact intake path ``run``
     # drives, one event at a time, with ``_maybe_done`` semantics
     # unchanged.
 
@@ -778,7 +781,20 @@ class ControlPlane:
         """Spawn every lane's per-station worker processes."""
         for lane in self.lanes.values():
             for _ in range(lane.stations):
-                self.env.process(self._worker(lane))
+                worker = self._worker(lane)
+                self._workers.append(worker)
+                self.env.process(worker)
+
+    def stop_workers(self) -> None:
+        """Close every lane worker once the plane is done.
+
+        An idle worker waits in :meth:`_LaneQueue.get` for a job that
+        never comes; closing it here, rather than leaving it to a later
+        cyclic-GC pass, keeps its ``GeneratorExit`` out of unrelated code.
+        """
+        for worker in self._workers:
+            worker.close()
+        self._workers.clear()
 
     def inject(self, fjob: _FleetJob, at: float) -> None:
         """Schedule ``submit(fjob)`` at absolute virtual time ``at``.
@@ -818,6 +834,7 @@ class ControlPlane:
         self.start_workers()
         self._start_intake(itertools.chain((first,), iterator))
         self.env.run(until=self._done)
+        self.stop_workers()
         return self._build_report()
 
     def _build_report(self) -> FleetReport:
@@ -865,7 +882,9 @@ def _bind_jobs(
 
     ``jobs`` defaults to the scenario's seeded synthetic stream; any
     other :class:`~repro.workloads.generator.TransferJob` iterable (a
-    trace replay, a fuzzer) binds identically.  Dataset draws use their
+    fuzzer's, a test's) binds identically.  A trace replay binds its own
+    records (:func:`repro.traffic.replay.bound_jobs`) and never comes
+    through here.  Dataset draws use their
     own substream (``seed + 1``) so adding a traffic class never
     reshuffles which datasets existing jobs touch, and binding happens
     one job at a time as the control plane consumes the stream.
@@ -880,12 +899,6 @@ def _bind_jobs(
     cold = catalog.cold_names
     targets = dict(scenario.targets)
     for job in jobs:
-        if isinstance(job, _FleetJob):
-            # Pre-bound jobs (trace replay) pass through untouched: the
-            # trace already names each job's dataset, deadline and
-            # tenant, so no random binding draw is consumed.
-            yield job
-            continue
         if hot and (not cold or float(rng.random()) < catalog.hot_fraction):
             dataset = hot[int(rng.integers(len(hot)))]
         else:
@@ -925,6 +938,8 @@ def build_plane(scenario: FleetScenario, *,
                              tracer=tracer, homes=homes)
     plane = ControlPlane(env, topology, scenario, tracer=tracer)
     if scenario.chaos is not None:
+        from ..chaos.runner import install_campaign
+
         plane.attach_campaign(
             install_campaign(env, topology.systems, scenario.chaos)
         )

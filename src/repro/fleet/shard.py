@@ -48,9 +48,8 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
-from ..chaos.campaigns import ChaosCampaign
 from ..core.sweep import map_chunks
 from ..errors import ConfigurationError
 from ..obs import merge_snapshots_additive
@@ -71,6 +70,9 @@ from .sla import (
     tenant_report_from_state,
 )
 from .topology import DatasetHome, FleetSpec, assign_homes
+
+if TYPE_CHECKING:
+    from ..chaos.campaigns import ChaosCampaign
 
 #: Default inter-pod forwarding latency W (seconds of virtual time).
 #: A forwarded job reaches its owning pod W after it arrived.
@@ -370,6 +372,7 @@ def _run_pod(plan: ShardPlan, pod_index: int, spool: str) -> _PodState:
             windows += 1
     plane.close_intake()
     env.run(until=plane._done)
+    plane.stop_workers()
     return _PodState(
         pod_index=pod_index,
         track_offset=plan.track_ranges[pod_index][0],
@@ -574,13 +577,32 @@ def run_sharded(
     bounds the process pool (default: one worker per pod, capped at the
     CPU count).  ``jobs`` optionally replaces the scenario's synthetic
     stream with any lazy :class:`~repro.workloads.generator.TransferJob`
-    (or pre-bound fleet-job) iterator, exactly as :func:`run_fleet`
-    accepts — this is how trace replay routes a 1M-request day through
-    all cores.
+    iterator, exactly as :func:`run_fleet` accepts.
 
     With ``n_pods == 1`` the monolithic single-clock path runs instead
     (no windows, no forwarding) and the returned fleet report is bit
     identical to :func:`run_fleet` on the same scenario.
+    """
+    scenario = plan.scenario
+    homes = assign_homes(scenario.spec, scenario.catalog)
+    return _run_bound_sharded(
+        plan, _bind_jobs(scenario, _HomesView(homes), jobs=jobs),
+        engine=engine, workers=workers,
+    )
+
+
+def _run_bound_sharded(
+    plan: ShardPlan,
+    fjobs: Iterable[_FleetJob],
+    engine: str = "serial",
+    workers: int | None = None,
+) -> ShardReport:
+    """:func:`run_sharded` over an already-bound fleet-job stream.
+
+    Routes each job to its pod, spools every pod's inputs and runs the
+    pods.  Trace replay (:func:`repro.traffic.replay.replay_fleet_sharded`)
+    binds its own records and enters here, so a 1M-request day is bound
+    once and routed through all cores.
     """
     if engine not in SHARD_ENGINES:
         raise ConfigurationError(
@@ -591,7 +613,7 @@ def run_sharded(
     if plan.n_pods == 1:
         # Inline run_fleet so the registry snapshot can ride along.
         plane = build_plane(scenario)
-        fleet = plane.run(_bind_jobs(scenario, plane.topology, jobs=jobs))
+        fleet = plane.run(fjobs)
         return ShardReport(
             plan=plan,
             fleet=fleet,
@@ -614,8 +636,6 @@ def run_sharded(
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
     else:
         workers = 1
-    homes = assign_homes(scenario.spec, scenario.catalog)
-    fjobs = _bind_jobs(scenario, _HomesView(homes), jobs=jobs)
     with tempfile.TemporaryDirectory(prefix="repro-shard-") as directory:
         spools, n_jobs = _spool(plan, fjobs, directory)
         if n_jobs == 0:

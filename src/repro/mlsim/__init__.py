@@ -6,99 +6,33 @@ all-reduce — and the iso-power / iso-time comparisons of the paper's
 Table VII and Figure 6.
 """
 
-from .analysis import (
-    SchemeResult,
-    SweepPoint,
-    dhl_power_curve,
-    figure6_series,
-    iso_power_comparison,
-    iso_time_comparison,
-    network_power_curve,
-)
-from .backends import Delivery, DhlBackend, IngestionBackend, NetworkBackend
-from .downscale import (
-    DownscaleResult,
-    PAPER_DOWNSCALE_FACTOR,
-    ScaledBackend,
-    downscaled_dhl_study,
-    downscaled_network_study,
-)
-from .epochs import (
-    ReuseStudy,
-    RunResult,
-    TrainingRun,
-    US_INDUSTRIAL_USD_PER_KWH,
-    reuse_study,
-    simulate_run,
-)
-from .collectives import (
-    allgather_time,
-    alltoall_time,
-    best_allreduce_time,
-    broadcast_time,
-    reduce_scatter_time,
-    ring_allreduce_time,
-    tree_allreduce_time,
-)
-from .operational import OperationalDhlBackend
-from .parallelism import (
-    DlrmShape,
-    IterationWithStrategy,
-    StrategyCost,
-    best_feasible_strategy,
-    compare_strategies,
-    data_parallel_cost,
-    dlrm_2022_shape,
-    hybrid_parallel_cost,
-    model_parallel_cost,
-)
-from .trainer import IterationResult, iteration_time_closed_form, simulate_iteration
-from .workload import ClusterSpec, TrainingIteration, dlrm_iteration
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ClusterSpec",
-    "Delivery",
-    "DhlBackend",
-    "DlrmShape",
-    "DownscaleResult",
-    "PAPER_DOWNSCALE_FACTOR",
-    "ScaledBackend",
-    "downscaled_dhl_study",
-    "downscaled_network_study",
-    "IterationWithStrategy",
-    "StrategyCost",
-    "best_feasible_strategy",
-    "compare_strategies",
-    "data_parallel_cost",
-    "dlrm_2022_shape",
-    "hybrid_parallel_cost",
-    "model_parallel_cost",
-    "ReuseStudy",
-    "RunResult",
-    "TrainingRun",
-    "US_INDUSTRIAL_USD_PER_KWH",
-    "reuse_study",
-    "simulate_run",
-    "IngestionBackend",
-    "IterationResult",
-    "NetworkBackend",
-    "OperationalDhlBackend",
-    "SchemeResult",
-    "SweepPoint",
-    "TrainingIteration",
-    "allgather_time",
-    "alltoall_time",
-    "best_allreduce_time",
-    "broadcast_time",
-    "dhl_power_curve",
-    "dlrm_iteration",
-    "figure6_series",
-    "iso_power_comparison",
-    "iso_time_comparison",
-    "iteration_time_closed_form",
-    "network_power_curve",
-    "reduce_scatter_time",
-    "ring_allreduce_time",
-    "simulate_iteration",
-    "tree_allreduce_time",
-]
+_EXPORTS = {
+    ".analysis": (
+        "dhl_power_curve", "figure6_series", "iso_power_comparison",
+        "iso_time_comparison", "network_power_curve", "SchemeResult", "SweepPoint",
+    ),
+    ".backends": ("Delivery", "DhlBackend", "IngestionBackend", "NetworkBackend"),
+    ".downscale": (
+        "downscaled_dhl_study", "downscaled_network_study", "DownscaleResult",
+        "PAPER_DOWNSCALE_FACTOR", "ScaledBackend",
+    ),
+    ".epochs": (
+        "reuse_study", "ReuseStudy", "RunResult", "simulate_run", "TrainingRun",
+        "US_INDUSTRIAL_USD_PER_KWH",
+    ),
+    ".collectives": (
+        "allgather_time", "alltoall_time", "best_allreduce_time", "broadcast_time",
+        "reduce_scatter_time", "ring_allreduce_time", "tree_allreduce_time",
+    ),
+    ".operational": ("OperationalDhlBackend",),
+    ".parallelism": (
+        "best_feasible_strategy", "compare_strategies", "data_parallel_cost",
+        "dlrm_2022_shape", "DlrmShape", "hybrid_parallel_cost", "IterationWithStrategy",
+        "model_parallel_cost", "StrategyCost",
+    ),
+    ".trainer": ("iteration_time_closed_form", "IterationResult", "simulate_iteration"),
+    ".workload": ("ClusterSpec", "dlrm_iteration", "TrainingIteration"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

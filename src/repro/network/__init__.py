@@ -5,107 +5,33 @@ the Fig. 2 fat-tree and its five routes, and serial/parallel transfer
 timing — against which the DHL is compared throughout the evaluation.
 """
 
-from .components import (
-    ENDPOINT_NIC_W,
-    NIC_100G,
-    NIC_2X200G,
-    Nic,
-    PowerRange,
-    SWITCH_9364D_GX2A,
-    SWITCH_PORT_ACTIVE_W,
-    SWITCH_PORT_PASSIVE_W,
-    SWITCH_QM9700,
-    Switch,
-    TABLE_III_COMPONENTS,
-    TRANSCEIVER_400G,
-    TRANSCEIVER_W,
-    Transceiver,
-)
-from .congestion import (
-    Allocation,
-    BulkImpact,
-    EcmpNetwork,
-    Flow,
-    SharedNetwork,
-    bulk_transfer_impact,
-    paper_backup_scenario,
-)
-from .leafspine import (
-    LeafSpine,
-    LeafSpineSpec,
-    leaf_spine_routes,
-    topology_energy_comparison,
-)
-from .energy import RouteEnergy, baseline_transfer_time, fig2_energies, route_energy
-from .routes import (
-    FIG2_ROUTES,
-    ROUTE_A0,
-    ROUTE_A1,
-    ROUTE_A2,
-    ROUTE_B,
-    ROUTE_C,
-    Route,
-    derive_route,
-    fig2_scenario_endpoints,
-    route_by_name,
-)
-from .topology import FatTree, FatTreeSpec, PortCount
-from .transfer import (
-    DEFAULT_LINK_GBPS,
-    OpticalLink,
-    ParallelLinks,
-    links_for_power,
-    links_for_time,
-    speedup_links_needed,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Allocation",
-    "BulkImpact",
-    "DEFAULT_LINK_GBPS",
-    "ENDPOINT_NIC_W",
-    "EcmpNetwork",
-    "Flow",
-    "SharedNetwork",
-    "bulk_transfer_impact",
-    "paper_backup_scenario",
-    "FIG2_ROUTES",
-    "FatTree",
-    "FatTreeSpec",
-    "LeafSpine",
-    "LeafSpineSpec",
-    "leaf_spine_routes",
-    "topology_energy_comparison",
-    "NIC_100G",
-    "NIC_2X200G",
-    "Nic",
-    "OpticalLink",
-    "ParallelLinks",
-    "PortCount",
-    "PowerRange",
-    "ROUTE_A0",
-    "ROUTE_A1",
-    "ROUTE_A2",
-    "ROUTE_B",
-    "ROUTE_C",
-    "Route",
-    "RouteEnergy",
-    "SWITCH_9364D_GX2A",
-    "SWITCH_PORT_ACTIVE_W",
-    "SWITCH_PORT_PASSIVE_W",
-    "SWITCH_QM9700",
-    "Switch",
-    "TABLE_III_COMPONENTS",
-    "TRANSCEIVER_400G",
-    "TRANSCEIVER_W",
-    "Transceiver",
-    "baseline_transfer_time",
-    "derive_route",
-    "fig2_energies",
-    "fig2_scenario_endpoints",
-    "links_for_power",
-    "links_for_time",
-    "route_by_name",
-    "route_energy",
-    "speedup_links_needed",
-]
+_EXPORTS = {
+    ".components": (
+        "ENDPOINT_NIC_W", "Nic", "NIC_100G", "NIC_2X200G", "PowerRange", "Switch",
+        "SWITCH_9364D_GX2A", "SWITCH_PORT_ACTIVE_W", "SWITCH_PORT_PASSIVE_W",
+        "SWITCH_QM9700", "TABLE_III_COMPONENTS", "Transceiver", "TRANSCEIVER_400G",
+        "TRANSCEIVER_W",
+    ),
+    ".congestion": (
+        "Allocation", "bulk_transfer_impact", "BulkImpact", "EcmpNetwork", "Flow",
+        "paper_backup_scenario", "SharedNetwork",
+    ),
+    ".leafspine": (
+        "leaf_spine_routes", "LeafSpine", "LeafSpineSpec", "topology_energy_comparison",
+    ),
+    ".energy": (
+        "baseline_transfer_time", "fig2_energies", "route_energy", "RouteEnergy",
+    ),
+    ".routes": (
+        "derive_route", "FIG2_ROUTES", "fig2_scenario_endpoints", "Route", "ROUTE_A0",
+        "ROUTE_A1", "ROUTE_A2", "ROUTE_B", "route_by_name", "ROUTE_C",
+    ),
+    ".topology": ("FatTree", "FatTreeSpec", "PortCount"),
+    ".transfer": (
+        "DEFAULT_LINK_GBPS", "links_for_power", "links_for_time", "OpticalLink",
+        "ParallelLinks", "speedup_links_needed",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

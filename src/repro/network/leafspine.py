@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..errors import TopologyError
 from .routes import Route, derive_route
 from .topology import FatTree, FatTreeSpec, TIER_AGG, TIER_SERVER
@@ -41,6 +39,8 @@ class LeafSpine(FatTree):
     """
 
     def __init__(self, spec: LeafSpineSpec = LeafSpineSpec()):
+        import networkx as nx
+
         # Bypass FatTree.__init__'s builder; construct our own graph.
         self.spec = FatTreeSpec(
             aisles=1,

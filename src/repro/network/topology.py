@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import networkx as nx
-
 from ..errors import TopologyError
 
 TIER_SERVER = "server"
@@ -58,6 +56,8 @@ class FatTree:
     """
 
     def __init__(self, spec: FatTreeSpec = FatTreeSpec()):
+        import networkx as nx
+
         self.spec = spec
         self.graph = nx.Graph()
         self._build()
@@ -120,6 +120,8 @@ class FatTree:
 
     def shortest_path(self, src: str, dst: str) -> list[str]:
         """Shortest hop path between two nodes (ties broken by networkx)."""
+        import networkx as nx
+
         for node in (src, dst):
             if node not in self.graph:
                 raise TopologyError(f"unknown node {node!r}")

@@ -15,64 +15,24 @@ circular imports) runs named, fault-injected scenarios under full
 tracing for the ``repro trace`` command.
 """
 
-from .export import (
-    event_log,
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_event_log,
-)
-from .metrics import (
-    Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    TimeWeightedValue,
-    UtilisationMonitor,
-    merge_snapshots,
-    merge_snapshots_additive,
-)
-from .probe import (
-    CLAIM_SPAN,
-    ResourceProbe,
-    open_claim_counts,
-    trace_leaked_resources,
-)
-from .tracer import (
-    CounterSample,
-    Instant,
-    NULL_SPAN,
-    Span,
-    TraceLevel,
-    Tracer,
-    span_nesting_violations,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CLAIM_SPAN",
-    "Counter",
-    "CounterSample",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "Instant",
-    "MetricsRegistry",
-    "NULL_SPAN",
-    "ResourceProbe",
-    "Span",
-    "TimeWeightedValue",
-    "TraceLevel",
-    "Tracer",
-    "UtilisationMonitor",
-    "event_log",
-    "merge_snapshots",
-    "merge_snapshots_additive",
-    "open_claim_counts",
-    "span_nesting_violations",
-    "to_chrome_trace",
-    "trace_leaked_resources",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_event_log",
-]
+_EXPORTS = {
+    ".export": (
+        "event_log", "to_chrome_trace", "validate_chrome_trace", "write_chrome_trace",
+        "write_event_log",
+    ),
+    ".metrics": (
+        "Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram", "merge_snapshots",
+        "merge_snapshots_additive", "MetricsRegistry", "TimeWeightedValue",
+        "UtilisationMonitor",
+    ),
+    ".probe": (
+        "CLAIM_SPAN", "open_claim_counts", "ResourceProbe", "trace_leaked_resources",
+    ),
+    ".tracer": (
+        "CounterSample", "Instant", "NULL_SPAN", "Span", "span_nesting_violations",
+        "TraceLevel", "Tracer",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

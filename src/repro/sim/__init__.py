@@ -6,36 +6,17 @@ generator-based processes, timeouts, interrupts, condition events and
 shared-resource primitives.
 """
 
-from .engine import (
-    AllOf,
-    AnyOf,
-    Condition,
-    Environment,
-    Event,
-    Interrupt,
-    PENDING,
-    Process,
-    Timeout,
-)
-from .resources import Container, PriorityRequest, PriorityResource, Request, Resource, Store
-from ..obs.metrics import TimeWeightedValue, UtilisationMonitor
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "Container",
-    "Environment",
-    "Event",
-    "Interrupt",
-    "PENDING",
-    "PriorityRequest",
-    "PriorityResource",
-    "Process",
-    "Request",
-    "Resource",
-    "Store",
-    "TimeWeightedValue",
-    "Timeout",
-    "UtilisationMonitor",
-]
+_EXPORTS = {
+    ".engine": (
+        "AllOf", "AnyOf", "Condition", "Environment", "Event", "Interrupt", "PENDING",
+        "Process", "Timeout",
+    ),
+    ".resources": (
+        "Container", "PriorityRequest", "PriorityResource", "Request", "Resource",
+        "Store",
+    ),
+    "..obs.metrics": ("TimeWeightedValue", "UtilisationMonitor"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,91 +6,29 @@ Table I (emerging datasets), Table II (storage devices) and Table IV
 placement planner used by the DHL simulators.
 """
 
-from .datasets import (
-    DataStream,
-    Dataset,
-    LHC_CMS_DETECTOR,
-    META_ML_LARGE,
-    TABLE_I_DATASETS,
-    TABLE_I_STREAMS,
-    dataset_by_name,
-    lhc_hour,
-    synthetic_dataset,
-)
-from .growth import (
-    Crossover,
-    DATA_GROWTH_CAGR,
-    carts_per_day,
-    dhl_headroom_years,
-    projected_dataset,
-    projected_rate,
-    saturation_year,
-)
-from .devices import (
-    FORM_FACTOR_3_5_INCH,
-    FORM_FACTOR_M_2_2280,
-    FORM_FACTOR_U_2,
-    FormFactor,
-    NIMBUS_EXADRIVE_100TB,
-    SABRENT_ROCKET_4_PLUS_8TB,
-    StorageDevice,
-    TABLE_II_DEVICES,
-    WD_GOLD_24TB,
-    device_by_name,
-    drives_required,
-    m2_versus_hdd,
-)
-from .library import LibraryInventory, PlacementPlan, Shard, plan_placement
-from .mlmodels import (
-    DLRM_2022,
-    MlModel,
-    TABLE_IV_MODELS,
-    model_by_name,
-    parameter_bytes,
-)
-from .ssd_array import DegradedArray, PCIE6_X64, PcieLink, SsdArray, array_for_capacity
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Crossover",
-    "DATA_GROWTH_CAGR",
-    "carts_per_day",
-    "dhl_headroom_years",
-    "projected_dataset",
-    "projected_rate",
-    "saturation_year",
-    "DataStream",
-    "Dataset",
-    "DegradedArray",
-    "DLRM_2022",
-    "FORM_FACTOR_3_5_INCH",
-    "FORM_FACTOR_M_2_2280",
-    "FORM_FACTOR_U_2",
-    "FormFactor",
-    "LHC_CMS_DETECTOR",
-    "LibraryInventory",
-    "META_ML_LARGE",
-    "MlModel",
-    "NIMBUS_EXADRIVE_100TB",
-    "PCIE6_X64",
-    "PcieLink",
-    "PlacementPlan",
-    "SABRENT_ROCKET_4_PLUS_8TB",
-    "Shard",
-    "SsdArray",
-    "StorageDevice",
-    "TABLE_I_DATASETS",
-    "TABLE_I_STREAMS",
-    "TABLE_II_DEVICES",
-    "TABLE_IV_MODELS",
-    "WD_GOLD_24TB",
-    "array_for_capacity",
-    "dataset_by_name",
-    "device_by_name",
-    "drives_required",
-    "lhc_hour",
-    "m2_versus_hdd",
-    "model_by_name",
-    "parameter_bytes",
-    "plan_placement",
-    "synthetic_dataset",
-]
+_EXPORTS = {
+    ".datasets": (
+        "Dataset", "dataset_by_name", "DataStream", "LHC_CMS_DETECTOR", "lhc_hour",
+        "META_ML_LARGE", "synthetic_dataset", "TABLE_I_DATASETS", "TABLE_I_STREAMS",
+    ),
+    ".growth": (
+        "carts_per_day", "Crossover", "DATA_GROWTH_CAGR", "dhl_headroom_years",
+        "projected_dataset", "projected_rate", "saturation_year",
+    ),
+    ".devices": (
+        "device_by_name", "drives_required", "FORM_FACTOR_3_5_INCH",
+        "FORM_FACTOR_M_2_2280", "FORM_FACTOR_U_2", "FormFactor", "m2_versus_hdd",
+        "NIMBUS_EXADRIVE_100TB", "SABRENT_ROCKET_4_PLUS_8TB", "StorageDevice",
+        "TABLE_II_DEVICES", "WD_GOLD_24TB",
+    ),
+    ".library": ("LibraryInventory", "PlacementPlan", "plan_placement", "Shard"),
+    ".mlmodels": (
+        "DLRM_2022", "MlModel", "model_by_name", "parameter_bytes", "TABLE_IV_MODELS",
+    ),
+    ".ssd_array": (
+        "array_for_capacity", "DegradedArray", "PCIE6_X64", "PcieLink", "SsdArray",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -23,96 +23,29 @@ package is that demand layer.  It has four parts, each usable alone:
 end to end and gates it against the committed ``BENCH_traffic.json``.
 """
 
-from .schema import (
-    JSONL_SCHEMA,
-    TRACE_MAGIC,
-    TRACE_SCHEMA_VERSION,
-    TraceHeader,
-    TraceRecord,
-    monotone,
-)
-from .codec import (
-    BinaryTraceWriter,
-    FORMATS,
-    JsonlTraceWriter,
-    RECORD_STRUCT,
-    read_binary_header,
-    read_binary_records,
-    read_jsonl_header,
-    read_jsonl_records,
-    read_trace,
-    write_trace,
-)
-from .synth import (
-    DAY_S,
-    DEFAULT_WINDOW_S,
-    DemandClass,
-    FlashCrowd,
-    TenantProfile,
-    TraceSpec,
-    default_spec,
-    expected_records,
-    expected_window_counts,
-    synthesise,
-    synthesise_pooled,
-    synthesise_window,
-    trace_header,
-)
-from .replay import (
-    LookaheadCursor,
-    ReplayConfig,
-    ReplayResult,
-    bound_jobs,
-    check_compatible,
-    replay_fleet,
-    replay_fleet_sharded,
-)
-from .bench import (
-    TrafficBenchReport,
-    bench_scenario,
-    in_system_bound,
-    run_traffic_bench,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BinaryTraceWriter",
-    "DAY_S",
-    "DEFAULT_WINDOW_S",
-    "DemandClass",
-    "FORMATS",
-    "FlashCrowd",
-    "JSONL_SCHEMA",
-    "JsonlTraceWriter",
-    "LookaheadCursor",
-    "RECORD_STRUCT",
-    "ReplayConfig",
-    "ReplayResult",
-    "TRACE_MAGIC",
-    "TRACE_SCHEMA_VERSION",
-    "TenantProfile",
-    "TraceHeader",
-    "TraceRecord",
-    "TraceSpec",
-    "TrafficBenchReport",
-    "bench_scenario",
-    "bound_jobs",
-    "check_compatible",
-    "default_spec",
-    "expected_records",
-    "expected_window_counts",
-    "in_system_bound",
-    "monotone",
-    "read_binary_header",
-    "read_binary_records",
-    "read_jsonl_header",
-    "read_jsonl_records",
-    "read_trace",
-    "replay_fleet",
-    "replay_fleet_sharded",
-    "run_traffic_bench",
-    "synthesise",
-    "synthesise_pooled",
-    "synthesise_window",
-    "trace_header",
-    "write_trace",
-]
+_EXPORTS = {
+    ".schema": (
+        "JSONL_SCHEMA", "monotone", "TRACE_MAGIC", "TRACE_SCHEMA_VERSION",
+        "TraceHeader", "TraceRecord",
+    ),
+    ".codec": (
+        "BinaryTraceWriter", "FORMATS", "JsonlTraceWriter", "read_binary_header",
+        "read_binary_records", "read_jsonl_header", "read_jsonl_records", "read_trace",
+        "RECORD_STRUCT", "write_trace",
+    ),
+    ".synth": (
+        "DAY_S", "default_spec", "DEFAULT_WINDOW_S", "DemandClass", "expected_records",
+        "expected_window_counts", "FlashCrowd", "synthesise", "synthesise_pooled",
+        "synthesise_window", "TenantProfile", "trace_header", "TraceSpec",
+    ),
+    ".replay": (
+        "bound_jobs", "check_compatible", "LookaheadCursor", "replay_fleet",
+        "replay_fleet_sharded", "ReplayConfig", "ReplayResult",
+    ),
+    ".bench": (
+        "bench_scenario", "in_system_bound", "run_traffic_bench", "TrafficBenchReport",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

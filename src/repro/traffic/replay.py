@@ -258,7 +258,7 @@ def replay_fleet_sharded(
     :class:`~repro.fleet.shard.ShardReport`.  This is how a 1M-request
     day finally uses every core — see ``docs/scaling.md``.
     """
-    from ..fleet.shard import run_sharded
+    from ..fleet.shard import _run_bound_sharded
 
     config = config if config is not None else ReplayConfig()
     scenario = plan.scenario
@@ -266,13 +266,11 @@ def replay_fleet_sharded(
         check_compatible(header, scenario)
     cursor = LookaheadCursor(records, config)
     started = time.perf_counter()
-    shard_report = run_sharded(
+    shard_report = _run_bound_sharded(
         plan,
+        bound_jobs(cursor, dict(scenario.targets), scenario.catalog.dataset_bytes),
         engine=engine,
         workers=workers,
-        jobs=bound_jobs(
-            cursor, dict(scenario.targets), scenario.catalog.dataset_bytes
-        ),
     )
     result = ReplayResult(
         fleet=shard_report.fleet,

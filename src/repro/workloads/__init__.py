@@ -7,54 +7,21 @@ the Section V-E break-even policy), and a deterministic service
 scheduler that reports per-policy time, energy and latency.
 """
 
-from .generator import (
-    DEFAULT_MIX,
-    TrafficClass,
-    TransferJob,
-    WorkloadGenerator,
-    jobs_by_kind,
-    total_offered_bytes,
-)
-from .policy import (
-    AllDhlPolicy,
-    AllNetworkPolicy,
-    BreakEvenPolicy,
-    DHL,
-    NETWORK,
-    RoutingPolicy,
-    SizeThresholdPolicy,
-    split_jobs,
-)
-from .replication import ReplicatedMetric, replicate, summarise
-from .service import (
-    JobOutcome,
-    PolicyReport,
-    ServiceConfig,
-    compare_policies,
-    evaluate_policy,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AllDhlPolicy",
-    "AllNetworkPolicy",
-    "BreakEvenPolicy",
-    "DEFAULT_MIX",
-    "DHL",
-    "JobOutcome",
-    "NETWORK",
-    "PolicyReport",
-    "ReplicatedMetric",
-    "replicate",
-    "summarise",
-    "RoutingPolicy",
-    "ServiceConfig",
-    "SizeThresholdPolicy",
-    "TrafficClass",
-    "TransferJob",
-    "WorkloadGenerator",
-    "compare_policies",
-    "evaluate_policy",
-    "jobs_by_kind",
-    "split_jobs",
-    "total_offered_bytes",
-]
+_EXPORTS = {
+    ".generator": (
+        "DEFAULT_MIX", "jobs_by_kind", "total_offered_bytes", "TrafficClass",
+        "TransferJob", "WorkloadGenerator",
+    ),
+    ".policy": (
+        "AllDhlPolicy", "AllNetworkPolicy", "BreakEvenPolicy", "DHL", "NETWORK",
+        "RoutingPolicy", "SizeThresholdPolicy", "split_jobs",
+    ),
+    ".replication": ("replicate", "ReplicatedMetric", "summarise"),
+    ".service": (
+        "compare_policies", "evaluate_policy", "JobOutcome", "PolicyReport",
+        "ServiceConfig",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

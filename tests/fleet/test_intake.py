@@ -10,7 +10,9 @@ them.
 """
 
 from dataclasses import replace
+from inspect import GEN_CLOSED, getgeneratorstate
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from repro.fleet.controlplane import (
     ControlPlane,
     _bind_jobs,
     _FleetJob,
+    build_plane,
     default_scenario,
 )
 from repro.fleet.sla import DEFAULT_TARGET
@@ -206,3 +209,34 @@ class TestRegistryPin:
             "fleet.latency_s.batch": 21,
             "fleet.latency_s.interactive": 89,
         }
+
+
+class TestLaneWorkersClose:
+    """A finished plane leaves no lane worker suspended for the GC to close."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        workers = []
+        real_start = ControlPlane.start_workers
+
+        def spy(plane):
+            real_start(plane)
+            workers.extend(plane._workers)
+
+        monkeypatch.setattr(ControlPlane, "start_workers", spy)
+        return workers
+
+    def test_run_closes_every_lane_worker(self, started):
+        scenario = chaos_scenario("hardened", seed=0, horizon_s=900.0)
+        plane = build_plane(scenario)
+        plane.run(_bind_jobs(scenario, plane.topology))
+        assert len(started) == sum(lane.stations for lane in plane.lanes.values())
+        assert {getgeneratorstate(worker) for worker in started} == {GEN_CLOSED}
+
+    def test_shard_pods_close_their_lane_workers(self, started):
+        plan = shard.ShardPlan(
+            scenario=default_scenario(seed=0, horizon_s=900.0), n_pods=2
+        )
+        shard.run_sharded(plan, engine="serial")
+        assert started
+        assert {getgeneratorstate(worker) for worker in started} == {GEN_CLOSED}

@@ -117,8 +117,11 @@ class BarrierPod:
         return state, self.outbox
 
 
-def barrier_run(plan, jobs=None):
-    """The oracle: the serial epoch-barrier loop; a comparable summary."""
+def barrier_run(plan, jobs=None, fjobs=None):
+    """The oracle: the serial epoch-barrier loop; a comparable summary.
+
+    ``fjobs`` is an already-bound stream (a trace replay's), run as is.
+    """
     scenario = plan.scenario
     if plan.n_pods == 1:
         env = Environment()
@@ -128,12 +131,16 @@ def barrier_run(plan, jobs=None):
             plane.attach_campaign(
                 install_campaign(env, topology.systems, scenario.chaos)
             )
-        fleet = plane.run(_bind_jobs(scenario, topology, jobs=jobs))
+        if fjobs is None:
+            fjobs = _bind_jobs(scenario, topology, jobs=jobs)
+        fleet = plane.run(fjobs)
         rows = (shard._pod_row(0, scenario.spec.n_tracks,
                                scenario.spec.cart_pool, fleet),)
         return summary(fleet, plane.registry.snapshot(), 0, {}, rows)
     homes = assign_homes(scenario.spec, scenario.catalog)
-    stream = iter(_bind_jobs(scenario, shard._HomesView(homes), jobs=jobs))
+    if fjobs is None:
+        fjobs = _bind_jobs(scenario, shard._HomesView(homes), jobs=jobs)
+    stream = iter(fjobs)
     upcoming = next(stream, None)
     pods = [BarrierPod(plan, pod) for pod in range(plan.n_pods)]
     pending = []
@@ -188,8 +195,11 @@ def summary(fleet, metrics, forwarded, remote_outcomes, pod_rows):
     }
 
 
-def pod_task_run(plan, jobs=None):
-    report = shard.run_sharded(plan, engine="serial", jobs=jobs)
+def pod_task_run(plan, jobs=None, fjobs=None):
+    if fjobs is None:
+        report = shard.run_sharded(plan, engine="serial", jobs=jobs)
+    else:
+        report = shard._run_bound_sharded(plan, fjobs, engine="serial")
     assert report.forwarded == sum(report.remote_outcomes.values())
     return summary(report.fleet, report.metrics, report.forwarded,
                    report.remote_outcomes, report.pod_rows)
@@ -311,9 +321,9 @@ class TestPodTasksMatchTheBarrierLoop:
             return bound_jobs(synthesise(spec), dict(scenario.targets),
                               scenario.catalog.dataset_bytes)
 
-        new = pod_task_run(plan, jobs=jobs())
+        new = pod_task_run(plan, fjobs=jobs())
         assert new["forwarded"] > 0
-        assert new == barrier_run(plan, jobs=jobs())
+        assert new == barrier_run(plan, fjobs=jobs())
 
 
 class TestPodIndependence:
