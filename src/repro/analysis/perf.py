@@ -1,11 +1,12 @@
-"""Sweep-engine performance benchmarking: the ``repro bench`` artefact.
+"""Sweep performance benchmarking: the ``repro bench`` artefact.
 
-The design-space tools promise that every evaluation engine in
-:mod:`repro.core.sweep` returns bit-identical reports, and that the
-vectorised/parallel paths are substantially faster than the scalar
-reference.  This module turns both promises into a measured, committed
-artefact: :func:`run_bench` times each engine over a deterministic
-design-point grid, checks the results agree exactly, and
+The design-space sweep evaluates every point with the numpy batch
+kernels, and promises reports bit-identical to the scalar reference
+:func:`~repro.core.model.design_point_report`, substantially faster.
+This module turns both promises into a measured, committed artefact:
+:func:`run_bench` times the scalar loop (``"serial"``) against
+:func:`~repro.core.sweep.evaluate_reports` (``"vector"``) over a
+deterministic design-point grid, checks the results agree exactly, and
 :func:`report_payload` is what ``repro bench`` writes to
 ``BENCH_sweep.json`` — the committed perf-regression baseline.
 """
@@ -13,24 +14,21 @@ design-point grid, checks the results agree exactly, and
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping
 
+from ..core.model import design_point_report
 from ..core.params import DhlParams
-from ..core.sweep import clear_report_cache, evaluate_reports, report_cache_stats
+from ..core.sweep import evaluate_reports
 from ..errors import ConfigurationError
 from ..storage.datasets import META_ML_LARGE, Dataset
-
-BENCH_ENGINES: tuple[str, ...] = ("serial", "vector", "process")
-"""Engines timed by default, slowest (the reference) first."""
 
 DEFAULT_POINTS: int = 600
 """Default grid size; comfortably above the 500-point acceptance floor."""
 
 DEFAULT_REPEATS: int = 3
-"""Timing repeats per engine; the best run is reported."""
+"""Timing repeats per path; the best run is reported."""
 
 SPEEDUP_FLOOR: float = 4.0
 """Minimum accepted best-engine speedup over the scalar reference."""
@@ -78,7 +76,7 @@ def bench_points(
 
 @dataclass(frozen=True)
 class EngineTiming:
-    """Wall-clock timings of one engine over the bench grid."""
+    """Wall-clock timings of one evaluation path over the bench grid."""
 
     engine: str
     runs_s: tuple[float, ...]
@@ -90,20 +88,13 @@ class EngineTiming:
 
 @dataclass(frozen=True)
 class BenchReport:
-    """Outcome of one sweep-engine bench: timings plus the identity check."""
+    """Outcome of one sweep bench: timings plus the identity check."""
 
     n_points: int
     dataset: str
     repeats: int
-    workers: int
     timings: tuple[EngineTiming, ...]
     identical_results: bool
-    skipped: tuple[tuple[str, str], ...] = ()
-    """(engine, reason) pairs for engines that were not timed."""
-    cache_stats: tuple[tuple[str, int], ...] = ()
-    """Memo-cache counters from the cache-effectiveness probe, as
-    (name, value) pairs: size/hits/misses after a cold pass plus a
-    fully warm re-evaluation of the same grid."""
 
     def timing(self, engine: str) -> EngineTiming:
         for entry in self.timings:
@@ -117,7 +108,7 @@ class BenchReport:
 
     @property
     def best_engine(self) -> str:
-        """The fastest non-reference engine (ties keep bench order)."""
+        """The fastest non-reference path (ties keep bench order)."""
         fastest = min(
             (entry for entry in self.timings if entry.engine != "serial"),
             key=lambda entry: entry.best_s,
@@ -132,75 +123,44 @@ class BenchReport:
 def run_bench(
     n_points: int = DEFAULT_POINTS,
     dataset: Dataset = META_ML_LARGE,
-    engines: Sequence[str] = BENCH_ENGINES,
     repeats: int = DEFAULT_REPEATS,
-    workers: int | None = None,
     base: DhlParams | None = None,
 ) -> BenchReport:
-    """Time every engine over the same grid and verify identical results.
+    """Time the scalar loop and the batch sweep over one grid.
 
-    The memo cache is cleared before each run and disabled during it, so
-    the timings measure the engines themselves, not cache hits.  The
-    first run of each engine is also compared against the scalar
-    reference report-for-report.
+    ``"serial"`` maps :func:`~repro.core.model.design_point_report`
+    over the points; ``"vector"`` is one
+    :func:`~repro.core.sweep.evaluate_reports` call.  The first run of
+    each is compared report-for-report.
     """
     if repeats <= 0:
         raise ConfigurationError("repeats must be >= 1")
-    if not engines:
-        raise ConfigurationError("at least one engine is required")
-    if "serial" not in engines:
-        raise ConfigurationError("the 'serial' reference engine is required")
     points = bench_points(n_points, base=base)
-    n_workers = workers or os.cpu_count() or 1
-    skipped: tuple[tuple[str, str], ...] = ()
-    if "process" in engines and (os.cpu_count() or 1) == 1 and workers is None:
-        # A process pool on one core times scheduler noise plus pickling
-        # overhead, not parallel speedup; record the skip instead of
-        # committing a junk comparison.  Explicit --workers overrides.
-        engines = tuple(engine for engine in engines if engine != "process")
-        skipped = (("process", "cpu_count == 1"),)
+    paths: dict[str, Callable[[], tuple]] = {
+        "serial": lambda: tuple(
+            design_point_report(params, dataset=dataset) for params in points
+        ),
+        "vector": lambda: evaluate_reports(points, dataset=dataset),
+    }
 
     timings: list[EngineTiming] = []
     first_results: dict[str, tuple] = {}
-    for engine in engines:
+    for engine, evaluate in paths.items():
         runs: list[float] = []
         for attempt in range(repeats):
-            clear_report_cache()
             started = time.perf_counter()
-            reports = evaluate_reports(
-                points,
-                dataset=dataset,
-                engine=engine,
-                workers=n_workers if engine == "process" else None,
-                cache=False,
-            )
+            reports = evaluate()
             runs.append(time.perf_counter() - started)
             if attempt == 0:
                 first_results[engine] = reports
         timings.append(EngineTiming(engine=engine, runs_s=tuple(runs)))
 
-    reference = first_results["serial"]
-    identical = all(result == reference for result in first_results.values())
-
-    # Cache-effectiveness probe (after the timings, which disable the
-    # memo): one cold pass populates the cache, a second pass over the
-    # same grid must then be all hits.  The counters land in the bench
-    # payload and the fleetview timing table.
-    clear_report_cache()
-    evaluate_reports(points, dataset=dataset, engine="vector", cache=True)
-    evaluate_reports(points, dataset=dataset, engine="vector", cache=True)
-    stats = report_cache_stats()
-    clear_report_cache()
-
     return BenchReport(
         n_points=len(points),
         dataset=dataset.name,
         repeats=repeats,
-        workers=n_workers,
         timings=tuple(timings),
-        identical_results=identical,
-        skipped=skipped,
-        cache_stats=tuple(sorted(stats.items())),
+        identical_results=first_results["vector"] == first_results["serial"],
     )
 
 
@@ -211,7 +171,6 @@ def report_payload(report: BenchReport) -> dict[str, object]:
         "n_points": report.n_points,
         "dataset": report.dataset,
         "repeats": report.repeats,
-        "workers": report.workers,
         "identical_results": report.identical_results,
         "engines": {
             entry.engine: {
@@ -229,8 +188,6 @@ def report_payload(report: BenchReport) -> dict[str, object]:
                 if entry.engine != "serial"
             },
         },
-        "skipped": dict(report.skipped),
-        "report_cache_informational": dict(report.cache_stats),
     }
 
 
@@ -251,7 +208,7 @@ def compare_to_baseline(
     """
     problems: list[str] = []
     if not payload.get("identical_results", False):
-        problems.append("engines no longer produce identical results")
+        problems.append("batch and scalar reports are no longer identical")
     speedup = float(payload.get("speedup", {}).get("best", 0.0))
     baseline_speedup = float(baseline.get("speedup", {}).get("best", 0.0))
     if baseline_speedup < SPEEDUP_FLOOR:
@@ -280,13 +237,3 @@ def bench_table(report: BenchReport) -> tuple[list[str], list[list[object]]]:
         ])
     return headers, rows
 
-
-def cache_stats_table(
-    report: BenchReport,
-) -> tuple[list[str], list[list[object]]]:
-    """Headers and rows for the memo-cache probe counters."""
-    headers = ["Cache counter", "Value"]
-    rows: list[list[object]] = [
-        [name, value] for name, value in report.cache_stats
-    ]
-    return headers, rows

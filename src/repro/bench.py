@@ -181,13 +181,9 @@ def _sweep(args: argparse.Namespace) -> dict[str, object]:
     report = perf.run_bench(
         n_points=args.points or perf.DEFAULT_POINTS,
         repeats=args.repeats or perf.DEFAULT_REPEATS,
-        workers=args.workers,
     )
     _table(perf.bench_table(report),
            f"Sweep-engine bench ({report.n_points} points)")
-    print()
-    _table(perf.cache_stats_table(report),
-           "Report memo-cache probe (cold pass + warm re-evaluation)")
     return perf.report_payload(report)
 
 
@@ -311,7 +307,7 @@ def _shard(args: argparse.Namespace) -> dict[str, object]:
 def _sweep_failures(payload: Payload) -> list[str]:
     if payload["identical_results"]:
         return []
-    return ["engines disagree on sweep results"]
+    return ["batch sweep disagrees with the scalar reports"]
 
 
 def _engine_failures(payload: Payload) -> list[str]:

@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(BENCHES),
         default="sweep",
         help="bench: which registered bench to run ('sweep' times the "
-             "design-space engines, 'engine' the DES core against the "
+             "batch design-point sweep against the scalar loop, 'engine' "
+             "the DES core against the "
              "frozen reference, 'shard' the sharded co-simulation; the "
              "others are the artefacts of the same name)",
     )
@@ -152,13 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=None,
-        help="bench: timing repeats per engine (best run is reported)",
+        help="bench: timing repeats per timed path (best run is reported)",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="bench: worker processes for the 'process' engine",
+        help="process-pool workers for bench --mode engine and shard, "
+             "fleet --capacity and --shards, and replicate (the sweep "
+             "bench runs in-process)",
     )
     parser.add_argument(
         "--bench-out",

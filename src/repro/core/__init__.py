@@ -12,6 +12,7 @@ _EXPORTS = {
         "AvailabilityModel", "RepairableComponent", "series_availability",
         "stall_overhead",
     ),
+    ".chunks": ("map_chunks",),
     ".breakeven": (
         "break_even", "break_even_batch", "BreakEven", "min_distance_for_time_win",
         "paper_minimum_example",
@@ -61,8 +62,7 @@ _EXPORTS = {
         "percentile", "percentiles", "percentiles_by_class", "STANDARD_POINTS",
     ),
     ".sweep": (
-        "clear_report_cache", "ENGINES", "evaluate_reports", "grid_sweep", "map_chunks",
-        "pareto_front", "report_cache_stats", "run_sweep", "SweepResult",
+        "evaluate_reports", "grid_sweep", "pareto_front", "run_sweep", "SweepResult",
         "table_vi_sweep",
     ),
 }

@@ -7,6 +7,7 @@ comparison against the optical-network routes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -264,12 +265,21 @@ def _route_energy_basis(
     )
 
 
+def _check_link_gbps(link_gbps: float) -> None:
+    """Reject a link rate no network baseline can be anchored to."""
+    if not 0.0 < link_gbps < math.inf:
+        raise ConfigurationError(
+            f"link_gbps must be finite and > 0, got {link_gbps!r}"
+        )
+
+
 def design_point_report(
     params: DhlParams,
     dataset: Dataset = META_ML_LARGE,
     link_gbps: float = 400.0,
 ) -> DesignPointReport:
     """Evaluate a design point end to end, as one Table VI row."""
+    _check_link_gbps(link_gbps)
     campaign = plan_campaign(params, dataset)
     network_time = baseline_transfer_time(dataset, link_gbps=link_gbps)
     return DesignPointReport(
@@ -288,8 +298,8 @@ def design_point_report(
 # :mod:`repro.core.physics`.  Each batch evaluates every design point in
 # a handful of numpy operations instead of one Python call chain per
 # point, and reproduces the scalar path bit-for-bit (asserted by
-# ``tests/core/test_vector.py``); ``repro.core.sweep`` uses them as its
-# default evaluation engine.
+# ``tests/core/test_vector.py``); ``repro.core.sweep`` evaluates every
+# sweep with them.
 
 
 @dataclass(frozen=True)
@@ -496,6 +506,7 @@ def design_point_reports(
     and every report is assembled from the batched kernels.  Output is
     bit-identical to mapping :func:`design_point_report` over ``points``.
     """
+    _check_link_gbps(link_gbps)
     metrics = launch_metrics_batch(points)
     campaigns = plan_campaign_batch(metrics.points, dataset)
     network_time = baseline_transfer_time(dataset, link_gbps=link_gbps)

@@ -341,14 +341,14 @@ def air_drag_power(speed: float, pressure_pa: float = ROUGH_VACUUM_PRESSURE_PA,
 # Vectorised kernels
 # --------------------------------------------------------------------------
 #
-# Array twins of the scalar models above, used by the sweep engine and
-# the batched analysis layers (``repro.core.model`` batch builders,
+# Array twins of the scalar models above, used by the design-point sweep
+# and the batched analysis layers (``repro.core.model`` batch builders,
 # ``repro.core.sensitivity``, ``repro.core.breakeven``,
 # ``repro.core.optimizer``).  Every kernel performs the *same* floating-
 # point operations in the *same* order as its scalar twin, so results
 # are bit-identical element for element — a property the test suite
-# asserts, and the reason the sweep engine may transparently substitute
-# the vectorised path for the scalar one.
+# asserts, and the reason every sweep may run the vectorised path in
+# place of the scalar one.
 #
 # All kernels accept scalars or broadcastable numpy arrays and return
 # ``numpy.ndarray`` (float64).

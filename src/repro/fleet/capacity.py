@@ -5,7 +5,7 @@ deployments — number of tracks, cart-pool size, scheduling policy —
 and return the cheapest candidate whose simulated run satisfies the
 requirement.  The sweep is exhaustive: every candidate is simulated, so
 the plan is the DES's own answer, not a model's.  Candidates are
-evaluated through :func:`repro.core.sweep.map_chunks`, so a plan can
+evaluated through :func:`repro.core.chunks.map_chunks`, so a plan can
 fan out across a process pool; virtual-time determinism guarantees
 the serial and parallel engines return the *same* plan, which the test
 suite pins.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 
-from ..core.sweep import map_chunks
+from ..core.chunks import map_chunks
 from ..errors import ConfigurationError
 from ..units import assert_positive
 from .cache import CacheConfig
@@ -173,7 +173,6 @@ def plan_capacity(
     cache_options: tuple[str, ...] | None = None,
     engine: str = "serial",
     workers: int | None = None,
-    chunk_size: int | None = None,
 ) -> CapacityPlan:
     """Sweep the whole candidate grid and pick the minimal feasible fleet.
 
@@ -185,13 +184,7 @@ def plan_capacity(
                                     cart_pool_options, policies,
                                     cache_options)
     chunk_fn = functools.partial(_candidate_chunk, requirement=requirement)
-    evaluations = map_chunks(
-        chunk_fn,
-        scenarios,
-        engine=engine,
-        workers=workers,
-        chunk_size=chunk_size,
-    )
+    evaluations = map_chunks(chunk_fn, scenarios, engine=engine, workers=workers)
     best = next((e for e in evaluations if e.feasible), None)
     return CapacityPlan(
         requirement=requirement,

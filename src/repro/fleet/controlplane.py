@@ -952,7 +952,7 @@ def run_fleet(scenario: FleetScenario,
     """Simulate one fleet scenario end to end.
 
     Module-level and driven entirely by the scenario value, so it is
-    picklable into :func:`repro.core.sweep.map_chunks` process workers
+    picklable into :func:`repro.core.chunks.map_chunks` process workers
     and returns bit-identical reports under any engine.  ``jobs``
     optionally replaces the scenario's synthetic stream with any lazy
     :class:`~repro.workloads.generator.TransferJob` iterator — the

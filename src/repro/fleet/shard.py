@@ -4,7 +4,7 @@ One shared DES clock caps :mod:`repro.fleet` at a single core.  This
 module partitions a large :class:`~repro.fleet.topology.FleetSpec` into
 **pods** — contiguous track ranges, each simulated by its own
 :class:`~repro.sim.Environment` + control plane — and runs every pod as
-one task over :func:`~repro.core.sweep.map_chunks`, serially or on a
+one task over :func:`~repro.core.chunks.map_chunks`, serially or on a
 process pool.
 
 **Forwarding, not synchronisation.**  A job enters at pod
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
-from ..core.sweep import map_chunks
+from ..core.chunks import map_chunks
 from ..errors import ConfigurationError
 from ..obs import merge_snapshots_additive
 from ..workloads.generator import TransferJob
@@ -573,7 +573,7 @@ def run_sharded(
     """Run one sharded fleet co-simulation end to end.
 
     ``engine`` picks how the per-pod tasks run (``serial`` or
-    ``process``, via :func:`~repro.core.sweep.map_chunks`); ``workers``
+    ``process``, via :func:`~repro.core.chunks.map_chunks`); ``workers``
     bounds the process pool (default: one worker per pod, capped at the
     CPU count).  ``jobs`` optionally replaces the scenario's synthetic
     stream with any lazy :class:`~repro.workloads.generator.TransferJob`

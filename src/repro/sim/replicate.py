@@ -4,7 +4,7 @@ Every simulation in this repo is deterministic given its seed, so a
 single run answers "what happens under seed 0" — not "what happens".
 This module turns any picklable ``seed -> {metric: value}`` function
 into a replicated estimate: it fans the seed list across the
-order-preserving :func:`repro.core.sweep.map_chunks` dispatcher
+order-preserving :func:`repro.core.chunks.map_chunks` dispatcher
 (serial in-process or a ``ProcessPoolExecutor``), then merges the
 per-seed outputs into per-metric mean / sample standard deviation /
 95% confidence interval / tail percentiles (the percentile rule is
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from ..core.percentiles import percentiles
-from ..core.sweep import map_chunks
+from ..core.chunks import map_chunks
 from ..errors import ConfigurationError
 
 SCHEMA = "repro-replicate/1"
@@ -123,7 +123,6 @@ def replicate(
     seeds: Iterable[int],
     engine: str = "serial",
     workers: int | None = None,
-    chunk_size: int | None = None,
 ) -> ReplicationResult:
     """Run ``run_one`` under every seed and merge the outputs.
 
@@ -147,7 +146,6 @@ def replicate(
         seed_list,
         engine=engine,
         workers=workers,
-        chunk_size=chunk_size,
     )
     wall_s = time.perf_counter() - started
     expected = set(outputs[0])

@@ -13,7 +13,7 @@ package is that demand layer.  It has four parts, each usable alone:
   non-homogeneous Poisson arrivals via thinning, superimposed
   flash-crowd bursts, Zipf popularity over the fleet's dataset
   catalog, multi-tenant class mixes — byte-identical serially or
-  across :func:`repro.core.sweep.map_chunks` process pools;
+  across :func:`repro.core.chunks.map_chunks` process pools;
 * :mod:`~repro.traffic.replay` — an open-loop adapter that feeds a
   trace into :func:`repro.fleet.controlplane.run_fleet` incrementally
   on the DES clock behind a bounded lookahead cursor, with per-tenant

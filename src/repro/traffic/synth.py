@@ -14,7 +14,7 @@ Determinism is **window-partitioned**: every ``(seed, component,
 window)`` triple owns an independent
 :class:`numpy.random.SeedSequence` substream, so a trace is
 byte-identical whether windows are synthesised serially, out of order,
-or fanned out across :func:`repro.core.sweep.map_chunks` process
+or fanned out across :func:`repro.core.chunks.map_chunks` process
 workers — the property the fleet's replication layer already relies on
 for reports, extended here to demand itself.  Memory is bounded by one
 window's records, never the whole day's.
@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..core.sweep import map_chunks
+from ..core.chunks import map_chunks
 from ..errors import ConfigurationError
 from ..units import TB, assert_positive
 from ..fleet.controlplane import FLEET_TARGETS
@@ -264,7 +264,7 @@ def synthesise_window(spec: TraceSpec,
 
     Module-level and driven by ``(spec, window_index)`` alone, with one
     seeded substream per component, so it is picklable into
-    :func:`~repro.core.sweep.map_chunks` workers and byte-identical
+    :func:`~repro.core.chunks.map_chunks` workers and byte-identical
     however the windows are scheduled.
     """
     t0, t1 = spec.window_bounds(window_index)

@@ -18,7 +18,6 @@ _EXPORTS = {
         "AllDhlPolicy", "AllNetworkPolicy", "BreakEvenPolicy", "DHL", "NETWORK",
         "RoutingPolicy", "SizeThresholdPolicy", "split_jobs",
     ),
-    ".replication": ("replicate", "ReplicatedMetric", "summarise"),
     ".service": (
         "compare_policies", "evaluate_policy", "JobOutcome", "PolicyReport",
         "ServiceConfig",

@@ -129,7 +129,7 @@ def stream_fingerprint(
     on when process-pool workers re-generate offered load from a seed:
     the stream a worker sees must be *the* stream, not a statistically
     similar one.  Module-level and argument-only, so it is picklable
-    into :func:`repro.core.sweep.map_chunks` workers.
+    into :func:`repro.core.chunks.map_chunks` workers.
     """
     generator = WorkloadGenerator(classes=classes, seed=seed)
     parts: list[bytes] = []

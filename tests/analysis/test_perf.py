@@ -1,4 +1,4 @@
-"""Tests for the sweep-engine bench and the ``repro bench`` artefact."""
+"""Tests for the sweep bench and the ``repro bench`` artefact."""
 
 import json
 
@@ -19,10 +19,8 @@ from repro.errors import ConfigurationError
 
 
 def tiny_bench(**overrides):
-    """A fast bench: small grid, serial + vector only, one repeat."""
-    defaults = dict(
-        n_points=24, engines=("serial", "vector"), repeats=1
-    )
+    """A fast bench: small grid, one repeat."""
+    defaults = dict(n_points=24, repeats=1)
     defaults.update(overrides)
     return run_bench(**defaults)
 
@@ -56,10 +54,6 @@ class TestRunBench:
         assert {entry.engine for entry in report.timings} == {"serial", "vector"}
         assert all(run > 0 for entry in report.timings for run in entry.runs_s)
         assert report.speedup("serial") == 1.0
-
-    def test_requires_serial_reference(self):
-        with pytest.raises(ConfigurationError):
-            run_bench(engines=("vector",))
 
     def test_rejects_bad_repeats(self):
         with pytest.raises(ConfigurationError):
@@ -128,7 +122,6 @@ class TestBenchTable:
             n_points=10,
             dataset="d",
             repeats=2,
-            workers=1,
             timings=(
                 EngineTiming(engine="serial", runs_s=(0.4, 0.5)),
                 EngineTiming(engine="vector", runs_s=(0.1, 0.2)),
@@ -171,26 +164,3 @@ class TestBenchCli:
         assert args.check == "BENCH_sweep.json"
         # Default resolves per --mode to BENCH_<mode>.json.
         assert args.bench_out is None
-
-
-class TestSingleCoreSkip:
-    def test_process_engine_skipped_on_one_core(self, monkeypatch):
-        from repro.analysis import perf
-
-        monkeypatch.setattr(perf.os, "cpu_count", lambda: 1)
-        report = perf.run_bench(n_points=24, repeats=1)
-        # A process pool on one core measures noise, not speedup: the
-        # engine is skipped and the skip is recorded in the payload.
-        assert "process" not in {entry.engine for entry in report.timings}
-        assert dict(report.skipped) == {"process": "cpu_count == 1"}
-        assert perf.report_payload(report)["skipped"] == {
-            "process": "cpu_count == 1"
-        }
-
-    def test_explicit_workers_overrides_the_skip(self, monkeypatch):
-        from repro.analysis import perf
-
-        monkeypatch.setattr(perf.os, "cpu_count", lambda: 1)
-        report = perf.run_bench(n_points=24, repeats=1, workers=2)
-        assert "process" in {entry.engine for entry in report.timings}
-        assert report.skipped == ()

@@ -1,16 +1,18 @@
-"""Tests for design-space sweeps, the evaluation engines and Pareto."""
+"""Tests for design-space sweeps, the batch/scalar oracle and Pareto."""
+
+import math
 
 import pytest
 
+from repro.analysis.perf import bench_points
+from repro.core.chunks import map_chunks
+from repro.core.model import design_point_report, design_point_reports
 from repro.core.params import DhlParams, table_vi_design_points
 from repro.core.sweep import (
     SweepResult,
-    clear_report_cache,
     evaluate_reports,
     grid_sweep,
-    map_chunks,
     pareto_front,
-    report_cache_stats,
     run_sweep,
     table_vi_sweep,
 )
@@ -67,71 +69,53 @@ class TestTableViSweep:
         assert frugal.metrics.params.ssds_per_cart == 16
 
 
-def small_grid():
-    return [
-        DhlParams(max_speed=speed, track_length=length, ssds_per_cart=ssds)
-        for speed in (50.0, 150.0, 250.0)
-        for length in (100.0, 1000.0)
-        for ssds in (16, 64)
-    ]
+class TestEvaluateReports:
+    def test_batch_equals_scalar_reports_on_the_bench_grid(self):
+        """The oracle: the batch kernels reproduce the scalar report exactly.
 
-
-class TestEvaluationEngines:
-    def test_all_engines_agree_exactly(self):
-        """Serial, vector and process sweeps are byte-identical.
-
-        Process-pool results come back through pickle, so equality here
-        covers ordering, values and round-tripping in one assertion.
+        The 600-point bench grid covers both motion-profile branches,
+        three cart sizes and two dock times; equality is field by field,
+        floats included.
         """
-        points = small_grid()
-        serial = evaluate_reports(points, engine="serial", cache=False)
-        vector = evaluate_reports(points, engine="vector", cache=False)
-        process = evaluate_reports(
-            points, engine="process", workers=2, cache=False
+        points = bench_points(600)
+        assert evaluate_reports(points) == tuple(
+            design_point_report(params) for params in points
         )
-        assert serial == vector
-        assert serial == process
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            evaluate_reports([DhlParams()], engine="gpu")
-
-    def test_duplicates_evaluated_once_and_shared(self):
+    def test_duplicates_get_equal_reports(self):
         points = [DhlParams(), DhlParams(max_speed=100.0), DhlParams()]
-        reports = evaluate_reports(points, cache=False)
+        reports = evaluate_reports(points)
         assert len(reports) == 3
-        assert reports[0] is reports[2]
+        assert reports[0] == reports[2]
+        assert reports[0] != reports[1]
 
-    def test_cache_hits_across_calls(self):
-        clear_report_cache()
-        points = small_grid()
-        evaluate_reports(points)
-        before = report_cache_stats()
-        evaluate_reports(points)
-        after = report_cache_stats()
-        assert after["hits"] == before["hits"] + len(points)
-        assert after["misses"] == before["misses"]
-        clear_report_cache()
-        assert report_cache_stats() == {
-            "size": 0, "hits": 0, "misses": 0, "evictions": 0,
-        }
 
-    def test_cache_disabled_recomputes(self):
-        clear_report_cache()
-        evaluate_reports([DhlParams()], cache=False)
-        assert report_cache_stats()["size"] == 0
+class TestLinkRateValidation:
+    """A link rate no baseline can be anchored to fails fast, both paths."""
+
+    BAD_RATES = (0.0, -400.0, math.nan, math.inf)
+
+    @pytest.mark.parametrize("link_gbps", BAD_RATES)
+    def test_scalar_report_rejects(self, link_gbps):
+        with pytest.raises(ConfigurationError, match="link_gbps"):
+            design_point_report(DhlParams(), link_gbps=link_gbps)
+
+    @pytest.mark.parametrize("link_gbps", BAD_RATES)
+    def test_batch_reports_reject(self, link_gbps):
+        with pytest.raises(ConfigurationError, match="link_gbps"):
+            design_point_reports([DhlParams()], link_gbps=link_gbps)
 
 
 class TestBestByTieBreaking:
     def test_first_in_input_order_wins_on_ties(self):
         """Regression: ties must resolve to the first report in input
-        order, so parallel and serial sweeps pick the same winner."""
+        order."""
         points = [
             DhlParams(max_speed=100.0),
             DhlParams(max_speed=100.0, dual_rail=True),
             DhlParams(max_speed=100.0, acceleration=50.1),
         ]
-        result = run_sweep(points, engine="serial")
+        result = run_sweep(points)
         # All three share identical launch energy (same mass and peak
         # speed; acceleration does not enter the energy model).
         energies = result.column(lambda report: report.metrics.energy_j)
@@ -142,13 +126,6 @@ class TestBestByTieBreaking:
         assert best is result.reports[0]
         worst = result.best_by(lambda report: report.metrics.energy_j)
         assert worst is result.reports[0]
-
-    def test_tie_break_independent_of_engine(self):
-        points = [DhlParams(ssds_per_cart=n) for n in (32, 32, 16, 32)]
-        for engine in ("serial", "vector", "process"):
-            result = run_sweep(points, engine=engine, workers=2)
-            best = result.best_by(lambda report: report.metrics.energy_j)
-            assert best is result.reports[0]
 
     def test_empty_result_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -116,23 +116,46 @@ _STALE_LEARN = re.compile("|".join([
 _LEARN_FREE_ROOTS = ("src", "docs", "README.md", "EXPERIMENTS.md", ".github")
 
 
-@pytest.mark.parametrize("root", _LEARN_FREE_ROOTS)
-def test_no_stale_learned_control_references(root):
-    """The learned controller is deleted; nothing may point readers at it."""
+def _matching_lines(root: str, pattern: re.Pattern) -> list[str]:
+    """``path:line: text`` for every line under ``root`` that ``pattern`` finds."""
     base = REPO_ROOT / root
     paths = [base] if base.is_file() else sorted(
         path for path in base.rglob("*")
         if path.is_file() and "__pycache__" not in path.parts
     )
-    stale = [
+    return [
         f"{path.relative_to(REPO_ROOT)}:{number}: {line.strip()}"
         for path in paths
         for number, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), start=1
         )
-        if _STALE_LEARN.search(line)
+        if pattern.search(line)
     ]
+
+
+@pytest.mark.parametrize("root", _LEARN_FREE_ROOTS)
+def test_no_stale_learned_control_references(root):
+    """The learned controller is deleted; nothing may point readers at it."""
+    stale = _matching_lines(root, _STALE_LEARN)
     assert stale == [], "stale learned-control references:\n" + "\n".join(stale)
+
+
+#: Names of the deleted design-point sweep engines, their memo cache,
+#: the cache probe table, the old home of ``map_chunks`` and the
+#: deleted second replication harness.  Spelled in pieces, as above.
+_STALE_SWEEP = re.compile("|".join([
+    "clear_report" "_cache", "report_cache" "_stats", "VECTOR" "_THRESHOLD",
+    "REPORT_CACHE" "_SIZE", "cache_stats" "_table", r"core\.sweep\." "ENGINES",
+    r"core\.sweep import " "(ENGINES|map_chunks)", r"core\.sweep\." "map_chunks",
+    r"workloads\." "replication",
+]))
+
+
+@pytest.mark.parametrize("root", _LEARN_FREE_ROOTS + ("benchmarks",))
+def test_no_stale_sweep_engine_references(root):
+    """The sweep has one path and ``map_chunks`` lives in ``core.chunks``."""
+    stale = _matching_lines(root, _STALE_SWEEP)
+    assert stale == [], "stale sweep-engine references:\n" + "\n".join(stale)
 
 
 class TestScalingDocNumbers:

@@ -32,22 +32,26 @@ from repro._lazy import lazy_exports
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 #: Modules no entry point below may load: graph building, process
-#: pools and the chaos machinery are imported where they are used, and
-#: the paper-artefact layers belong to their own commands.
+#: pools and the chaos machinery are imported where they are used, the
+#: paper-artefact layers belong to their own commands, and the paper's
+#: analytic model and route energies are the design-point sweep's, not
+#: a fleet or trace run's.
 FORBIDDEN = (
     "networkx",
     "concurrent.futures.process",
     "repro.chaos.runner",
     "repro.dhlsim.reliability",
+    "repro.core.model",
+    "repro.network.energy",
 )
 FORBIDDEN_PACKAGES = ("repro.analysis", "repro.mlsim")
 
 #: ``repro.*`` modules each entry point loads, ``repro`` itself included.
 REPRO_MODULES = {
     "repro.fleet.controlplane": 42,
-    "repro.fleet.capacity": 46,
+    "repro.fleet.capacity": 44,
     "repro.traffic.replay": 45,
-    "repro.fleet.shard": 46,
+    "repro.fleet.shard": 44,
     "repro.cli": 5,
 }
 
@@ -129,7 +133,7 @@ PUBLIC_API = {
     "core": (
         "AvailabilityModel", "BrakingMode", "BreakEven", "Campaign", "CampaignBatch",
         "CartMass", "ConnectorWear", "DEFAULT_PARAMS", "DesignPointReport",
-        "DesignRecommendation", "DhlCost", "DhlParams", "ENGINES", "Elasticity",
+        "DesignRecommendation", "DhlCost", "DhlParams", "Elasticity",
         "LENGTH_CANDIDATES_M", "LaunchMetrics", "Lim", "LimCost", "M2_CYCLES",
         "METRICS", "MaintenancePlan", "MetricsBatch", "MotionProfile",
         "NAND_DENSITY_CAGR", "NetworkComparison", "REFERENCE_400G_SWITCH_USD",
@@ -138,7 +142,7 @@ PUBLIC_API = {
         "SweepResult", "ThermalAssessment", "USB_C_CYCLES", "UpgradeCosts",
         "air_drag_power", "amortised_cost_per_pb", "assess_cart_thermals",
         "assess_safety", "average_trip_power", "break_even", "break_even_batch",
-        "campaign_dock_cycles", "cart_mass", "clear_report_cache",
+        "campaign_dock_cycles", "cart_mass",
         "compare_with_routes", "connector_wear", "copper_mass_kg", "cost_matrix",
         "cost_versus_switch", "density_projection", "design_for_deadline",
         "design_point_report", "design_point_reports", "dhl_cost",
@@ -149,7 +153,7 @@ PUBLIC_API = {
         "min_speed_for_deadline", "min_speeds_for_deadline", "motion_profile",
         "paper_minimum_example", "pareto_front", "peak_launch_power", "percentile",
         "percentiles", "percentiles_by_class", "plan_campaign", "plan_campaign_batch",
-        "report_cache_stats", "required_sink_resistance", "run_sweep", "scaled_device",
+        "required_sink_resistance", "run_sweep", "scaled_device",
         "sensitivity_matrix", "sensitivity_table", "series_availability",
         "stall_overhead", "table_v_design_points", "table_vi_design_points",
         "table_vi_sweep", "tornado", "trip_time", "upgrade_economics",
@@ -222,10 +226,10 @@ PUBLIC_API = {
     ),
     "workloads": (
         "AllDhlPolicy", "AllNetworkPolicy", "BreakEvenPolicy", "DEFAULT_MIX", "DHL",
-        "JobOutcome", "NETWORK", "PolicyReport", "ReplicatedMetric", "RoutingPolicy",
-        "ServiceConfig", "SizeThresholdPolicy", "TrafficClass", "TransferJob",
-        "WorkloadGenerator", "compare_policies", "evaluate_policy", "jobs_by_kind",
-        "replicate", "split_jobs", "summarise", "total_offered_bytes",
+        "JobOutcome", "NETWORK", "PolicyReport", "RoutingPolicy", "ServiceConfig",
+        "SizeThresholdPolicy", "TrafficClass", "TransferJob", "WorkloadGenerator",
+        "compare_policies", "evaluate_policy", "jobs_by_kind", "split_jobs",
+        "total_offered_bytes",
     ),
     "traffic": (
         "BinaryTraceWriter", "DAY_S", "DEFAULT_WINDOW_S", "DemandClass", "FORMATS",

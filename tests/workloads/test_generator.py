@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.units import GB, HOUR, TB
-from repro.core.sweep import map_chunks
+from repro.core.chunks import map_chunks
 from repro.workloads.generator import (
     DEFAULT_MIX,
     _fingerprint_chunk,
@@ -106,7 +106,7 @@ class TestHelpers:
 
 class TestSeededDeterminism:
     """Satellite contract: same seed => byte-identical job stream,
-    in-process and under the process-pool sweep engine."""
+    in-process and under a ``map_chunks`` process pool."""
 
     def test_same_seed_is_byte_identical_across_runs(self):
         first = stream_fingerprint(seed=11, horizon_s=6 * HOUR)
