@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from ..errors import ConfigurationError, DataIntegrityError, SchedulingError
-from ..network.routes import ROUTE_B
 from ..network.transfer import DEFAULT_LINK_GBPS, OpticalLink
 from ..obs import Counter, MetricsRegistry, Tracer
 from ..sim import Environment, Event
@@ -50,6 +49,7 @@ from .cache import CacheConfig, FETCHING, RackCache, RESIDENT
 from .health import DegradationPolicy, LaneHealthMonitor
 from .sla import (
     DEFAULT_TARGET,
+    SHED,
     ClassTarget,
     JobRecord,
     Outcome,
@@ -369,6 +369,8 @@ class ControlPlane:
         admission = scenario.admission
         self._max_queue_depth = admission.max_queue_depth
         if admission.failover_links > 0:
+            from ..network.routes import ROUTE_B
+
             link = OpticalLink(route=ROUTE_B,
                                rate_bytes_per_s=gbps(admission.link_gbps))
             self._failover_policy = FailoverPolicy(link=link)
@@ -395,6 +397,10 @@ class ControlPlane:
         # Counter handles by name, fetched on first use so registry
         # names, creation order and values match per-record lookups.
         self._counters: dict[str, Counter] = {}
+        # A shed-only plane that keeps no records resolves a shed job by
+        # bumping counters.  The handles come from the first shed, which
+        # takes the full ``_finish`` path and so creates them in order.
+        self._shed_handles: tuple[Counter, Counter, Counter] | None = None
         # Degradation machinery: one health monitor + breaker per lane,
         # fed by the track's fault-to-repair windows and serve outcomes.
         # Absent a policy nothing is created, so the fault-free fleet is
@@ -465,14 +471,43 @@ class ControlPlane:
                 kind=fjob.kind,
                 dataset=fjob.dataset,
             )
-        if len(lane.queue._heap) >= self._max_queue_depth:
-            self._count("count.fleet.admission_rejections")
-            if self._failover_streams is not None:
-                self.env.process(self._failover_job(fjob))
-            else:
-                self._finish(fjob, Outcome.SHED, None)
-        else:
+        if len(lane.queue._heap) < self._max_queue_depth:
             lane.queue.push(fjob)
+            return
+        handles = self._shed_handles
+        if (
+            handles is not None
+            and self.outcome_hook is None
+            and (group := self.sla._groups.get((fjob.kind, fjob.tenant)))
+            is not None
+        ):
+            # Everything ``_finish`` and ``SlaTracker.observe`` would do
+            # for a shed job that nothing keeps a record of.  The full
+            # queue that sheds it holds unresolved jobs, so the plane
+            # cannot be done yet and ``_maybe_done`` has nothing to do.
+            rejections, shed, missed = handles
+            rejections.value += 1.0
+            shed.value += 1.0
+            missed.value += 1.0
+            for stats in group:
+                stats.n_jobs += 1
+                stats.misses += 1
+            self._counts[SHED] += 1
+            self._resolved += 1
+            self._in_system -= 1
+            return
+        self._count("count.fleet.admission_rejections")
+        if self._failover_streams is not None:
+            self.env.process(self._failover_job(fjob))
+            return
+        self._finish(fjob, SHED, None)
+        if handles is None and not self.sla.retain_records:
+            # The first shed created every handle the shortcut bumps.
+            self._shed_handles = (
+                self._counters["count.fleet.admission_rejections"],
+                self.sla._counters[SHED],
+                self.sla._counters["deadline_missed"],
+            )
 
     def _start_intake(self, fjobs: Iterable[_FleetJob]) -> None:
         """Submit ``fjobs`` as the DES clock reaches each arrival.
@@ -480,19 +515,24 @@ class ControlPlane:
         Intake is a chain of plain callbacks, not a process.  A start
         event is scheduled now, so intake begins after everything
         already scheduled for this instant (the workers' first resumes
-        included) and before anything scheduled later; each callback
-        then submits every job already due and schedules one event for
-        the next arrival.  The iterator is only advanced after the previous job has been
+        included) and before anything scheduled later.  Each callback
+        then submits every job already due and moves on to the next
+        arrival: straight there with :meth:`Environment.advance_to`
+        when nothing else is due first, else through one timeout whose
+        callback carries on.  A shedding replay thus runs long
+        stretches of arrivals in one callback with no queue entry.  The
+        iterator is only advanced after the previous job has been
         submitted, so at most one bound job is ever materialised ahead
         of the DES clock — a trace-driven day streams through without
         the job list ever existing in memory.
 
-        The next arrival is scheduled ``arrival_s - now`` after ``now``,
-        not at ``arrival_s``: that float sum is the timestamp the run
-        has always used, so reports stay bit-identical.
+        The next arrival is reached at ``now + (arrival_s - now)``, not
+        at ``arrival_s``: that float sum is the timestamp the run has
+        always used, so reports stay bit-identical.
         """
         env = self.env
         submit = self.submit
+        advance_to = env.advance_to
         jobs = iter(fjobs)
 
         def intake(event: Event) -> None:
@@ -502,10 +542,10 @@ class ControlPlane:
             for fjob in jobs:
                 now = env._now
                 if fjob.arrival_s > now:
-                    env.timeout(fjob.arrival_s - now, fjob).callbacks.append(
-                        intake
-                    )
-                    return
+                    delay = fjob.arrival_s - now
+                    if not advance_to(now + delay):
+                        env.timeout(delay, fjob).callbacks.append(intake)
+                        return
                 submit(fjob)
             self._intake_closed = True
             self._maybe_done()

@@ -8,12 +8,17 @@ multiplies route power.  This module captures both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..units import assert_positive, gbps
-from .routes import Route
+
+if TYPE_CHECKING:
+    # Only ``route.power_w`` is read, so importing a link never loads
+    # the topology and component tables behind the named routes.
+    from .routes import Route
 
 DEFAULT_LINK_GBPS: float = 400.0
 """The paper's evaluation baseline link rate."""

@@ -42,6 +42,14 @@ parity tests and ``BENCH_engine.json`` gate compare against):
   (maintained by :meth:`Event.cancel`) gates the head purge, and when
   cancelled entries dominate the queue it is compacted in place with one
   ``heapify`` instead of N pops.
+* A callback that would schedule a timeout and do nothing else until it
+  fires can call :meth:`Environment.advance_to` instead: when the
+  timeout would be the very next event the run loop pops, the clock
+  moves there at once and no queue entry is made.  Equal-time ties,
+  ``step()``, a ``run(until=<float>)`` deadline it would cross and an
+  attached tracer all refuse the jump, so the caller schedules the
+  timeout as before and event order, ``eid`` accounting and tracer
+  counts are exactly the reference engine's.
 """
 
 from __future__ import annotations
@@ -66,6 +74,8 @@ this repo runs (and Python ints would stay exact regardless).
 
 _COMPACT_MIN = 64
 """Cancelled-entry count below which the queue is never compacted."""
+
+_INF = float("inf")
 
 
 class Event:
@@ -435,13 +445,17 @@ class AnyOf(Condition):
 class Environment:
     """The simulation clock and event queue."""
 
-    __slots__ = ("_now", "_queue", "_eid", "_cancelled_pending", "_tracer", "_fire")
+    __slots__ = ("_now", "_queue", "_eid", "_cancelled_pending", "_tracer", "_fire",
+                 "_horizon")
 
     def __init__(self, initial_time: float = 0.0, tracer: Any = None):
         self._now = initial_time
         self._queue: list[tuple[float, int, Any]] = []
         self._eid = 0
         self._cancelled_pending = 0
+        # The latest time the current ``run()`` may still reach; -inf
+        # while no run is in progress, so :meth:`advance_to` refuses.
+        self._horizon = -_INF
         self._tracer: Any = None
         self._fire = self._fire_fast
         if tracer is not None:
@@ -634,49 +648,79 @@ class Environment:
         the common case pays for neither a purge scan nor a tracer
         attribute load per event.  The tracer decision is latched when
         ``run`` is entered: attach tracers before running, not from
-        inside a callback.
+        inside a callback.  The deadline (``+inf`` without one) is kept
+        for :meth:`advance_to` until ``run`` returns or raises.
         """
-        queue = self._queue
-        now = self._now
-        traced = self._tracer is not None
-        if isinstance(until, Event):
-            stop = until
-            while stop.callbacks is not None:
-                if self._cancelled_pending:
-                    self._purge_cancelled()
-                if not queue:
-                    raise SimulationError(
-                        "event queue is empty but the awaited event never fired"
-                    )
-                when, _key, event = heappop(queue)
-                if when > now:
-                    now = self._now = when
-                if traced:
-                    self._tracer._engine_fire(event)
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
-                    else:
-                        for callback in callbacks:
-                            callback(event)
-                if not event._ok and not event._defused:
-                    value = event._value
-                    if isinstance(value, BaseException):
-                        raise value
-                    raise SimulationError(f"unhandled event failure: {value!r}")
-            if stop._ok:
-                return stop._value
-            raise stop._value
-        if until is not None:
+        deadline = _INF
+        if until is not None and not isinstance(until, Event):
             deadline = float(until)
             if deadline < self._now:
                 raise SimulationError(f"deadline {deadline} is in the past (now={self._now})")
+        self._horizon = deadline
+        try:
+            queue = self._queue
+            now = self._now
+            traced = self._tracer is not None
+            if isinstance(until, Event):
+                stop = until
+                while stop.callbacks is not None:
+                    if self._cancelled_pending:
+                        self._purge_cancelled()
+                    if not queue:
+                        raise SimulationError(
+                            "event queue is empty but the awaited event never fired"
+                        )
+                    when, _key, event = heappop(queue)
+                    if when > now:
+                        now = self._now = when
+                    if traced:
+                        self._tracer._engine_fire(event)
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    if callbacks:
+                        if len(callbacks) == 1:
+                            callbacks[0](event)
+                        else:
+                            for callback in callbacks:
+                                callback(event)
+                    if not event._ok and not event._defused:
+                        value = event._value
+                        if isinstance(value, BaseException):
+                            raise value
+                        raise SimulationError(f"unhandled event failure: {value!r}")
+                if stop._ok:
+                    return stop._value
+                raise stop._value
+            if until is not None:
+                while True:
+                    if self._cancelled_pending:
+                        self._purge_cancelled()
+                    if not queue or queue[0][0] > deadline:
+                        break
+                    when, _key, event = heappop(queue)
+                    if when > now:
+                        now = self._now = when
+                    if traced:
+                        self._tracer._engine_fire(event)
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    if callbacks:
+                        if len(callbacks) == 1:
+                            callbacks[0](event)
+                        else:
+                            for callback in callbacks:
+                                callback(event)
+                    if not event._ok and not event._defused:
+                        value = event._value
+                        if isinstance(value, BaseException):
+                            raise value
+                        raise SimulationError(f"unhandled event failure: {value!r}")
+                self._now = deadline
+                return None
             while True:
                 if self._cancelled_pending:
                     self._purge_cancelled()
-                if not queue or queue[0][0] > deadline:
+                if not queue:
                     break
                 when, _key, event = heappop(queue)
                 if when > now:
@@ -696,32 +740,36 @@ class Environment:
                     if isinstance(value, BaseException):
                         raise value
                     raise SimulationError(f"unhandled event failure: {value!r}")
-            self._now = deadline
             return None
-        while True:
-            if self._cancelled_pending:
-                self._purge_cancelled()
-            if not queue:
-                break
-            when, _key, event = heappop(queue)
-            if when > now:
-                now = self._now = when
-            if traced:
-                self._tracer._engine_fire(event)
-            callbacks = event.callbacks
-            event.callbacks = None
-            if callbacks:
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-            if not event._ok and not event._defused:
-                value = event._value
-                if isinstance(value, BaseException):
-                    raise value
-                raise SimulationError(f"unhandled event failure: {value!r}")
-        return None
+        finally:
+            self._horizon = -_INF
+
+    def advance_to(self, when: float) -> bool:
+        """Move the clock to ``when`` now, if nothing could tell the difference.
+
+        For a callback that would otherwise schedule
+        ``timeout(when - now)`` and resume its work when it fires.  The
+        jump is taken, and True returned, only when that timeout would
+        be the next event the running loop pops: ``when`` is strictly
+        earlier than the queue head (an equal-time entry was scheduled
+        first and must fire first), a :meth:`run` is in progress and
+        ``when`` is within its ``until=<float>`` deadline, and no
+        tracer is attached (its engine counters count the timeout).
+        Otherwise nothing changes and False tells the caller to
+        schedule the timeout itself.  A cancelled queue head only makes
+        the check conservative.
+        """
+        if when < self._now:
+            raise SimulationError(f"cannot advance into the past ({when} < {self._now})")
+        queue = self._queue
+        if (
+            when <= self._horizon
+            and (not queue or when < queue[0][0])
+            and self._tracer is None
+        ):
+            self._now = when
+            return True
+        return False
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf when idle."""

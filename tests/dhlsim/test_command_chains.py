@@ -728,7 +728,8 @@ class TestProxyGates:
         pushes, spawns, jobs = fleet_cost(oracle=False)
         oracle_pushes, oracle_spawns, oracle_jobs = fleet_cost(oracle=True)
         assert jobs == oracle_jobs == 229
-        assert pushes == oracle_pushes == 2373
+        # 2,373 before the intake reached 25 arrivals by ``advance_to``.
+        assert pushes == oracle_pushes == 2348
         assert oracle_spawns / jobs == pytest.approx(2.75, abs=0.01)
         assert spawns / jobs <= 0.15
 

@@ -1,9 +1,11 @@
 """Callback intake and the control plane's per-record bookkeeping.
 
 ``ControlPlane._start_intake`` feeds jobs to ``submit`` from a chain of
-plain engine callbacks.  The differential test drives it next to the
-generator process it replaced (kept here, as the oracle, and nowhere in
-``src``) and demands bit-identical reports and resolution sequences.
+plain engine callbacks, moving the clock with ``Environment.advance_to``
+where it can.  The differential tests drive it next to the generator
+process it replaced (kept here, as the oracle, and nowhere in ``src``),
+under every way of running the clock, and demand bit-identical reports
+and resolution sequences.
 The registry pin checks that memoised counter handles leave metric
 names, creation order and values exactly as per-record lookups left
 them.
@@ -29,6 +31,7 @@ from repro.fleet.controlplane import (
 )
 from repro.fleet.sla import DEFAULT_TARGET
 from repro.fleet.topology import DatasetCatalog, FleetSpec, FleetTopology
+from repro.obs import Tracer
 from repro.sim import Environment
 from repro.units import TB
 
@@ -46,9 +49,25 @@ def generator_intake(plane, fjobs):
     plane._maybe_done()
 
 
-def drive(scenario, fjobs, oracle, hook=True):
-    """Run ``fjobs`` through a fresh plane; (report, resolution order)."""
-    env = Environment()
+class NoJumpEnvironment(Environment):
+    """An engine whose ``advance_to`` always refuses: every arrival then
+    takes the timeout it took before the jump existed."""
+
+    def advance_to(self, when):
+        return False
+
+
+def drive(scenario, fjobs, oracle, hook=True, clock="event", deadlines=(),
+          stops=None, env=None):
+    """Run ``fjobs`` through a fresh plane; (report, resolution order).
+
+    ``clock`` is how the clock is run: ``"event"`` (or ``"traced"``)
+    runs until the plane is done, ``"until"`` first resumes
+    ``run(until=...)`` through each of ``deadlines`` in turn, appending
+    the clock and the submitted and resolved counts to ``stops`` after
+    each, and ``"step"`` calls ``step()`` alone.
+    """
+    env = env if env is not None else Environment()
     topology = FleetTopology(env, scenario.spec, scenario.catalog)
     plane = ControlPlane(env, topology, scenario)
     resolved = []
@@ -59,6 +78,13 @@ def drive(scenario, fjobs, oracle, hook=True):
         env.process(generator_intake(plane, iter(fjobs)))
     else:
         plane._start_intake(fjobs)
+    if clock == "until":
+        for deadline in sorted(deadlines):
+            env.run(until=deadline)
+            stops.append((env.now, plane._submitted, plane._resolved))
+    elif clock == "step":
+        while not plane._done.processed:
+            env.step()
     env.run(until=plane._done)
     if scenario.retain_records and hook:
         assert [record for _, record in resolved] == plane.sla.records
@@ -111,12 +137,33 @@ arrivals = st.one_of(
     st.integers(0, 30_000).map(lambda tenths: tenths / 10),
     st.floats(0.0, 3000.0),
 )
+#: Arrivals packed into the first minute: lanes stay busy, so most jobs
+#: queue or shed without scheduling an event, and the intake then
+#: reaches the next arrival by ``advance_to`` — across a deadline, if
+#: a jump were allowed to cross one.
+bursts = st.one_of(
+    st.sampled_from([0.0, 0.7, 2.9, 3.6]),
+    st.integers(0, 600).map(lambda tenths: tenths / 10),
+)
 draws = st.tuples(
     st.integers(0, len(KINDS) - 1),
     st.integers(0, 3),
     st.sampled_from([0.05, 0.4, 1.0]),
     st.sampled_from(["", "search"]),
 )
+
+
+def with_echoes(scenario, steps, echoes):
+    """Bind ``steps`` plus echo jobs that arrive at exactly the instants
+    a pilot run's jobs completed, so arrivals tie with completions."""
+    timed = sorted(steps, key=lambda pair: pair[0])
+    _report, pilot = drive(scenario, make_jobs(scenario, timed), oracle=True)
+    completions = sorted(
+        record.completed_s for _, record in pilot
+        if record.completed_s is not None
+    )
+    timed += zip(completions, echoes)
+    return make_jobs(scenario, sorted(timed, key=lambda pair: pair[0]))
 
 
 class TestDifferentialIntake:
@@ -132,18 +179,7 @@ class TestDifferentialIntake:
         self, steps, echoes, retain, policy, failover_links
     ):
         scenario = small_scenario(retain, policy, failover_links)
-        timed = sorted(steps, key=lambda pair: pair[0])
-        # Echo jobs arrive at exactly the instants a pilot run's jobs
-        # completed, so arrival events tie with service completions.
-        _report, pilot = drive(scenario, make_jobs(scenario, timed),
-                               oracle=True)
-        completions = sorted(
-            record.completed_s for _, record in pilot
-            if record.completed_s is not None
-        )
-        timed += zip(completions, echoes)
-        jobs = make_jobs(scenario, sorted(timed, key=lambda pair: pair[0]))
-
+        jobs = with_echoes(scenario, steps, echoes)
         expected, expected_seq = drive(scenario, jobs, oracle=True)
         actual, actual_seq = drive(scenario, jobs, oracle=False)
         assert actual_seq == expected_seq
@@ -154,6 +190,58 @@ class TestDifferentialIntake:
         # all; the report must not notice.
         lazy, _ = drive(scenario, jobs, oracle=False, hook=False)
         assert shard.signature_digest(lazy) == digest
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(st.tuples(st.one_of(arrivals, bursts), draws),
+                       min_size=1, max_size=14),
+        echoes=st.lists(draws, max_size=6),
+        retain=st.booleans(),
+        hook=st.booleans(),
+        policy=st.sampled_from(["fcfs", "edf"]),
+        failover_links=st.integers(0, 1),
+        clock=st.sampled_from(["until", "step", "traced"]),
+        between=st.lists(st.integers(0, 18), max_size=4),
+        on_arrival=st.lists(st.integers(0, 19), max_size=4),
+    )
+    def test_every_clock_mode_matches_the_oracle(
+        self, steps, echoes, retain, hook, policy, failover_links, clock,
+        between, on_arrival,
+    ):
+        # ``advance_to`` jumps only inside a run, never past its
+        # deadline and never with a tracer attached; each way of
+        # driving the clock must leave the report, the resolution order
+        # and (for deadlines) what had arrived by each deadline exactly
+        # as the generator oracle left them.
+        scenario = small_scenario(retain, policy, failover_links)
+        jobs = with_echoes(scenario, steps, echoes)
+        # Deadlines fall midway between two arrivals and exactly on one.
+        times = [fjob.arrival_s for fjob in jobs]
+        deadlines = [
+            (times[index] + times[index + 1]) / 2
+            for index in between if index + 1 < len(times)
+        ] + [times[index] for index in on_arrival if index < len(times)]
+        expected_stops, actual_stops = [], []
+        expected, expected_seq = drive(
+            scenario, jobs, oracle=True, hook=hook, clock=clock,
+            deadlines=deadlines, stops=expected_stops,
+        )
+        env = Environment(tracer=Tracer()) if clock == "traced" else None
+        actual, actual_seq = drive(
+            scenario, jobs, oracle=False, hook=hook, clock=clock,
+            deadlines=deadlines, stops=actual_stops, env=env,
+        )
+        assert actual_stops == expected_stops
+        assert actual_seq == expected_seq
+        assert actual.records == expected.records
+        assert shard.signature_digest(actual) == shard.signature_digest(expected)
+        if clock == "traced":
+            # A traced run schedules exactly what a run that never
+            # jumps schedules, so its engine counters are unchanged.
+            untraced = NoJumpEnvironment()
+            drive(scenario, jobs, oracle=False, hook=hook, env=untraced)
+            assert env._eid == untraced._eid
+            assert env.tracer.engine_counters["events_fired"] > 0
 
     def test_empty_stream_closes_intake_at_the_start_event(self):
         scenario = small_scenario(True, "fcfs", 1)

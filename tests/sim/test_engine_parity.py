@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.sim import bench as engine_bench
 from repro.sim.bench import OPTIMISED, REFERENCE
 
@@ -113,6 +114,147 @@ class TestRandomisedParity:
         for name, (fn, _n) in engine_bench.WORKLOADS.items():
             n = 200
             assert fn(OPTIMISED, n) == fn(REFERENCE, n), name
+
+
+# Arrival instants: a small fixed set makes ties with each other and
+# with the background's discrete delays common; free floats hit pairs
+# where ``now + (arrival - now) != arrival``.
+_instants = st.one_of(
+    st.sampled_from([0.0, 0.5, 0.7, 1.0, 2.9, 3.0]),
+    st.floats(0.0, 6.0),
+)
+_arrivals = st.lists(
+    st.tuples(_instants, st.one_of(st.none(), _delays)), max_size=12
+)
+_background = st.lists(
+    st.lists(st.tuples(st.sampled_from(["timeout", "cancel"]), _delays),
+             max_size=4),
+    max_size=3,
+)
+
+
+def run_arrival_chain(kit, arrivals, background, clock, deadlines, jump):
+    """Take sorted ``arrivals`` in from a callback chain; (log, now, eid).
+
+    The chain is the control plane's intake pattern: each callback takes
+    in every due arrival, then waits for the next with a timeout
+    ``arrival - now`` after now — or, with ``jump``, first asks
+    ``advance_to`` to move the clock there with no queue entry.  An
+    arrival carrying a delay spawns a process that sleeps that long;
+    background processes sleep through their own delays, and a
+    ``cancel`` step leaves a cancelled timeout queued behind its winner.
+    ``clock`` is how the clock is run before a final ``run()``: not at
+    all (``"run"``), through each of ``deadlines`` (``"until"``), until
+    the chain has taken in its last arrival (``"event"``) or by
+    ``step()`` alone (``"step"``).
+    """
+    env = kit.Environment()
+    log = []
+    jobs = iter(enumerate(sorted(arrivals, key=lambda job: job[0])))
+    closed = env.event()
+
+    def work(index, delay):
+        yield env.timeout(delay)
+        log.append((env.now, "done", index))
+
+    def arrive(job):
+        index, (_at, delay) = job
+        log.append((env.now, "arrive", index))
+        if delay is not None:
+            env.process(work(index, delay))
+
+    def intake(event):
+        if event.value is not None:
+            arrive(event.value)
+        for job in jobs:
+            now = env.now
+            if job[1][0] > now:
+                delay = job[1][0] - now
+                if not (jump and env.advance_to(now + delay)):
+                    env.timeout(delay, job).callbacks.append(intake)
+                    return
+            arrive(job)
+        log.append((env.now, "closed"))
+        closed.succeed()
+
+    def sleeper(pid, steps):
+        for index, (kind, delay) in enumerate(steps):
+            winner = env.timeout(delay)
+            loser = env.timeout(delay + 1.0) if kind == "cancel" else None
+            yield winner
+            if loser is not None:
+                loser.cancel()
+            log.append((env.now, "sleep", pid, index))
+
+    for pid, steps in enumerate(background):
+        env.process(sleeper(pid, steps))
+    env.timeout(0.0).callbacks.append(intake)
+    if clock == "until":
+        for deadline in sorted(deadlines):
+            env.run(until=deadline)
+            log.append((env.now, "deadline"))
+    elif clock == "event":
+        env.run(until=closed)
+        log.append((env.now, "stopped"))
+    elif clock == "step":
+        while env.peek() != float("inf"):
+            env.step()
+    env.run()
+    return log, env.now, env._eid
+
+
+class TestAdvanceToParity:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        arrivals=_arrivals,
+        background=_background,
+        clock=st.sampled_from(["run", "until", "event", "step"]),
+        extra=st.lists(st.floats(0.0, 7.0), max_size=3),
+        on_arrival=st.lists(st.integers(0, 11), max_size=3),
+    )
+    def test_jumps_fire_like_a_timeout_chain(
+        self, arrivals, background, clock, extra, on_arrival
+    ):
+        # Deadlines fall between arrivals and exactly on some of them.
+        deadlines = extra + [
+            arrivals[index][0] for index in on_arrival if index < len(arrivals)
+        ]
+        jumped = run_arrival_chain(OPTIMISED, arrivals, background, clock,
+                                   deadlines, jump=True)
+        reference = run_arrival_chain(REFERENCE, arrivals, background,
+                                      clock, deadlines, jump=False)
+        assert jumped[:2] == reference[:2]
+        assert jumped[2] <= reference[2]
+
+    def test_refused_outside_a_run_on_ties_and_past_the_deadline(self):
+        env = OPTIMISED.Environment()
+        assert not env.advance_to(1.0)  # no run in progress
+        env.timeout(2.0)
+        answers = []
+
+        def probe(_event):
+            answers.append(env.advance_to(2.0))   # ties the queue head
+            answers.append(env.advance_to(1.5))   # past run(until=1.25)
+            answers.append(env.advance_to(1.25))  # exactly on it
+            answers.append(env.now)
+
+        env.timeout(1.0).callbacks.append(probe)
+        env.run(until=1.25)
+        assert answers == [False, False, True, 1.25]
+        assert not env.advance_to(1.5)  # the run has returned
+        with pytest.raises(SimulationError, match="past"):
+            env.advance_to(1.0)
+
+    def test_refused_with_a_tracer_attached(self):
+        from repro.obs import Tracer
+
+        env = OPTIMISED.Environment(tracer=Tracer())
+        answers = []
+        env.timeout(0.0).callbacks.append(
+            lambda _event: answers.append(env.advance_to(1.0))
+        )
+        env.run()
+        assert answers == [False] and env.now == 0.0
 
 
 class TestDhlsimGoldens:

@@ -34,8 +34,9 @@ SRC = str(Path(repro.__file__).resolve().parent.parent)
 #: Modules no entry point below may load: graph building, process
 #: pools and the chaos machinery are imported where they are used, the
 #: paper-artefact layers belong to their own commands, and the paper's
-#: analytic model and route energies are the design-point sweep's, not
-#: a fleet or trace run's.
+#: analytic model, named routes and route energies are the design-point
+#: sweep's, not a fleet or trace run's (a fleet with failover links
+#: loads its one route when it is built).
 FORBIDDEN = (
     "networkx",
     "concurrent.futures.process",
@@ -43,15 +44,16 @@ FORBIDDEN = (
     "repro.dhlsim.reliability",
     "repro.core.model",
     "repro.network.energy",
+    "repro.network.routes",
 )
 FORBIDDEN_PACKAGES = ("repro.analysis", "repro.mlsim")
 
 #: ``repro.*`` modules each entry point loads, ``repro`` itself included.
 REPRO_MODULES = {
-    "repro.fleet.controlplane": 42,
-    "repro.fleet.capacity": 44,
-    "repro.traffic.replay": 45,
-    "repro.fleet.shard": 44,
+    "repro.fleet.controlplane": 39,
+    "repro.fleet.capacity": 41,
+    "repro.traffic.replay": 42,
+    "repro.fleet.shard": 41,
     "repro.cli": 5,
 }
 

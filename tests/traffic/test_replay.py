@@ -187,8 +187,8 @@ class TestRecordPathProxy:
     """Machine-portable per-record cost of a shedding replay.
 
     Counts, not seconds: a shed record builds no ``JobRecord``, fetches
-    no registry counter by name once each name has been used, and costs
-    at most one engine event to take in.
+    no registry counter by name once each name has been used, and an
+    arrival with nothing else due before it costs no engine event.
     """
 
     SPEC = default_spec(seed=0, horizon_s=900.0, rate_scale=0.12)
@@ -251,17 +251,20 @@ class TestRecordPathProxy:
         plane._start_intake(jobs)
         env.run()
         assert plane._submitted == len(records)
-        # One start event, then at most one event per record.
-        assert env._eid - before <= len(records) + 1
+        # The start event is the only one: with the queue otherwise
+        # empty, every later arrival is reached by ``advance_to``.
+        assert env._eid - before == 1
 
     #: Python-level ``call`` events in ``repro.*`` frames for one warm
-    #: replay of :meth:`records` (3,252 records, 283 served): 26.58 per
-    #: record.  Before the record path was made tuple-cheap and one-touch
-    #: it cost 114,834 (35.31 per record).  Nine of the calls close the
-    #: four lane workers when the run returns (``stop_workers`` plus the
-    #: two frames each suspended worker resumes to exit).  Comprehension
-    #: frames are left out, since Python 3.12 inlines them.
-    CALLS = 86_447
+    #: replay of :meth:`records` (3,252 records, 283 served): 19.50 per
+    #: record.  Before due arrivals skipped the event queue and a shed
+    #: job only bumped counters it cost 86,447 (26.58 per record); before
+    #: the record path was made tuple-cheap and one-touch, 114,834 (35.31
+    #: per record).  Nine of the calls close the four lane workers when
+    #: the run returns (``stop_workers`` plus the two frames each
+    #: suspended worker resumes to exit).  Comprehension frames are left
+    #: out, since Python 3.12 inlines them.
+    CALLS = 63_401
 
     def test_python_calls_per_record_are_pinned(self):
         records = self.records()
