@@ -2,11 +2,10 @@
 
 The one fan-out helper behind every embarrassingly parallel loop in the
 repro: the fleet capacity planner (:mod:`repro.fleet.capacity`), the
-Monte-Carlo replication harness (:mod:`repro.sim.replicate`), windowed
-trace synthesis (:mod:`repro.traffic.synth`), workload fingerprinting
-and the shard pods (:mod:`repro.fleet.shard`).  It imports only the
-standard library, so a fleet or trace run that maps over it loads no
-paper-model code.
+Monte-Carlo replication harness (:mod:`repro.sim.replicate`), workload
+fingerprinting and the shard pods (:mod:`repro.fleet.shard`).  It
+imports only the standard library, so a fleet or trace run that maps
+over it loads no paper-model code.
 """
 
 from __future__ import annotations
@@ -32,10 +31,9 @@ def map_chunks(
     whole tuple; ``"process"`` fans chunks out to a
     :class:`~concurrent.futures.ProcessPoolExecutor` (``chunk_fn`` and
     the items must be picklable — use a module-level function or
-    :func:`functools.partial` over one); ``"auto"`` picks ``"process"``
-    only when ``workers`` is explicitly above 1.  Both paths
-    concatenate chunk results in submission order, so the output is
-    identical whichever engine ran it.
+    :func:`functools.partial` over one).  Both paths concatenate chunk
+    results in submission order, so the output is identical whichever
+    engine ran it.
 
     This helper parallelises across *independent* items.  To
     parallelise one large fleet simulation from the inside, use
@@ -46,11 +44,9 @@ def map_chunks(
     item_list = tuple(items)
     if not item_list:
         return ()
-    if engine == "auto":
-        engine = "process" if (workers is not None and workers > 1) else "serial"
     if engine not in ("serial", "process"):
         raise ConfigurationError(
-            f"map_chunks supports engines ('auto', 'serial', 'process'), got {engine!r}"
+            f"map_chunks supports engines ('serial', 'process'), got {engine!r}"
         )
     if engine == "serial":
         results = tuple(chunk_fn(item_list))

@@ -17,6 +17,7 @@ import numpy as np
 from ..core.params import DhlParams
 from ..core.percentiles import percentile
 from ..errors import ConfigurationError
+from ..obs.probe import ResourceProbe
 from ..sim import Environment, Store
 from ..storage.datasets import synthetic_dataset
 from .api import DhlApi
@@ -121,8 +122,6 @@ class MultiStopExperiment:
 
     def run(self) -> ContentionReport:
         """Simulate the load end to end and collect latency statistics."""
-        from ..obs.metrics import UtilisationMonitor
-
         env = Environment()
         system = DhlSystem(
             env,
@@ -131,7 +130,13 @@ class MultiStopExperiment:
             stations_per_rack=self.stations_per_rack,
             library_slots=max(64, self.n_requests * 2),
         )
-        tube_monitor = UtilisationMonitor(system.tracks[0].tube)
+        track = system.tracks[0]
+        occupancy = f"occupancy.tube:{track.name}"
+        if occupancy not in system.metrics:
+            # An enabled tracer has already probed the tube; otherwise
+            # probe it here just for its time-weighted occupancy.
+            ResourceProbe(track.tube, system.tracer, f"tube:{track.name}",
+                          metrics=system.metrics)
         dataset = synthetic_dataset(
             self.n_requests * self.params.storage_per_cart, name="multistop"
         )
@@ -170,7 +175,8 @@ class MultiStopExperiment:
             params=self.params,
             n_racks=self.n_racks,
             outcomes=tuple(sorted(outcomes, key=lambda o: o.request.request_id)),
-            tube_utilisation=tube_monitor.utilisation(),
+            tube_utilisation=(system.metrics.time_weighted(occupancy).time_average()
+                              / track.tube.capacity),
         )
 
 

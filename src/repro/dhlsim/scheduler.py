@@ -16,8 +16,8 @@ Reliability: every shuttle operation runs under the system's
 :class:`~repro.dhlsim.policy.ShuttlePolicy` — failed attempts (track
 breach, in-tube stall) are retried with exponential backoff and the
 whole operation can race a deadline.  Fault models observe and steer
-attempts through the ``pre_shuttle_hooks`` / ``post_shuttle_hooks``
-lists instead of monkey-patching the shuttle.
+attempts through the ``pre_shuttle_hooks`` list instead of
+monkey-patching the shuttle.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class DhlSystem:
     metrics: MetricsRegistry = field(init=False)
     probes: list[ResourceProbe] = field(init=False)
     pre_shuttle_hooks: list[ShuttleHook] = field(init=False)
-    post_shuttle_hooks: list[ShuttleHook] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.tracer is None:
@@ -130,7 +129,6 @@ class DhlSystem:
                                   f"slots:{endpoint_id}", metrics=self.metrics)
                 )
         self.pre_shuttle_hooks = []
-        self.post_shuttle_hooks = []
         self._retry_rng = np.random.default_rng(self.retry_seed)
 
     def _count(self, name: str, by: float = 1.0) -> None:
@@ -543,8 +541,6 @@ class _Shuttle:
             track.traversals += 1
             track.metres_travelled += hop.distance_m
             cart.trips_completed += 1
-            for hook in list(system.post_shuttle_hooks):
-                hook(self.attempt)
         except Exception as error:
             self.attempt_done.fail(error)
             return

@@ -256,26 +256,6 @@ class _PodState:
     """Input windows the pod stepped before draining."""
 
 
-class _HomesView:
-    """Duck-typed stand-in for ``FleetTopology.home`` used by the parent.
-
-    Parent-side job binding only needs ``home(dataset)``; building a
-    full topology (N simulators, staged carts) just for that would
-    dwarf the cost of binding itself.
-    """
-
-    __slots__ = ("_homes",)
-
-    def __init__(self, homes: Mapping[str, DatasetHome]):
-        self._homes = homes
-
-    def home(self, dataset: str) -> DatasetHome:
-        try:
-            return self._homes[dataset]
-        except KeyError:
-            raise ConfigurationError(f"unknown dataset {dataset!r}") from None
-
-
 def _spool(plan: ShardPlan, fjobs: Iterable[_FleetJob],
            directory: str) -> tuple[tuple[str, ...], int]:
     """Route the bound stream into one input file per pod.
@@ -583,11 +563,8 @@ def run_sharded(
     (no windows, no forwarding) and the returned fleet report is bit
     identical to :func:`run_fleet` on the same scenario.
     """
-    scenario = plan.scenario
-    homes = assign_homes(scenario.spec, scenario.catalog)
     return _run_bound_sharded(
-        plan, _bind_jobs(scenario, _HomesView(homes), jobs=jobs),
-        engine=engine, workers=workers,
+        plan, _bind_jobs(plan.scenario, jobs=jobs), engine=engine, workers=workers,
     )
 
 

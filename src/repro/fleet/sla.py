@@ -65,12 +65,6 @@ class Outcome(_StrEnum):
     FAILED = "failed"
 
 
-#: Backwards-compatible aliases: module constants predate :class:`Outcome`.
-SERVED = Outcome.SERVED
-FAILOVER = Outcome.FAILOVER
-SHED = Outcome.SHED
-FAILED = Outcome.FAILED
-
 #: Histogram bounds for per-class latency (seconds).
 LATENCY_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
                    200.0, 500.0, 1000.0, 2000.0, 5000.0)
@@ -121,7 +115,7 @@ class JobRecord:
     @property
     def met_deadline(self) -> bool:
         return (
-            self.outcome in (SERVED, FAILOVER)
+            self.outcome in (Outcome.SERVED, Outcome.FAILOVER)
             and self.completed_s is not None
             and self.completed_s <= self.deadline_s
         )
@@ -336,7 +330,8 @@ class SlaTracker:
                 )
                 self._latency_histograms[kind] = histogram
             histogram.observe(latency_s)
-            met = completed_s <= deadline_s and outcome in (SERVED, FAILOVER)
+            met = (completed_s <= deadline_s
+                   and outcome in (Outcome.SERVED, Outcome.FAILOVER))
         if not met:
             self._count("deadline_missed")
         if not self.retain_records:

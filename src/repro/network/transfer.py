@@ -108,31 +108,6 @@ def transfer_energy_kernel(n_bytes, power_w, rate_bytes_per_s) -> np.ndarray:
     return power * transfer_time_kernel(n_bytes, rate_bytes_per_s)
 
 
-def traced_transfer(link, n_bytes: float, tracer, start_s: float = 0.0,
-                    track: str = "optical"):
-    """Stamp one closed-form transfer into a trace as a link-occupancy window.
-
-    Optical transfers are computed analytically, not simulated, so there
-    is no process to instrument; this helper projects the result into
-    the same trace vocabulary the DES uses — an async ``transfer`` span
-    for the busy window, bracketed by ``occupancy.<track>`` counter
-    samples.  ``link`` is any object with ``transfer_time`` (an
-    :class:`OpticalLink` or :class:`ParallelLinks`).  Returns the span.
-    """
-    duration_s = link.transfer_time(n_bytes)
-    tracer.counter(f"occupancy.{track}", 1.0, time_s=start_s)
-    span = tracer.span_at(
-        "transfer",
-        start_s=start_s,
-        end_s=start_s + duration_s,
-        track=track,
-        asynchronous=True,
-        bytes=n_bytes,
-    )
-    tracer.counter(f"occupancy.{track}", 0.0, time_s=start_s + duration_s)
-    return span
-
-
 def links_for_power(route: Route, power_budget_w: float,
                     rate_bytes_per_s: float = gbps(DEFAULT_LINK_GBPS)) -> ParallelLinks:
     """The (continuous) number of parallel links a power budget affords."""

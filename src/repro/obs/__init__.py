@@ -23,9 +23,8 @@ _EXPORTS = {
         "write_event_log",
     ),
     ".metrics": (
-        "Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram", "merge_snapshots",
-        "merge_snapshots_additive", "MetricsRegistry", "TimeWeightedValue",
-        "UtilisationMonitor",
+        "Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram", "merge_snapshots_additive",
+        "MetricsRegistry", "TimeWeightedValue",
     ),
     ".probe": (
         "CLAIM_SPAN", "open_claim_counts", "ResourceProbe", "trace_leaked_resources",

@@ -10,8 +10,8 @@ keyed by dotted metric names (``count.launches``, ``energy_j.launch``,
 * :class:`TimeWeightedValue` — a piecewise-constant signal integrated
   against the *virtual* clock.
 
-Snapshots export to a plain dict or CSV so benches and the CLI can
-persist a run's metrics next to its trace.
+Snapshots export to a plain dict so benches and the CLI can persist a
+run's metrics next to its trace.
 """
 
 from __future__ import annotations
@@ -212,55 +212,6 @@ class TimeWeightedValue:
         }
 
 
-@dataclass
-class UtilisationMonitor:
-    """Tracks a Resource's busy fraction by wrapping request/release.
-
-    ``resource`` is any :class:`~repro.sim.resources.Resource`-shaped
-    object (``env``, ``count``, ``capacity``, ``request``/``_release``).
-    """
-
-    resource: Any
-    _level: TimeWeightedValue = field(init=False)
-
-    def __post_init__(self) -> None:
-        self._level = TimeWeightedValue(self.resource.env, value=self.resource.count)
-        original_request = self.resource.request
-        original_release = self.resource._release
-        monitor = self
-
-        def tracked_request(*args, **kwargs):
-            """Wrapped ``request`` that samples the level on grant."""
-            request = original_request(*args, **kwargs)
-
-            def on_grant(_event):
-                """Sample the level once the pending claim is granted."""
-                monitor._level.set(monitor.resource.count)
-
-            if request.triggered:
-                monitor._level.set(monitor.resource.count)
-            else:
-                request.callbacks.append(on_grant)
-            return request
-
-        def tracked_release(request) -> None:
-            """Wrapped ``release`` that samples the level afterwards."""
-            original_release(request)
-            monitor._level.set(monitor.resource.count)
-
-        self.resource.request = tracked_request  # type: ignore[method-assign]
-        self.resource._release = tracked_release  # type: ignore[method-assign]
-
-    def utilisation(self) -> float:
-        """Time-averaged occupancy as a fraction of capacity."""
-        return self._level.time_average() / self.resource.capacity
-
-    @property
-    def peak_in_use(self) -> float:
-        """Most slots ever simultaneously claimed."""
-        return self._level.peak
-
-
 class MetricsRegistry:
     """One namespace of metrics for a simulated system.
 
@@ -348,34 +299,6 @@ class MetricsRegistry:
             entry.update(metric.snapshot())
             out[name] = entry
         return out
-
-    def to_csv_rows(self) -> list[tuple[str, str, str, str]]:
-        """Flat ``(metric, type, field, value)`` rows for CSV export."""
-        rows: list[tuple[str, str, str, str]] = []
-        for name, entry in self.snapshot().items():
-            kind = entry.pop("type")
-            for key, value in entry.items():
-                if isinstance(value, dict):
-                    for bound, count in value.items():
-                        rows.append((name, kind, f"{key}<={bound:g}", str(count)))
-                else:
-                    rows.append((name, kind, key, "" if value is None else str(value)))
-        return rows
-
-    def to_csv(self) -> str:
-        """All metrics as one flat CSV document."""
-        lines = ["metric,type,field,value"]
-        for row in self.to_csv_rows():
-            lines.append(",".join(str(cell) for cell in row))
-        return "\n".join(lines) + "\n"
-
-
-def merge_snapshots(snapshots: Iterable[dict[str, dict[str, Any]]]) -> dict[str, dict[str, Any]]:
-    """Union several snapshots; later entries win on name collisions."""
-    merged: dict[str, dict[str, Any]] = {}
-    for snapshot in snapshots:
-        merged.update(snapshot)
-    return merged
 
 
 def _merge_entry_additive(name: str, into: dict[str, Any],

@@ -2,8 +2,8 @@
 
 Provides the process-oriented core the DHL operational simulator and the
 distributed-ML simulator are built on: an event loop with virtual time,
-generator-based processes, timeouts, interrupts, condition events and
-shared-resource primitives.
+generator-based processes, timeouts, interrupts, condition events, a
+FIFO :class:`Resource` and a FIFO :class:`Store`.
 """
 
 from .._lazy import lazy_exports
@@ -13,10 +13,7 @@ _EXPORTS = {
         "AllOf", "AnyOf", "Condition", "Environment", "Event", "Interrupt", "PENDING",
         "Process", "Timeout",
     ),
-    ".resources": (
-        "Container", "PriorityRequest", "PriorityResource", "Request", "Resource",
-        "Store",
-    ),
-    "..obs.metrics": ("TimeWeightedValue", "UtilisationMonitor"),
+    ".resources": ("Request", "Resource", "Store"),
+    "..obs.metrics": ("TimeWeightedValue",),
 }
 __all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -33,11 +33,9 @@ parity tests and ``BENCH_engine.json`` gate compare against):
   accounting, zero allocation.  (If the shim is still queued — an
   interrupt raced a pending resume — the allocating path is used, which
   is exactly the reference behaviour.)
-* The tracer ``None``-check is hoisted out of the per-event fire path:
-  ``Environment._fire`` is a bound method swapped between
-  ``_fire_fast`` and ``_fire_traced`` by :meth:`Environment.set_tracer`,
-  and the ``run()`` loops drive it directly without going through
-  :meth:`step`.
+* The ``run()`` loops inline the fire path instead of calling
+  :meth:`Environment.step`, and latch the tracer check once per run, so
+  an untraced event pays for no tracer attribute load.
 * Cancellation purging is amortised: a ``_cancelled_pending`` counter
   (maintained by :meth:`Event.cancel`) gates the head purge, and when
   cancelled entries dominate the queue it is compacted in place with one
@@ -208,9 +206,9 @@ class _Resume(object):
     already-processed event (and for the kick-off event of every new
     process).  It is queued at most once at a time — ``callbacks`` is
     the preallocated one-element list while queued and ``None`` once
-    fired, exactly the protocol :meth:`Environment._fire_fast` expects —
-    so a single instance per process serves every immediate resume that
-    process ever performs.
+    fired, exactly the protocol the fire path of :meth:`Environment.run`
+    expects — so a single instance per process serves every immediate
+    resume that process ever performs.
     """
 
     __slots__ = ("callbacks", "_value", "_ok", "_defused", "_cancelled", "_list")
@@ -445,8 +443,7 @@ class AnyOf(Condition):
 class Environment:
     """The simulation clock and event queue."""
 
-    __slots__ = ("_now", "_queue", "_eid", "_cancelled_pending", "_tracer", "_fire",
-                 "_horizon")
+    __slots__ = ("_now", "_queue", "_eid", "_cancelled_pending", "_tracer", "_horizon")
 
     def __init__(self, initial_time: float = 0.0, tracer: Any = None):
         self._now = initial_time
@@ -457,7 +454,6 @@ class Environment:
         # while no run is in progress, so :meth:`advance_to` refuses.
         self._horizon = -_INF
         self._tracer: Any = None
-        self._fire = self._fire_fast
         if tracer is not None:
             self.set_tracer(tracer)
 
@@ -472,14 +468,9 @@ class Environment:
     def set_tracer(self, tracer: Any) -> None:
         """Attach a :class:`repro.obs.Tracer`: binds its clock to this
         environment and turns on the engine's spawn/resume/fire/cancel
-        accounting.  Detach by passing ``None`` — the hot loops then run
-        the untraced fire path with no per-event tracer check at all
-        (the check happens once, here, by swapping ``self._fire``)."""
+        accounting.  Detach by passing ``None``."""
         self._tracer = tracer
-        if tracer is None:
-            self._fire = self._fire_fast
-        else:
-            self._fire = self._fire_traced
+        if tracer is not None:
             tracer.attach_clock(self)
 
     # -- scheduling ----------------------------------------------------------
@@ -597,33 +588,6 @@ class Environment:
                     tracer._engine_cancel()
         self._cancelled_pending = 0
 
-    def _fire_fast(self, event: Event) -> None:
-        """Run a popped event's callbacks (tracer known absent)."""
-        callbacks = event.callbacks
-        event.callbacks = None
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        if not event._ok and not event._defused:
-            value = event._value
-            if isinstance(value, BaseException):
-                raise value
-            raise SimulationError(f"unhandled event failure: {value!r}")
-
-    def _fire_traced(self, event: Event) -> None:
-        """Run a popped event's callbacks, recording it with the tracer."""
-        self._tracer._engine_fire(event)
-        callbacks = event.callbacks
-        event.callbacks = None
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        if not event._ok and not event._defused:
-            value = event._value
-            if isinstance(value, BaseException):
-                raise value
-            raise SimulationError(f"unhandled event failure: {value!r}")
-
     def step(self) -> None:
         """Process the next event in the queue."""
         if self._cancelled_pending:
@@ -635,7 +599,18 @@ class Environment:
         if when < self._now:
             raise SimulationError("event queue went backwards in time")
         self._now = when
-        self._fire(event)
+        if self._tracer is not None:
+            self._tracer._engine_fire(event)
+        callbacks = event.callbacks
+        event.callbacks = None
+        if callbacks:
+            for callback in callbacks:
+                callback(event)
+        if not event._ok and not event._defused:
+            value = event._value
+            if isinstance(value, BaseException):
+                raise value
+            raise SimulationError(f"unhandled event failure: {value!r}")
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run until the queue drains, a deadline passes, or an event fires.

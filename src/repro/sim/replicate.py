@@ -37,7 +37,7 @@ from ..errors import ConfigurationError
 
 SCHEMA = "repro-replicate/1"
 
-ENGINES: tuple[str, ...] = ("auto", "serial", "process")
+ENGINES: tuple[str, ...] = ("serial", "process")
 """Engine names accepted by :func:`replicate` (see ``map_chunks``)."""
 
 Z_95 = 1.96

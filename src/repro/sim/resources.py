@@ -1,20 +1,17 @@
 """Shared-resource primitives for the discrete-event engine.
 
-Mirrors simpy's resource layer closely enough for the DHL simulators:
+Mirrors the two simpy resources the DHL simulators use:
 
 * :class:`Resource` — capacity-limited, FIFO request queue, used for
   track occupancy and dock slots.
-* :class:`PriorityResource` — requests carry a priority (lower first).
 * :class:`Store` — a FIFO buffer of Python objects (carts, messages).
-* :class:`Container` — a continuous level (bytes buffered at an endpoint).
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from heapq import heappush
-from typing import Any, Callable
+from typing import Any
 
 from ..errors import SimulationError
 from .engine import PENDING, _PRIORITY_BAND, Environment, Event
@@ -117,47 +114,6 @@ class Resource:
             heappush(env._queue, (env._now, _PRIORITY_BAND + eid, waiter))
 
 
-class PriorityRequest(Request):
-    """A resource request with a priority (lower value = served earlier)."""
-
-    __slots__ = ("priority",)
-
-    def __init__(self, resource: "PriorityResource", priority: int):
-        self.priority = priority
-        super().__init__(resource)
-
-
-class PriorityResource(Resource):
-    """A resource whose queue is ordered by request priority, then FIFO."""
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        super().__init__(env, capacity)
-        self._heap: list[tuple[int, int, PriorityRequest]] = []
-        self._order = 0
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        request = PriorityRequest(self, priority)
-        if len(self.users) < self.capacity:
-            self.users.append(request)
-            request.succeed(request)
-        else:
-            self._order += 1
-            heapq.heappush(self._heap, (priority, self._order, request))
-        return request
-
-    def _release(self, request: Request) -> None:
-        if request in self.users:
-            self.users.remove(request)
-        else:
-            self._heap = [entry for entry in self._heap if entry[2] is not request]
-            heapq.heapify(self._heap)
-            return
-        while self._heap and len(self.users) < self.capacity:
-            _, _, waiter = heapq.heappop(self._heap)
-            self.users.append(waiter)
-            waiter.succeed(waiter)
-
-
 class Store:
     """A FIFO buffer of items with blocking put/get.
 
@@ -219,23 +175,6 @@ class Store:
             self._getters.append(event)
         return event
 
-    def get_matching(self, predicate: Callable[[Any], bool]) -> Event:
-        """Take the oldest item satisfying ``predicate`` if one is buffered.
-
-        Unlike :meth:`get`, this never blocks: the event fails with
-        :class:`SimulationError` when nothing matches right now.
-        """
-        event = Event(self.env)
-        for index, item in enumerate(self.items):
-            if predicate(item):
-                del self.items[index]
-                event.succeed(item)
-                self._serve_putters()
-                return event
-        event.fail(SimulationError("no matching item in store"))
-        event.defuse()
-        return event
-
     def _serve_getters(self) -> None:
         env = self.env
         while self._getters and self.items:
@@ -259,60 +198,3 @@ class Store:
 
     def __len__(self) -> int:
         return len(self.items)
-
-
-class Container:
-    """A continuous quantity (e.g. bytes buffered) with blocking put/get."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 initial: float = 0.0):
-        if capacity <= 0:
-            raise SimulationError(f"container capacity must be positive, got {capacity}")
-        if not 0 <= initial <= capacity:
-            raise SimulationError(f"initial level {initial} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = initial
-        self._getters: deque[tuple[Event, float]] = deque()
-        self._putters: deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount <= 0:
-            raise SimulationError(f"put amount must be positive, got {amount}")
-        if amount > self.capacity:
-            raise SimulationError(f"put of {amount} exceeds capacity {self.capacity}")
-        event = Event(self.env)
-        self._putters.append((event, amount))
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> Event:
-        if amount <= 0:
-            raise SimulationError(f"get amount must be positive, got {amount}")
-        event = Event(self.env)
-        self._getters.append((event, amount))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                event, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._level += amount
-                    self._putters.popleft()
-                    event.succeed()
-                    progressed = True
-            if self._getters:
-                event, amount = self._getters[0]
-                if amount <= self._level:
-                    self._level -= amount
-                    self._getters.popleft()
-                    event.succeed()
-                    progressed = True

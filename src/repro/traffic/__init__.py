@@ -12,8 +12,8 @@ package is that demand layer.  It has four parts, each usable alone:
 * :mod:`~repro.traffic.synth` — seeded synthesis: diurnal
   non-homogeneous Poisson arrivals via thinning, superimposed
   flash-crowd bursts, Zipf popularity over the fleet's dataset
-  catalog, multi-tenant class mixes — byte-identical serially or
-  across :func:`repro.core.chunks.map_chunks` process pools;
+  catalog, multi-tenant class mixes — byte-identical however its
+  windows are scheduled;
 * :mod:`~repro.traffic.replay` — an open-loop adapter that feeds a
   trace into :func:`repro.fleet.controlplane.run_fleet` incrementally
   on the DES clock behind a bounded lookahead cursor, with per-tenant
@@ -37,8 +37,8 @@ _EXPORTS = {
     ),
     ".synth": (
         "DAY_S", "default_spec", "DEFAULT_WINDOW_S", "DemandClass", "expected_records",
-        "expected_window_counts", "FlashCrowd", "synthesise", "synthesise_pooled",
-        "synthesise_window", "TenantProfile", "trace_header", "TraceSpec",
+        "expected_window_counts", "FlashCrowd", "synthesise", "synthesise_window",
+        "TenantProfile", "trace_header", "TraceSpec",
     ),
     ".replay": (
         "bound_jobs", "check_compatible", "LookaheadCursor", "replay_fleet",

@@ -13,10 +13,9 @@ the class model, and an absolute deadline from the SLA targets.
 Determinism is **window-partitioned**: every ``(seed, component,
 window)`` triple owns an independent
 :class:`numpy.random.SeedSequence` substream, so a trace is
-byte-identical whether windows are synthesised serially, out of order,
-or fanned out across :func:`repro.core.chunks.map_chunks` process
-workers — the property the fleet's replication layer already relies on
-for reports, extended here to demand itself.  Memory is bounded by one
+byte-identical whether windows are synthesised in order, out of order
+or in separate processes — the property the fleet's replication layer
+already relies on for reports, extended here to demand itself.  Memory is bounded by one
 window's records, never the whole day's.
 """
 
@@ -24,13 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
 
-from ..core.chunks import map_chunks
 from ..errors import ConfigurationError
 from ..units import TB, assert_positive
 from ..fleet.controlplane import FLEET_TARGETS
@@ -263,9 +260,8 @@ def synthesise_window(spec: TraceSpec,
     """All records of one window, sorted by arrival.
 
     Module-level and driven by ``(spec, window_index)`` alone, with one
-    seeded substream per component, so it is picklable into
-    :func:`~repro.core.chunks.map_chunks` workers and byte-identical
-    however the windows are scheduled.
+    seeded substream per component, so it is picklable into process
+    workers and byte-identical however the windows are scheduled.
     """
     t0, t1 = spec.window_bounds(window_index)
     span = t1 - t0
@@ -335,33 +331,6 @@ def synthesise(spec: TraceSpec) -> Iterator[TraceRecord]:
     """Stream the whole trace window by window, constant memory."""
     for window_index in range(spec.n_windows):
         yield from synthesise_window(spec, window_index)
-
-
-def _synthesise_chunk(
-    spec: TraceSpec, chunk: tuple[int, ...]
-) -> tuple[tuple[TraceRecord, ...], ...]:
-    """``map_chunks`` worker: synthesise each window index in ``chunk``."""
-    return tuple(synthesise_window(spec, index) for index in chunk)
-
-
-def synthesise_pooled(
-    spec: TraceSpec,
-    engine: str = "serial",
-    workers: int | None = None,
-) -> tuple[TraceRecord, ...]:
-    """The whole trace at once, windows fanned out over ``engine``.
-
-    Materialises every record — meant for tests and moderate traces;
-    day-scale replay should stream :func:`synthesise` instead.  The
-    result is byte-identical across engines and worker counts.
-    """
-    windows = map_chunks(
-        partial(_synthesise_chunk, spec),
-        range(spec.n_windows),
-        engine=engine,
-        workers=workers,
-    )
-    return tuple(record for window in windows for record in window)
 
 
 def expected_window_counts(spec: TraceSpec) -> np.ndarray:

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import compare, load, write
 from repro.chaos.bench import (
     MODES,
     P99_DEGRADATION_BOUND,
@@ -91,37 +90,6 @@ class TestPayload:
         for kpis in payload["modes"].values():
             assert {"p99_s", "deadline_miss_rate", "breaker_trips",
                     "diverted", "rehomed"} <= set(kpis)
-
-    def test_round_trips_through_disk(self, bench, tmp_path):
-        path = write(report_payload(bench), str(tmp_path / "chaos.json"))
-        assert compare(report_payload(bench), load(path)) == []
-
-    def test_detects_kpi_drift(self, bench):
-        payload = report_payload(bench)
-        drifted = json.loads(json.dumps(payload))
-        drifted["modes"]["hardened"]["p99_s"] += 10.0
-        problems = compare(payload, drifted)
-        assert any("hardened.p99_s" in problem for problem in problems)
-
-    def test_detects_missing_mode(self, bench):
-        payload = report_payload(bench)
-        fresh = json.loads(json.dumps(payload))
-        del fresh["modes"]["naive"]
-        problems = compare(fresh, payload)
-        assert any("missing from fresh run" in p for p in problems)
-
-    def test_detects_violated_invariant(self, bench):
-        payload = report_payload(bench)
-        broken = json.loads(json.dumps(payload))
-        broken["invariants"]["hardened_p99_within_bound"] = False
-        assert any(
-            "invariant failed in fresh run" in problem
-            for problem in compare(broken, payload)
-        )
-        assert any(
-            "invariant failed in baseline" in problem
-            for problem in compare(payload, broken)
-        )
 
 
 class TestDeterminism:

@@ -195,13 +195,6 @@ class TestMapChunks:
         process = map_chunks(_square_chunk, items, engine="process", workers=2)
         assert process == serial
 
-    def test_auto_engine_selection(self):
-        items = (1, 2, 3)
-        assert map_chunks(_square_chunk, items, engine="auto") == (1, 4, 9)
-        assert map_chunks(
-            _square_chunk, items, engine="auto", workers=2
-        ) == (1, 4, 9)
-
     def test_empty_items(self):
         assert map_chunks(_square_chunk, ()) == ()
 
@@ -212,8 +205,9 @@ class TestMapChunks:
         ) == _square_chunk(items)
 
     def test_rejects_unknown_engine(self):
-        with pytest.raises(ConfigurationError):
-            map_chunks(_square_chunk, (1,), engine="vector")
+        for engine in ("vector", "auto"):
+            with pytest.raises(ConfigurationError):
+                map_chunks(_square_chunk, (1,), engine=engine, workers=2)
 
     def test_rejects_wrong_result_count(self):
         with pytest.raises(ConfigurationError):

@@ -273,8 +273,6 @@ def _shuttle_once(system, attempt, track):
     track.traversals += 1
     track.metres_travelled += hop.distance_m
     cart.trips_completed += 1
-    for hook in list(system.post_shuttle_hooks):
-        hook(attempt)
     return cart
 
 
@@ -719,7 +717,7 @@ def fleet_cost(oracle):
     scenario = default_scenario(seed=1, horizon_s=3600.0)
     with command_path(oracle), counting_spawns() as spawned:
         plane = build_plane(scenario)
-        report = plane.run(_bind_jobs(scenario, plane.topology))
+        report = plane.run(_bind_jobs(scenario))
     return plane.env._eid, spawned[0], report.n_jobs
 
 

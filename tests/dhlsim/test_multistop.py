@@ -121,3 +121,18 @@ class TestTubeUtilisation:
         assert (
             sweep[300.0].tube_utilisation < sweep[100.0].tube_utilisation
         )
+
+    def test_default_sweep_utilisation_is_pinned(self):
+        """The tube's probed occupancy gives the exact historical values.
+
+        Hex floats captured before the utilisation moved onto the
+        system's ``ResourceProbe`` occupancy metric; any change to how
+        claims are sampled shows up in the last bit.
+        """
+        sweep = speed_contention_sweep()
+        assert {speed: report.tube_utilisation.hex()
+                for speed, report in sweep.items()} == {
+            100.0: "0x1.18712725066bbp-4",
+            200.0: "0x1.c8ea5ca39b6abp-5",
+            300.0: "0x1.a7e3be703d9adp-5",
+        }

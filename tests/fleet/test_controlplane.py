@@ -22,7 +22,8 @@ from repro.fleet.controlplane import (
     default_scenario,
     run_fleet,
 )
-from repro.fleet.sla import FAILOVER, SHED
+from repro.fleet.shard import signature_digest
+from repro.fleet.sla import Outcome
 from repro.fleet.topology import DatasetCatalog, FleetSpec
 from repro.obs import TraceLevel, Tracer
 from repro.workloads.generator import WorkloadGenerator
@@ -120,6 +121,14 @@ class TestEndToEnd:
         assert "job.admit" in {instant.name for instant in tracer.instants}
         assert "fleet.job" in {span.name for span in tracer.spans}
 
+    def test_traced_run_counts_engine_events_and_keeps_the_signature(self):
+        scenario = default_scenario(seed=1, horizon_s=900.0)
+        tracer = Tracer()
+        traced = run_fleet(scenario, tracer=tracer)
+        assert tracer.engine_counters["events_fired"] > 0
+        assert tracer.engine_counters["process_resumes"] > 0
+        assert signature_digest(traced) == signature_digest(run_fleet(scenario))
+
 
 class TestAdmissionControl:
     def test_saturated_lane_sheds_without_failover(self):
@@ -130,7 +139,7 @@ class TestAdmissionControl:
         )
         assert report.shed > 0
         assert report.failovers == 0
-        shed_records = [r for r in report.records if r.outcome == SHED]
+        shed_records = [r for r in report.records if r.outcome == Outcome.SHED]
         assert all(r.completed_s is None for r in shed_records)
         assert all(not r.met_deadline for r in shed_records)
 
@@ -144,7 +153,7 @@ class TestAdmissionControl:
         assert report.shed == 0
         assert report.failover_energy_j > 0
         failover_records = [
-            r for r in report.records if r.outcome == FAILOVER
+            r for r in report.records if r.outcome == Outcome.FAILOVER
         ]
         assert all(r.completed_s is not None for r in failover_records)
 

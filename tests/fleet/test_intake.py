@@ -263,7 +263,7 @@ class TestRegistryPin:
         plane.attach_campaign(
             install_campaign(env, topology.systems, scenario.chaos)
         )
-        report = plane.run(_bind_jobs(scenario, topology))
+        report = plane.run(_bind_jobs(scenario))
 
         assert (report.n_jobs, report.served, report.shed, report.failovers,
                 report.failed, report.diverted) == (117, 83, 1, 33, 0, 32)
@@ -317,7 +317,7 @@ class TestLaneWorkersClose:
     def test_run_closes_every_lane_worker(self, started):
         scenario = chaos_scenario("hardened", seed=0, horizon_s=900.0)
         plane = build_plane(scenario)
-        plane.run(_bind_jobs(scenario, plane.topology))
+        plane.run(_bind_jobs(scenario))
         assert len(started) == sum(lane.stations for lane in plane.lanes.values())
         assert {getgeneratorstate(worker) for worker in started} == {GEN_CLOSED}
 

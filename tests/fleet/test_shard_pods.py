@@ -39,7 +39,7 @@ from repro.fleet.controlplane import (
 )
 from repro.fleet.health import DegradationPolicy
 from repro.fleet.shardbench import bench_plan
-from repro.fleet.topology import FleetSpec, FleetTopology, assign_homes
+from repro.fleet.topology import FleetSpec, FleetTopology
 from repro.sim import Environment
 from repro.workloads.generator import WorkloadGenerator
 
@@ -132,14 +132,13 @@ def barrier_run(plan, jobs=None, fjobs=None):
                 install_campaign(env, topology.systems, scenario.chaos)
             )
         if fjobs is None:
-            fjobs = _bind_jobs(scenario, topology, jobs=jobs)
+            fjobs = _bind_jobs(scenario, jobs=jobs)
         fleet = plane.run(fjobs)
         rows = (shard._pod_row(0, scenario.spec.n_tracks,
                                scenario.spec.cart_pool, fleet),)
         return summary(fleet, plane.registry.snapshot(), 0, {}, rows)
-    homes = assign_homes(scenario.spec, scenario.catalog)
     if fjobs is None:
-        fjobs = _bind_jobs(scenario, shard._HomesView(homes), jobs=jobs)
+        fjobs = _bind_jobs(scenario, jobs=jobs)
     stream = iter(fjobs)
     upcoming = next(stream, None)
     pods = [BarrierPod(plan, pod) for pod in range(plan.n_pods)]
@@ -353,8 +352,7 @@ class TestPodIndependence:
         assert [state.pod_index for state in ensemble_states] == [0, 1, 2]
 
         scenario = plan.scenario
-        homes = assign_homes(scenario.spec, scenario.catalog)
-        fjobs = _bind_jobs(scenario, shard._HomesView(homes))
+        fjobs = _bind_jobs(scenario)
         with tempfile.TemporaryDirectory() as directory:
             spools, n_jobs = shard._spool(plan, fjobs, directory)
             alone = {

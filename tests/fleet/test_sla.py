@@ -7,13 +7,10 @@ from repro.errors import ConfigurationError
 from repro.fleet.sla import (
     DEFAULT_SAMPLE_CAP,
     DEFAULT_TARGET,
-    FAILED,
-    FAILOVER,
     ClassTarget,
     JobRecord,
     LatencyReservoir,
-    SERVED,
-    SHED,
+    Outcome,
     SlaTracker,
     StreamStatsState,
     merge_sla_states,
@@ -46,7 +43,7 @@ def served(job_id, kind, arrival, completed, deadline=60.0, size=1e12):
         arrival_s=arrival,
         deadline_s=arrival + deadline,
         read_bytes=size,
-        outcome=SERVED,
+        outcome=Outcome.SERVED,
         completed_s=completed,
     )
 
@@ -64,7 +61,7 @@ class TestJobRecord:
     def test_shed_jobs_miss_and_have_no_latency(self):
         record = JobRecord(
             job_id=0, kind="batch", dataset="ds-000", arrival_s=0.0,
-            deadline_s=60.0, read_bytes=1e12, outcome=SHED,
+            deadline_s=60.0, read_bytes=1e12, outcome=Outcome.SHED,
         )
         assert not record.met_deadline
         with pytest.raises(ConfigurationError):
@@ -111,14 +108,14 @@ class TestSlaTrackerMetrics:
 
         registry, tracker = make_tracker(retain_records=False)
         for rec in (
-            record(0, "interactive", SERVED, 0.0, 30.0),
-            record(1, "batch", SHED, 5.0, None),
-            record(2, "interactive", FAILOVER, 10.0, 400.0),  # late
-            record(3, "batch", SERVED, 20.0, 70.0, tenant="search"),
-            record(4, "archive", FAILED, 30.0, None),
-            record(5, "interactive", SERVED, 40.0, 300.0, tenant="search"),
-            record(6, "batch", FAILOVER, 50.0, 90.0),
-            record(7, "interactive", SHED, 60.0, None, tenant="backup"),
+            record(0, "interactive", Outcome.SERVED, 0.0, 30.0),
+            record(1, "batch", Outcome.SHED, 5.0, None),
+            record(2, "interactive", Outcome.FAILOVER, 10.0, 400.0),  # late
+            record(3, "batch", Outcome.SERVED, 20.0, 70.0, tenant="search"),
+            record(4, "archive", Outcome.FAILED, 30.0, None),
+            record(5, "interactive", Outcome.SERVED, 40.0, 300.0, tenant="search"),
+            record(6, "batch", Outcome.FAILOVER, 50.0, 90.0),
+            record(7, "interactive", Outcome.SHED, 60.0, None, tenant="backup"),
         ):
             observe(tracker, rec)
 
@@ -203,7 +200,7 @@ class TestSlaReport:
         observe(tracker, served(0, "interactive", 0.0, 30.0))
         observe(tracker, JobRecord(
             job_id=1, kind="interactive", dataset="ds-000", arrival_s=0.0,
-            deadline_s=60.0, read_bytes=1e12, outcome=SHED,
+            deadline_s=60.0, read_bytes=1e12, outcome=Outcome.SHED,
         ))
         report = tracker.report(horizon_s=3600.0)
         assert report.for_kind("interactive").deadline_miss_rate == 0.5
@@ -221,7 +218,7 @@ class TestSlaReport:
         _, tracker = make_tracker()
         observe(tracker, JobRecord(
             job_id=0, kind="batch", dataset="ds-000", arrival_s=0.0,
-            deadline_s=60.0, read_bytes=1e12, outcome=SHED,
+            deadline_s=60.0, read_bytes=1e12, outcome=Outcome.SHED,
         ))
         report = tracker.report(horizon_s=100.0)
         assert report.for_kind("batch").p99_s == float("inf")
@@ -306,7 +303,7 @@ def tenant_served(job_id, tenant, arrival, completed):
         arrival_s=arrival,
         deadline_s=arrival + 60.0,
         read_bytes=1e12,
-        outcome=SERVED,
+        outcome=Outcome.SERVED,
         completed_s=completed,
         tenant=tenant,
     )
@@ -368,9 +365,9 @@ def mixed_record(job_id):
     tenant = ("", "search", "backup", "analytics")[job_id % 4]
     arrival = float(job_id)
     if job_id % 5 == 4:
-        outcome, completed = (SHED, FAILED)[job_id % 2], None
+        outcome, completed = (Outcome.SHED, Outcome.FAILED)[job_id % 2], None
     else:
-        outcome = (SERVED, FAILOVER)[job_id % 2]
+        outcome = (Outcome.SERVED, Outcome.FAILOVER)[job_id % 2]
         completed = arrival + 1.0 + (job_id * 37 % 101) * 0.75
     return JobRecord(
         job_id=job_id, kind=kind, dataset="ds-000", arrival_s=arrival,

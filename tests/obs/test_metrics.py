@@ -9,7 +9,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     TimeWeightedValue,
-    merge_snapshots,
 )
 from repro.sim import Environment
 
@@ -144,21 +143,12 @@ class TestRegistry:
             "dock": 5.0,
         }
 
-    def test_snapshot_and_csv(self):
+    def test_snapshot(self):
         registry = MetricsRegistry()
         registry.counter("count.launches").inc(2)
         registry.histogram("wait", bounds=(1.0,)).observe(0.5)
         snapshot = registry.snapshot()
+        assert list(snapshot) == ["count.launches", "wait"]
         assert snapshot["count.launches"] == {"type": "counter", "value": 2}
-        csv = registry.to_csv()
-        assert csv.startswith("metric,type,field,value\n")
-        assert "count.launches,counter,value,2" in csv
-        assert "wait,histogram,buckets<=1," in csv
-
-    def test_merge_snapshots_later_wins(self):
-        first = MetricsRegistry()
-        first.counter("a").inc(1)
-        second = MetricsRegistry()
-        second.counter("a").inc(2)
-        merged = merge_snapshots([first.snapshot(), second.snapshot()])
-        assert merged["a"]["value"] == 2
+        assert snapshot["wait"]["type"] == "histogram"
+        assert snapshot["wait"]["buckets"] == {1.0: 1, float("inf"): 0}

@@ -1,18 +1,11 @@
-"""Tests for Resource, PriorityResource, Store and Container."""
+"""Tests for Resource and Store."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import (
-    Container,
-    Environment,
-    Interrupt,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.sim import Environment, Interrupt, Resource, Store
 
 
 class TestResource:
@@ -95,65 +88,6 @@ class TestResource:
             Resource(Environment(), capacity=0)
 
 
-class TestPriorityResource:
-    def test_lower_priority_value_first(self):
-        env = Environment()
-        resource = PriorityResource(env, capacity=1)
-        grants = []
-
-        def worker(name, priority):
-            claim = resource.request(priority=priority)
-            yield claim
-            grants.append(name)
-            yield env.timeout(1)
-            claim.release()
-
-        def spawner():
-            # Occupy the resource, then enqueue b (low prio) before a (high).
-            hold = resource.request(priority=0)
-            yield hold
-            env.process(worker("low", 5))
-            env.process(worker("high", 1))
-            yield env.timeout(1)
-            hold.release()
-
-        env.process(spawner())
-        env.run()
-        assert grants == ["high", "low"]
-
-    def test_fifo_within_priority(self):
-        env = Environment()
-        resource = PriorityResource(env, capacity=1)
-        grants = []
-
-        def worker(name):
-            claim = resource.request(priority=1)
-            yield claim
-            grants.append(name)
-            claim.release()
-
-        def spawner():
-            hold = resource.request()
-            yield hold
-            for name in "abc":
-                env.process(worker(name))
-            yield env.timeout(1)
-            hold.release()
-
-        env.process(spawner())
-        env.run()
-        assert grants == ["a", "b", "c"]
-
-    def test_cancel_queued_priority_request(self):
-        env = Environment()
-        resource = PriorityResource(env, capacity=1)
-        hold = resource.request()
-        queued = resource.request(priority=3)
-        queued.release()
-        hold.release()
-        assert resource.count == 0
-
-
 class TestStore:
     def test_put_get_fifo(self):
         env = Environment()
@@ -218,25 +152,6 @@ class TestStore:
         store.put(2)
         assert len(store) == 2
 
-    def test_get_matching(self):
-        env = Environment()
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        store.put(3)
-        event = store.get_matching(lambda item: item % 2 == 0)
-        env.run()
-        assert event.value == 2
-        assert list(store.items) == [1, 3]
-
-    def test_get_matching_nothing(self):
-        env = Environment()
-        store = Store(env)
-        store.put(1)
-        event = store.get_matching(lambda item: item > 10)
-        env.run()
-        assert not event.ok
-
     def test_rejects_non_positive_capacity(self):
         with pytest.raises(SimulationError):
             Store(Environment(), capacity=0)
@@ -261,70 +176,6 @@ class TestStore:
         env.process(consumer())
         env.run()
         assert received == items
-
-
-class TestContainer:
-    def test_level_tracking(self):
-        env = Environment()
-        container = Container(env, capacity=100, initial=10)
-        container.put(20)
-        env.run()
-        assert container.level == 30
-
-    def test_get_blocks_until_level(self):
-        env = Environment()
-        container = Container(env)
-        times = []
-
-        def consumer():
-            yield container.get(50)
-            times.append(env.now)
-
-        def producer():
-            yield env.timeout(3)
-            yield container.put(30)
-            yield env.timeout(3)
-            yield container.put(30)
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert times == [6.0]
-        assert container.level == pytest.approx(10)
-
-    def test_put_blocks_at_capacity(self):
-        env = Environment()
-        container = Container(env, capacity=10, initial=10)
-        times = []
-
-        def producer():
-            yield container.put(5)
-            times.append(env.now)
-
-        def consumer():
-            yield env.timeout(4)
-            yield container.get(5)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert times == [4.0]
-
-    def test_rejects_bad_initial(self):
-        with pytest.raises(SimulationError):
-            Container(Environment(), capacity=5, initial=6)
-
-    def test_rejects_non_positive_amounts(self):
-        container = Container(Environment())
-        with pytest.raises(SimulationError):
-            container.put(0)
-        with pytest.raises(SimulationError):
-            container.get(-1)
-
-    def test_oversized_put_rejected(self):
-        container = Container(Environment(), capacity=5)
-        with pytest.raises(SimulationError):
-            container.put(6)
 
 
 class TestInterruptDuringClaim:
@@ -387,33 +238,3 @@ class TestInterruptDuringClaim:
         assert victim.value == "abandoned"
         first.release()
         assert resource.count == 0
-
-
-class TestGetMatchingEdgeCases:
-    def test_miss_leaves_store_intact(self):
-        env = Environment()
-        store = Store(env)
-        store.put("a")
-        miss = store.get_matching(lambda item: item == "z")
-        miss.defuse()
-        env.run()
-        assert not miss.ok
-        assert list(store.items) == ["a"]  # nothing consumed on a miss
-
-    def test_miss_raises_in_waiting_process(self):
-        env = Environment()
-        store = Store(env)
-        store.put(1)
-        outcomes = []
-
-        def getter():
-            try:
-                yield store.get_matching(lambda item: item > 10)
-            except SimulationError:
-                outcomes.append("miss")
-            item = yield store.get_matching(lambda item: item == 1)
-            outcomes.append(item)
-
-        env.process(getter())
-        env.run()
-        assert outcomes == ["miss", 1]

@@ -1,10 +1,12 @@
-"""Tests for time-weighted statistics and utilisation monitoring."""
+"""Tests for time-weighted statistics and probed resource utilisation."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Environment, Resource
-from repro.obs.metrics import TimeWeightedValue, UtilisationMonitor
+from repro.obs.metrics import MetricsRegistry, TimeWeightedValue
+from repro.obs.probe import ResourceProbe
+from repro.obs.tracer import TraceLevel, Tracer
 
 
 class TestTimeWeightedValue:
@@ -64,11 +66,21 @@ class TestTimeWeightedValue:
             signal.time_average()
 
 
-class TestUtilisationMonitor:
+def _probed(resource):
+    """Probe ``resource`` with an untraced registry; return its occupancy."""
+    metrics = MetricsRegistry(resource.env)
+    ResourceProbe(resource, Tracer(resource.env, level=TraceLevel.OFF), "r",
+                  metrics=metrics)
+    return metrics.time_weighted("occupancy.r")
+
+
+class TestProbeUtilisation:
+    """A ResourceProbe's ``occupancy.*`` metric is the resource's busy level."""
+
     def test_half_busy_resource(self):
         env = Environment()
         resource = Resource(env, capacity=1)
-        monitor = UtilisationMonitor(resource)
+        occupancy = _probed(resource)
 
         def worker():
             with resource.request() as claim:
@@ -78,12 +90,12 @@ class TestUtilisationMonitor:
 
         env.process(worker())
         env.run()
-        assert monitor.utilisation() == pytest.approx(0.5)
+        assert occupancy.time_average() / resource.capacity == pytest.approx(0.5)
 
     def test_queued_grants_counted_from_grant_time(self):
         env = Environment()
         resource = Resource(env, capacity=1)
-        monitor = UtilisationMonitor(resource)
+        occupancy = _probed(resource)
 
         def worker(duration):
             with resource.request() as claim:
@@ -94,13 +106,13 @@ class TestUtilisationMonitor:
         env.process(worker(4))
         env.run()
         # Busy 8 s straight through: utilisation 1.0 over the 8 s run.
-        assert monitor.utilisation() == pytest.approx(1.0)
-        assert monitor.peak_in_use == 1
+        assert occupancy.time_average() / resource.capacity == pytest.approx(1.0)
+        assert occupancy.peak == 1
 
     def test_multi_capacity_average(self):
         env = Environment()
         resource = Resource(env, capacity=2)
-        monitor = UtilisationMonitor(resource)
+        occupancy = _probed(resource)
 
         def worker():
             with resource.request() as claim:
@@ -110,8 +122,8 @@ class TestUtilisationMonitor:
         env.process(worker())
         env.run()
         # One of two slots busy for the whole run.
-        assert monitor.utilisation() == pytest.approx(0.5)
-        assert monitor.peak_in_use == 1
+        assert occupancy.time_average() / resource.capacity == pytest.approx(0.5)
+        assert occupancy.peak == 1
 
     def test_tube_utilisation_in_dhl_system(self):
         """End-to-end: measure the tube's busy fraction in a transfer."""
@@ -121,12 +133,16 @@ class TestUtilisationMonitor:
 
         env = Environment()
         system = DhlSystem(env, stations_per_rack=2)
-        monitor = UtilisationMonitor(system.tracks[0].tube)
+        track = system.tracks[0]
+        tube = track.tube
+        name = f"tube:{track.name}"
+        ResourceProbe(tube, system.tracer, name, metrics=system.metrics)
         dataset = synthetic_dataset(3 * 256 * TB, name="util")
         system.load_dataset(dataset)
         api = DhlApi(system)
         env.run(until=api.bulk_transfer(dataset))
+        occupancy = system.metrics.time_weighted(f"occupancy.{name}")
         # Trips are seconds; reads are ~19 minutes: the tube idles most
         # of the run.
-        assert 0 < monitor.utilisation() < 0.1
-        assert monitor.peak_in_use == 1
+        assert 0 < occupancy.time_average() / tube.capacity < 0.1
+        assert occupancy.peak == 1

@@ -8,8 +8,9 @@ Four gates over every markdown document in the repo:
   ``>>>``) runs under doctest with its printed output checked;
 * no document may reference the deleted ``repro.sim.stats`` module
   (its classes live in ``repro.obs.metrics``), and no source file,
-  document or CI workflow may name the deleted learned-control layer
-  or the control-plane seams only it used;
+  document or CI workflow may name the deleted learned-control layer,
+  the control-plane seams only it used, or the other deleted surface
+  (sweep engines, unused DES primitives, hooks and shims);
 * numbers quoted from committed bench baselines must still match the
   baseline — ``docs/scaling.md``'s marker-delimited table is parsed
   and compared against ``BENCH_shard.json``.
@@ -156,6 +157,32 @@ def test_no_stale_sweep_engine_references(root):
     """The sweep has one path and ``map_chunks`` lives in ``core.chunks``."""
     stale = _matching_lines(root, _STALE_SWEEP)
     assert stale == [], "stale sweep-engine references:\n" + "\n".join(stale)
+
+
+#: Names of deleted surface nothing ran: the priority resource, the
+#: container, filtered store gets, the engine's swapped fire methods,
+#: the second resource wrapper, CSV and later-wins snapshot export,
+#: the closed-form trace helper, the post-shuttle hook list, pooled
+#: synthesis, the shard parent's homing view, the "auto" engine and
+#: the module-level outcome aliases (``Outcome.*`` replaces them).
+#: Spelled in pieces, as above.
+_STALE_SURFACE = re.compile("|".join([
+    r"\bPriority" r"(Resource|Request)\b", r"\bCon" r"tainer\b", r"\bget" r"_matching\b",
+    r"\b_fire" r"(_fast|_traced)?\b", r"\bUtilisation" r"Monitor\b",
+    r"\bto" r"_csv(_rows)?\b", r"\bmerge" r"_snapshots\b", r"\btraced" r"_transfer\b",
+    r"\bpost_shuttle" r"_hooks\b", r"\b_?synthesise" r"_(pooled|chunk)\b",
+    r"\b_Homes" r"View\b", r"[\"']au" r"to[\"']",
+    r"sla import .*\b(SERVED|FAILOVER|SHED|FAILED)\b",
+    r"^\s+(SERVED|FAILOVER|SHED|FAILED)" r",$",
+    r"\bsla\.(SERVED|FAILOVER|SHED|FAILED)" r"\b",
+]))
+
+
+@pytest.mark.parametrize("root", _LEARN_FREE_ROOTS)
+def test_no_stale_surface_references(root):
+    """Deleted primitives, hooks and shims stay deleted, in code and prose."""
+    stale = _matching_lines(root, _STALE_SURFACE)
+    assert stale == [], "stale references to deleted names:\n" + "\n".join(stale)
 
 
 class TestScalingDocNumbers:

@@ -54,6 +54,7 @@ REPRO_MODULES = {
     "repro.fleet.capacity": 41,
     "repro.traffic.replay": 42,
     "repro.fleet.shard": 41,
+    "repro.traffic.synth": 42,
     "repro.cli": 5,
 }
 
@@ -201,15 +202,14 @@ PUBLIC_API = {
         "speed_contention_sweep", "timeline_events",
     ),
     "sim": (
-        "AllOf", "AnyOf", "Condition", "Container", "Environment", "Event", "Interrupt",
-        "PENDING", "PriorityRequest", "PriorityResource", "Process", "Request",
-        "Resource", "Store", "TimeWeightedValue", "Timeout", "UtilisationMonitor",
+        "AllOf", "AnyOf", "Condition", "Environment", "Event", "Interrupt", "PENDING",
+        "Process", "Request", "Resource", "Store", "TimeWeightedValue", "Timeout",
     ),
     "obs": (
         "CLAIM_SPAN", "Counter", "CounterSample", "DEFAULT_BUCKETS", "Gauge",
         "Histogram", "Instant", "MetricsRegistry", "NULL_SPAN", "ResourceProbe", "Span",
-        "TimeWeightedValue", "TraceLevel", "Tracer", "UtilisationMonitor", "event_log",
-        "merge_snapshots", "merge_snapshots_additive", "open_claim_counts",
+        "TimeWeightedValue", "TraceLevel", "Tracer", "event_log",
+        "merge_snapshots_additive", "open_claim_counts",
         "span_nesting_violations", "to_chrome_trace", "trace_leaked_resources",
         "validate_chrome_trace", "write_chrome_trace", "write_event_log",
     ),
@@ -243,7 +243,7 @@ PUBLIC_API = {
         "expected_window_counts", "in_system_bound", "monotone", "read_binary_header",
         "read_binary_records", "read_jsonl_header", "read_jsonl_records", "read_trace",
         "replay_fleet", "replay_fleet_sharded", "run_traffic_bench", "synthesise",
-        "synthesise_pooled", "synthesise_window", "trace_header", "write_trace",
+        "synthesise_window", "trace_header", "write_trace",
     ),
     "chaos": (
         "BROWNOUT", "CACHE_NODE_LOSS", "CART_BATCH_FAILURE", "CHAOS_SHUTTLE_POLICY",
