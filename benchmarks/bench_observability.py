@@ -1,11 +1,11 @@
 """Tracer overhead benchmarks: off, metrics-only, and full spans.
 
 The observability acceptance bar is that *disabled* tracing costs less
-than 5% on the engine benches — instrumented call sites pay one
-attribute check and a shared null-span object, nothing more.  These
-benches measure the same operational campaign as ``bench_sim_engine``
-at each :class:`~repro.obs.TraceLevel` so the cost of turning capture
-on is also visible, plus a raw engine loop with and without an attached
+than 5% — instrumented call sites pay one attribute check and a shared
+null-span object, nothing more.  These benches measure one operational
+campaign (a 6-cart pipelined bulk transfer, 12 launches) at each
+:class:`~repro.obs.TraceLevel` so the cost of turning capture on is
+also visible, plus a raw engine loop with and without an attached
 tracer.
 """
 

@@ -1,11 +1,11 @@
 """A bounded, FIFO repair-crew pool shared by every fault injector.
 
-The MTTF/MTTR injectors of :mod:`repro.dhlsim.reliability` historically
-assumed a dedicated crew per fault class: a repair always started the
-instant the fault occurred.  Real maintenance is a finite workforce —
-when a pod-wide outage takes three tracks down at once, two of them
-wait.  :class:`RepairCrewPool` models that: each repair claims a crew
-from a capacity-bounded :class:`~repro.sim.resources.Resource` (FIFO by
+Without a pool, the track-outage injector of
+:mod:`repro.dhlsim.reliability` starts every repair the instant its
+fault occurs.  Real maintenance is a finite workforce — when a pod-wide
+outage takes three tracks down at once, two of them wait.
+:class:`RepairCrewPool` models that: each repair claims a crew from a
+capacity-bounded :class:`~repro.sim.resources.Resource` (FIFO by
 construction), and the pool keeps an auditable dispatch log so tests
 can pin that queued repairs are served in request order and measure how
 much saturation stretched the fleet's effective MTTR.
@@ -22,9 +22,10 @@ class RepairCrewPool:
     """``crews`` interchangeable repair crews shared across injectors.
 
     Duck-typed against :attr:`repro.dhlsim.reliability.
-    RepairableInjector.crew`: injectors call :meth:`request` when a
-    fault needs repairing, yield the returned event until a crew is
-    free, and ``release()`` it when the repair completes.
+    TrackOutageInjector.crew` and the campaign runner's outages: each
+    calls :meth:`request` when a fault needs repairing, yields the
+    returned event until a crew is free, and calls ``release()`` on it
+    when the repair completes.
     """
 
     def __init__(self, env: Environment, crews: int = 1):

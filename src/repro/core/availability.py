@@ -1,8 +1,7 @@
 """Closed-form availability and degraded-bandwidth models.
 
 The operational simulator (``repro.dhlsim.reliability``) injects track
-breaches, LIM degradation, dock outages and in-tube cart stalls, then
-*measures* their cost.  This module predicts the same quantities in
+breaches and in-tube cart stalls, then *measures* their cost.  This module predicts the same quantities in
 closed form so the two can be cross-validated, mirroring how
 ``repro.core.model`` anchors the fault-free simulator.
 

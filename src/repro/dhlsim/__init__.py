@@ -21,8 +21,7 @@ _EXPORTS = {
     ),
     ".policy": ("DEFAULT_RETRY", "FailoverPolicy", "NO_RETRY", "ShuttlePolicy"),
     ".reliability": (
-        "CartStallInjector", "ChaosInjectors", "ChaosSpec", "DockOutageInjector",
-        "install_chaos", "LimDegradationInjector", "RepairableInjector",
+        "CartStallInjector", "ChaosInjectors", "ChaosSpec", "install_chaos",
         "TrackOutageInjector",
     ),
     ".scheduler": ("DhlSystem", "ShuttleAttempt"),

@@ -28,8 +28,6 @@ class DockingStation:
     cart: Cart | None = None
     slot_claim: object | None = None
     """The rack slot grant held while a dispatched cart occupies this dock."""
-    out_of_service: bool = False
-    """Set by dock fault injectors; an OOS station accepts no carts."""
     busy: Resource = field(init=False)
     bytes_read: float = 0.0
     bytes_written: float = 0.0
@@ -165,9 +163,9 @@ class RackEndpoint:
         self.stranded = []
 
     def free_station(self) -> DockingStation:
-        """An unoccupied, in-service station; callers must hold a slot grant."""
+        """An unoccupied station; callers must hold a slot grant."""
         for station in self.stations:
-            if not station.occupied and not station.out_of_service:
+            if not station.occupied:
                 return station
         raise SchedulingError(
             f"endpoint {self.endpoint_id}: slot accounting out of sync "

@@ -1,18 +1,16 @@
-"""Track, dock and cart fault models with repair crews (DES processes).
+"""Track and cart fault models with repair crews (DES processes).
 
 The paper's reliability story stops at in-flight SSD failures
 (:mod:`repro.dhlsim.faults`).  A production DHL must also survive:
 
 * **vacuum breaches** — the tube is unavailable until a repair crew
   restores it (MTTF/MTTR model, :class:`TrackOutageInjector`);
-* **LIM failures** — launches degrade to a slower profile until fixed
-  (:class:`LimDegradationInjector`);
-* **dock-station failures** — a station goes out of service, shrinking
-  the endpoint's effective docking capacity
-  (:class:`DockOutageInjector`);
 * **in-tube cart stalls** — a cart loses levitation mid-tube and either
   limps on after a delay or is extracted, aborting the shuttle
   (:class:`CartStallInjector`).
+
+LIM brownouts are scheduled campaign events
+(:data:`repro.chaos.campaigns.BROWNOUT`), not a background fault loop.
 
 All injectors are seeded and deterministic; repair crews are DES
 processes sampling MTTF/MTTR from configurable distributions.
@@ -31,7 +29,6 @@ import numpy as np
 from ..core.availability import AvailabilityModel, RepairableComponent, stall_overhead
 from ..errors import ConfigurationError
 from ..sim import Interrupt
-from .docking import RackEndpoint
 from .metrics import COUNT_PREFIX, DURATION_PREFIX
 from .scheduler import DhlSystem, ShuttleAttempt
 from .track import Track
@@ -46,13 +43,19 @@ def _sample(rng: np.random.Generator, mean: float, distribution: str) -> float:
 
 
 @dataclass
-class RepairableInjector:
-    """Base MTTF/MTTR fault loop: fail, wait for the crew, repair, repeat.
+class TrackOutageInjector:
+    """Vacuum breach: the tube rejects new entries until repaired.
 
-    Subclasses define what "fail" and "repair" do.  Time-to-failure and
-    time-to-repair are sampled from ``distribution`` (exponential by
-    default, matching the steady-state availability model; ``"fixed"``
-    gives strictly periodic faults for reproducible scenario tests).
+    An MTTF/MTTR fault loop: fail, wait for the crew, repair, repeat.
+    Time-to-failure and time-to-repair are sampled from ``distribution``
+    (exponential by default, matching the steady-state availability
+    model; ``"fixed"`` gives strictly periodic faults for reproducible
+    scenario tests).
+
+    Carts already in the tube complete their traversal (they are past
+    the breach by construction); queued and new shuttles fail with
+    :class:`~repro.errors.TrackFaultError` and are retried under the
+    system's :class:`~repro.dhlsim.policy.ShuttlePolicy`.
     """
 
     system: DhlSystem
@@ -68,12 +71,7 @@ class RepairableInjector:
     FIFO behind a bounded maintenance workforce."""
     crew_wait_s: float = 0.0
     """Seconds this injector's faults spent waiting for a free crew."""
-
-    #: Metrics duration category charged per repair (subclass class attr).
-    _duration_category = None
-
-    #: Span name for one fault-to-repair window in the trace.
-    _fault_span = "fault"
+    track: Track | None = None
 
     def __post_init__(self) -> None:
         if self.mttf_s <= 0:
@@ -85,6 +83,8 @@ class RepairableInjector:
                 f"unknown distribution {self.distribution!r}; "
                 f"expected one of {DISTRIBUTIONS}"
             )
+        if self.track is None:
+            self.track = self.system.tracks[0]
         self._rng = np.random.default_rng(self.seed)
         self._stopped = False
         self.process = self.system.env.process(self._run())
@@ -102,15 +102,11 @@ class RepairableInjector:
         """The closed-form component this injector realises."""
         return RepairableComponent(name=name, mttf_s=self.mttf_s, mttr_s=self.mttr_s)
 
-    def _fault_track(self) -> str:
-        """Trace track for this injector's fault windows."""
-        return f"fault:{type(self).__name__}"
-
-    # -- the fault loop -----------------------------------------------------
-
     def _run(self):
         env = self.system.env
         tracer = self.system.tracer
+        health = self.track.health
+        fault_track = f"fault:track:{self.track.name}"
         window = None
         claim = None
         try:
@@ -118,200 +114,34 @@ class RepairableInjector:
                 yield env.timeout(_sample(self._rng, self.mttf_s, self.distribution))
                 if self._stopped:
                     return
-                if not self._can_fail():
-                    continue  # another injector holds this component down
-                self._fail()
-                window = tracer.span(self._fault_span, track=self._fault_track())
+                if not health.tube_available:
+                    continue  # another outage holds this tube down
+                health.mark_down(env.now)
+                self.system.metrics.counter(COUNT_PREFIX + "track_outages").inc()
+                window = tracer.span("fault.track", track=fault_track)
                 self.outages += 1
                 if self.crew is not None:
                     waiting_since = env.now
-                    claim = self.crew.request(self._fault_track())
+                    claim = self.crew.request(fault_track)
                     yield claim
                     self.crew_wait_s += env.now - waiting_since
                 repair = _sample(self._rng, self.mttr_s, self.distribution)
                 yield env.timeout(repair)
-                self._repair()
+                health.mark_up(env.now)
                 if claim is not None:
                     claim.release()
                     claim = None
                 window.end()
                 window = None
                 self.downtime_s += repair
-                if self._duration_category is not None:
-                    self.system.metrics.counter(
-                        DURATION_PREFIX + self._duration_category
-                    ).inc(repair)
-        except Interrupt:
-            if claim is not None:
-                claim.release()
-            if window is not None:
-                self._repair()
-                window.end(interrupted=True)
-
-    # -- subclass surface ---------------------------------------------------
-
-    def _can_fail(self) -> bool:
-        return True
-
-    def _fail(self) -> None:
-        raise NotImplementedError
-
-    def _repair(self) -> None:
-        raise NotImplementedError
-
-
-@dataclass
-class TrackOutageInjector(RepairableInjector):
-    """Vacuum breach: the tube rejects new entries until repaired.
-
-    Carts already in the tube complete their traversal (they are past
-    the breach by construction); queued and new shuttles fail with
-    :class:`~repro.errors.TrackFaultError` and are retried under the
-    system's :class:`~repro.dhlsim.policy.ShuttlePolicy`.
-    """
-
-    track: Track | None = None
-
-    _duration_category = "track_downtime"
-    _fault_span = "fault.track"
-
-    def __post_init__(self) -> None:
-        if self.track is None:
-            self.track = self.system.tracks[0]
-        super().__post_init__()
-
-    def _fault_track(self) -> str:
-        return f"fault:track:{self.track.name}"
-
-    def _can_fail(self) -> bool:
-        return self.track.health.tube_available
-
-    def _fail(self) -> None:
-        self.track.health.mark_down(self.system.env.now)
-        self.system.metrics.counter(COUNT_PREFIX + "track_outages").inc()
-
-    def _repair(self) -> None:
-        self.track.health.mark_up(self.system.env.now)
-
-
-@dataclass
-class LimDegradationInjector(RepairableInjector):
-    """LIM failure: launches still happen, but ``slowdown`` times slower."""
-
-    track: Track | None = None
-    slowdown: float = 2.0
-
-    _duration_category = "lim_degraded"
-    _fault_span = "fault.lim"
-
-    def _fault_track(self) -> str:
-        return f"fault:lim:{self.track.name}"
-
-    def __post_init__(self) -> None:
-        if self.track is None:
-            self.track = self.system.tracks[0]
-        if self.slowdown < 1.0:
-            raise ConfigurationError(f"slowdown must be >= 1, got {self.slowdown}")
-        super().__post_init__()
-
-    def _can_fail(self) -> bool:
-        return self.track.health.lim_slowdown == 1.0
-
-    def _fail(self) -> None:
-        self.track.health.degrade_lim(self.slowdown)
-        self.system.metrics.counter(COUNT_PREFIX + "lim_outages").inc()
-
-    def _repair(self) -> None:
-        self.track.health.restore_lim()
-
-
-@dataclass
-class DockOutageInjector(RepairableInjector):
-    """Dock-station failure: one station per outage goes out of service.
-
-    The crew claims a dock slot (waiting its turn behind live traffic,
-    like a real maintenance window), marks a free station out of
-    service, and releases both at repair time.  Effective docking
-    capacity shrinks by one for the repair duration.
-    """
-
-    rack: RackEndpoint | None = None
-
-    _fault_span = "fault.dock"
-
-    def __post_init__(self) -> None:
-        if self.rack is None:
-            self.rack = next(iter(self.system.racks.values()))
-        super().__post_init__()
-
-    def _fault_track(self) -> str:
-        return f"fault:dock:{self.rack.endpoint_id}"
-
-    def _run(self):
-        env = self.system.env
-        tracer = self.system.tracer
-        claim = None
-        crew_claim = None
-        station = None
-        window = None
-        try:
-            while not self._stopped:
-                yield env.timeout(_sample(self._rng, self.mttf_s, self.distribution))
-                if self._stopped:
-                    return
-                if self.crew is not None:
-                    waiting_since = env.now
-                    crew_claim = self.crew.request(self._fault_track())
-                    yield crew_claim
-                    self.crew_wait_s += env.now - waiting_since
-                claim = self.rack.slots.request()
-                yield claim
-                station = next(
-                    (
-                        candidate
-                        for candidate in self.rack.stations
-                        if not candidate.occupied and not candidate.out_of_service
-                    ),
-                    None,
-                )
-                if station is None:  # defensive: nothing sensible to break
-                    claim.release()
-                    claim = None
-                    if crew_claim is not None:
-                        crew_claim.release()
-                        crew_claim = None
-                    continue
-                station.out_of_service = True
-                window = tracer.span(
-                    self._fault_span,
-                    track=self._fault_track(),
-                    station=station.station_id,
-                )
-                self.outages += 1
-                self.system.metrics.counter(COUNT_PREFIX + "dock_outages").inc()
-                repair = _sample(self._rng, self.mttr_s, self.distribution)
-                yield env.timeout(repair)
-                station.out_of_service = False
-                claim.release()
-                if crew_claim is not None:
-                    crew_claim.release()
-                    crew_claim = None
-                window.end()
-                claim = None
-                station = None
-                window = None
-                self.downtime_s += repair
                 self.system.metrics.counter(
-                    DURATION_PREFIX + "dock_downtime"
+                    DURATION_PREFIX + "track_downtime"
                 ).inc(repair)
         except Interrupt:
-            if station is not None:
-                station.out_of_service = False
             if claim is not None:
                 claim.release()
-            if crew_claim is not None:
-                crew_claim.release()
             if window is not None:
+                health.mark_up(env.now)
                 window.end(interrupted=True)
 
 
@@ -381,17 +211,13 @@ class CartStallInjector:
 class ChaosSpec:
     """One seeded fault cocktail: which faults to inject, how hard.
 
-    Set an MTTF to ``None`` to skip that fault class.  A single ``seed``
-    derives per-injector seeds so one integer reproduces the whole run.
+    Leave ``track_mttf_s`` at ``None`` (or a probability at 0) to skip
+    that fault class.  A single ``seed`` derives per-injector seeds so
+    one integer reproduces the whole run.
     """
 
     track_mttf_s: float | None = None
     track_mttr_s: float = 60.0
-    lim_mttf_s: float | None = None
-    lim_mttr_s: float = 60.0
-    lim_slowdown: float = 2.0
-    dock_mttf_s: float | None = None
-    dock_mttr_s: float = 60.0
     stall_prob: float = 0.0
     stall_time_s: float = 0.0
     stall_abort_prob: float = 0.0
@@ -407,16 +233,13 @@ class ChaosInjectors:
     spec: ChaosSpec
     system: DhlSystem
     track: TrackOutageInjector | None = None
-    lim: LimDegradationInjector | None = None
-    dock: DockOutageInjector | None = None
     stall: CartStallInjector | None = None
     drives: object | None = None  # FaultInjector; typed loosely to avoid a cycle
 
     def stop(self) -> None:
         """Halt every fault process and detach every hook."""
-        for injector in (self.track, self.lim, self.dock):
-            if injector is not None:
-                injector.stop()
+        if self.track is not None:
+            self.track.stop()
         for hooked in (self.stall, self.drives):
             if hooked is not None:
                 hooked.detach()
@@ -426,21 +249,19 @@ class ChaosInjectors:
 
         ``per_shuttle_s`` is the fault-free tube occupancy of one
         shuttle (undock + travel + dock); it scales the stall overhead.
-        Only track outages and stalls enter the model: LIM degradation
-        and dock outages reduce headroom, not the serialised-tube
-        bottleneck, so for a tube-bound campaign they are second-order.
+        Only track outages and stalls enter the model: both block or
+        stretch the serialised tube, the campaign's bottleneck.
         """
-        components = []
-        if self.track is not None:
-            components.append(self.track.component("track"))
-        if not components:
-            components.append(RepairableComponent("ideal", mttf_s=1.0, mttr_s=0.0))
+        component = (
+            self.track.component("track") if self.track is not None
+            else RepairableComponent("ideal", mttf_s=1.0, mttr_s=0.0)
+        )
         overhead = 0.0
         if self.stall is not None and self.spec.stall_prob > 0:
             overhead = stall_overhead(
                 self.spec.stall_prob, self.spec.stall_time_s, per_shuttle_s
             )
-        return AvailabilityModel(components=tuple(components), overhead=overhead)
+        return AvailabilityModel(components=(component,), overhead=overhead)
 
 
 def install_chaos(system: DhlSystem, spec: ChaosSpec,
@@ -448,8 +269,8 @@ def install_chaos(system: DhlSystem, spec: ChaosSpec,
     """Install a full fault cocktail on ``system``; returns the handles.
 
     ``crew`` (a :class:`repro.chaos.crew.RepairCrewPool`) serialises the
-    MTTF/MTTR injectors' repairs behind a bounded workforce; ``None``
-    keeps the historical one-crew-per-fault-class behaviour.
+    track outage's repairs behind a bounded workforce; ``None`` starts
+    every repair the instant its fault occurs.
     """
     from .faults import FaultInjector
 
@@ -460,25 +281,6 @@ def install_chaos(system: DhlSystem, spec: ChaosSpec,
             mttf_s=spec.track_mttf_s,
             mttr_s=spec.track_mttr_s,
             seed=spec.seed,
-            distribution=spec.distribution,
-            crew=crew,
-        )
-    if spec.lim_mttf_s is not None:
-        handles.lim = LimDegradationInjector(
-            system,
-            mttf_s=spec.lim_mttf_s,
-            mttr_s=spec.lim_mttr_s,
-            seed=spec.seed + 1,
-            distribution=spec.distribution,
-            slowdown=spec.lim_slowdown,
-            crew=crew,
-        )
-    if spec.dock_mttf_s is not None:
-        handles.dock = DockOutageInjector(
-            system,
-            mttf_s=spec.dock_mttf_s,
-            mttr_s=spec.dock_mttr_s,
-            seed=spec.seed + 2,
             distribution=spec.distribution,
             crew=crew,
         )

@@ -229,12 +229,7 @@ class DhlSystem:
         for track in self.tracks:
             leaks[f"tube:{track.name}"] = track.tube.count
         for endpoint_id, rack in self.racks.items():
-            held = rack.slots.count
-            docked = len(rack.docked_carts)
-            out_of_service = sum(
-                1 for station in rack.stations if station.out_of_service
-            )
-            leaks[f"slots:{endpoint_id}"] = held - docked - out_of_service
+            leaks[f"slots:{endpoint_id}"] = rack.slots.count - len(rack.docked_carts)
         return leaks
 
 
@@ -707,11 +702,7 @@ class _Return:
         station = None
         if recovery.triggered:
             station = next(
-                (
-                    candidate
-                    for candidate in rack.stations
-                    if not candidate.occupied and not candidate.out_of_service
-                ),
+                (candidate for candidate in rack.stations if not candidate.occupied),
                 None,
             )
         if station is not None:

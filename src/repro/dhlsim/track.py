@@ -71,8 +71,9 @@ class Hop:
 class TrackHealth:
     """Mutable fault state of one track: tube availability, LIM health.
 
-    Fault injectors (``repro.dhlsim.reliability``) flip these flags; the
-    scheduler consults them before and after claiming the tube.  A
+    Track outages (``repro.dhlsim.reliability`` and the ``repro.chaos``
+    campaigns) and campaign brownouts flip these flags; the scheduler
+    consults them before and after claiming the tube.  A
     breach makes the tube unavailable until repair; a degraded LIM
     leaves the tube open but stretches travel time by ``lim_slowdown``.
     """

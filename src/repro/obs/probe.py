@@ -5,9 +5,9 @@ dock-slot pool) so every grant opens an async ``claim`` span and every
 release closes it, with the occupancy level mirrored into a counter
 series and a time-weighted registry metric.  Because the probe wraps
 ``request``/``_release`` at the instance level it sees *every* claim
-path — scheduler traffic, recovery re-docks and fault-injector
-maintenance windows alike — which is what makes the trace-derived leak
-audit (:func:`trace_leaked_resources`) trustworthy.
+path — scheduler traffic and recovery re-docks alike — which is what
+makes the trace-derived leak audit (:func:`trace_leaked_resources`)
+trustworthy.
 """
 
 from __future__ import annotations
@@ -108,8 +108,7 @@ def trace_leaked_resources(tracer: Tracer, system: Any) -> dict[str, int]:
 
     Recomputes the scheduler's leak audit using open claim spans in
     place of live ``Resource.count`` values: tube leaks are open tube
-    claims, slot leaks are open slot claims minus docked and
-    out-of-service stations.  On a correctly instrumented quiescent
+    claims, slot leaks are open slot claims minus docked carts.  On a correctly instrumented quiescent
     system this agrees with ``system.leaked_resources()`` exactly.
     """
     open_claims = open_claim_counts(tracer)
@@ -119,10 +118,5 @@ def trace_leaked_resources(tracer: Tracer, system: Any) -> dict[str, int]:
         audit[key] = open_claims.get(key, 0)
     for endpoint_id, rack in system.racks.items():
         key = f"slots:{endpoint_id}"
-        held = open_claims.get(key, 0)
-        docked = len(rack.docked_carts)
-        out_of_service = sum(
-            1 for station in rack.stations if station.out_of_service
-        )
-        audit[key] = held - docked - out_of_service
+        audit[key] = open_claims.get(key, 0) - len(rack.docked_carts)
     return audit

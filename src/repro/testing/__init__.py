@@ -4,11 +4,6 @@ Everything here requires `hypothesis <https://hypothesis.works>`_ (an
 optional ``test`` extra); importing :mod:`repro.testing` without it
 raises a clear error instead of an obscure one mid-suite.
 
-* :mod:`repro.testing.strategies` — hypothesis strategies for the
-  repro's value types: physics parameters, dataset sizes, chaos specs,
-  fault campaigns, degradation policies and whole fleet scenarios.
-  Promoted out of the test tree so every suite (and downstream users)
-  draw from one vocabulary of "valid configuration".
 * :mod:`repro.testing.statemachine` — stateful fuzzing: a DHL API
   machine issuing random Open/Close/Read/Write sequences, a fleet
   machine issuing dispatch sequences and a shard co-sim machine that
@@ -22,10 +17,9 @@ raises a clear error instead of an obscure one mid-suite.
   derives every hypothesis wrapper from those declarations;
   ``drain_and_audit`` is the one end-of-run fleet audit (jobs resolved
   exactly once, outcome counts reconciled, no leaked cart or rail).
-* :mod:`repro.testing.traffic` — the demand layer's vocabulary and
-  fuzz target: strategies for trace records, tenant profiles and whole
-  synthesis specs, plus :class:`TraceReplayMachine`, which emits
-  monotone records, encodes them live through both codecs, and
+* :mod:`repro.testing.traffic` — the demand layer's fuzz target:
+  :class:`TraceReplayMachine` emits monotone records under
+  :func:`fuzz_header`, encodes them live through both codecs, and
   open-loop injects them into a chaos-ridden control plane while
   checking round-trip identity and the shared fleet audit.
 """
@@ -49,26 +43,7 @@ from .statemachine import (
     random_walk,
     state_machine,
 )
-from .strategies import (
-    campaign_events,
-    chaos_campaigns,
-    chaos_specs,
-    degradation_policies,
-    dhl_params,
-    fleet_scenarios,
-    valid_lengths,
-    valid_sizes_pb,
-    valid_speeds,
-    valid_ssds,
-)
-from .traffic import (
-    TraceReplayMachine,
-    TraceReplayStateMachine,
-    fuzz_header,
-    tenant_profiles,
-    trace_records,
-    trace_specs,
-)
+from .traffic import TraceReplayMachine, TraceReplayStateMachine, fuzz_header
 
 __all__ = [
     "DhlApiMachine",
@@ -80,20 +55,7 @@ __all__ = [
     "TraceReplayMachine",
     "TraceReplayStateMachine",
     "audit_shard_report",
-    "campaign_events",
-    "chaos_campaigns",
-    "chaos_specs",
-    "degradation_policies",
-    "dhl_params",
-    "fleet_scenarios",
     "fuzz_header",
     "random_walk",
     "state_machine",
-    "tenant_profiles",
-    "trace_records",
-    "trace_specs",
-    "valid_lengths",
-    "valid_sizes_pb",
-    "valid_speeds",
-    "valid_ssds",
 ]

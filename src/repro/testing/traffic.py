@@ -1,9 +1,4 @@
-"""Strategies and stateful fuzzing for the trace-driven demand layer.
-
-The strategies give property suites one vocabulary of "valid trace":
-records consistent with a header, and whole synthesis specs whose
-construction never raises — so shrinking explores behaviour, not input
-validation.
+"""Stateful fuzzing for the trace-driven demand layer.
 
 :class:`TraceReplayMachine` fuzzes the full pipeline the way
 production uses it: records are emitted with non-decreasing arrivals,
@@ -36,7 +31,6 @@ from ..traffic.codec import (
     read_jsonl_records,
 )
 from ..traffic.schema import TraceHeader, TraceRecord
-from ..traffic.synth import DemandClass, FlashCrowd, TenantProfile, TraceSpec
 from ..units import TB
 from .statemachine import (
     PlaneMachine,
@@ -61,72 +55,6 @@ def fuzz_header(catalog: DatasetCatalog | None = None) -> TraceHeader:
         tenants=FUZZ_TENANTS,
         datasets=catalog.names,
         kinds=FUZZ_KINDS,
-    )
-
-
-@st.composite
-def trace_records(draw, header: TraceHeader | None = None,
-                  max_arrival_s: float = 7200.0) -> TraceRecord:
-    """One record valid under ``header`` (arrival order not implied)."""
-    if header is None:
-        header = fuzz_header()
-    arrival = draw(st.floats(min_value=0.0, max_value=max_arrival_s))
-    kind = draw(st.sampled_from(header.kinds))
-    return TraceRecord(
-        arrival_s=arrival,
-        tenant=draw(st.sampled_from(header.tenants)),
-        dataset=draw(st.sampled_from(header.datasets)),
-        size_bytes=draw(st.floats(min_value=1.0, max_value=30 * TB)),
-        kind=kind,
-        deadline_s=arrival + draw(st.floats(min_value=1.0, max_value=3600.0)),
-    )
-
-
-@st.composite
-def tenant_profiles(draw, kinds: tuple[str, ...] = FUZZ_KINDS,
-                    name: str = "tenant") -> TenantProfile:
-    """A valid tenant demand profile over ``kinds``."""
-    n_kinds = draw(st.integers(min_value=1, max_value=len(kinds)))
-    return TenantProfile(
-        name=name,
-        base_rate_per_s=draw(st.floats(min_value=0.01, max_value=5.0)),
-        diurnal_amplitude=draw(st.floats(min_value=0.0, max_value=1.0)),
-        peak_s=draw(st.floats(min_value=0.0, max_value=86400.0)),
-        class_weights=tuple(
-            (kind, draw(st.floats(min_value=0.05, max_value=1.0)))
-            for kind in kinds[:n_kinds]
-        ),
-        zipf_alpha=draw(st.floats(min_value=0.1, max_value=3.0)),
-    )
-
-
-@st.composite
-def trace_specs(draw) -> TraceSpec:
-    """A valid small-horizon synthesis spec for end-to-end properties."""
-    horizon_s = draw(st.floats(min_value=120.0, max_value=1800.0))
-    tenants = tuple(
-        draw(tenant_profiles(name=f"tenant-{index}"))
-        for index in range(draw(st.integers(min_value=1, max_value=3)))
-    )
-    crowds = ()
-    if draw(st.booleans()):
-        crowds = (FlashCrowd(
-            tenant=tenants[0].name,
-            kind=tenants[0].class_weights[0][0],
-            start_s=draw(st.floats(min_value=0.0, max_value=horizon_s * 0.8)),
-            duration_s=draw(st.floats(min_value=10.0, max_value=horizon_s)),
-            peak_rate_per_s=draw(st.floats(min_value=0.1, max_value=20.0)),
-        ),)
-    return TraceSpec(
-        seed=draw(st.integers(min_value=0, max_value=2**16)),
-        horizon_s=horizon_s,
-        window_s=draw(st.floats(min_value=30.0, max_value=600.0)),
-        tenants=tenants,
-        crowds=crowds,
-        classes=tuple(
-            DemandClass(kind, median_bytes=2 * TB, sigma=0.5)
-            for kind in FUZZ_KINDS
-        ),
     )
 
 

@@ -11,10 +11,7 @@ import pytest
 
 from repro.chaos.crew import RepairCrewPool
 from repro.core.availability import RepairableComponent
-from repro.dhlsim.reliability import (
-    LimDegradationInjector,
-    TrackOutageInjector,
-)
+from repro.dhlsim.reliability import TrackOutageInjector
 from repro.dhlsim.scheduler import DhlSystem
 from repro.errors import ConfigurationError
 from repro.sim import Environment
@@ -61,28 +58,32 @@ class TestPoolBasics:
 
 class TestSaturation:
     def test_concurrent_faults_queue_and_stretch_repair(self, env):
-        system = DhlSystem(env)
+        # Two tracks (one system each) on one clock and one crew.
+        first_system, second_system = DhlSystem(env), DhlSystem(env)
         pool = RepairCrewPool(env, crews=1)
-        track = TrackOutageInjector(
-            system, mttf_s=100.0, mttr_s=50.0, distribution="fixed", crew=pool
+        first = TrackOutageInjector(
+            first_system, mttf_s=100.0, mttr_s=50.0, distribution="fixed",
+            crew=pool,
         )
-        lim = LimDegradationInjector(
-            system, mttf_s=100.0, mttr_s=50.0, distribution="fixed", crew=pool
+        second = TrackOutageInjector(
+            second_system, mttf_s=100.0, mttr_s=50.0, distribution="fixed",
+            crew=pool,
         )
         env.run(until=190.0)
-        # Both fault at t=100; the track injector (created first) wins
-        # the crew, the LIM repair queues the full 50 s behind it.
-        assert track.outages == 1
-        assert lim.outages == 1
+        # Both fault at t=100; the injector created first wins the
+        # crew, the second repair queues the full 50 s behind it.
+        assert first.outages == 1
+        assert second.outages == 1
         assert pool.saturated_waits >= 1
         assert pool.fifo_preserved
-        assert track.crew_wait_s == pytest.approx(0.0)
-        assert lim.crew_wait_s == pytest.approx(50.0)
+        assert first.crew_wait_s == pytest.approx(0.0)
+        assert second.crew_wait_s == pytest.approx(50.0)
         # Fault at t=100, crew free at t=150, repaired at t=200: the
-        # LIM is still degraded at t=190, though its MTTR is only 50 s.
-        assert system.tracks[0].health.lim_slowdown == 2.0
-        track.stop()
-        lim.stop()
+        # second track is still down at t=190, though its MTTR is 50 s.
+        assert first_system.tracks[0].health.tube_available
+        assert not second_system.tracks[0].health.tube_available
+        first.stop()
+        second.stop()
 
     def test_unsaturated_availability_matches_closed_form(self, env):
         system = DhlSystem(env)
@@ -105,13 +106,12 @@ class TestSaturation:
     def test_seeded_exponential_cadence_is_reproducible(self):
         def run_once():
             env = Environment()
-            system = DhlSystem(env)
             pool = RepairCrewPool(env, crews=1)
             TrackOutageInjector(
-                system, mttf_s=300.0, mttr_s=60.0, seed=17, crew=pool
+                DhlSystem(env), mttf_s=300.0, mttr_s=60.0, seed=17, crew=pool
             )
-            LimDegradationInjector(
-                system, mttf_s=300.0, mttr_s=60.0, seed=18, crew=pool
+            TrackOutageInjector(
+                DhlSystem(env), mttf_s=300.0, mttr_s=60.0, seed=18, crew=pool
             )
             env.run(until=5000.0)
             return tuple(pool.requested), tuple(pool.dispatched)

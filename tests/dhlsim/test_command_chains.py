@@ -331,11 +331,7 @@ def _return_inner(system, cart, endpoint_id):
         station = None
         if recovery.triggered:
             station = next(
-                (
-                    candidate
-                    for candidate in rack.stations
-                    if not candidate.occupied and not candidate.out_of_service
-                ),
+                (candidate for candidate in rack.stations if not candidate.occupied),
                 None,
             )
         if station is not None:

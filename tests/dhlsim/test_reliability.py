@@ -1,4 +1,4 @@
-"""Tests for track/dock/cart fault models, retry policies and failover."""
+"""Tests for track/cart fault models, retry policies and failover."""
 
 import pytest
 
@@ -10,8 +10,6 @@ from repro.dhlsim.policy import FailoverPolicy, ShuttlePolicy
 from repro.dhlsim.reliability import (
     CartStallInjector,
     ChaosSpec,
-    DockOutageInjector,
-    LimDegradationInjector,
     TrackOutageInjector,
     install_chaos,
 )
@@ -136,48 +134,13 @@ class TestTrackOutage:
 class TestLimDegradation:
     def test_degraded_lim_slows_travel(self, env):
         system = DhlSystem(env)
-        LimDegradationInjector(
-            system, mttf_s=1.0, mttr_s=1e6, slowdown=2.0, distribution="fixed"
-        )
+        system.tracks[0].health.degrade_lim(2.0)
         cart = ready_cart(system)
-
-        def run():
-            yield env.timeout(2.0)  # LIM is degraded by now
-            start = env.now
-            yield system.shuttle(cart, dst=1)
-            return env.now - start
-
+        env.run(until=system.shuttle(cart, dst=1))
         params = DhlParams()
-        elapsed = env.run(until=env.process(run()))
         healthy = trip_time(params)
         travel = healthy - params.undock_time - params.dock_time
-        assert elapsed == pytest.approx(healthy + travel)
-
-    def test_rejects_speedup(self, env):
-        with pytest.raises(ConfigurationError, match="slowdown"):
-            LimDegradationInjector(DhlSystem(env), mttf_s=1.0, mttr_s=1.0, slowdown=0.5)
-
-
-class TestDockOutage:
-    def test_outage_takes_one_station_out_of_service(self, env):
-        system = DhlSystem(env, stations_per_rack=2)
-        DockOutageInjector(
-            system, mttf_s=10.0, mttr_s=100.0, distribution="fixed"
-        )
-        env.run(until=20.0)
-        rack = system.rack(1)
-        assert sum(1 for s in rack.stations if s.out_of_service) == 1
-        assert rack.slots.count == 1  # the crew holds the slot
-        assert system.metrics.value("count.dock_outages") == 1
-        env.run(until=115.0)  # repaired at 110; next outage fires at 120
-        assert all(not s.out_of_service for s in rack.stations)
-        assert rack.slots.count == 0
-
-    def test_leak_accounting_ignores_maintenance_claims(self, env):
-        system = DhlSystem(env, stations_per_rack=2)
-        DockOutageInjector(system, mttf_s=10.0, mttr_s=100.0, distribution="fixed")
-        env.run(until=20.0)
-        assert all(count == 0 for count in system.leaked_resources().values())
+        assert env.now == pytest.approx(healthy + travel)
 
 
 class TestCartStall:

@@ -1,10 +1,7 @@
 """Tests for the fleet bench harness and its regression gate."""
 
-import json
-
 import pytest
 
-from repro.bench import compare, load, write
 from repro.errors import ConfigurationError
 from repro.fleet.bench import SCHEMA, report_payload, run_fleet_bench
 
@@ -42,37 +39,3 @@ class TestPayloadAndGate:
         kpis = payload["combos"]["edf+lru"]
         assert kpis["n_jobs"] > 0
         assert kpis["p99_s"] > 0
-
-    def test_write_and_load_round_trip(self, bench, tmp_path):
-        path = str(tmp_path / "BENCH_fleet.json")
-        write(report_payload(bench), path)
-        assert load(path) == json.loads(
-            json.dumps(report_payload(bench))
-        )
-
-    def test_identical_payloads_pass_the_gate(self, bench):
-        payload = report_payload(bench)
-        assert compare(payload, payload) == []
-
-    def test_kpi_drift_is_flagged(self, bench):
-        payload = report_payload(bench)
-        drifted = json.loads(json.dumps(payload))
-        drifted["combos"]["edf+lru"]["p99_s"] *= 1.5
-        drifted["combos"]["edf+lru"]["launches"] += 1
-        problems = compare(payload, drifted)
-        assert any("p99_s" in problem for problem in problems)
-        assert any("launches" in problem for problem in problems)
-
-    def test_missing_combo_is_flagged(self, bench):
-        payload = report_payload(bench)
-        fresh = json.loads(json.dumps(payload))
-        del fresh["combos"]["edf+none"]
-        problems = compare(fresh, payload)
-        assert any("edf+none" in problem for problem in problems)
-
-    def test_broken_invariant_is_flagged(self, bench):
-        payload = report_payload(bench)
-        broken = json.loads(json.dumps(payload))
-        broken["invariants"]["edf_lru_beats_fcfs_none_p99"] = False
-        problems = compare(broken, payload)
-        assert any("invariant" in problem for problem in problems)

@@ -163,8 +163,10 @@ def test_no_stale_sweep_engine_references(root):
 #: container, filtered store gets, the engine's swapped fire methods,
 #: the second resource wrapper, CSV and later-wins snapshot export,
 #: the closed-form trace helper, the post-shuttle hook list, pooled
-#: synthesis, the shard parent's homing view, the "auto" engine and
-#: the module-level outcome aliases (``Outcome.*`` replaces them).
+#: synthesis, the shard parent's homing view, the "auto" engine, the
+#: module-level outcome aliases (``Outcome.*`` replaces them), the dock
+#: and LIM fault loops with their base class, ``ChaosSpec`` fields and
+#: the dock out-of-service flag, and the orphan hypothesis strategies.
 #: Spelled in pieces, as above.
 _STALE_SURFACE = re.compile("|".join([
     r"\bPriority" r"(Resource|Request)\b", r"\bCon" r"tainer\b", r"\bget" r"_matching\b",
@@ -175,6 +177,9 @@ _STALE_SURFACE = re.compile("|".join([
     r"sla import .*\b(SERVED|FAILOVER|SHED|FAILED)\b",
     r"^\s+(SERVED|FAILOVER|SHED|FAILED)" r",$",
     r"\bsla\.(SERVED|FAILOVER|SHED|FAILED)" r"\b",
+    r"\b(Dock" r"Outage|Lim" r"Degradation|Repairable" r")Injector\b",
+    r"\b(dock|lim)" r"_mttf_s\b", r"\bout_of" r"_service\b",
+    r"\b(chaos" r"_specs|fleet" r"_scenarios|trace" r"_specs)\b",
 ]))
 
 

@@ -192,9 +192,9 @@ PUBLIC_API = {
     "dhlsim": (
         "CART_STATE_EVENT", "Cart", "CartStallInjector", "CartState", "ChaosInjectors",
         "ChaosSpec", "ContentionReport", "DEFAULT_RETRY", "DhlApi", "DhlSystem",
-        "DockOutageInjector", "DockingStation", "Endpoint", "FailoverPolicy",
-        "FaultInjector", "LibraryNode", "LimDegradationInjector", "MultiStopExperiment",
-        "NO_RETRY", "RackEndpoint", "RepairableInjector", "RequestOutcome",
+        "DockingStation", "Endpoint", "FailoverPolicy", "FaultInjector",
+        "LibraryNode", "MultiStopExperiment", "NO_RETRY", "RackEndpoint",
+        "RequestOutcome",
         "ShuttleAttempt", "ShuttlePolicy", "Span", "TimelineEvent", "TimelineRecorder",
         "Track", "TrackHealth", "TrackOutageInjector", "TransferReport",
         "TransferRequest", "build_tracks", "default_endpoints",
