@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from .controlplane import FleetReport, default_scenario, run_fleet
+from .controlplane import FleetReport, _bind_jobs, build_plane, default_scenario
 
 SCHEMA = "repro-bench-fleet/1"
 
@@ -75,11 +75,14 @@ def run_fleet_bench(
     if not combos:
         raise ConfigurationError("at least one (policy, cache) combo is required")
     started = time.perf_counter()
+    # The combos vary only policy and cache, so they share one bound
+    # job stream (no run mutates a bound job).
+    jobs = tuple(_bind_jobs(default_scenario(seed=seed, horizon_s=horizon_s)))
     reports = tuple(
         (
             _combo_label(policy, cache),
-            run_fleet(default_scenario(policy=policy, cache=cache, seed=seed,
-                                       horizon_s=horizon_s)),
+            build_plane(default_scenario(policy=policy, cache=cache, seed=seed,
+                                         horizon_s=horizon_s)).run(jobs),
         )
         for policy, cache in combos
     )

@@ -30,7 +30,7 @@ from ..core.chunks import map_chunks
 from ..errors import ConfigurationError
 from ..units import assert_positive
 from .cache import CacheConfig
-from .controlplane import FleetScenario, POLICIES, run_fleet
+from .controlplane import FleetScenario, POLICIES, _bind_jobs, _FleetJob, build_plane
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,9 @@ class CapacityPlan:
         return tuple(e for e in self.evaluations if e.feasible)
 
 
-def _evaluate(scenario: FleetScenario,
-              requirement: SlaRequirement) -> CandidateEvaluation:
-    report = run_fleet(scenario)
+def _evaluate(scenario: FleetScenario, requirement: SlaRequirement,
+              jobs: tuple[_FleetJob, ...]) -> CandidateEvaluation:
+    report = build_plane(scenario).run(jobs)
     feasible = (
         report.p99_s <= requirement.max_p99_s
         and report.deadline_miss_rate <= requirement.max_miss_rate
@@ -100,9 +100,10 @@ def _evaluate(scenario: FleetScenario,
 def _candidate_chunk(
     chunk: tuple[FleetScenario, ...],
     requirement: SlaRequirement,
+    jobs: tuple[_FleetJob, ...],
 ) -> tuple[CandidateEvaluation, ...]:
     """``map_chunks`` worker: evaluate a slice of the candidate grid."""
-    return tuple(_evaluate(scenario, requirement) for scenario in chunk)
+    return tuple(_evaluate(scenario, requirement, jobs) for scenario in chunk)
 
 
 def _cache_for_label(base: FleetScenario, label: str) -> CacheConfig | None:
@@ -178,12 +179,18 @@ def plan_capacity(
 
     Every candidate is simulated, so ``evaluations`` is the full
     feasibility frontier capacity studies plot; ``best`` is the first
-    feasible candidate in increasing-cost order.
+    feasible candidate in increasing-cost order.  Each evaluation equals
+    ``run_fleet(candidate)``: the binding reads only the seed, traffic
+    classes, horizon, catalog and SLA targets, which no candidate
+    changes.
     """
     scenarios = candidate_scenarios(base, n_tracks_options,
                                     cart_pool_options, policies,
                                     cache_options)
-    chunk_fn = functools.partial(_candidate_chunk, requirement=requirement)
+    # No run mutates a bound job, so the candidates share one tuple.
+    jobs = tuple(_bind_jobs(base))
+    chunk_fn = functools.partial(_candidate_chunk, requirement=requirement,
+                                 jobs=jobs)
     evaluations = map_chunks(chunk_fn, scenarios, engine=engine, workers=workers)
     best = next((e for e in evaluations if e.feasible), None)
     return CapacityPlan(

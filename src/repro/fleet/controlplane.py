@@ -208,13 +208,15 @@ def _policy_key(policy: str):
 
 
 class _LaneQueue:
-    """Policy-ordered job queue with blocking get for lane workers.
+    """Policy-ordered job queue that lane workers take jobs from.
 
     One binary heap of ``(key, seq, job)`` under the lane's fixed
     dispatch order.  Popping the heap minimum serves exactly the job
     ``min()`` over the pending jobs in arrival order would: equal keys
     (duplicate job ids included) fall back to the push sequence number
-    ``seq``, i.e. to the earlier push.  Push and pop are O(log n).
+    ``seq``, i.e. to the earlier push.  Push and pop are O(log n).  A
+    worker that finds the queue empty parks a waiter event in
+    ``waiters``; each push fires the oldest one.
     """
 
     def __init__(self, env: Environment, key: Callable[[_FleetJob], tuple]):
@@ -233,13 +235,19 @@ class _LaneQueue:
         if self.waiters:
             self.waiters.popleft().succeed(None)
 
-    def get(self):
-        """Process helper: next job under the policy (blocks when empty)."""
-        while not self._heap:
-            waiter = Event(self.env)
-            self.waiters.append(waiter)
-            yield waiter
-        return heapq.heappop(self._heap)[2]
+    def get(self, wake: Callable[[Event], None]) -> _FleetJob | None:
+        """The next job under the policy, or ``None`` when there is none.
+
+        On an empty queue a waiter event with ``wake`` as its only
+        callback joins ``waiters``; the next push fires it, and ``wake``
+        calls ``get`` again (another worker may have taken the job).
+        """
+        if self._heap:
+            return heapq.heappop(self._heap)[2]
+        waiter = self.env.event()
+        waiter.callbacks.append(wake)
+        self.waiters.append(waiter)
+        return None
 
 
 class _LaneIndex(dict):
@@ -277,6 +285,251 @@ class _Lane:
             RackCache(env, cache_config) if cache_config is not None else None
         )
         self.name = f"t{track_index}:r{endpoint_id}"
+
+
+class _RobustClose:
+    """Close a cart with unbounded patience, then call ``then()``.
+
+    The cart has one way home.  A failed Close leaves it parked at the
+    rack (re-docked or in the recovery bay); abandoning it would strand
+    physical capacity forever, so the Close is re-attempted after a
+    fixed beat until the repair crew restores the track.  Fault-free
+    this is a single first-try Close, event for event.  A class, not a
+    pair of closures: two closures that call each other form a
+    reference cycle per Close, which only the cyclic GC frees.
+    """
+
+    __slots__ = ("plane", "lane", "cart", "then")
+
+    def __init__(self, plane: ControlPlane, lane: _Lane, cart,
+                 then: Callable[[], None]):
+        self.plane = plane
+        self.lane = lane
+        self.cart = cart
+        self.then = then
+        self._close(None)
+
+    def _close(self, _event: Event | None) -> None:
+        lane = self.lane
+        lane.api.close(self.cart, lane.endpoint_id).callbacks.append(self._closed)
+
+    def _closed(self, event: Event) -> None:
+        if event._ok:
+            self.then()
+            return
+        event._defused = True
+        if not isinstance(event._value, SchedulingError):
+            raise event._value
+        plane = self.plane
+        plane._count("count.fleet.close_deferrals")
+        plane.env.timeout(CLOSE_RETRY_S).callbacks.append(self._close)
+
+
+class _LaneWorker:
+    """One docking station's worker, as a chain of plain-event callbacks.
+
+    It takes its lane's next job under the policy, serves it — through
+    the rack cache when the lane has one — resolves it and takes the
+    next; on an empty queue it parks a waiter (:meth:`_LaneQueue.get`).
+    Wherever a generator worker process would push a queue entry — its
+    kick-off, each lock, cart-token and ``entry.ready`` grant it waits
+    on, each ``CLOSE_RETRY_S`` timeout — the chain pushes one entry at
+    the same point, with the next step as its only callback, so
+    ``env._eid`` and every same-instant tie are the process's.  The
+    process's same-instant resume shim would only ever be its kick-off:
+    every event the worker waits on is still pending when it does.  An
+    error the serve does not expect aborts the run from the callback,
+    as a failed process does when its failure fires.
+    """
+
+    __slots__ = ("plane", "lane", "monitor", "fjob", "started", "passes",
+                 "entry", "lock", "token", "station", "ok")
+
+    def __init__(self, plane: ControlPlane, lane: _Lane):
+        self.plane = plane
+        self.lane = lane
+        self.monitor = plane.monitors.get((lane.track_index, lane.endpoint_id))
+        plane.env.timeout(0.0).callbacks.append(self._take)
+
+    def _take(self, _event: Event | None = None) -> None:
+        """Serve the lane's next job, or wait for one."""
+        plane, lane, monitor = self.plane, self.lane, self.monitor
+        while True:
+            fjob = lane.queue.get(self._take)
+            if fjob is None:
+                return
+            if (
+                monitor is not None
+                and plane.degradation.divert_queued
+                and not monitor.allow()
+            ):
+                monitor.record_diverted()
+                plane._divert(fjob)
+                continue
+            self.fjob = fjob
+            self.started = plane.env._now
+            if lane.cache is None:
+                lock = self.lock = plane._locks[fjob.dataset].request()
+                lock.callbacks.append(self._plain_locked)
+            else:
+                self.passes = 0
+                self._cached()
+            return
+
+    def _served(self, ok: bool) -> None:
+        """Resolve the job, then take the next."""
+        plane, fjob, monitor = self.plane, self.fjob, self.monitor
+        if monitor is not None:
+            if ok:
+                monitor.record_success()
+            else:
+                monitor.record_failure()
+        completed = plane.env._now
+        if plane.tracer is not None and ok:
+            started = self.started
+            plane.tracer.span_at(
+                "fleet.job",
+                start_s=started,
+                end_s=completed,
+                track=f"fleet:{self.lane.name}",
+                asynchronous=True,
+                job=fjob.job_id,
+                kind=fjob.kind,
+                dataset=fjob.dataset,
+                queue_wait_s=started - fjob.arrival_s,
+            )
+        if ok:
+            plane._finish(fjob, Outcome.SERVED, completed)
+        else:
+            plane._finish(fjob, Outcome.FAILED, None)
+        self._take()
+
+    def _read(self) -> Event:
+        lane, fjob = self.lane, self.fjob
+        return lane.api.read(lane.endpoint_id, fjob.dataset, 0,
+                             n_bytes=fjob.read_bytes)
+
+    # -- no cache: lock, borrow a cart, launch, read, return, repay --------------
+
+    def _plain_locked(self, _event: Event) -> None:
+        token = self.token = self.plane.topology.cart_pool.request()
+        token.callbacks.append(self._plain_borrowed)
+
+    def _plain_borrowed(self, _event: Event) -> None:
+        lane = self.lane
+        lane.api.open(self.fjob.dataset, 0, lane.endpoint_id).callbacks.append(
+            self._plain_opened
+        )
+
+    def _plain_opened(self, event: Event) -> None:
+        if not event._ok:
+            event._defused = True
+            if not isinstance(event._value, SchedulingError):
+                raise event._value
+            self.ok = False
+            self._plain_repay()
+            return
+        self.station = event._value
+        self._read().callbacks.append(self._plain_read)
+
+    def _plain_read(self, event: Event) -> None:
+        ok = self.ok = event._ok
+        if not ok:
+            # The read is lost (dead drives, degraded dock) but the
+            # cart is docked and must still go home.
+            event._defused = True
+            if not isinstance(event._value, (SchedulingError, DataIntegrityError)):
+                raise event._value
+        _RobustClose(self.plane, self.lane, self.station.cart, self._plain_repay)
+
+    def _plain_repay(self) -> None:
+        self.token.release()
+        self.lock.release()
+        self._served(self.ok)
+
+    # -- the cache path: a hit reads in place, a miss fetches (and may evict) ----
+    #
+    # At most three passes: a pass that waited on a coalesced fetch, or
+    # whose own fetch failed, starts over.  In a fault-free fleet the
+    # first pass always lands.
+
+    def _cached(self, _event: Event | None = None) -> None:
+        if self.passes == 3:
+            self._served(False)
+            return
+        self.passes += 1
+        plane, lane, dataset = self.plane, self.lane, self.fjob.dataset
+        cache = lane.cache
+        entry = cache.lookup(dataset)
+        if entry is not None:
+            cache.record_hit(entry)
+            if entry.state == FETCHING:
+                entry.ready.callbacks.append(self._coalesced)
+            else:
+                self._read_resident(entry)
+            return
+        cache.record_miss()
+        self.entry = cache.begin_fetch(dataset)
+        if cache.residency > lane.stations:
+            # Worker-per-station guarantees an idle victim exists
+            # whenever residency exceeds the stations (at most one
+            # entry per worker can be busy, and this worker's is the
+            # new one).
+            victim = cache.evictable()
+            if victim is not None:
+                plane._start_eviction(lane, victim)
+        lock = self.lock = plane._locks[dataset].request()
+        lock.callbacks.append(self._fetch_locked)
+
+    def _coalesced(self, _event: Event) -> None:
+        entry = self.lane.cache.lookup(self.fjob.dataset)
+        if entry is None or entry.state != RESIDENT:
+            self._cached()  # the fetch failed under us; retry
+            return
+        self._read_resident(entry)
+
+    def _fetch_locked(self, _event: Event) -> None:
+        plane = self.plane
+        token = self.token = plane.topology.cart_pool.request()
+        if not token.triggered:
+            plane._balance_pool()
+        token.callbacks.append(self._fetch_borrowed)
+
+    def _fetch_borrowed(self, _event: Event) -> None:
+        lane = self.lane
+        lane.api.open(self.fjob.dataset, 0, lane.endpoint_id).callbacks.append(
+            self._fetched
+        )
+
+    def _fetched(self, event: Event) -> None:
+        cache, entry = self.lane.cache, self.entry
+        if not event._ok:
+            event._defused = True
+            if not isinstance(event._value, SchedulingError):
+                raise event._value
+            cache.fail_fetch(entry)
+            self.token.release()
+            self.lock.release()
+            self._cached()
+            return
+        cache.finish_fetch(entry, event._value, self.token, self.lock)
+        self._read_resident(entry)
+
+    def _read_resident(self, entry) -> None:
+        self.entry = entry
+        self.lane.cache.acquire(entry)
+        self._read().callbacks.append(self._cached_read)
+
+    def _cached_read(self, event: Event) -> None:
+        ok = event._ok
+        if not ok:
+            event._defused = True
+        self.lane.cache.release(self.entry)
+        self.plane._balance_pool()
+        if not ok and not isinstance(event._value,
+                                     (SchedulingError, DataIntegrityError)):
+            raise event._value
+        self._served(ok)
 
 
 @dataclass(frozen=True)
@@ -335,7 +588,13 @@ class FleetReport:
 
 
 class ControlPlane:
-    """Admission, dispatch and caching over a :class:`FleetTopology`."""
+    """Admission, dispatch and caching over a :class:`FleetTopology`.
+
+    Every lane runs one worker per docking station (:class:`_LaneWorker`)
+    and every cache eviction runs one close-and-repay step; both are
+    chains of plain-event callbacks, not processes.  Only a job that
+    fails over to the optical network runs as a process.
+    """
 
     def __init__(
         self,
@@ -386,7 +645,6 @@ class ControlPlane:
             self._failover_policy = None
             self._failover_streams = None
         self._done = Event(env)
-        self._workers: list = []
         # Streaming intake/outcome accounting: the plane never needs
         # the whole job list, only how many came in and how many
         # resolved — which is what lets a lazy iterator drive it.
@@ -584,169 +842,30 @@ class ControlPlane:
 
     # -- lane workers ------------------------------------------------------------
 
-    def _worker(self, lane: _Lane):
-        monitor = self.monitors.get((lane.track_index, lane.endpoint_id))
-        while True:
-            fjob = yield from lane.queue.get()
-            if (
-                monitor is not None
-                and self.degradation.divert_queued
-                and not monitor.allow()
-            ):
-                monitor.record_diverted()
-                self._divert(fjob)
-                continue
-            started = self.env.now
-            if lane.cache is not None:
-                ok = yield from self._serve_cached(lane, fjob)
-            else:
-                ok = yield from self._serve_plain(lane, fjob)
-            if monitor is not None:
-                if ok:
-                    monitor.record_success()
-                else:
-                    monitor.record_failure()
-            completed = self.env.now
-            if self.tracer is not None and ok:
-                self.tracer.span_at(
-                    "fleet.job",
-                    start_s=started,
-                    end_s=completed,
-                    track=f"fleet:{lane.name}",
-                    asynchronous=True,
-                    job=fjob.job_id,
-                    kind=fjob.kind,
-                    dataset=fjob.dataset,
-                    queue_wait_s=started - fjob.arrival_s,
-                )
-            if ok:
-                self._finish(fjob, Outcome.SERVED, completed)
-            else:
-                self._finish(fjob, Outcome.FAILED, None)
-
-    def _close_robust(self, lane: _Lane, cart):
-        """Close with unbounded patience: the cart has one way home.
-
-        A failed Close leaves the cart parked at the rack (re-docked or
-        in the recovery bay); abandoning it would strand physical
-        capacity forever, so we re-attempt after a fixed beat until the
-        repair crew restores the track.  Fault-free this is a single
-        first-try Close, event for event.
-        """
-        while True:
-            try:
-                yield lane.api.close(cart, lane.endpoint_id)
-                return
-            except SchedulingError:
-                self._count("count.fleet.close_deferrals")
-                yield self.env.timeout(CLOSE_RETRY_S)
-
-    def _serve_plain(self, lane: _Lane, fjob: _FleetJob):
-        """No cache: lock, borrow a cart, launch, read, return, repay."""
-        lock = self._locks[fjob.dataset].request()
-        yield lock
-        token = self.topology.cart_pool.request()
-        yield token
-        try:
-            try:
-                station = yield lane.api.open(fjob.dataset, 0, lane.endpoint_id)
-            except SchedulingError:
-                return False
-            try:
-                yield lane.api.read(lane.endpoint_id, fjob.dataset, 0,
-                                    n_bytes=fjob.read_bytes)
-                ok = True
-            except (SchedulingError, DataIntegrityError):
-                # The read is lost (dead drives, degraded dock) but the
-                # cart is docked and must still go home.
-                ok = False
-            yield from self._close_robust(lane, station.cart)
-            return ok
-        finally:
-            token.release()
-            lock.release()
-
-    def _serve_cached(self, lane: _Lane, fjob: _FleetJob):
-        """Cache path: hit reads in place; miss fetches (and may evict).
-
-        Bounded retries cover fetch failures observed by coalesced
-        waiters; in a fault-free fleet the first pass always lands.
-        """
-        cache = lane.cache
-        for _ in range(3):
-            entry = cache.lookup(fjob.dataset)
-            if entry is not None:
-                cache.record_hit(entry)
-                if entry.state == FETCHING:
-                    yield entry.ready
-                    entry = cache.lookup(fjob.dataset)
-                    if entry is None or entry.state != RESIDENT:
-                        continue  # the fetch failed under us; retry
-                cache.acquire(entry)
-                try:
-                    try:
-                        yield lane.api.read(lane.endpoint_id, fjob.dataset, 0,
-                                            n_bytes=fjob.read_bytes)
-                        ok = True
-                    except (SchedulingError, DataIntegrityError):
-                        ok = False
-                finally:
-                    cache.release(entry)
-                    self._balance_pool()
-                return ok
-            cache.record_miss()
-            entry = cache.begin_fetch(fjob.dataset)
-            if cache.residency > lane.stations:
-                # Worker-per-station guarantees an idle victim exists
-                # whenever residency exceeds the stations (at most one
-                # entry per worker can be busy, and this worker's is
-                # the new one).
-                victim = cache.evictable()
-                if victim is not None:
-                    self._start_eviction(lane, victim)
-            lock = self._locks[fjob.dataset].request()
-            yield lock
-            token = self.topology.cart_pool.request()
-            if not token.triggered:
-                self._balance_pool()
-            yield token
-            try:
-                station = yield lane.api.open(fjob.dataset, 0, lane.endpoint_id)
-            except SchedulingError:
-                cache.fail_fetch(entry)
-                token.release()
-                lock.release()
-                continue
-            cache.finish_fetch(entry, station, token, lock)
-            cache.acquire(entry)
-            try:
-                try:
-                    yield lane.api.read(lane.endpoint_id, fjob.dataset, 0,
-                                        n_bytes=fjob.read_bytes)
-                    ok = True
-                except (SchedulingError, DataIntegrityError):
-                    ok = False
-            finally:
-                cache.release(entry)
-                self._balance_pool()
-            return ok
-        return False
-
     # -- cart-pool balancing -----------------------------------------------------
 
     def _start_eviction(self, lane: _Lane, entry) -> None:
+        """Send an idle resident home, then hand back its token and lock.
+
+        The eviction's first step and its end each push one queue entry
+        (a zero timeout), where an eviction process would push its
+        kick-off and its return.
+        """
         lane.cache.evict(entry)
         self._evictions_in_flight += 1
-        self.env.process(self._evict(lane, entry))
+        env = self.env
 
-    def _evict(self, lane: _Lane, entry):
-        try:
-            yield from self._close_robust(lane, entry.station.cart)
-        finally:
+        def evicted() -> None:
             self._evictions_in_flight -= 1
             entry.token.release()
             entry.lock.release()
             self._balance_pool()
+            env.timeout(0.0)
+
+        def start(_event: Event) -> None:
+            _RobustClose(self, lane, entry.station.cart, evicted)
+
+        env.timeout(0.0).callbacks.append(start)
 
     def _balance_pool(self) -> None:
         """Evict idle residents while cart requests outnumber evictions
@@ -823,23 +942,20 @@ class ControlPlane:
     # unchanged.
 
     def start_workers(self) -> None:
-        """Spawn every lane's per-station worker processes."""
+        """Start every lane's per-station workers."""
         for lane in self.lanes.values():
             for _ in range(lane.stations):
-                worker = self._worker(lane)
-                self._workers.append(worker)
-                self.env.process(worker)
+                _LaneWorker(self, lane)
 
     def stop_workers(self) -> None:
-        """Close every lane worker once the plane is done.
+        """Drop the idle lane workers' waiters once the plane is done.
 
-        An idle worker waits in :meth:`_LaneQueue.get` for a job that
-        never comes; closing it here, rather than leaving it to a later
-        cyclic-GC pass, keeps its ``GeneratorExit`` out of unrelated code.
+        An idle worker is one waiter event in its lane's
+        :attr:`_LaneQueue.waiters`, for a job that never comes.
+        Dropping the waiters leaves nothing that refers to a worker.
         """
-        for worker in self._workers:
-            worker.close()
-        self._workers.clear()
+        for lane in self.lanes.values():
+            lane.queue.waiters.clear()
 
     def inject(self, fjob: _FleetJob, at: float) -> None:
         """Schedule ``submit(fjob)`` at absolute virtual time ``at``.

@@ -11,7 +11,7 @@ generator chain is kept here, as the oracle, and nowhere in ``src``.
   pre-shuttle hooks, tube breaches mid-queue, deadlines, a FULL tracer —
   through both and demands the same schedule, metrics, trace and carts.
 * The proxy gates pin the cost exactly: the same queue pushes as the
-  process chain, and far fewer process spawns per job.
+  process chain (and generator lane workers), and no process spawns.
 * The light-load oracle holds the fleet to the paper's closed-form
   launch time where nothing queues.
 """
@@ -709,9 +709,16 @@ class TestDockSlotLeak:
 
 
 def fleet_cost(oracle):
-    """Queue pushes, spawns and jobs for the default fleet, seed 1."""
+    """Queue pushes, spawns and jobs for the default fleet, seed 1.
+
+    The oracle runs the generator lane workers too
+    (``tests/fleet/test_lane_workers.py``), so it is the fleet as it ran
+    before any of its processes became a callback chain.
+    """
+    from tests.fleet.test_lane_workers import worker_path  # it imports this module
+
     scenario = default_scenario(seed=1, horizon_s=3600.0)
-    with command_path(oracle), counting_spawns() as spawned:
+    with command_path(oracle), worker_path(oracle), counting_spawns() as spawned:
         plane = build_plane(scenario)
         report = plane.run(_bind_jobs(scenario))
     return plane.env._eid, spawned[0], report.n_jobs
@@ -725,7 +732,9 @@ class TestProxyGates:
         # 2,373 before the intake reached 25 arrivals by ``advance_to``.
         assert pushes == oracle_pushes == 2348
         assert oracle_spawns / jobs == pytest.approx(2.75, abs=0.01)
-        assert spawns / jobs <= 0.15
+        # Commands and lane workers run as callbacks; only a failover
+        # (none here) or a bulk transfer spawns a process.
+        assert spawns == 0
 
 
 # -- the light-load analytic oracle ----------------------------------------------

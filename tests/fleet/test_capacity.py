@@ -9,12 +9,14 @@ import pytest
 import repro.dhlsim.track as track_module
 from repro.core.params import DhlParams
 from repro.errors import ConfigurationError
+from repro.fleet import capacity
 from repro.fleet.capacity import (
     SlaRequirement,
     candidate_scenarios,
     plan_capacity,
 )
-from repro.fleet.controlplane import default_scenario
+from repro.fleet.controlplane import ControlPlane, default_scenario, run_fleet
+from repro.workloads.generator import WorkloadGenerator
 
 HORIZON = 900.0
 #: SHA-256 of ``plan_digest`` for TestPlanCapacity's requirement and grid.
@@ -174,3 +176,62 @@ class TestHopPhysicsProxy:
         assert sum(e.launches for e in plan.evaluations) > 144
         assert calls == {"with_": 0, "with_in_table": 144, "launch_energy": 144}
 
+
+
+class TestOneBoundStream:
+    """A plan binds the base scenario's job stream once and every
+    candidate runs that one tuple, left as it was bound."""
+
+    REQUIREMENT = SlaRequirement(max_p99_s=150.0, max_miss_rate=0.05)
+
+    def test_a_serial_plan_generates_and_binds_once(self, monkeypatch):
+        generated = []
+        real_generate = WorkloadGenerator.generate
+        bound = []
+        real_bind = capacity._bind_jobs
+        streams = []
+        real_run = ControlPlane.run
+
+        def counting_generate(generator, horizon_s):
+            generated.append(horizon_s)
+            return real_generate(generator, horizon_s)
+
+        def recording_bind(scenario, jobs=None):
+            fjobs = list(real_bind(scenario, jobs))
+            bound.append((fjobs, [dataclasses.astuple(f) for f in fjobs]))
+            return iter(fjobs)
+
+        def recording_run(plane, fjobs):
+            streams.append(fjobs)
+            return real_run(plane, fjobs)
+
+        monkeypatch.setattr(WorkloadGenerator, "generate", counting_generate)
+        monkeypatch.setattr(capacity, "_bind_jobs", recording_bind)
+        monkeypatch.setattr(ControlPlane, "run", recording_run)
+        plan = plan_capacity(self.REQUIREMENT, base_scenario(),
+                             cache_options=("none", "lru"), engine="serial")
+        assert len(plan.evaluations) == len(streams) == 36
+        assert generated == [HORIZON]
+        [(fjobs, fields)] = bound
+        shared = streams[0]
+        assert all(stream is shared for stream in streams)
+        assert list(shared) == fjobs
+        assert [dataclasses.astuple(f) for f in shared] == fields
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_evaluation_is_an_independent_run(self, seed):
+        base = default_scenario(seed=seed, horizon_s=HORIZON)
+        options = ("none", "lru")
+        plan = plan_capacity(self.REQUIREMENT, base, cache_options=options)
+        candidates = candidate_scenarios(base, cache_options=options)
+        assert len(candidates) == len(plan.evaluations) == 36
+        for candidate, evaluation in zip(candidates, plan.evaluations):
+            report = run_fleet(candidate)
+            assert (evaluation.n_tracks, evaluation.cart_pool, evaluation.policy,
+                    evaluation.cache_policy) == (
+                candidate.spec.n_tracks, candidate.spec.cart_pool,
+                candidate.policy, candidate.cache_label)
+            assert (evaluation.p99_s, evaluation.deadline_miss_rate,
+                    evaluation.launches, evaluation.launch_energy_j) == (
+                report.p99_s, report.deadline_miss_rate, report.launches,
+                report.launch_energy_j)

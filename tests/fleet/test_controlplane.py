@@ -19,6 +19,8 @@ from repro.fleet.controlplane import (
     FLEET_MIX,
     FleetScenario,
     POLICIES,
+    _bind_jobs,
+    build_plane,
     default_scenario,
     run_fleet,
 )
@@ -26,6 +28,7 @@ from repro.fleet.shard import signature_digest
 from repro.fleet.sla import Outcome
 from repro.fleet.topology import DatasetCatalog, FleetSpec
 from repro.obs import TraceLevel, Tracer
+from repro.sim import Environment
 from repro.workloads.generator import WorkloadGenerator
 
 HORIZON = 1800.0
@@ -121,13 +124,23 @@ class TestEndToEnd:
         assert "job.admit" in {instant.name for instant in tracer.instants}
         assert "fleet.job" in {span.name for span in tracer.spans}
 
-    def test_traced_run_counts_engine_events_and_keeps_the_signature(self):
+    def test_traced_run_counts_engine_events_and_keeps_the_signature(
+        self, monkeypatch
+    ):
         scenario = default_scenario(seed=1, horizon_s=900.0)
         tracer = Tracer()
         traced = run_fleet(scenario, tracer=tracer)
-        assert tracer.engine_counters["events_fired"] > 0
-        assert tracer.engine_counters["process_resumes"] > 0
-        assert signature_digest(traced) == signature_digest(run_fleet(scenario))
+        # The untraced run, with the one thing a tracer changes undone:
+        # a traced engine refuses ``advance_to``, so each arrival the
+        # intake would jump to takes its timeout.  Nothing is cancelled,
+        # so the events it fired are its pushes less those still queued.
+        monkeypatch.setattr(Environment, "advance_to", lambda env, when: False)
+        plane = build_plane(scenario)
+        untraced = plane.run(_bind_jobs(scenario))
+        fired = plane.env._eid - len(plane.env._queue)
+        assert tracer.engine_counters["events_fired"] == fired > 0
+        assert tracer.engine_counters["events_cancelled"] == 0
+        assert signature_digest(traced) == signature_digest(untraced)
 
 
 class TestAdmissionControl:

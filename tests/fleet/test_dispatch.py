@@ -37,12 +37,10 @@ class MinScanQueue:
 
 
 def take(queue):
-    """Run ``queue.get()`` on a non-empty queue and return its job."""
-    try:
-        next(queue.get())
-    except StopIteration as stop:
-        return stop.value
-    raise AssertionError("get() blocked on a non-empty queue")
+    """Take the next job off a non-empty queue, parking no waiter."""
+    fjob = queue.get(lambda _event: None)
+    assert fjob is not None and not queue.waiters, "get() waited on a non-empty queue"
+    return fjob
 
 
 # Tiny value domains so duplicate job ids and fully equal keys are common.

@@ -12,7 +12,6 @@ them.
 """
 
 from dataclasses import replace
-from inspect import GEN_CLOSED, getgeneratorstate
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +25,7 @@ from repro.fleet.controlplane import (
     ControlPlane,
     _bind_jobs,
     _FleetJob,
+    _LaneWorker,
     build_plane,
     default_scenario,
 )
@@ -300,31 +300,44 @@ class TestRegistryPin:
 
 
 class TestLaneWorkersClose:
-    """A finished plane leaves no lane worker suspended for the GC to close."""
+    """A finished plane closes its lane workers: it leaves no lane waiter
+    and no worker step queued."""
 
     @pytest.fixture
     def started(self, monkeypatch):
-        workers = []
+        planes = []
         real_start = ControlPlane.start_workers
 
         def spy(plane):
             real_start(plane)
-            workers.extend(plane._workers)
+            planes.append(plane)
 
         monkeypatch.setattr(ControlPlane, "start_workers", spy)
-        return workers
+        return planes
+
+    @staticmethod
+    def assert_stopped(plane):
+        assert not any(lane.queue.waiters for lane in plane.lanes.values())
+        queued = [
+            callback
+            for _when, _key, event in plane.env._queue
+            for callback in event.callbacks or ()
+            if isinstance(getattr(callback, "__self__", None), _LaneWorker)
+        ]
+        assert queued == []
 
     def test_run_closes_every_lane_worker(self, started):
         scenario = chaos_scenario("hardened", seed=0, horizon_s=900.0)
         plane = build_plane(scenario)
         plane.run(_bind_jobs(scenario))
-        assert len(started) == sum(lane.stations for lane in plane.lanes.values())
-        assert {getgeneratorstate(worker) for worker in started} == {GEN_CLOSED}
+        assert started == [plane]
+        self.assert_stopped(plane)
 
     def test_shard_pods_close_their_lane_workers(self, started):
         plan = shard.ShardPlan(
             scenario=default_scenario(seed=0, horizon_s=900.0), n_pods=2
         )
         shard.run_sharded(plan, engine="serial")
-        assert started
-        assert {getgeneratorstate(worker) for worker in started} == {GEN_CLOSED}
+        assert len(started) == 2
+        for plane in started:
+            self.assert_stopped(plane)

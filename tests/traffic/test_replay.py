@@ -256,15 +256,16 @@ class TestRecordPathProxy:
         assert env._eid - before == 1
 
     #: Python-level ``call`` events in ``repro.*`` frames for one warm
-    #: replay of :meth:`records` (3,252 records, 283 served): 19.50 per
+    #: replay of :meth:`records` (3,252 records, 283 served): 19.23 per
     #: record.  Before due arrivals skipped the event queue and a shed
     #: job only bumped counters it cost 86,447 (26.58 per record); before
     #: the record path was made tuple-cheap and one-touch, 114,834 (35.31
-    #: per record).  Nine of the calls close the four lane workers when
-    #: the run returns (``stop_workers`` plus the two frames each
-    #: suspended worker resumes to exit).  Comprehension frames are left
-    #: out, since Python 3.12 inlines them.
-    CALLS = 63_401
+    #: per record); with generator lane workers, 63,401 (19.50 per
+    #: record), nine of them to close the four idle workers when the run
+    #: returned.  Stopping the callback-chain workers is one
+    #: ``stop_workers`` call.
+    #: Comprehension frames are left out, since Python 3.12 inlines them.
+    CALLS = 62_525
 
     def test_python_calls_per_record_are_pinned(self):
         records = self.records()
@@ -286,9 +287,9 @@ class TestRecordPathProxy:
             ):
                 calls += 1
 
-        # A collection mid-run would close the warm-up run's suspended
-        # worker generators inside the profile; refcounting alone frees
-        # the profiled run's objects in a fixed order.
+        # A collection mid-run would finalise the warm-up run's leftover
+        # objects inside the profile; refcounting alone frees the
+        # profiled run's objects in a fixed order.
         gc.collect()
         gc.disable()
         sys.setprofile(profile)
