@@ -62,3 +62,23 @@ def lazy_exports(
         if module.rpartition(".")[2] == name:
             __getattr__(name)
     return list(owner), __getattr__, __dir__
+
+
+class LazyModule:
+    """A handle on module ``name`` that imports it on first attribute
+    lookup.
+
+    For annotations that must resolve at run time without an eager
+    import: a dataclass field annotated ``campaigns.ChaosCampaign`` with
+    ``campaigns = LazyModule("repro.chaos.campaigns")`` resolves under
+    ``typing.get_type_hints``, while a run that never asks for the hint
+    never loads the module.
+    """
+
+    __slots__ = ("_name",)
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+
+    def __getattr__(self, attr: str) -> object:
+        return getattr(importlib.import_module(self._name), attr)

@@ -30,17 +30,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     ``numpy.percentile(values, q)`` with the default method, but
     dependency-free and pinned here as *the* rule.
     """
-    if not 0.0 <= q <= 100.0:
-        raise ConfigurationError(f"percentile must be in [0, 100], got {q}")
-    if not values:
-        raise ConfigurationError("cannot take a percentile of no samples")
-    ordered = sorted(float(value) for value in values)
-    rank = (len(ordered) - 1) * (q / 100.0)
-    lower = int(rank)
-    fraction = rank - lower
-    if fraction == 0.0:
-        return ordered[lower]
-    return ordered[lower] + fraction * (ordered[lower + 1] - ordered[lower])
+    return _interpolate(sorted(float(value) for value in values), q)
 
 
 def percentiles(
@@ -53,7 +43,21 @@ def percentiles(
     ``sort`` rather than three.
     """
     ordered = sorted(float(value) for value in values)
-    return {point: percentile(ordered, point) for point in points}
+    return {point: _interpolate(ordered, point) for point in points}
+
+
+def _interpolate(ordered: list[float], q: float) -> float:
+    """:func:`percentile` of already sorted float samples."""
+    if not 0.0 <= q <= 100.0:
+        raise ConfigurationError(f"percentile must be in [0, 100], got {q}")
+    if not ordered:
+        raise ConfigurationError("cannot take a percentile of no samples")
+    rank = (len(ordered) - 1) * (q / 100.0)
+    lower = int(rank)
+    fraction = rank - lower
+    if fraction == 0.0:
+        return ordered[lower]
+    return ordered[lower] + fraction * (ordered[lower + 1] - ordered[lower])
 
 
 def percentiles_by_class(

@@ -242,6 +242,16 @@ class DhlSystem:
 # callback.  ``env._eid``, the fired-event count and every same-instant
 # tie are therefore those of the equivalent nested processes.  A
 # kick-off is ``env.timeout(0.0)``: the entry ``env.process`` pushes.
+#
+# Each command latches the system tracer when it starts, as
+# ``Environment.run`` latches its own: a tracer that is off becomes
+# ``None``, so an untraced command makes no tracer call, not even a
+# ``NULL_SPAN.end()``; every span and instant is guarded by that test.
+
+
+def _latched(tracer: Tracer) -> Tracer | None:
+    """``tracer`` if it records anything, else ``None``."""
+    return tracer if tracer.level > TraceLevel.OFF else None
 
 
 class _Shuttle:
@@ -263,7 +273,6 @@ class _Shuttle:
     def __init__(self, system: DhlSystem, cart: Cart, dst: int):
         env = self.env = system.env
         self.system = system
-        self.tracer = system.tracer
         self.cart = cart
         self.dst = dst
         self.done = env.event()
@@ -292,9 +301,11 @@ class _Shuttle:
         except Exception as error:
             self.done.fail(error)
             return
-        cart_track = self.cart_track = f"cart-{cart.cart_id}"
-        self.span = self.tracer.span("shuttle", track=cart_track,
-                                     cart=cart.cart_id, src=src, dst=dst)
+        tracer = self.tracer = _latched(system.tracer)
+        if tracer is not None:
+            cart_track = self.cart_track = f"cart-{cart.cart_id}"
+            self.span = tracer.span("shuttle", track=cart_track,
+                                    cart=cart.cart_id, src=src, dst=dst)
         self._launch(1)
 
     def _launch(self, number: int) -> None:
@@ -367,7 +378,9 @@ class _Shuttle:
 
     def _timeout(self, number: int, message: str) -> None:
         self.system._count(COUNT_PREFIX + "shuttle_timeouts")
-        self.tracer.instant("shuttle.timeout", track=self.cart_track, attempt=number)
+        if self.tracer is not None:
+            self.tracer.instant("shuttle.timeout", track=self.cart_track,
+                                attempt=number)
         self._fail(ShuttleTimeoutError(message))
 
     def _attempt_failed(self, error: BaseException) -> None:
@@ -378,8 +391,9 @@ class _Shuttle:
         number = self.attempt.number
         now = self.env.now
         system._count(COUNT_PREFIX + "shuttle_faults")
-        self.tracer.instant("shuttle.fault", track=self.cart_track,
-                            attempt=number, cause=error.cause)
+        if self.tracer is not None:
+            self.tracer.instant("shuttle.fault", track=self.cart_track,
+                                attempt=number, cause=error.cause)
         if (
             policy.give_up_outage_s is not None
             and track.health.outage_age(now) >= policy.give_up_outage_s
@@ -400,7 +414,9 @@ class _Shuttle:
                 ), cause=error)
             return
         system._count(COUNT_PREFIX + "shuttle_retries")
-        self.tracer.instant("shuttle.retry", track=self.cart_track, attempt=number)
+        if self.tracer is not None:
+            self.tracer.instant("shuttle.retry", track=self.cart_track,
+                                attempt=number)
         backoff = policy.backoff_delay(number, system._retry_rng)
         if self.deadline_at is not None:
             # Never sleep past the deadline: wake exactly at it so the
@@ -412,14 +428,16 @@ class _Shuttle:
         self._launch(self.attempt.number + 1)
 
     def _finish(self, cart: Cart) -> None:
-        self.span.end()
+        if self.tracer is not None:
+            self.span.end()
         self.done.succeed(cart)
 
     def _fail(self, error: BaseException, cause: BaseException | None = None) -> None:
         """Fail with ``error``, as ``raise error from cause`` would."""
         if cause is not None:
             error.__cause__ = cause
-        self.span.end()
+        if self.tracer is not None:
+            self.span.end()
         self.done.fail(error)
 
     # -- one launch attempt --------------------------------------------------------
@@ -431,10 +449,11 @@ class _Shuttle:
 
     def _attempt_start(self, _event: Event) -> None:
         tracer, track = self.tracer, self.track
-        self.attempt_span = tracer.span("attempt", track=self.cart_track,
-                                        number=self.attempt.number,
-                                        src=self.src, dst=self.dst)
-        self.wait_span = self.phase_span = self.transit_span = NULL_SPAN
+        if tracer is not None:
+            self.attempt_span = tracer.span("attempt", track=self.cart_track,
+                                            number=self.attempt.number,
+                                            src=self.src, dst=self.dst)
+            self.wait_span = self.phase_span = self.transit_span = NULL_SPAN
         self.claim = None
         if not track.health.tube_available:
             self._abort(TrackFaultError(
@@ -443,12 +462,14 @@ class _Shuttle:
                 cause="breach",
             ))
             return
-        self.wait_span = tracer.span("tube.wait", track=self.cart_track)
+        if tracer is not None:
+            self.wait_span = tracer.span("tube.wait", track=self.cart_track)
         claim = self.claim = self.target = track.tube.request()
         claim.callbacks.append(self._tube_granted)
 
     def _tube_granted(self, _event: Event) -> None:
-        self.wait_span.end()
+        if self.tracer is not None:
+            self.wait_span.end()
         track = self.track
         # Re-check: the breach may have struck while we queued.
         if not track.health.tube_available:
@@ -465,12 +486,14 @@ class _Shuttle:
         except Exception as error:
             self._abort(error)
             return
-        self.phase_span = self.tracer.span("undock", track=self.cart_track)
+        if self.tracer is not None:
+            self.phase_span = self.tracer.span("undock", track=self.cart_track)
         wait = self.target = self.env.timeout(self.system.params.undock_time)
         wait.callbacks.append(self._undocked)
 
     def _undocked(self, _event: Event) -> None:
-        self.phase_span.end()
+        if self.tracer is not None:
+            self.phase_span.end()
         cart, track, attempt = self.cart, self.track, self.attempt
         try:
             cart.transition(CartState.IN_TRANSIT)
@@ -481,7 +504,8 @@ class _Shuttle:
             return
         # A degraded LIM launches slower but still launches.
         travel = self.travel = hop.motion_time_s * track.health.lim_slowdown
-        self.transit_span = self.tracer.span("transit", track=self.cart_track)
+        if self.tracer is not None:
+            self.transit_span = self.tracer.span("transit", track=self.cart_track)
         if attempt.stall_s > 0.0 or attempt.abort_in_tube:
             wait = self.target = self.env.timeout(travel / 2.0)
             wait.callbacks.append(self._midway)
@@ -494,14 +518,16 @@ class _Shuttle:
         system._count(COUNT_PREFIX + "cart_stalls")
         if attempt.stall_s > 0.0:
             system._count(DURATION_PREFIX + "stall", attempt.stall_s)
-            self.phase_span = self.tracer.span("stall", track=self.cart_track)
+            if self.tracer is not None:
+                self.phase_span = self.tracer.span("stall", track=self.cart_track)
             wait = self.target = self.env.timeout(attempt.stall_s)
             wait.callbacks.append(self._stalled)
         else:
             self._stalled(_event)
 
     def _stalled(self, _event: Event) -> None:
-        self.phase_span.end()
+        if self.tracer is not None:
+            self.phase_span.end()
         if self.attempt.abort_in_tube:
             self._abort(TrackFaultError(
                 f"cart {self.cart.cart_id} stalled in {self.track.name} "
@@ -514,21 +540,26 @@ class _Shuttle:
         wait.callbacks.append(self._arrived)
 
     def _arrived(self, _event: Event) -> None:
-        self.transit_span.end()
+        if self.tracer is not None:
+            self.transit_span.end()
         try:
             self.cart.transition(CartState.ARRIVED)
         except Exception as error:
             self._abort(error)
             return
         # Docking blocks the tube: hold the claim through the dock.
-        self.phase_span = self.tracer.span("dock", track=self.cart_track)
+        if self.tracer is not None:
+            self.phase_span = self.tracer.span("dock", track=self.cart_track)
         wait = self.target = self.env.timeout(self.system.params.dock_time)
         wait.callbacks.append(self._docked)
 
     def _docked(self, _event: Event) -> None:
-        self.phase_span.end()
+        tracer = self.tracer
+        if tracer is not None:
+            self.phase_span.end()
         self.claim.release()
-        self.attempt_span.end()
+        if tracer is not None:
+            self.attempt_span.end()
         system, track, hop, cart = self.system, self.track, self.hop, self.cart
         try:
             system._count(ENERGY_PREFIX + "launch", hop.energy_j)
@@ -556,12 +587,15 @@ class _Shuttle:
     def _abort(self, error: BaseException) -> None:
         """A failed attempt: release the tube, park the cart READY at its
         origin so the retry layer can relaunch or re-store it, and fail."""
-        self.phase_span.end()
-        self.transit_span.end()
+        tracer = self.tracer
+        if tracer is not None:
+            self.phase_span.end()
+            self.transit_span.end()
         if self.claim is not None:
             self.claim.release()
-        self.wait_span.end()
-        self.attempt_span.end(failed=True)
+        if tracer is not None:
+            self.wait_span.end()
+            self.attempt_span.end(failed=True)
         cart = self.cart
         if cart.state in (CartState.IN_TRANSIT, CartState.ARRIVED):
             cart.abort_transit(self.src)
@@ -571,8 +605,8 @@ class _Shuttle:
 class _Dispatch:
     """Library -> rack: a dock slot, the cart's checkout, then the shuttle."""
 
-    __slots__ = ("system", "cart_id", "endpoint_id", "done", "rack", "span",
-                 "wait_span", "slot", "cart")
+    __slots__ = ("system", "cart_id", "endpoint_id", "done", "rack", "tracer",
+                 "span", "wait_span", "slot", "cart")
 
     def __init__(self, system: DhlSystem, cart_id: int, endpoint_id: int):
         self.system = system
@@ -589,15 +623,18 @@ class _Dispatch:
         except Exception as error:
             self.done.fail(error)
             return
-        cart_track = f"cart-{self.cart_id}"
-        self.span = system.tracer.span("dispatch", track=cart_track,
-                                       cart=self.cart_id, endpoint=self.endpoint_id)
-        self.wait_span = system.tracer.span("slot.wait", track=cart_track)
+        tracer = self.tracer = _latched(system.tracer)
+        if tracer is not None:
+            cart_track = f"cart-{self.cart_id}"
+            self.span = tracer.span("dispatch", track=cart_track,
+                                    cart=self.cart_id, endpoint=self.endpoint_id)
+            self.wait_span = tracer.span("slot.wait", track=cart_track)
         slot = self.slot = rack.slots.request()
         slot.callbacks.append(self._granted)
 
     def _granted(self, _event: Event) -> None:
-        self.wait_span.end()
+        if self.tracer is not None:
+            self.wait_span.end()
         system = self.system
         try:
             cart = self.cart = system.library.checkout(self.cart_id)
@@ -622,7 +659,8 @@ class _Dispatch:
             return
         station.slot_claim = self.slot  # released on return
         self.system._count(COUNT_PREFIX + "dispatches")
-        self.span.end()
+        if self.tracer is not None:
+            self.span.end()
         self.done.succeed(station)
 
     def _recover(self, error: BaseException) -> None:
@@ -638,14 +676,15 @@ class _Dispatch:
         self._fail(error)
 
     def _fail(self, error: BaseException) -> None:
-        self.span.end()
+        if self.tracer is not None:
+            self.span.end()
         self.done.fail(error)
 
 
 class _Return:
     """Rack -> library: undock (or leave the recovery bay), then shuttle home."""
 
-    __slots__ = ("system", "cart", "endpoint_id", "done", "rack", "span")
+    __slots__ = ("system", "cart", "endpoint_id", "done", "rack", "tracer", "span")
 
     def __init__(self, system: DhlSystem, cart: Cart, endpoint_id: int):
         self.system = system
@@ -657,8 +696,10 @@ class _Return:
 
     def _start(self, _event: Event) -> None:
         system, cart = self.system, self.cart
-        self.span = system.tracer.span("return", track=f"cart-{cart.cart_id}",
-                                       cart=cart.cart_id, endpoint=self.endpoint_id)
+        tracer = self.tracer = _latched(system.tracer)
+        if tracer is not None:
+            self.span = tracer.span("return", track=f"cart-{cart.cart_id}",
+                                    cart=cart.cart_id, endpoint=self.endpoint_id)
         try:
             rack = self.rack = system.rack(self.endpoint_id)
             if cart in rack.stranded:
@@ -690,7 +731,8 @@ class _Return:
             self._fail(error)
             return
         system._count(COUNT_PREFIX + "returns")
-        self.span.end()
+        if self.tracer is not None:
+            self.span.end()
         self.done.succeed(cart)
 
     def _strand(self, error: BaseException) -> None:
@@ -712,10 +754,12 @@ class _Return:
             recovery.release()
             rack.strand(cart)
             system._count(COUNT_PREFIX + "stranded_carts")
-            system.tracer.instant("cart.stranded", track=f"cart-{cart.cart_id}",
-                                  endpoint=self.endpoint_id)
+            if self.tracer is not None:
+                self.tracer.instant("cart.stranded", track=f"cart-{cart.cart_id}",
+                                    endpoint=self.endpoint_id)
         self._fail(error)
 
     def _fail(self, error: BaseException) -> None:
-        self.span.end()
+        if self.tracer is not None:
+            self.span.end()
         self.done.fail(error)

@@ -33,10 +33,11 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .._lazy import LazyModule
 from ..errors import ConfigurationError, DataIntegrityError, SchedulingError
 from ..network.transfer import DEFAULT_LINK_GBPS, OpticalLink
 from ..obs import Counter, MetricsRegistry, Tracer
@@ -58,8 +59,12 @@ from .sla import (
 from .topology import DatasetCatalog, DatasetHome, FleetSpec, FleetTopology
 
 if TYPE_CHECKING:
-    from ..chaos.campaigns import ChaosCampaign
     from ..chaos.runner import CampaignRunner
+
+#: The chaos campaign types, imported on first lookup: the ``chaos``
+#: annotations below resolve under ``typing.get_type_hints``, and a
+#: fleet run without a campaign never loads the chaos package.
+_campaigns = LazyModule("repro.chaos.campaigns")
 
 #: Seconds between retries of a Close that keeps failing: the cart has
 #: exactly one way home, so eviction and post-serve returns park at the
@@ -121,7 +126,7 @@ class FleetScenario:
     admission: AdmissionControl = field(default_factory=AdmissionControl)
     seed: int = 0
     horizon_s: float = 3600.0
-    chaos: ChaosCampaign | None = None
+    chaos: _campaigns.ChaosCampaign | None = None
     """Fault campaign armed against the fleet's rails; ``None`` keeps
     the historical fault-free run, bit for bit."""
     degradation: DegradationPolicy | None = None
@@ -161,7 +166,7 @@ def default_scenario(
     spec: FleetSpec | None = None,
     catalog: DatasetCatalog | None = None,
     admission: AdmissionControl | None = None,
-    chaos: ChaosCampaign | None = None,
+    chaos: _campaigns.ChaosCampaign | None = None,
     degradation: DegradationPolicy | None = None,
 ) -> FleetScenario:
     """The headline fleet scenario with a few common knobs exposed."""
@@ -1034,6 +1039,75 @@ class ControlPlane:
         )
 
 
+#: Raw 64-bit words :func:`_dataset_draws` reads from its bit generator
+#: per refill: large enough that the refill call is rare, small enough
+#: that a short stream draws little it never uses.
+_RAW_CHUNK = 4096
+
+_U32 = 0xFFFFFFFF
+
+#: ``2**-53``: ``Generator.random`` scales a word's top 53 bits by it.
+_TWO_M53 = 1.0 / 9007199254740992.0
+
+
+def _raw_words(seed: int) -> Iterator[int]:
+    """The raw PCG64 output of ``np.random.default_rng(seed)``, forever."""
+    random_raw = np.random.default_rng(seed).bit_generator.random_raw
+    while True:
+        yield from random_raw(_RAW_CHUNK).tolist()
+
+
+def _dataset_draws(
+    seed: int,
+    hot: Sequence[str],
+    cold: Sequence[str],
+    hot_fraction: float,
+) -> Iterator[str]:
+    """The dataset each successive job binds to, drawn exactly as
+    ``rng = np.random.default_rng(seed)`` would draw it per job::
+
+        if hot and (not cold or rng.random() < hot_fraction):
+            dataset = hot[rng.integers(len(hot))]
+        else:
+            dataset = cold[rng.integers(len(cold))]
+
+    but from raw words read in chunks, with no numpy call per job.
+    ``random()`` is the top 53 bits of one word.  ``integers(n)`` is
+    Lemire's bounded draw on a 32-bit value: the low half of a fresh
+    word, whose high half the bit generator keeps for the next 32-bit
+    draw (``random()`` leaves it alone); a draw whose low product word
+    falls below ``2**32 % n`` is rejected and redrawn, and ``n == 1``
+    draws nothing.  Lists longer than ``2**32`` take numpy's 64-bit
+    path, which this does not emulate.
+    """
+    if len(hot) > _U32 + 1 or len(cold) > _U32 + 1:
+        raise ConfigurationError("dataset lists are limited to 2**32 names")
+    next_word = _raw_words(seed).__next__
+    split_hot = bool(hot) and bool(cold)
+    high = -1  # the buffered high half; -1 when none is buffered
+    while True:
+        if split_hot:
+            names = hot if (next_word() >> 11) * _TWO_M53 < hot_fraction else cold
+        else:
+            names = hot or cold
+        n = len(names)
+        if n == 1:
+            yield names[0]
+            continue
+        threshold = (_U32 + 1) % n
+        while True:
+            if high < 0:
+                word = next_word()
+                product = (word & _U32) * n
+                high = word >> 32
+            else:
+                product = high * n
+                high = -1
+            if product & _U32 >= threshold:
+                break
+        yield names[product >> 32]
+
+
 def _bind_jobs(
     scenario: FleetScenario,
     jobs: Iterable[TransferJob] | None = None,
@@ -1047,7 +1121,9 @@ def _bind_jobs(
     through here.  Dataset draws use their
     own substream (``seed + 1``) so adding a traffic class never
     reshuffles which datasets existing jobs touch, and binding happens
-    one job at a time as the control plane consumes the stream.  Every
+    one job at a time as the control plane consumes the stream
+    (:func:`_dataset_draws` reads raw words ahead in chunks, but draws
+    a dataset only for a job that arrived).  Every
     dataset is homed at the catalog's ``dataset_bytes``, so a read is
     capped there without consulting any topology.
     """
@@ -1055,27 +1131,18 @@ def _bind_jobs(
         generator = WorkloadGenerator(classes=scenario.classes,
                                       seed=scenario.seed)
         jobs = generator.generate(scenario.horizon_s)
-    rng = np.random.default_rng(scenario.seed + 1)
     catalog = scenario.catalog
-    hot = catalog.hot_names
-    cold = catalog.cold_names
+    datasets = _dataset_draws(scenario.seed + 1, catalog.hot_names,
+                              catalog.cold_names, catalog.hot_fraction)
     dataset_bytes = catalog.dataset_bytes
     targets = dict(scenario.targets)
-    for job in jobs:
-        if hot and (not cold or float(rng.random()) < catalog.hot_fraction):
-            dataset = hot[int(rng.integers(len(hot)))]
-        else:
-            dataset = cold[int(rng.integers(len(cold)))]
-        target = targets.get(job.kind, DEFAULT_TARGET)
+    for job, dataset in zip(jobs, datasets):
+        arrival_s, size_bytes, kind = job.arrival_s, job.size_bytes, job.kind
+        target = targets.get(kind, DEFAULT_TARGET)
         yield _FleetJob(
-            job_id=job.job_id,
-            arrival_s=job.arrival_s,
-            size_bytes=job.size_bytes,
-            kind=job.kind,
-            dataset=dataset,
-            read_bytes=min(job.size_bytes, dataset_bytes),
-            deadline_at=job.arrival_s + target.deadline_s,
-            priority=target.priority,
+            job.job_id, arrival_s, size_bytes, kind, dataset,
+            dataset_bytes if dataset_bytes < size_bytes else size_bytes,
+            arrival_s + target.deadline_s, target.priority,
         )
 
 

@@ -48,7 +48,11 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING, Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
+from itertools import chain, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import (
+    TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence,
+)
 
 from ..core.chunks import map_chunks
 from ..errors import ConfigurationError
@@ -463,9 +467,126 @@ def report_signature(report: FleetReport) -> dict[str, Any]:
     }
 
 
+#: What :func:`render_signature` lays out itself; every other value is
+#: a JSON scalar for the C encoder (or its ``TypeError``).
+_CONTAINERS = (list, tuple, dict)
+
+#: Exact types a container may hold and still go to the C encoder whole.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+#: ``c_make_encoder`` per depth, each laying a container of scalars out
+#: one item a line at that depth's indent (grown on demand).
+_ROW_ENCODERS: list[Callable[[Any, int], Any]] = []
+
+
+def _row_encoder(depth: int) -> Callable[[Any, int], Any]:
+    while len(_ROW_ENCODERS) <= depth:
+        _ROW_ENCODERS.append(c_make_encoder(
+            None, json.JSONEncoder().default, encode_basestring_ascii, None,
+            ": ", ",\n" + "  " * (len(_ROW_ENCODERS) + 1), True, False, True,
+        ))
+    return _ROW_ENCODERS[depth]
+
+
+def _encode(value: Any, depth: int) -> str:
+    return "".join(_row_encoder(depth)(value, 0))
+
+
+def _render(value: Any, depth: int, out: list[str]) -> None:
+    """Append ``value`` (a container) as ``json.dumps(indent=2,
+    sort_keys=True)`` lays it out at ``depth``.
+
+    The C encoder takes every container of scalars in one call, its
+    item separator carrying the newline and indent; this is exact
+    because no JSON string holds a raw newline.
+    """
+    is_dict = isinstance(value, dict)
+    if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+        text = _encode(value, depth)
+        if len(text) == 2:  # empty: "[]" or "{}"
+            out.append(text)
+        else:
+            out += (text[0], "\n", "  " * (depth + 1), text[1:-1],
+                    "\n", "  " * depth, text[-1])
+        return
+    if not is_dict and _render_rows(value, depth, out):
+        return
+    if is_dict:
+        out.append("{")
+        entries = [(_encode_key(key) + ": ", item)
+                   for key, item in sorted(value.items())]
+    else:
+        out.append("[")
+        entries = [("", item) for item in value]
+    newline = "\n" + "  " * (depth + 1)
+    separator = newline
+    for prefix, item in entries:
+        out += (separator, prefix)
+        separator = "," + newline
+        if isinstance(item, _CONTAINERS):
+            _render(item, depth + 1, out)
+        else:
+            out.append(_encode(item, 0))
+    out += ("\n", "  " * depth, "}" if is_dict else "]")
+
+
+def _render_rows(rows: Sequence[Any], depth: int, out: list[str]) -> bool:
+    """Append a list of rows — non-empty containers of scalars, all
+    lists or all dicts — in one pass, if ``rows`` is one; else ``False``.
+
+    Each row is C-encoded at ``depth + 1`` and the rows joined by this
+    level's separator.  Rows then meet only where a closing bracket,
+    the separator and an opening bracket follow each other, which one
+    ``replace`` turns into the indented layout: inside a row every
+    newline is followed by one more indent level.
+    """
+    if all(map(isinstance, rows, repeat((list, tuple)))):
+        cells, brackets = chain.from_iterable(rows), "[]"
+    elif all(map(isinstance, rows, repeat(dict))):
+        cells, brackets = chain.from_iterable(map(dict.values, rows)), "{}"
+    else:
+        return False
+    if not all(rows) or not _SCALARS.issuperset(map(type, cells)):
+        return False
+    opening, closing = brackets
+    outer = "\n" + "  " * (depth + 1)
+    inner = outer + "  "
+    separator = "," + outer
+    encode = _row_encoder(depth + 1)
+    body = separator.join(["".join(text) for text in map(encode, rows, repeat(0))])
+    body = body.replace(closing + separator + opening,
+                        outer + closing + separator + opening + inner)
+    out += ("[", outer, opening, inner, body[1:-1], outer, closing,
+            "\n", "  " * depth, "]")
+    return True
+
+
+def _encode_key(key: Any) -> str:
+    """An object key as JSON spells it: a string, or a scalar's text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_encode(key, 0)}"'
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
+
+
 def render_signature(signature: dict[str, Any]) -> str:
-    """Render a signature to its canonical byte-comparable string."""
-    return json.dumps(signature, indent=2, sort_keys=True) + "\n"
+    """Render a signature to its canonical byte-comparable string.
+
+    The bytes are those of ``json.dumps(signature, indent=2,
+    sort_keys=True)`` plus a final newline.  ``indent`` sends
+    ``json.dumps`` down the pure-Python encoder (CPython 3.11/3.12), so
+    each container of scalars — every record row — is encoded here by
+    the C encoder instead.
+    """
+    if not isinstance(signature, _CONTAINERS):
+        return _encode(signature, 0) + "\n"
+    out: list[str] = []
+    _render(signature, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def signature_digest(report: FleetReport) -> str:

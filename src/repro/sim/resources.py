@@ -96,6 +96,11 @@ class Resource:
     def _release(self, request: Request) -> None:
         if request in self.users:
             self.users.remove(request)
+            # A grant's value is the request itself, so a holder sees
+            # ``(yield req) is req``; drop that self-reference once the
+            # claim is given back, or every claim ends as a reference
+            # cycle only the cyclic garbage collector can free.
+            request._value = None
         else:
             # Cancelled before being granted.
             try:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -81,7 +83,10 @@ class WorkloadGenerator:
     def generate(self, horizon_s: float) -> list[TransferJob]:
         """All jobs arriving within ``horizon_s``, sorted by arrival."""
         assert_positive("horizon_s", horizon_s)
-        jobs: list[TransferJob] = []
+        # One ``(arrival, size, kind)`` row per job, as Python floats
+        # straight from ``tolist()``; a stable sort by arrival keeps the
+        # class order for ties, and each job is built once, numbered.
+        rows: list[tuple[float, float, str]] = []
         for traffic_class in self.classes:
             rate_per_s = traffic_class.rate_per_hour / 3600.0
             expected = rate_per_s * horizon_s
@@ -92,24 +97,12 @@ class WorkloadGenerator:
                 sigma=traffic_class.sigma,
                 size=count,
             )
-            for arrival, size in zip(arrivals, sizes):
-                jobs.append(
-                    TransferJob(
-                        job_id=-1,  # renumbered below
-                        arrival_s=float(arrival),
-                        size_bytes=float(size),
-                        kind=traffic_class.name,
-                    )
-                )
-        jobs.sort(key=lambda job: job.arrival_s)
+            rows.extend(zip(arrivals.tolist(), sizes.tolist(),
+                            repeat(traffic_class.name)))
+        rows.sort(key=itemgetter(0))
         return [
-            TransferJob(
-                job_id=index,
-                arrival_s=job.arrival_s,
-                size_bytes=job.size_bytes,
-                kind=job.kind,
-            )
-            for index, job in enumerate(jobs)
+            TransferJob(index, arrival_s, size_bytes, kind)
+            for index, (arrival_s, size_bytes, kind) in enumerate(rows)
         ]
 
     def stream(self, horizon_s: float) -> Iterator[TransferJob]:

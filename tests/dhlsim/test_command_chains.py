@@ -19,6 +19,7 @@ generator chain is kept here, as the oracle, and nowhere in ``src``.
 import contextlib
 import itertools
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -735,6 +736,30 @@ class TestProxyGates:
         # Commands and lane workers run as callbacks; only a failover
         # (none here) or a bulk transfer spawns a process.
         assert spawns == 0
+
+    def test_tracing_off_makes_no_tracer_call_per_job(self):
+        # Each command latches the system's tracer once; off, it opens
+        # no span and ends no ``NULL_SPAN``.  Before, each shuttle made
+        # ``span``/``end`` pairs for the shuttle, its attempt and every
+        # phase, plus the dispatch and return spans around it.
+        scenario = default_scenario(seed=1, horizon_s=3600.0)
+        jobs = tuple(_bind_jobs(scenario))
+        plane = build_plane(scenario)
+        calls = 0
+
+        def profile(frame, event, _arg):
+            nonlocal calls
+            if event == "call" and frame.f_globals.get("__name__") == "repro.obs.tracer":
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            report = plane.run(jobs)
+        finally:
+            sys.setprofile(None)
+        assert report.n_jobs == 229
+        assert report.launches > 0
+        assert calls == 0
 
 
 # -- the light-load analytic oracle ----------------------------------------------

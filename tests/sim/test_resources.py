@@ -1,5 +1,7 @@
 """Tests for Resource and Store."""
 
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -86,6 +88,54 @@ class TestResource:
     def test_rejects_zero_capacity(self):
         with pytest.raises(SimulationError):
             Resource(Environment(), capacity=0)
+
+
+class TestGrantCycles:
+    def test_holder_sees_its_request_while_held(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        seen = []
+
+        def holder():
+            request = resource.request()
+            seen.append((yield request) is request)
+            yield env.timeout(1.0)
+            request.release()
+
+        def waiter():
+            request = resource.request()
+            seen.append((yield request) is request)
+            request.release()
+
+        env.process(holder())
+        env.process(waiter())
+        env.run()
+        assert seen == [True, True]
+
+    def test_a_released_grant_is_not_a_reference_cycle(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+
+        def claimant():
+            with resource.request() as request:
+                yield request
+                yield env.timeout(1.0)
+
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(3):
+                env.process(claimant())
+            env.run()
+            del env, resource
+            gc.collect()
+            leaked = [obj for obj in gc.garbage if type(obj).__name__ == "Request"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []
 
 
 class TestStore:

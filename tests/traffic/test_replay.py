@@ -256,8 +256,12 @@ class TestRecordPathProxy:
         assert env._eid - before == 1
 
     #: Python-level ``call`` events in ``repro.*`` frames for one warm
-    #: replay of :meth:`records` (3,252 records, 283 served): 19.23 per
-    #: record.  Before due arrivals skipped the event queue and a shed
+    #: replay of :meth:`records` (3,252 records, 283 served): 17.10 per
+    #: record.  It was 62,525 (19.23 per record) while ``percentiles``
+    #: re-sorted the samples for each point (3,420 generator-expression
+    #: frames) and the dhlsim commands opened and ended ``NULL_SPAN``\ s
+    #: with tracing off (4,024 tracer calls; latching the tracer is one
+    #: call per command, 536).  Before due arrivals skipped the event queue and a shed
     #: job only bumped counters it cost 86,447 (26.58 per record); before
     #: the record path was made tuple-cheap and one-touch, 114,834 (35.31
     #: per record); with generator lane workers, 63,401 (19.50 per
@@ -265,7 +269,7 @@ class TestRecordPathProxy:
     #: returned.  Stopping the callback-chain workers is one
     #: ``stop_workers`` call.
     #: Comprehension frames are left out, since Python 3.12 inlines them.
-    CALLS = 62_525
+    CALLS = 55_617
 
     def test_python_calls_per_record_are_pinned(self):
         records = self.records()
