@@ -65,21 +65,15 @@ class DhlApi:
     def open(self, dataset: str, shard_index: int, endpoint_id: int) -> Event:
         """Fetch the cart holding a shard and dock it at ``endpoint_id``.
 
-        The returned event fires with the docking station.
+        The returned event fires with the docking station, or fails at
+        once when no library cart holds the shard.
         """
         system = self.system
-        done = self.env.event()
-
-        def start(_event: Event) -> None:
-            try:
-                cart = system.library.cart_holding(dataset, shard_index)
-            except Exception as error:
-                done.fail(error)
-                return
-            _settle(done, system.dispatch_to_rack(cart.cart_id, endpoint_id))
-
-        self.env.timeout(0.0).callbacks.append(start)
-        return done
+        try:
+            cart = system.library.cart_holding(dataset, shard_index)
+        except Exception as error:
+            return self.env.event().fail(error)
+        return system.dispatch_to_rack(cart.cart_id, endpoint_id)
 
     def close(self, cart: Cart, endpoint_id: int) -> Event:
         """Disconnect a cart and shuttle it back to the library."""
@@ -89,28 +83,19 @@ class DhlApi:
              n_bytes: float | None = None) -> Event:
         """Read shard bytes from the docked cart holding it.
 
-        The returned event fires with the number of bytes read.
+        The returned event fires with the number of bytes read, or fails
+        at once when no docked cart holds the shard or its array failed.
         """
-        system = self.system
-        done = self.env.event()
-
-        def start(_event: Event) -> None:
-            try:
-                station = system.station_for_shard(endpoint_id, dataset, shard_index)
-                cart = station.cart
-                assert cart is not None
-                cart.check_integrity()  # surfaces in-flight SSD failures at access time
-                shard = cart.shards[(dataset, shard_index)]
-            except Exception as error:
-                done.fail(error)
-                return
-            amount = (
-                shard.size_bytes if n_bytes is None else min(n_bytes, shard.size_bytes)
-            )
-            _settle(done, station.read(amount))
-
-        self.env.timeout(0.0).callbacks.append(start)
-        return done
+        try:
+            station = self.system.station_for_shard(endpoint_id, dataset, shard_index)
+            cart = station.cart
+            assert cart is not None
+            cart.check_integrity()  # surfaces in-flight SSD failures at access time
+            shard = cart.shards[(dataset, shard_index)]
+        except Exception as error:
+            return self.env.event().fail(error)
+        amount = shard.size_bytes if n_bytes is None else min(n_bytes, shard.size_bytes)
+        return station.read(amount)
 
     def write(self, station: DockingStation, n_bytes: float) -> Event:
         """Write bytes to the cart at a specific docking station.
@@ -365,19 +350,3 @@ class DhlApi:
                 if name == dataset:
                     yield (name, index)
 
-
-def _settle(done: Event, step: Event) -> None:
-    """Settle ``done`` with ``step``'s outcome once ``step`` fires.
-
-    The hand-off is one more queue entry, as when a process returns the
-    value of the child process it waited on.
-    """
-
-    def forward(event: Event) -> None:
-        if event._ok:
-            done.succeed(event._value)
-        else:
-            event._defused = True
-            done.fail(event._value)
-
-    step.callbacks.append(forward)

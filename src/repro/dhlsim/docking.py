@@ -62,9 +62,9 @@ class DockingStation:
 
     # -- I/O ------------------------------------------------------------------
     #
-    # Each transfer is a chain of plain-event callbacks that pushes the
-    # queue entries a generator process would: a kick-off, the busy
-    # grant, the transfer timeout and the completion (see
+    # Each transfer is a chain of plain-event callbacks that starts when
+    # it is issued: it claims the dock's busy lock at once, then waits
+    # for the grant, the transfer timeout and its completion (see
     # ``repro.dhlsim.scheduler``).
 
     def read(self, n_bytes: float) -> Event:
@@ -85,52 +85,47 @@ class DockingStation:
         env = self.env
         done = env.event()
         operation = "write" if writing else "read"
+        try:
+            cart = self._require_cart(operation)
+            if n_bytes < 0:
+                raise SchedulingError(f"{operation} size must be >= 0, got {n_bytes}")
+            if writing and n_bytes > cart.array.usable_capacity_bytes:
+                raise SchedulingError(
+                    f"write of {n_bytes:.3g} B exceeds cart capacity "
+                    f"{cart.array.usable_capacity_bytes:.3g} B"
+                )
+        except Exception as error:
+            return done.fail(error)
+        claim = self.busy.request()
 
-        def start(_event: Event) -> None:
+        def granted(_event: Event) -> None:
+            array = cart.array
             try:
-                cart = self._require_cart(operation)
-                if n_bytes < 0:
-                    raise SchedulingError(f"{operation} size must be >= 0, got {n_bytes}")
-                if writing and n_bytes > cart.array.usable_capacity_bytes:
-                    raise SchedulingError(
-                        f"write of {n_bytes:.3g} B exceeds cart capacity "
-                        f"{cart.array.usable_capacity_bytes:.3g} B"
+                if writing:
+                    bandwidth = array.effective_write_bw(self.link)
+                elif cart.failed_drives:
+                    bandwidth = min(
+                        array.surviving(cart.failed_drives).read_bw,
+                        self.link.bandwidth,
                     )
+                else:
+                    bandwidth = array.effective_read_bw(self.link)
+                transfer = env.timeout(n_bytes / bandwidth)
             except Exception as error:
+                claim.release()
                 done.fail(error)
                 return
-            claim = self.busy.request()
+            transfer.callbacks.append(finished)
 
-            def granted(_event: Event) -> None:
-                array = cart.array
-                try:
-                    if writing:
-                        bandwidth = array.effective_write_bw(self.link)
-                    elif cart.failed_drives:
-                        bandwidth = min(
-                            array.surviving(cart.failed_drives).read_bw,
-                            self.link.bandwidth,
-                        )
-                    else:
-                        bandwidth = array.effective_read_bw(self.link)
-                    transfer = env.timeout(n_bytes / bandwidth)
-                except Exception as error:
-                    claim.release()
-                    done.fail(error)
-                    return
-                transfer.callbacks.append(finished)
+        def finished(_event: Event) -> None:
+            if writing:
+                self.bytes_written += n_bytes
+            else:
+                self.bytes_read += n_bytes
+            claim.release()
+            done.succeed(n_bytes)
 
-            def finished(_event: Event) -> None:
-                if writing:
-                    self.bytes_written += n_bytes
-                else:
-                    self.bytes_read += n_bytes
-                claim.release()
-                done.succeed(n_bytes)
-
-            claim.callbacks.append(granted)
-
-        env.timeout(0.0).callbacks.append(start)
+        claim.callbacks.append(granted)
         return done
 
     def _require_cart(self, operation: str) -> Cart:

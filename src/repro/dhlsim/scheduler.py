@@ -72,6 +72,11 @@ class ShuttleAttempt:
 
 ShuttleHook = Callable[[ShuttleAttempt], None]
 
+UNTRACED = Tracer(level=TraceLevel.OFF)
+"""The tracer every untraced :class:`DhlSystem` shares.  It records
+nothing, so it never reads a clock; a :class:`~repro.dhlsim.timeline.
+TimelineRecorder` replaces it rather than raising its level."""
+
 
 @dataclass
 class DhlSystem:
@@ -96,7 +101,7 @@ class DhlSystem:
 
     def __post_init__(self) -> None:
         if self.tracer is None:
-            self.tracer = Tracer(self.env, level=TraceLevel.OFF)
+            self.tracer = UNTRACED
         else:
             self.tracer.attach_clock(self.env)
         self.tracks = build_tracks(self.env, self.params, self.n_racks)
@@ -117,7 +122,7 @@ class DhlSystem:
         # trace-derived leak audit lines up with the scheduler's own.
         # Only an enabled tracer pays the wrapping cost.
         self.probes = []
-        if self.tracer.enabled:
+        if _latched(self.tracer) is not None:
             for track in self.tracks:
                 self.probes.append(
                     ResourceProbe(track.tube, self.tracer,
@@ -235,13 +240,13 @@ class DhlSystem:
 
 # -- the DHL commands as callback chains -------------------------------------------
 #
-# Each command runs as a chain of plain-event callbacks.  Wherever a
-# generator process would push a queue entry — its kick-off, a resource
-# grant or timeout it waits on, its completion — the chain pushes one
-# plain event at the same point, with the next step as its only
-# callback.  ``env._eid``, the fired-event count and every same-instant
-# tie are therefore those of the equivalent nested processes.  A
-# kick-off is ``env.timeout(0.0)``: the entry ``env.process`` pushes.
+# Each command runs as a chain of plain-event callbacks.  It takes its
+# first step when it is issued, inside the caller's callback, and from
+# then on waits only on what it must: a resource grant, a timeout, a
+# child command's completion.  Its virtual-time outcomes are those of
+# the nested generator processes it replaced (kept in the tests as the
+# oracle); commands issued in the same instant claim tubes and dock
+# slots in the order they were issued.
 #
 # Each command latches the system tracer when it starts, as
 # ``Environment.run`` latches its own: a tracer that is off becomes
@@ -275,13 +280,7 @@ class _Shuttle:
         self.system = system
         self.cart = cart
         self.dst = dst
-        self.done = env.event()
-        env.timeout(0.0).callbacks.append(self._start)
-
-    # -- the retry loop ------------------------------------------------------------
-
-    def _start(self, _event: Event) -> None:
-        system, cart, dst = self.system, self.cart, self.dst
+        done = self.done = env.event()
         try:
             if cart.state != CartState.READY:
                 raise SchedulingError(
@@ -295,11 +294,11 @@ class _Shuttle:
             policy = self.policy = system.shuttle_policy
             self.deadline_at = (
                 None if policy.deadline_s is None
-                else self.env.now + policy.deadline_s
+                else env.now + policy.deadline_s
             )
             self.track = pick_track(system.tracks, src, dst)
         except Exception as error:
-            self.done.fail(error)
+            done.fail(error)
             return
         tracer = self.tracer = _latched(system.tracer)
         if tracer is not None:
@@ -307,6 +306,8 @@ class _Shuttle:
             self.span = tracer.span("shuttle", track=cart_track,
                                     cart=cart.cart_id, src=src, dst=dst)
         self._launch(1)
+
+    # -- the retry loop ------------------------------------------------------------
 
     def _launch(self, number: int) -> None:
         """Top of the retry loop: start attempt ``number``."""
@@ -327,14 +328,14 @@ class _Shuttle:
         self.attempt = ShuttleAttempt(cart=self.cart, src=self.src, dst=self.dst,
                                       number=number)
         done = self.attempt_done = env.event()
-        env.timeout(0.0).callbacks.append(self._attempt_start)
         if remaining is None:
             done.callbacks.append(self._attempt_settled)
-            return
-        # The paper-prescribed deadline: race the attempt against a
-        # timeout; whichever fires first decides the outcome.
-        deadline = self.deadline_event = env.timeout(remaining)
-        env.any_of([done, deadline]).callbacks.append(self._raced)
+        else:
+            # The paper-prescribed deadline: race the attempt against a
+            # timeout; whichever fires first decides the outcome.
+            deadline = self.deadline_event = env.timeout(remaining)
+            env.any_of([done, deadline]).callbacks.append(self._raced)
+        self._attempt_start()
 
     def _attempt_settled(self, event: Event) -> None:
         if event._ok:
@@ -447,7 +448,7 @@ class _Shuttle:
     # trace-invariant tests hold their durations to sum to the
     # attempt's, even when a deadline interrupt cuts a phase short.
 
-    def _attempt_start(self, _event: Event) -> None:
+    def _attempt_start(self) -> None:
         tracer, track = self.tracer, self.track
         if tracer is not None:
             self.attempt_span = tracer.span("attempt", track=self.cart_track,
@@ -612,25 +613,25 @@ class _Dispatch:
         self.system = system
         self.cart_id = cart_id
         self.endpoint_id = endpoint_id
-        env = system.env
-        self.done = env.event()
-        env.timeout(0.0).callbacks.append(self._start)
-
-    def _start(self, _event: Event) -> None:
-        system = self.system
+        done = self.done = system.env.event()
         try:
-            rack = self.rack = system.rack(self.endpoint_id)
+            rack = self.rack = system.rack(endpoint_id)
         except Exception as error:
-            self.done.fail(error)
+            done.fail(error)
             return
         tracer = self.tracer = _latched(system.tracer)
         if tracer is not None:
-            cart_track = f"cart-{self.cart_id}"
+            cart_track = f"cart-{cart_id}"
             self.span = tracer.span("dispatch", track=cart_track,
-                                    cart=self.cart_id, endpoint=self.endpoint_id)
+                                    cart=cart_id, endpoint=endpoint_id)
             self.wait_span = tracer.span("slot.wait", track=cart_track)
         slot = self.slot = rack.slots.request()
-        slot.callbacks.append(self._granted)
+        if slot.triggered:
+            # A free slot is no wait: check the cart out and launch now,
+            # so commands issued in one instant claim the tube in order.
+            self._granted(slot)
+        else:
+            slot.callbacks.append(self._granted)
 
     def _granted(self, _event: Event) -> None:
         if self.tracer is not None:
@@ -690,18 +691,13 @@ class _Return:
         self.system = system
         self.cart = cart
         self.endpoint_id = endpoint_id
-        env = system.env
-        self.done = env.event()
-        env.timeout(0.0).callbacks.append(self._start)
-
-    def _start(self, _event: Event) -> None:
-        system, cart = self.system, self.cart
+        self.done = system.env.event()
         tracer = self.tracer = _latched(system.tracer)
         if tracer is not None:
             self.span = tracer.span("return", track=f"cart-{cart.cart_id}",
-                                    cart=cart.cart_id, endpoint=self.endpoint_id)
+                                    cart=cart.cart_id, endpoint=endpoint_id)
         try:
-            rack = self.rack = system.rack(self.endpoint_id)
+            rack = self.rack = system.rack(endpoint_id)
             if cart in rack.stranded:
                 # A previous return attempt failed and parked the cart in
                 # the recovery bay; it is READY at the rack, not docked.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from ..errors import ConfigurationError, SimulationError
 from ..obs.tracer import TraceLevel, Tracer
 from .cart import CartState
-from .scheduler import DhlSystem
+from .scheduler import UNTRACED, DhlSystem
 
 CART_STATE_EVENT = "cart.state"
 """Trace instant name carrying cart transitions (args: cart, state)."""
@@ -66,17 +66,29 @@ def timeline_events(tracer: Tracer) -> list[TimelineEvent]:
 class TimelineRecorder:
     """A cart-timeline view over one system's trace.
 
-    Attaching ensures the system's tracer captures instants (raising a
-    disabled tracer to ``METRICS`` level); everything else is derived
-    on demand from the trace log.
+    Attaching ensures the system's tracer captures instants: a system's
+    own tracer is raised to ``METRICS`` level, and an untraced system
+    (sharing :data:`~repro.dhlsim.scheduler.UNTRACED`) gets a tracer of
+    its own, which its carts at rest — in the library, docked or in a
+    recovery bay — take on too.  Attach it before carts move.
+    Everything else is derived on demand from the trace log.
     """
 
     system: DhlSystem
     tracer: Tracer = field(init=False)
 
     def __post_init__(self) -> None:
-        self.tracer = self.system.tracer
-        self.tracer.enable(TraceLevel.METRICS)
+        system = self.system
+        if system.tracer is UNTRACED:
+            system.tracer = Tracer(system.env, level=TraceLevel.METRICS)
+            carts = list(system.library.carts.values())
+            for rack in system.racks.values():
+                carts += rack.docked_carts + rack.stranded
+            for cart in carts:
+                cart.tracer = system.tracer
+        else:
+            system.tracer.enable(TraceLevel.METRICS)
+        self.tracer = system.tracer
 
     @property
     def events(self) -> list[TimelineEvent]:

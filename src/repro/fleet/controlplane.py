@@ -299,9 +299,9 @@ class _RobustClose:
     rack (re-docked or in the recovery bay); abandoning it would strand
     physical capacity forever, so the Close is re-attempted after a
     fixed beat until the repair crew restores the track.  Fault-free
-    this is a single first-try Close, event for event.  A class, not a
-    pair of closures: two closures that call each other form a
-    reference cycle per Close, which only the cyclic GC frees.
+    this is a single first-try Close.  A class, not a pair of closures:
+    two closures that call each other form a reference cycle per Close,
+    which only the cyclic GC frees.
     """
 
     __slots__ = ("plane", "lane", "cart", "then")
@@ -336,15 +336,12 @@ class _LaneWorker:
     It takes its lane's next job under the policy, serves it — through
     the rack cache when the lane has one — resolves it and takes the
     next; on an empty queue it parks a waiter (:meth:`_LaneQueue.get`).
-    Wherever a generator worker process would push a queue entry — its
-    kick-off, each lock, cart-token and ``entry.ready`` grant it waits
-    on, each ``CLOSE_RETRY_S`` timeout — the chain pushes one entry at
-    the same point, with the next step as its only callback, so
-    ``env._eid`` and every same-instant tie are the process's.  The
-    process's same-instant resume shim would only ever be its kick-off:
-    every event the worker waits on is still pending when it does.  An
-    error the serve does not expect aborts the run from the callback,
-    as a failed process does when its failure fires.
+    It takes its first job when it is created, and then waits only on
+    the lock, cart-token, ``entry.ready`` and command events it needs
+    and on each ``CLOSE_RETRY_S`` timeout, so its virtual-time outcomes
+    are the generator worker process's (kept in the tests as the
+    oracle).  An error the serve does not expect aborts the run from
+    the callback, as a failed process does when its failure fires.
     """
 
     __slots__ = ("plane", "lane", "monitor", "fjob", "started", "passes",
@@ -354,7 +351,7 @@ class _LaneWorker:
         self.plane = plane
         self.lane = lane
         self.monitor = plane.monitors.get((lane.track_index, lane.endpoint_id))
-        plane.env.timeout(0.0).callbacks.append(self._take)
+        self._take()
 
     def _take(self, _event: Event | None = None) -> None:
         """Serve the lane's next job, or wait for one."""
@@ -780,19 +777,17 @@ class ControlPlane:
     def _start_intake(self, fjobs: Iterable[_FleetJob]) -> None:
         """Submit ``fjobs`` as the DES clock reaches each arrival.
 
-        Intake is a chain of plain callbacks, not a process.  A start
-        event is scheduled now, so intake begins after everything
-        already scheduled for this instant (the workers' first resumes
-        included) and before anything scheduled later.  Each callback
-        then submits every job already due and moves on to the next
-        arrival: straight there with :meth:`Environment.advance_to`
-        when nothing else is due first, else through one timeout whose
-        callback carries on.  A shedding replay thus runs long
-        stretches of arrivals in one callback with no queue entry.  The
-        iterator is only advanced after the previous job has been
-        submitted, so at most one bound job is ever materialised ahead
-        of the DES clock — a trace-driven day streams through without
-        the job list ever existing in memory.
+        Intake is a chain of plain callbacks, not a process, and it
+        starts when it is called: jobs already due are submitted at
+        once.  Each step submits every job already due and moves on to
+        the next arrival: straight there with
+        :meth:`Environment.advance_to` when nothing else is due first,
+        else through one timeout whose callback carries on.  A shedding
+        replay thus runs long stretches of arrivals in one callback
+        with no queue entry.  The iterator is only advanced after the
+        previous job has been submitted, so at most one bound job is
+        ever materialised ahead of the DES clock — a trace-driven day
+        streams through without the job list ever existing in memory.
 
         The next arrival is reached at ``now + (arrival_s - now)``, not
         at ``arrival_s``: that float sum is the timestamp the run has
@@ -803,10 +798,9 @@ class ControlPlane:
         advance_to = env.advance_to
         jobs = iter(fjobs)
 
-        def intake(event: Event) -> None:
-            due = event._value
-            if due is not None:
-                submit(due)
+        def intake(event: Event | None = None) -> None:
+            if event is not None:
+                submit(event._value)
             for fjob in jobs:
                 now = env._now
                 if fjob.arrival_s > now:
@@ -818,7 +812,7 @@ class ControlPlane:
             self._intake_closed = True
             self._maybe_done()
 
-        env.timeout(0.0).callbacks.append(intake)
+        intake()
 
     def _divert(self, fjob: _FleetJob) -> None:
         """Route a job off a degraded lane per its SLA class."""
@@ -845,16 +839,23 @@ class ControlPlane:
             stream.release()
         self._finish(fjob, Outcome.FAILOVER, self.env.now)
 
-    # -- lane workers ------------------------------------------------------------
-
     # -- cart-pool balancing -----------------------------------------------------
 
     def _start_eviction(self, lane: _Lane, entry) -> None:
         """Send an idle resident home, then hand back its token and lock.
 
-        The eviction's first step and its end each push one queue entry
-        (a zero timeout), where an eviction process would push its
-        kick-off and its return.
+        The Close starts from a zero-delay timeout, not inline, and this
+        step changes outcomes.  An eviction is issued from inside another
+        step: a worker's cache miss, or :meth:`_balance_pool` when a cart
+        request queues or a read ends.  Started inline, its Close would
+        detach the cart and claim the tube ahead of steps already due
+        in that instant.  Under the hardened campaign that reorders
+        same-instant claims: the cached-chaos differential in
+        ``tests/fleet/test_lane_workers.py`` (lru, seed 0, pool 3, 3x
+        load) first diverges at t = 1,557.68 s, where two carts turn
+        READY in the other order, and ends at 18,614.30 s, not
+        18,604.25 s.  The timeout starts the Close after them, where
+        the generator eviction process started it.
         """
         lane.cache.evict(entry)
         self._evictions_in_flight += 1
@@ -865,7 +866,6 @@ class ControlPlane:
             entry.token.release()
             entry.lock.release()
             self._balance_pool()
-            env.timeout(0.0)
 
         def start(_event: Event) -> None:
             _RobustClose(self, lane, entry.station.cart, evicted)

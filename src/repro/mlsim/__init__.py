@@ -27,11 +27,6 @@ _EXPORTS = {
         "reduce_scatter_time", "ring_allreduce_time", "tree_allreduce_time",
     ),
     ".operational": ("OperationalDhlBackend",),
-    ".parallelism": (
-        "best_feasible_strategy", "compare_strategies", "data_parallel_cost",
-        "dlrm_2022_shape", "DlrmShape", "hybrid_parallel_cost", "IterationWithStrategy",
-        "model_parallel_cost", "StrategyCost",
-    ),
     ".trainer": ("iteration_time_closed_form", "IterationResult", "simulate_iteration"),
     ".workload": ("ClusterSpec", "dlrm_iteration", "TrainingIteration"),
 }

@@ -2,16 +2,24 @@
 
 ``DhlApi.open``/``read``/``close``, ``DhlSystem.shuttle``/
 ``dispatch_to_rack``/``return_to_library`` and ``DockingStation.read``/
-``write`` run as chains of plain-event callbacks that push exactly the
-queue entries the nested generator processes they replaced pushed.  The
-generator chain is kept here, as the oracle, and nowhere in ``src``.
+``write`` run as chains of plain-event callbacks that take their first
+step when they are issued.  The nested generator processes they
+replaced are kept here, as the oracle, and nowhere in ``src``.
 
 * The hypothesis differential drives random systems — concurrent Opens,
   Reads, Writes and Closes, retries with backoff, stalling and aborting
   pre-shuttle hooks, tube breaches mid-queue, deadlines, a FULL tracer —
-  through both and demands the same schedule, metrics, trace and carts.
-* The proxy gates pin the cost exactly: the same queue pushes as the
-  process chain (and generator lane workers), and no process spawns.
+  through both.  Where no two jobs or breach edges start in one instant
+  it demands the same virtual-time outcomes: log, metrics, trace and
+  carts, with order inside an instant left free.  Where two do, the
+  chains claim in issue order and the process chain need not, so only
+  the chain's own audits (no leaked claim, every cart accounted for,
+  claim spans that agree with the resources) are checked.
+* The tie rule: two commands issued in one instant claim a tube or a
+  dock slot in the order they were issued.
+* The proxy gates pin the cost exactly: queue pushes beside the process
+  chain's (and generator lane workers'), no zero-delay kick-off, and no
+  process spawns.
 * The light-load oracle holds the fleet to the paper's closed-form
   launch time where nothing queues.
 """
@@ -476,6 +484,7 @@ def _run_commands(spec):
     dataset = synthetic_dataset(spec["shards"] * 256 * TB, name="d")
     system.load_dataset(dataset)
     system.add_empty_carts(3)
+    staged = sorted(system.library.carts)
     api = DhlApi(system)
     rng = random.Random(spec["seed"])
 
@@ -488,6 +497,7 @@ def _run_commands(spec):
 
     system.pre_shuttle_hooks.append(hook)
     log = []
+    loose = []
 
     def breaches():
         for gap, length in spec["breaches"]:
@@ -519,17 +529,20 @@ def _run_commands(spec):
                 return
         if op == "shuttle":
             system.library.checkout(cart.cart_id)
+            loose.append(cart)  # out of the library until admitted back
             moved = yield from attempt_op(
                 f"{number}:shuttle", system.shuttle(cart, endpoint)
             )
             if moved is None:
                 if cart.state == CartState.READY and cart.location == 0:
                     system.library.admit(cart)
+                    loose.remove(cart)
                 return
             cart.transition(CartState.READY)
             back = yield from attempt_op(f"{number}:home", system.shuttle(cart, 0))
             if back is not None:
                 system.library.admit(cart)
+                loose.remove(cart)
             return
         if op == "write":
             station = yield from attempt_op(
@@ -573,10 +586,60 @@ def _run_commands(spec):
         "counters": tracer.counters,
         "carts": sorted(
             (c.cart_id, c.state, c.location, c.trips_completed)
-            for c in _all_carts(system)
+            for c in _all_carts(system) + loose
         ),
         "leaks": system.leaked_resources(),
+        "staged": staged,
+        "probe_leaks": trace_leaked_resources(tracer, system),
+        "open_spans": len(tracer.open_spans()),
     }
+
+
+def start_times(spec):
+    """The instants the spec starts something: job starts, breach edges."""
+    times = [start for _op, _shard, _rack, start, _fraction in spec["jobs"]]
+    now = 0.0
+    for gap, length in spec["breaches"]:
+        now += gap
+        times.append(now)
+        now += length
+        times.append(now)
+    return times
+
+
+def has_tie(spec):
+    """Whether two of the spec's starts may share an instant downstream.
+
+    Starts closer than 1 ns count as tied: ``5e-324 + 8.6 == 8.6``, so a
+    job started at a denormal time lands in the same instant as one
+    started at zero.
+    """
+    times = sorted(start_times(spec))
+    return any(later - earlier < 1e-9 for earlier, later in zip(times, times[1:]))
+
+
+def outcomes(result):
+    """A run's virtual-time outcomes, with order inside an instant free."""
+    return {
+        "now": result["now"],
+        "cancelled": result["cancelled"],
+        "log": sorted(result["log"]),
+        "metrics": result["metrics"],
+        "spans": sorted(map(repr, result["spans"])),
+        "instants": sorted(map(repr, result["instants"])),
+        "counters": sorted(map(repr, result["counters"])),
+        "carts": result["carts"],
+        "leaks": result["leaks"],
+    }
+
+
+def audit(result):
+    """What must hold on any run once it drains: no claim held, every
+    cart in exactly one place, and a trace that agrees on both."""
+    assert set(result["leaks"].values()) == {0}
+    assert result["probe_leaks"] == result["leaks"]
+    assert result["open_spans"] == 0
+    assert [cart_id for cart_id, *_ in result["carts"]] == result["staged"]
 
 
 def _all_carts(system):
@@ -587,11 +650,24 @@ def _all_carts(system):
     return carts
 
 
+def check_against_oracle(spec):
+    """Audit the chains' run; with no tie, match the oracle's outcomes."""
+    chains = run_commands(spec, oracle=False)
+    audit(chains)
+    if has_tie(spec):
+        return chains
+    oracle = run_commands(spec, oracle=True)
+    assert outcomes(chains) == outcomes(oracle)
+    # The chains push no kick-offs, so they fire no more events.
+    assert chains["fired"] <= oracle["fired"]
+    return chains
+
+
 class TestDifferential:
     @settings(max_examples=100)
     @given(spec=scenarios())
     def test_callbacks_match_the_process_chain(self, spec):
-        assert run_commands(spec, oracle=False) == run_commands(spec, oracle=True)
+        check_against_oracle(spec)
 
     def test_scenarios_reach_the_fault_paths(self):
         # The strategy is only worth something if its faults fire: one
@@ -606,7 +682,10 @@ class TestDifferential:
             "seed": 7,
         }
         result = run_commands(spec, oracle=False)
-        assert result == run_commands(spec, oracle=True)
+        audit(result)
+        # Two jobs start at t = 1.0, on different carts and racks, and
+        # the outcomes still match.
+        assert outcomes(result) == outcomes(run_commands(spec, oracle=True))
         counts = {name: values["value"] for name, values in result["metrics"].items()}
         for name in ("shuttle_retries", "shuttle_faults", "cart_stalls",
                      "shuttle_timeouts"):
@@ -649,7 +728,7 @@ def run_race(oracle):
 def race_at_tube_handover(oracle):
     """The race's event count, shuttle log and spans, for chain parity."""
     env, _system, tracer, log = run_race(oracle)
-    spans = [(span.name, span.start_s, span.end_s) for span in tracer.spans]
+    spans = sorted((span.name, span.start_s, span.end_s) for span in tracer.spans)
     return env._eid, log, spans
 
 
@@ -659,9 +738,11 @@ class TestDeadlineInterrupt:
         # up.  The interrupt must land at band 0, ahead of the grant.  A
         # band-1 abort would let the grant through and the doomed
         # attempt would start to undock.
-        callbacks = race_at_tube_handover(oracle=False)
-        assert callbacks == race_at_tube_handover(oracle=True)
-        _eid, log, spans = callbacks
+        eid, log, spans = race_at_tube_handover(oracle=False)
+        oracle_eid, oracle_log, oracle_spans = race_at_tube_handover(oracle=True)
+        assert (log, spans) == (oracle_log, oracle_spans)
+        # Four kick-offs fewer: each shuttle's own and its attempt's.
+        assert (eid, oracle_eid) == (18, 22)
         assert [entry[2] for entry in log] == ["ok", "ShuttleTimeoutError"]
         assert [name for name, *_ in spans].count("undock") == 1
 
@@ -677,28 +758,45 @@ class TestClaimSpanAtHandover:
         assert trace_leaked_resources(tracer, system) == system.leaked_resources()
 
 
+def open_twice_while_the_docks_are_full(oracle):
+    """Two Opens of one cart at t = 20 s, while both dock slots are held.
+
+    Both find the cart in the library and queue for a slot; two Closes
+    issued right after them free the slots.  Returns the system and the
+    Opens' outcomes in the order they landed.
+    """
+    with command_path(oracle):
+        env = Environment()
+        system = DhlSystem(env)
+        system.load_dataset(synthetic_dataset(10 * TB, name="d"))
+        api = DhlApi(system)
+        parked = system.add_empty_carts(2)
+        for cart in parked:
+            system.dispatch_to_rack(cart.cart_id, 1)
+        outcomes = []
+
+        def record(event):
+            event._defused = True
+            outcomes.append(event._value)
+
+        def issue(_event):
+            assert system.rack(1).slots.count == 2
+            api.open("d", 0, 1).callbacks.append(record)
+            api.open("d", 0, 1).callbacks.append(record)
+            for cart in parked:
+                api.close(cart, 1)
+
+        env.timeout(20.0).callbacks.append(issue)
+        env.run()
+    return system, outcomes
+
+
 class TestDockSlotLeak:
     def test_failed_checkout_releases_its_slot(self):
-        # Two Opens of one cart at t=0: the second is granted a slot but
-        # finds the cart gone.  It must hand the slot back.
+        # The second Open is granted a slot but finds the cart gone.  It
+        # must hand the slot back.
         for oracle in (False, True):
-            with command_path(oracle):
-                env = Environment()
-                system = DhlSystem(env)
-                system.load_dataset(synthetic_dataset(10 * TB, name="d"))
-                api = DhlApi(system)
-                outcomes = []
-
-                def issue():
-                    try:
-                        outcomes.append((yield api.open("d", 0, 1)))
-                    except SchedulingError as error:
-                        outcomes.append(error)
-
-                env.process(issue())
-                env.process(issue())
-                env.run()
-            refused, docked = outcomes  # refused at its slot grant, before docking
+            system, (refused, docked) = open_twice_while_the_docks_are_full(oracle)
             assert isinstance(docked, DockingStation)
             assert isinstance(refused, SchedulingError)
             assert str(refused) == f"cart {docked.cart.cart_id} is not in the library"
@@ -706,11 +804,117 @@ class TestDockSlotLeak:
             assert system.leaked_resources() == {"tube:rail-0": 0, "slots:1": 0}
 
 
+# -- the tie rule --------------------------------------------------------------
+
+ISSUED_AT = 20.0
+
+
+def land(first, second):
+    """Issue ``first`` then ``second`` in one callback at ``ISSUED_AT``.
+
+    One rail, one rack with two dock slots, one of them held by a cart
+    docked beforehand (the cart ``return`` sends home).  Every command
+    needs the tube; ``open`` and ``dispatch`` also need the free slot.
+    Returns when each command landed, by name.
+    """
+    with fresh_cart_ids():
+        env = Environment()
+        system = DhlSystem(env)
+        system.load_dataset(synthetic_dataset(10 * TB, name="d"))
+        api = DhlApi(system)
+        empty, docked = system.add_empty_carts(2)
+        system.dispatch_to_rack(docked.cart_id, 1)
+
+        def shuttle():
+            system.library.checkout(empty.cart_id)
+            return system.shuttle(empty, 1)
+
+        commands = {
+            "open": lambda: api.open("d", 0, 1),
+            "shuttle": shuttle,
+            "dispatch": lambda: system.dispatch_to_rack(empty.cart_id, 1),
+            "return": lambda: system.return_to_library(docked, 1),
+        }
+        landed = {}
+
+        def issue(_event):
+            for name in (first, second):
+                commands[name]().callbacks.append(
+                    lambda event, name=name: landed.setdefault(name, event.env.now)
+                )
+
+        env.timeout(ISSUED_AT).callbacks.append(issue)
+        env.run()
+    assert system.leaked_resources() == {"tube:rail-0": 0, "slots:1": 0}
+    return landed
+
+
+class TestTieRule:
+    @pytest.mark.parametrize("first, second", [
+        ("open", "shuttle"), ("shuttle", "open"),
+        ("open", "dispatch"), ("dispatch", "open"),
+        ("dispatch", "return"), ("return", "dispatch"),
+    ])
+    def test_the_command_issued_first_claims_first(self, first, second):
+        # The process chain reached each claim through a different number
+        # of zero-delay hops, so a later Shuttle overtook an earlier Open.
+        hop = launch_metrics(DhlParams()).time_s
+        landed = land(first, second)
+        assert landed[first] == pytest.approx(ISSUED_AT + hop, rel=1e-12)
+        if {first, second} == {"open", "dispatch"}:
+            # One free dock slot: the second waits for it, for good.
+            assert second not in landed
+        else:
+            # One tube: the second launches when the first has docked.
+            assert landed[second] == pytest.approx(ISSUED_AT + 2 * hop, rel=1e-12)
+
+    def test_two_rack_1_opens_at_one_instant_are_served_in_issue_order(self):
+        # The shrunk tie a differential probe found: one dock slot, an
+        # Open (job 0) and a write's dispatch (job 1) both at t = 14.0.
+        # The chains serve job 0 first; the process chain let job 1's
+        # shorter chain of kick-offs overtake it.
+        spec = {
+            "shards": 1, "stations": 1, "racks": 1, "attempts": 1,
+            "backoff": 0.5, "jitter": 0.0, "deadline": None, "give_up": None,
+            "level": TraceLevel.OFF, "stall_p": 0.0, "abort_p": 0.0,
+            "breaches": [],
+            "jobs": [("cycle", 0, 0, 14.0, 0.5), ("write", 0, 0, 14.0, 0.5)],
+            "seed": 0,
+        }
+        assert has_tie(spec)
+        chains = run_commands(spec, oracle=False)
+        audit(chains)
+        served = [name for _now, name, *_ in chains["log"]]
+        assert served == ["0:open", "0:read", "0:close", "1:open", "1:write", "1:close"]
+        assert chains["log"][0][0] == pytest.approx(14.0 + 8.6, rel=1e-12)
+        oracle = run_commands(spec, oracle=True)
+        assert oracle["log"][0][1] == "1:open"
+
+
 # -- exact proxy gates ---------------------------------------------------------
 
 
+@contextlib.contextmanager
+def counting_zero_timeouts():
+    """Count zero-delay ``Environment.timeout`` calls made inside the block."""
+    original = Environment.timeout
+    zeros = [0]
+
+    def timeout(self, delay, value=None):
+        if delay == 0:
+            zeros[0] += 1
+        return original(self, delay, value)
+
+    Environment.timeout = timeout
+    try:
+        yield zeros
+    finally:
+        Environment.timeout = original
+
+
 def fleet_cost(oracle):
-    """Queue pushes, spawns and jobs for the default fleet, seed 1.
+    """Queue pushes, spawns, zero-delay timeouts and the report for the
+    default fleet, seed 1.
 
     The oracle runs the generator lane workers too
     (``tests/fleet/test_lane_workers.py``), so it is the fleet as it ran
@@ -719,32 +923,47 @@ def fleet_cost(oracle):
     from tests.fleet.test_lane_workers import worker_path  # it imports this module
 
     scenario = default_scenario(seed=1, horizon_s=3600.0)
-    with command_path(oracle), worker_path(oracle), counting_spawns() as spawned:
+    with (command_path(oracle), worker_path(oracle), counting_spawns() as spawned,
+          counting_zero_timeouts() as zeros):
         plane = build_plane(scenario)
         report = plane.run(_bind_jobs(scenario))
-    return plane.env._eid, spawned[0], report.n_jobs
+    return plane.env._eid, spawned[0], zeros[0], report
 
 
 class TestProxyGates:
-    def test_same_queue_pushes_far_fewer_spawns(self):
-        pushes, spawns, jobs = fleet_cost(oracle=False)
-        oracle_pushes, oracle_spawns, oracle_jobs = fleet_cost(oracle=True)
-        assert jobs == oracle_jobs == 229
-        # 2,373 before the intake reached 25 arrivals by ``advance_to``.
-        assert pushes == oracle_pushes == 2348
-        assert oracle_spawns / jobs == pytest.approx(2.75, abs=0.01)
+    def test_pushes_beside_the_process_chain_and_no_spawns(self):
+        pushes, spawns, _zeros, report = fleet_cost(oracle=False)
+        oracle_pushes, oracle_spawns, _zeros, oracle_report = fleet_cost(oracle=True)
+        assert report.n_jobs == oracle_report.n_jobs == 229
+        assert replace(report, scenario=None) == replace(oracle_report, scenario=None)
+        # 6.40 pushes per job, 10.25 on the process chain.  The chains
+        # pushed the oracle's 2,348 while every command, worker and the
+        # intake pushed a kick-off where a process would (2,373 before
+        # the intake reached 25 arrivals by ``advance_to``).
+        assert (pushes, oracle_pushes) == (1466, 2348)
+        assert oracle_spawns / report.n_jobs == pytest.approx(2.75, abs=0.01)
         # Commands and lane workers run as callbacks; only a failover
         # (none here) or a bulk transfer spawns a process.
         assert spawns == 0
+
+    def test_no_zero_delay_kick_offs(self):
+        # Commands, lane workers and the intake take their first step
+        # when called.  The one zero-delay timeout left starts each
+        # cache eviction's Close (``ControlPlane._start_eviction`` says
+        # why it stays).
+        _pushes, _spawns, zeros, report = fleet_cost(oracle=False)
+        assert report.cache_evictions > 0
+        assert zeros == report.cache_evictions
 
     def test_tracing_off_makes_no_tracer_call_per_job(self):
         # Each command latches the system's tracer once; off, it opens
         # no span and ends no ``NULL_SPAN``.  Before, each shuttle made
         # ``span``/``end`` pairs for the shuttle, its attempt and every
-        # phase, plus the dispatch and return spans around it.
+        # phase, plus the dispatch and return spans around it.  Every
+        # untraced rail shares one off tracer, so building the fleet
+        # makes no tracer call either (it made two per rail).
         scenario = default_scenario(seed=1, horizon_s=3600.0)
         jobs = tuple(_bind_jobs(scenario))
-        plane = build_plane(scenario)
         calls = 0
 
         def profile(frame, event, _arg):
@@ -754,6 +973,7 @@ class TestProxyGates:
 
         sys.setprofile(profile)
         try:
+            plane = build_plane(scenario)
             report = plane.run(jobs)
         finally:
             sys.setprofile(None)

@@ -264,7 +264,7 @@ class TestDhlsimGoldens:
         from repro.obs.scenarios import run_scenario
 
         result = run_scenario("bulk", shards=4, seed=0)
-        assert result.system.env._eid == 142
+        assert result.system.env._eid == 98
         assert result.report.elapsed_s == pytest.approx(
             2305.1211267605627, rel=0, abs=0
         )
@@ -279,12 +279,13 @@ class TestDhlsimGoldens:
             "count.returns": 4.0,
         }
         # The DHL commands run as callback chains: spawns and resumes
-        # fell from 45/137 when they were nested processes, while every
-        # queue entry (``_eid``, ``events_fired``) stayed put.
+        # fell from 45/137 when they were nested processes.  Queue
+        # entries (``_eid``, ``events_fired``) fell from 142 once the
+        # chains stopped pushing a kick-off wherever a process would.
         assert dict(result.tracer.engine_counters) == {
             "processes_spawned": 9,
             "process_resumes": 33,
-            "events_fired": 142,
+            "events_fired": 98,
             "events_cancelled": 0,
         }
 
@@ -292,7 +293,7 @@ class TestDhlsimGoldens:
         from repro.obs.scenarios import run_scenario
 
         result = run_scenario("bulk", shards=6, seed=0)
-        assert result.system.env._eid == 212
+        assert result.system.env._eid == 146  # 212 with kick-offs
         assert result.report.elapsed_s == pytest.approx(
             3449.081690140844, rel=0, abs=0
         )
@@ -307,6 +308,6 @@ class TestDhlsimGoldens:
         assert dict(result.tracer.engine_counters) == {
             "processes_spawned": 10,
             "process_resumes": 47,
-            "events_fired": 223,
+            "events_fired": 164,  # 223 with kick-offs
             "events_cancelled": 0,
         }

@@ -166,8 +166,9 @@ def test_no_stale_sweep_engine_references(root):
 #: synthesis, the shard parent's homing view, the "auto" engine, the
 #: module-level outcome aliases (``Outcome.*`` replaces them), the dock
 #: and LIM fault loops with their base class, ``ChaosSpec`` fields and
-#: the dock out-of-service flag, and the orphan hypothesis strategies.
-#: Spelled in pieces, as above.
+#: the dock out-of-service flag, the orphan hypothesis strategies, and
+#: the DLRM parallelisation-strategy module nothing reached.  Spelled
+#: in pieces, as above.
 _STALE_SURFACE = re.compile("|".join([
     r"\bPriority" r"(Resource|Request)\b", r"\bCon" r"tainer\b", r"\bget" r"_matching\b",
     r"\b_fire" r"(_fast|_traced)?\b", r"\bUtilisation" r"Monitor\b",
@@ -180,6 +181,9 @@ _STALE_SURFACE = re.compile("|".join([
     r"\b(Dock" r"Outage|Lim" r"Degradation|Repairable" r")Injector\b",
     r"\b(dock|lim)" r"_mttf_s\b", r"\bout_of" r"_service\b",
     r"\b(chaos" r"_specs|fleet" r"_scenarios|trace" r"_specs)\b",
+    r"mlsim\.par" r"allelism\b", r"\b(data|model|hybrid)_par" r"allel_cost\b",
+    r"\b(best_feasible" r"_strategy|compare" r"_strategies|dlrm_2022" r"_shape)\b",
+    r"\b(Dlrm" r"Shape|Strategy" r"Cost|IterationWith" r"Strategy)\b",
 ]))
 
 

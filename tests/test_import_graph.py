@@ -263,19 +263,17 @@ PUBLIC_API = {
         "validation_table", "write_table_csv",
     ),
     "mlsim": (
-        "ClusterSpec", "Delivery", "DhlBackend", "DlrmShape", "DownscaleResult",
-        "IngestionBackend", "IterationResult", "IterationWithStrategy",
-        "NetworkBackend", "OperationalDhlBackend", "PAPER_DOWNSCALE_FACTOR",
-        "ReuseStudy", "RunResult", "ScaledBackend", "SchemeResult", "StrategyCost",
-        "SweepPoint", "TrainingIteration", "TrainingRun", "US_INDUSTRIAL_USD_PER_KWH",
-        "allgather_time", "alltoall_time", "best_allreduce_time",
-        "best_feasible_strategy", "broadcast_time", "compare_strategies",
-        "data_parallel_cost", "dhl_power_curve", "dlrm_2022_shape", "dlrm_iteration",
-        "downscaled_dhl_study", "downscaled_network_study", "figure6_series",
-        "hybrid_parallel_cost", "iso_power_comparison", "iso_time_comparison",
-        "iteration_time_closed_form", "model_parallel_cost", "network_power_curve",
-        "reduce_scatter_time", "reuse_study", "ring_allreduce_time",
-        "simulate_iteration", "simulate_run", "tree_allreduce_time",
+        "ClusterSpec", "Delivery", "DhlBackend", "DownscaleResult",
+        "IngestionBackend", "IterationResult", "NetworkBackend",
+        "OperationalDhlBackend", "PAPER_DOWNSCALE_FACTOR", "ReuseStudy", "RunResult",
+        "ScaledBackend", "SchemeResult", "SweepPoint", "TrainingIteration",
+        "TrainingRun", "US_INDUSTRIAL_USD_PER_KWH", "allgather_time",
+        "alltoall_time", "best_allreduce_time", "broadcast_time", "dhl_power_curve",
+        "dlrm_iteration", "downscaled_dhl_study", "downscaled_network_study",
+        "figure6_series", "iso_power_comparison", "iso_time_comparison",
+        "iteration_time_closed_form", "network_power_curve", "reduce_scatter_time",
+        "reuse_study", "ring_allreduce_time", "simulate_iteration", "simulate_run",
+        "tree_allreduce_time",
     ),
     "baselines": (
         "FrictionCarrier", "HUMAN_PORTER", "SNOWMOBILE_TRUCK", "SneakernetPlan",

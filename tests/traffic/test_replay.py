@@ -251,13 +251,19 @@ class TestRecordPathProxy:
         plane._start_intake(jobs)
         env.run()
         assert plane._submitted == len(records)
-        # The start event is the only one: with the queue otherwise
-        # empty, every later arrival is reached by ``advance_to``.
+        # The intake starts when called, outside ``run``, so the first
+        # arrival still ahead of the clock is reached by a timeout.  It
+        # is the only one: with the queue otherwise empty, every later
+        # arrival is reached by ``advance_to``.
         assert env._eid - before == 1
 
     #: Python-level ``call`` events in ``repro.*`` frames for one warm
-    #: replay of :meth:`records` (3,252 records, 283 served): 17.10 per
-    #: record.  It was 62,525 (19.23 per record) while ``percentiles``
+    #: replay of :meth:`records` (3,252 records, 283 served): 15.74 per
+    #: record.  It was 55,617 (17.10 per record) while the dhlsim
+    #: commands and lane workers pushed a zero-delay kick-off wherever a
+    #: generator process would, each with its callback frame, and every
+    #: untraced rail built its own off tracer.  It was 62,525 (19.23 per
+    #: record) while ``percentiles``
     #: re-sorted the samples for each point (3,420 generator-expression
     #: frames) and the dhlsim commands opened and ended ``NULL_SPAN``\ s
     #: with tracing off (4,024 tracer calls; latching the tracer is one
@@ -269,7 +275,7 @@ class TestRecordPathProxy:
     #: returned.  Stopping the callback-chain workers is one
     #: ``stop_workers`` call.
     #: Comprehension frames are left out, since Python 3.12 inlines them.
-    CALLS = 55_617
+    CALLS = 51_196
 
     def test_python_calls_per_record_are_pinned(self):
         records = self.records()
