@@ -199,7 +199,6 @@ def _engine(args: argparse.Namespace) -> dict[str, object]:
     report = engine_bench.run_engine_bench(
         repeats=args.repeats or engine_bench.DEFAULT_REPEATS,
         scale=args.scale,
-        workers=args.workers,
     )
     _table(engine_bench.bench_table(report),
            "DES engine bench (optimised vs reference)")
@@ -208,13 +207,6 @@ def _engine(args: argparse.Namespace) -> dict[str, object]:
         print(f"\ndhlsim scenario {scenario['name']}: "
               f"{scenario['events_per_sec']:,.0f} events/s "
               f"({scenario['events']} events, informational)")
-    replicate = dict(report.replicate)
-    if "skipped" in replicate:
-        print(f"replicate comparison skipped: {replicate['skipped']}")
-    else:
-        print(f"replicate: process {replicate['speedup']}x over "
-              f"serial across {replicate['seeds']} seeds, "
-              f"identical payloads: {replicate['identical_payloads']}")
     return engine_bench.report_payload(report)
 
 

@@ -159,9 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="process-pool workers for bench --mode engine and shard, "
-             "fleet --capacity and --shards, and replicate (the sweep "
-             "bench runs in-process)",
+        help="process-pool workers for bench --mode shard, fleet "
+             "--capacity and --shards, and replicate (the sweep and engine "
+             "benches run in-process)",
     )
     parser.add_argument(
         "--bench-out",

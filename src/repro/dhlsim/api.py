@@ -12,15 +12,23 @@ network:
 On top of those, :meth:`DhlApi.bulk_transfer` orchestrates a whole
 dataset move with pipelining: while one cart's data is being read, the
 next is already in flight — the optimisation Section V-B sketches.
+:meth:`DhlApi.bulk_writeback` runs the backup direction (Section II-D2)
+through the same pipeline: per shard, Open under graceful degradation
+(defer and retry, or fail over to the optical network), the payload
+step (Read, or Write onto a claimed empty cart), a Close that waits out
+outages, and delivery into one collector.  A direction supplies only
+how its cart is opened, what a failover ships, and its payload step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..errors import DegradedServiceError, SchedulingError
 from ..sim import Environment, Event, Store
 from ..storage.datasets import Dataset
+from ..storage.library import plan_placement
 from .cart import Cart
 from .docking import DockingStation
 from .metrics import COUNT_PREFIX, ENERGY_PREFIX
@@ -118,30 +126,103 @@ class DhlApi:
         being read concurrently.  Each shard is Opened, optionally Read
         in full, then Closed.  Returns a :class:`TransferReport`.
         """
-        return self.env.process(self._bulk_transfer(dataset, endpoint_id, read_payload))
+        name = dataset.name
+        library = self.system.library
 
-    def _bulk_transfer(self, dataset: Dataset, endpoint_id: int, read_payload: bool):
+        def staged_shards() -> list[int]:
+            indices = sorted(
+                index for cart in library.carts.values()
+                for (held, index) in cart.shards if held == name
+            )
+            if not indices:
+                raise SchedulingError(
+                    f"dataset {name!r} is not staged in the library; "
+                    "call DhlSystem.load_dataset first"
+                )
+            return indices
+
+        def failover_bytes(index: int) -> float:
+            # The shard's cart stays in the library; only its bytes move.
+            return library.cart_holding(name, index).shards[(name, index)].size_bytes
+
+        read = ("read", lambda station, index, n_bytes:
+                self.read(endpoint_id, name, index))
+        return self.env.process(self._bulk(
+            "bulk_transfer", dataset, endpoint_id, staged_shards,
+            lambda index: self.open(name, index, endpoint_id),
+            failover_bytes, read if read_payload else None,
+        ))
+
+    def bulk_writeback(self, dataset: Dataset, endpoint_id: int = 1) -> Event:
+        """Process: stream rack-resident data *into* the library.
+
+        The backup direction (Section II-D2): empty carts shuttle to the
+        rack, the rack Writes shard-sized chunks onto them at PCIe speed,
+        and loaded carts Close back into cold storage.  Pipelined across
+        the endpoint's docking stations like :meth:`bulk_transfer`.
+        Returns a :class:`TransferReport`.
+        """
+        system, name = self.system, dataset.name
+        claimed: dict[int, Cart] = {}
+
+        def claim_empty_carts() -> list[int]:
+            plan = plan_placement(dataset, system.make_array())
+            empty_carts = sum(
+                1 for cart in system.library.carts.values() if not cart.shards
+            )
+            if empty_carts < plan.n_carts:
+                raise SchedulingError(
+                    f"writeback of {name!r} needs {plan.n_carts} empty "
+                    f"carts but the library holds {empty_carts}; stage more "
+                    "with DhlSystem.add_empty_carts"
+                )
+            for shard in plan:
+                cart = claimed[shard.index] = system.library.idle_cart()
+                cart.load_shard(shard)  # reserve content before dispatch
+            return list(claimed)
+
+        def failover_bytes(index: int) -> float:
+            # The cart was recovered into the library with the shard
+            # still reserved on it; undo that and ship the bytes instead.
+            return claimed[index].unload_shard(name, index).size_bytes
+
+        write = ("write", lambda station, index, n_bytes: self.write(station, n_bytes))
+        return self.env.process(self._bulk(
+            "bulk_writeback", dataset, endpoint_id, claim_empty_carts,
+            lambda index: system.dispatch_to_rack(claimed[index].cart_id, endpoint_id),
+            failover_bytes, write,
+        ))
+
+    def _bulk(self, command: str, dataset: Dataset, endpoint_id: int,
+              shards: Callable[[], list[int]],
+              open_cart: Callable[[int], Event],
+              failover_bytes: Callable[[int], float],
+              payload: tuple[str, Callable[[DockingStation, int, float], Event]] | None):
+        """Process: the one shard pipeline behind both bulk moves.
+
+        ``shards()`` names the shard indices (raising if the move cannot
+        start).  One worker per shard then Opens its cart through
+        ``open_cart(index)``, runs the ``payload`` step (a span name and
+        ``step(station, index, n_bytes)``; ``None`` moves no data), Closes
+        the cart and delivers the shard's bytes.  A degraded Open with a
+        failover policy ships ``failover_bytes(index)`` over the optical
+        network instead; without one the shard waits for the repair crew
+        and tries again.
+        """
         system = self.system
         tracer = system.tracer
-        shard_keys = sorted(
-            (shard_index for name, shard_index in self._library_shards(dataset.name)),
-        )
-        if not shard_keys:
-            raise SchedulingError(
-                f"dataset {dataset.name!r} is not staged in the library; "
-                "call DhlSystem.load_dataset first"
-            )
+        indices = shards()
         start = self.env.now
         start_launches = system.total_launches
         start_energy = system.total_launch_energy
         delivered = Store(self.env)
 
-        def shard_worker(shard_index: int):
-            shard_track = f"shard-{shard_index}"
+        def shard_worker(index: int):
+            shard_track = f"shard-{index}"
             while True:
-                open_span = tracer.span("open", track=shard_track, shard=shard_index)
+                open_span = tracer.span("open", track=shard_track, shard=index)
                 try:
-                    station = yield self.open(dataset.name, shard_index, endpoint_id)
+                    station = yield open_cart(index)
                     open_span.end()
                     break
                 except DegradedServiceError:
@@ -153,136 +234,39 @@ class DhlApi:
                     # time and route energy; without one the shard waits
                     # for the repair crew and tries again.
                     if system.failover is not None:
-                        with tracer.span("failover", track=shard_track,
-                                         shard=shard_index):
+                        with tracer.span("failover", track=shard_track, shard=index):
                             n_sent = yield self.env.process(
-                                self._failover_transfer(dataset.name, shard_index)
+                                self._failover_transfer(failover_bytes(index))
                             )
                         yield delivered.put(n_sent)
                         return
-                    tracer.instant("open.deferred", track=shard_track,
-                                   shard=shard_index)
+                    tracer.instant("open.deferred", track=shard_track, shard=index)
                     system._count(COUNT_PREFIX + "open_deferrals")
                     yield self.env.timeout(
                         max(system.shuttle_policy.max_backoff_s, 1.0)
                     )
             cart = station.cart
-            if read_payload:
-                with tracer.span("read", track=shard_track, shard=shard_index):
-                    n_read = yield self.read(endpoint_id, dataset.name, shard_index)
-            else:
-                n_read = cart.shards[(dataset.name, shard_index)].size_bytes
-            with tracer.span("close", track=shard_track, shard=shard_index):
+            n_bytes = cart.shards[(dataset.name, index)].size_bytes
+            if payload is not None:
+                step_name, step = payload
+                with tracer.span(step_name, track=shard_track, shard=index):
+                    n_bytes = yield step(station, index, n_bytes)
+            with tracer.span("close", track=shard_track, shard=index):
                 yield self.env.process(self._persistent_close(cart, endpoint_id))
-            yield delivered.put(n_read)
+            yield delivered.put(n_bytes)
 
-        with tracer.span("bulk_transfer", track="api", dataset=dataset.name,
-                         shards=len(shard_keys)):
-            for shard_index in shard_keys:
-                self.env.process(shard_worker(shard_index))
+        with tracer.span(command, track="api", dataset=dataset.name,
+                         shards=len(indices)):
+            for index in indices:
+                self.env.process(shard_worker(index))
 
             total_bytes = 0.0
-            for _ in shard_keys:
+            for _ in indices:
                 total_bytes += yield delivered.get()
 
         return TransferReport(
             dataset=dataset,
-            shards_moved=len(shard_keys),
-            bytes_delivered=total_bytes,
-            start_s=start,
-            end_s=self.env.now,
-            launches=system.total_launches - start_launches,
-            launch_energy_j=system.total_launch_energy - start_energy,
-        )
-
-    def bulk_writeback(self, dataset: Dataset, endpoint_id: int = 1) -> Event:
-        """Process: stream rack-resident data *into* the library.
-
-        The backup direction (Section II-D2): empty carts shuttle to the
-        rack, the rack Writes shard-sized chunks onto them at PCIe speed,
-        and loaded carts Close back into cold storage.  Pipelined across
-        the endpoint's docking stations like :meth:`bulk_transfer`.
-        Returns a :class:`TransferReport`.
-        """
-        return self.env.process(self._bulk_writeback(dataset, endpoint_id))
-
-    def _bulk_writeback(self, dataset: Dataset, endpoint_id: int):
-        from ..storage.library import Shard, plan_placement
-
-        system = self.system
-        tracer = system.tracer
-        plan = plan_placement(dataset, system.make_array())
-        empty_carts = sum(
-            1 for cart in system.library.carts.values() if not cart.shards
-        )
-        if empty_carts < plan.n_carts:
-            raise SchedulingError(
-                f"writeback of {dataset.name!r} needs {plan.n_carts} empty "
-                f"carts but the library holds {empty_carts}; stage more "
-                "with DhlSystem.add_empty_carts"
-            )
-        start = self.env.now
-        start_launches = system.total_launches
-        start_energy = system.total_launch_energy
-        delivered = Store(self.env)
-
-        def shard_worker(shard: Shard):
-            shard_track = f"shard-{shard.index}"
-            # Claim an empty cart and bring it to the rack.
-            cart = system.library.idle_cart()
-            cart.load_shard(shard)  # reserve content before dispatch
-            while True:
-                open_span = tracer.span("open", track=shard_track,
-                                        shard=shard.index)
-                try:
-                    station = yield system.dispatch_to_rack(cart.cart_id, endpoint_id)
-                    open_span.end()
-                    break
-                except DegradedServiceError:
-                    open_span.end(failed=True)
-                    if system.failover is not None:
-                        # The cart was recovered into the library with
-                        # the shard still reserved on it; undo that and
-                        # ship the bytes over the optical network.
-                        cart.unload_shard(shard.dataset, shard.index)
-                        with tracer.span("failover", track=shard_track,
-                                         shard=shard.index):
-                            yield self.env.timeout(
-                                system.failover.transfer_time(shard.size_bytes)
-                            )
-                        system._count(COUNT_PREFIX + "failovers")
-                        system._count(
-                            ENERGY_PREFIX + "network_failover",
-                            system.failover.transfer_energy(shard.size_bytes),
-                        )
-                        yield delivered.put(shard.size_bytes)
-                        return
-                    tracer.instant("open.deferred", track=shard_track,
-                                   shard=shard.index)
-                    system._count(COUNT_PREFIX + "open_deferrals")
-                    yield self.env.timeout(
-                        max(system.shuttle_policy.max_backoff_s, 1.0)
-                    )
-            with tracer.span("write", track=shard_track, shard=shard.index):
-                yield self.write(station, shard.size_bytes)
-            with tracer.span("close", track=shard_track, shard=shard.index):
-                yield self.env.process(
-                    self._persistent_close(station.cart, endpoint_id)
-                )
-            yield delivered.put(shard.size_bytes)
-
-        with tracer.span("bulk_writeback", track="api", dataset=dataset.name,
-                         shards=plan.n_carts):
-            for shard in plan:
-                self.env.process(shard_worker(shard))
-
-            total_bytes = 0.0
-            for _ in plan.shards:
-                total_bytes += yield delivered.get()
-
-        return TransferReport(
-            dataset=dataset,
-            shards_moved=plan.n_carts,
+            shards_moved=len(indices),
             bytes_delivered=total_bytes,
             start_s=start,
             end_s=self.env.now,
@@ -315,38 +299,26 @@ class DhlApi:
                     max(self.system.shuttle_policy.max_backoff_s, 1.0)
                 )
 
-    def _failover_transfer(self, dataset: str, shard_index: int):
-        """Process: push one library-resident shard over the optical network.
+    def _failover_transfer(self, n_bytes: float):
+        """Process: push one shard's bytes over the optical network.
 
         Used when the DHL degrades: the shard's cart stays in the
         library and the bytes go over ``system.failover.link``, with the
         transfer time simulated and the route energy recorded under the
         ``network_failover`` category.
         """
-        policy = self.system.failover
-        if policy is None:
-            raise SchedulingError("no failover policy configured on this system")
-        cart = self.system.library.cart_holding(dataset, shard_index)
-        size = cart.shards[(dataset, shard_index)].size_bytes
+        system = self.system
+        policy = system.failover
         # Optical-link occupancy: how many failover streams share the
         # fallback path at once (a gauge sampled into the trace).
-        active = self.system.metrics.gauge("occupancy.optical_failover")
+        active = system.metrics.gauge("occupancy.optical_failover")
         active.add(1)
-        self.system.tracer.counter("occupancy.optical_failover", active.value)
+        system.tracer.counter("occupancy.optical_failover", active.value)
         try:
-            yield self.env.timeout(policy.transfer_time(size))
+            yield self.env.timeout(policy.transfer_time(n_bytes))
         finally:
             active.add(-1)
-            self.system.tracer.counter("occupancy.optical_failover", active.value)
-        self.system._count(COUNT_PREFIX + "failovers")
-        self.system._count(
-            ENERGY_PREFIX + "network_failover", policy.transfer_energy(size)
-        )
-        return size
-
-    def _library_shards(self, dataset: str):
-        for cart in self.system.library.carts.values():
-            for (name, index) in cart.shards:
-                if name == dataset:
-                    yield (name, index)
-
+            system.tracer.counter("occupancy.optical_failover", active.value)
+        system._count(COUNT_PREFIX + "failovers")
+        system._count(ENERGY_PREFIX + "network_failover", policy.transfer_energy(n_bytes))
+        return n_bytes

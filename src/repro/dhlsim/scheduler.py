@@ -51,14 +51,13 @@ from .track import Track, build_tracks, pick_track
 
 @dataclass
 class ShuttleAttempt:
-    """One physical launch attempt, visible to shuttle hooks.
+    """One physical launch attempt, visible to pre-shuttle hooks.
 
     Pre-shuttle hooks run once the attempt is committed to launch (tube
     claimed, track up) and may mutate the fault directives: set
     ``stall_s`` to stall the cart mid-tube for that long, and
     ``abort_in_tube`` to have the stall end in extraction (the attempt
-    fails with :class:`~repro.errors.TrackFaultError`).  Post-shuttle
-    hooks observe completed attempts.
+    fails with :class:`~repro.errors.TrackFaultError`).
     """
 
     cart: Cart
@@ -621,10 +620,15 @@ class _Dispatch:
             return
         tracer = self.tracer = _latched(system.tracer)
         if tracer is not None:
+            # A dispatch that queues for a dock slot has not checked its
+            # cart out, and another command may move the cart meanwhile:
+            # its spans go on async rows, exempt from nesting on the track.
+            slots = rack.slots
+            open_span = tracer.span if slots.count < slots.capacity else tracer.span_async
             cart_track = f"cart-{cart_id}"
-            self.span = tracer.span("dispatch", track=cart_track,
-                                    cart=cart_id, endpoint=endpoint_id)
-            self.wait_span = tracer.span("slot.wait", track=cart_track)
+            self.span = open_span("dispatch", track=cart_track,
+                                  cart=cart_id, endpoint=endpoint_id)
+            self.wait_span = open_span("slot.wait", track=cart_track)
         slot = self.slot = rack.slots.request()
         if slot.triggered:
             # A free slot is no wait: check the cart out and launch now,

@@ -17,26 +17,19 @@ which must stay at or above :data:`GATE_FLOOR` (2x).  Per-workload
 floors carry margin below their measured speedups so run-to-run jitter
 does not flag false regressions.
 
-Two further sections are informational or conditionally skipped:
-
-* ``scenario`` — events/sec of a full dhlsim bulk campaign on the
-  optimised engine (the reference engine cannot drive dhlsim, whose
-  components type-check against the real classes).
-* ``replicate`` — wall-clock of the Monte-Carlo harness fanning seeds
-  across a process pool versus serial, plus the byte-identity check of
-  their payloads.  Skipped (with the reason recorded) when
-  ``cpu_count == 1``: a process pool on one core measures scheduler
-  noise, not speedup.
+One further section, ``scenario``, is informational: events/sec of a
+full dhlsim bulk campaign on the optimised engine (the reference engine
+cannot drive dhlsim, whose components type-check against the real
+classes).  The bench times the engine only; the Monte-Carlo harness's
+serial/process identity is checked by ``repro replicate --engine both``.
 """
 
 from __future__ import annotations
 
 import gc
 import math
-import os
 import time
 from dataclasses import dataclass
-from random import Random
 from typing import Callable, Mapping, Sequence
 
 from ..errors import ConfigurationError
@@ -224,44 +217,6 @@ WORKLOADS: dict[str, tuple[Callable[[_EngineKit, int], int], int]] = {
 }
 
 
-# -- replicate section workload ---------------------------------------------
-
-
-def replicate_probe(seed: int) -> dict[str, float]:
-    """One seeded queueing run for the bench's replicate section.
-
-    Module-level (picklable) so :func:`repro.sim.replicate.replicate`
-    can fan it across process workers: a capacity-2 station serving
-    jobs with seeded exponential inter-arrivals, returning wait-time
-    KPIs.  Deterministic per seed.
-    """
-    rng = Random(seed)
-    env = _engine.Environment()
-    station = _resources.Resource(env, capacity=2)
-    waits: list[float] = []
-
-    def job(arrival: float):
-        with station.request() as claim:
-            yield claim
-            waits.append(env.now - arrival)
-            yield env.timeout(1.0)
-
-    def source():
-        for _ in range(400):
-            yield env.timeout(rng.expovariate(1.5))
-            env.process(job(env.now))
-
-    env.process(source())
-    env.run()
-    ordered = sorted(waits)
-    return {
-        "jobs": float(len(waits)),
-        "mean_wait_s": math.fsum(waits) / len(waits),
-        "p95_wait_s": ordered[int(0.95 * (len(ordered) - 1))],
-        "makespan_s": env.now,
-    }
-
-
 # -- timing ------------------------------------------------------------------
 
 
@@ -291,13 +246,12 @@ class WorkloadResult:
 
 @dataclass(frozen=True)
 class EngineBenchReport:
-    """Outcome of one engine bench: per-workload timings plus extras."""
+    """Outcome of one engine bench: per-workload timings plus the scenario."""
 
     repeats: int
     scale: float
     results: tuple[WorkloadResult, ...]
     scenario: Mapping[str, object]
-    replicate: Mapping[str, object]
 
     def result(self, name: str) -> WorkloadResult:
         for entry in self.results:
@@ -367,42 +321,10 @@ def _time_scenario(repeats: int) -> dict[str, object]:
     }
 
 
-def _time_replicate(seeds: int, workers: int | None) -> dict[str, object]:
-    """Serial vs process-pool Monte-Carlo fan-out, or a recorded skip."""
-    cpu_count = os.cpu_count() or 1
-    if cpu_count == 1 and not (workers and workers > 1):
-        # A process pool on one core measures scheduler noise, not
-        # speedup; record why rather than committing a junk comparison.
-        return {"skipped": "cpu_count == 1"}
-    from .replicate import render_payload, replicate, result_payload
-
-    seed_list = range(seeds)
-    timings: dict[str, float] = {}
-    payloads: dict[str, str] = {}
-    for engine in ("serial", "process"):
-        started = time.perf_counter()
-        result = replicate(
-            replicate_probe, seed_list, engine=engine,
-            workers=workers if engine == "process" else None,
-        )
-        timings[engine] = time.perf_counter() - started
-        payloads[engine] = render_payload(result_payload(result))
-    return {
-        "seeds": seeds,
-        "serial_s": round(timings["serial"], 6),
-        "process_s": round(timings["process"], 6),
-        "speedup": round(timings["serial"] / timings["process"], 3),
-        "identical_payloads": payloads["serial"] == payloads["process"],
-    }
-
-
 def run_engine_bench(
     repeats: int = DEFAULT_REPEATS,
     scale: float = 1.0,
-    workers: int | None = None,
     include_scenario: bool = True,
-    include_replicate: bool = True,
-    replicate_seeds: int = 4,
 ) -> EngineBenchReport:
     """Time every workload on both engines; best run of each counts.
 
@@ -428,16 +350,11 @@ def run_engine_bench(
             events_identical=opt_events == ref_events,
         ))
     scenario = _time_scenario(repeats) if include_scenario else {"skipped": "disabled"}
-    replicate = (
-        _time_replicate(replicate_seeds, workers)
-        if include_replicate else {"skipped": "disabled"}
-    )
     return EngineBenchReport(
         repeats=repeats,
         scale=scale,
         results=tuple(results),
         scenario=scenario,
-        replicate=replicate,
     )
 
 
@@ -471,7 +388,6 @@ def report_payload(report: EngineBenchReport) -> dict[str, object]:
             for entry in report.results
         },
         "scenario": dict(report.scenario),
-        "replicate": dict(report.replicate),
     }
 
 
@@ -487,8 +403,6 @@ def compare_to_baseline(
     The fresh per-workload speedups must additionally stay above
     ``ratio_floor`` of the baseline's — a collapse of relative
     performance flags a regression even where a floor still passes.
-    The replicate byte-identity invariant must hold wherever the
-    section ran (it is recorded as skipped on 1-core machines).
     """
     problems: list[str] = []
     for side, report in (("fresh", payload), ("baseline", baseline)):
@@ -501,13 +415,6 @@ def compare_to_baseline(
         if not report.get("events_identical", False):
             problems.append(
                 f"{side} engines no longer schedule identical event counts"
-            )
-        replicate = dict(report.get("replicate", {}))
-        if "skipped" not in replicate and not replicate.get(
-            "identical_payloads", False
-        ):
-            problems.append(
-                f"{side} replicate payloads differ between serial and process"
             )
     fresh_workloads = dict(payload.get("workloads", {}))
     base_workloads = dict(baseline.get("workloads", {}))

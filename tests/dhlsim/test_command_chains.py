@@ -59,7 +59,7 @@ from repro.fleet.controlplane import (
 )
 from repro.fleet.sla import Outcome
 from repro.obs.probe import trace_leaked_resources
-from repro.obs.tracer import NULL_SPAN, TraceLevel, Tracer
+from repro.obs.tracer import NULL_SPAN, TraceLevel, Tracer, span_nesting_violations
 from repro.sim import Environment, Interrupt
 from repro.storage.datasets import synthetic_dataset
 from repro.storage.ssd_array import PCIE6_X64
@@ -288,9 +288,12 @@ def _shuttle_once(system, attempt, track):
 def _dispatch(system, cart_id, endpoint_id):
     rack = system.rack(endpoint_id)
     cart_track = f"cart-{cart_id}"
-    with system.tracer.span("dispatch", track=cart_track,
-                            cart=cart_id, endpoint=endpoint_id):
-        with system.tracer.span("slot.wait", track=cart_track):
+    slots = rack.slots
+    # A dispatch that queues for its slot traces on async rows, as the chain does.
+    open_span = (system.tracer.span if slots.count < slots.capacity
+                 else system.tracer.span_async)
+    with open_span("dispatch", track=cart_track, cart=cart_id, endpoint=endpoint_id):
+        with open_span("slot.wait", track=cart_track):
             slot = rack.slots.request()
             yield slot
         try:
@@ -802,6 +805,69 @@ class TestDockSlotLeak:
             assert str(refused) == f"cart {docked.cart.cart_id} is not in the library"
             # The docked cart holds its slot; the refused Open holds none.
             assert system.leaked_resources() == {"tube:rail-0": 0, "slots:1": 0}
+
+
+def open_one_cart_twice_behind_a_held_slot(oracle):
+    """One dock slot, held by shard 1 from t = 0 for 1,000 s.
+
+    Shard 0 is Opened at t = 1 s and again at t = 5 s; both queue for the
+    slot.  The first docks once shard 1 leaves and Closes at once; the
+    second is granted the slot while the cart is away and is refused.
+    Returns the tracer, the system and the Opens' log.
+    """
+    with fresh_cart_ids(), command_path(oracle):
+        tracer = Tracer()
+        env = Environment(tracer=tracer)
+        system = DhlSystem(env, stations_per_rack=1, tracer=tracer)
+        system.load_dataset(synthetic_dataset(2 * 256 * TB, name="d"))
+        api = DhlApi(system)
+        log = []
+
+        def hold():
+            station = yield api.open("d", 1, 1)
+            yield env.timeout(1000.0)
+            yield api.close(station.cart, 1)
+
+        def open_shard_zero(at):
+            yield env.timeout(at)
+            try:
+                station = yield api.open("d", 0, 1)
+            except SchedulingError as error:
+                log.append((at, env.now, str(error)))
+                return
+            log.append((at, env.now, "docked"))
+            yield api.close(station.cart, 1)
+
+        env.process(hold())
+        env.process(open_shard_zero(1.0))
+        env.process(open_shard_zero(5.0))
+        env.run()
+    return tracer, system, log
+
+
+class TestQueuedDispatchSpans:
+    @pytest.mark.parametrize("oracle", [False, True], ids=["callbacks", "process"])
+    def test_two_queued_opens_of_one_cart_nest_on_its_track(self, oracle):
+        tracer, system, log = open_one_cart_twice_behind_a_held_slot(oracle)
+        (first_at, docked_at, docked), (second_at, refused_at, refused) = log
+        assert (first_at, docked, second_at) == (1.0, "docked", 5.0)
+        assert refused == "cart 0 is not in the library"
+        assert refused_at == docked_at  # the slot frees as the cart leaves
+        # The queued waits ran 1 s -> 1,008.6 s and 5 s -> the refusal on
+        # cart-0's track, partly overlapping: they are async rows now.
+        assert span_nesting_violations(tracer.closed_spans()) == []
+        assert tracer.open_spans() == []
+        dispatches = sorted(
+            (span.start_s, span.end_s, span.async_id is None)
+            for span in tracer.find_spans("dispatch")
+        )
+        assert dispatches == [
+            (0.0, pytest.approx(8.6), True),  # a free slot: a synchronous span
+            (1.0, docked_at, False),
+            (5.0, refused_at, False),
+        ]
+        assert trace_leaked_resources(tracer, system) == system.leaked_resources()
+        assert set(system.leaked_resources().values()) == {0}
 
 
 # -- the tie rule --------------------------------------------------------------

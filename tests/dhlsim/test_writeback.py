@@ -5,8 +5,12 @@ import pytest
 from repro.core.params import DhlParams
 from repro.core.physics import trip_time
 from repro.dhlsim.api import DhlApi
+from repro.dhlsim.policy import FailoverPolicy, ShuttlePolicy
 from repro.dhlsim.scheduler import DhlSystem
 from repro.errors import SchedulingError
+from repro.network.routes import ROUTE_B
+from repro.network.transfer import OpticalLink
+from repro.obs.tracer import Tracer
 from repro.sim import Environment
 from repro.storage.datasets import synthetic_dataset
 from repro.units import TB
@@ -106,3 +110,63 @@ class TestBulkWriteback:
         restore = env.run(until=api.bulk_transfer(backup, read_payload=True))
         assert restore.bytes_delivered == pytest.approx(backup.size_bytes)
         assert system.library.stored_count == 2
+
+
+def dead_track_move(direction, failover):
+    """A 4-shard bulk move in ``direction`` with the only track down from t = 0.
+
+    With ``failover`` the system has an optical-network failover policy;
+    without one the track is repaired at t = 60 s.  Returns the report,
+    the system and its tracer.
+    """
+    tracer = Tracer()
+    env = Environment(tracer=tracer)
+    system = DhlSystem(
+        env, tracer=tracer,
+        shuttle_policy=ShuttlePolicy(max_attempts=2, base_backoff_s=0.5,
+                                     give_up_outage_s=5.0),
+        failover=FailoverPolicy(link=OpticalLink(route=ROUTE_B)) if failover else None,
+    )
+    track = system.tracks[0]
+    track.health.mark_down(env.now)
+    if not failover:
+        env.timeout(60.0).callbacks.append(lambda _event: track.health.mark_up(env.now))
+    dataset = synthetic_dataset(4 * 256 * TB, name="dead")
+    api = DhlApi(system)
+    if direction == "writeback":
+        system.add_empty_carts(4)
+        move = api.bulk_writeback(dataset)
+    else:
+        system.load_dataset(dataset)
+        move = api.bulk_transfer(dataset)
+    return env.run(until=move), system, tracer
+
+
+class TestDegradedWriteback:
+    def test_dead_track_fails_every_shard_over_to_the_network(self):
+        report, system, tracer = dead_track_move("writeback", failover=True)
+        assert report.shards_moved == 4
+        assert report.bytes_delivered == pytest.approx(4 * 256 * TB)
+        assert report.launches == 0  # nothing ever rode the tube
+        assert system.metrics.value("count.failovers") == 4
+        assert system.metrics.value("energy_j.network_failover") > 0
+        # The optical path is occupied and released as for a transfer.
+        gauge = system.metrics.gauge("occupancy.optical_failover")
+        assert (gauge.value, gauge.peak) == (0.0, 4.0)
+        _, _, transfer_tracer = dead_track_move("transfer", failover=True)
+        assert tracer.counters == transfer_tracer.counters
+        # The reservations on the claimed carts were undone.
+        assert all(not cart.shards for cart in system.library.carts.values())
+        assert system.library.stored_count == 4
+        assert set(system.leaked_resources().values()) == {0}
+
+    def test_without_failover_shards_wait_for_the_repair(self):
+        report, system, _tracer = dead_track_move("writeback", failover=False)
+        assert report.shards_moved == 4
+        assert report.bytes_delivered == pytest.approx(4 * 256 * TB)
+        assert report.end_s > 60.0
+        assert system.metrics.value("count.open_deferrals") >= 4
+        assert system.metrics.value("count.failovers") == 0
+        for index in range(4):
+            assert system.library.cart_holding("dead", index) is not None
+        assert set(system.leaked_resources().values()) == {0}

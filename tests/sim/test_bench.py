@@ -24,8 +24,7 @@ from repro.sim.bench import (
 
 
 def tiny_bench():
-    return run_engine_bench(repeats=1, scale=0.02, include_scenario=False,
-                            include_replicate=False)
+    return run_engine_bench(repeats=1, scale=0.02, include_scenario=False)
 
 
 def synthetic_payload(**overrides):
@@ -39,7 +38,6 @@ def synthetic_payload(**overrides):
             name: {"speedup": floor * 1.5, "floor": floor}
             for name, floor in SPEEDUP_FLOORS.items()
         },
-        "replicate": {"skipped": "cpu_count == 1"},
     }
     payload.update(overrides)
     return payload
@@ -94,7 +92,7 @@ class TestRunEngineBench:
                     "reference_events_per_sec", "speedup",
                     "floor"} <= set(entry)
         assert payload["scenario"] == {"skipped": "disabled"}
-        assert payload["replicate"] == {"skipped": "disabled"}
+        assert "replicate" not in payload  # the bench times the engine only
         path = str(tmp_path / "bench.json")
         write(payload, path)
         assert load(path)["gate"]["workload"] == GATE_WORKLOAD
@@ -145,19 +143,6 @@ class TestCompareToBaseline:
         del fresh["workloads"]["store"]
         assert any("missing from fresh run" in problem for problem in
                    compare_to_baseline(fresh, synthetic_payload()))
-
-    def test_replicate_identity_checked_only_when_it_ran(self):
-        ran_and_matched = synthetic_payload(
-            replicate={"identical_payloads": True, "seeds": 4,
-                       "serial_s": 1.0, "process_s": 0.5, "speedup": 2.0}
-        )
-        assert compare_to_baseline(ran_and_matched, synthetic_payload()) == []
-        ran_and_diverged = synthetic_payload(
-            replicate={"identical_payloads": False, "seeds": 4,
-                       "serial_s": 1.0, "process_s": 0.5, "speedup": 2.0}
-        )
-        assert any("payloads differ" in problem for problem in
-                   compare_to_baseline(ran_and_diverged, synthetic_payload()))
 
 
 class TestCommittedBaseline:

@@ -2,10 +2,12 @@
 
 import json
 import math
+import random
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.sim import Environment, Resource
 from repro.sim.replicate import (
     MetricStats,
     render_payload,
@@ -27,6 +29,39 @@ def constant_run(seed):
 
 def ragged_run(seed):
     return {"a": 1.0} if seed % 2 == 0 else {"b": 2.0}
+
+
+def queueing_run(seed):
+    """One seeded queueing run: a capacity-2 station, exponential arrivals.
+
+    Module-level (picklable) so process workers can run it; returns
+    wait-time KPIs, deterministic per seed.
+    """
+    rng = random.Random(seed)
+    env = Environment()
+    station = Resource(env, capacity=2)
+    waits = []
+
+    def job(arrival):
+        with station.request() as claim:
+            yield claim
+            waits.append(env.now - arrival)
+            yield env.timeout(1.0)
+
+    def source():
+        for _ in range(400):
+            yield env.timeout(rng.expovariate(1.5))
+            env.process(job(env.now))
+
+    env.process(source())
+    env.run()
+    ordered = sorted(waits)
+    return {
+        "jobs": float(len(waits)),
+        "mean_wait_s": math.fsum(waits) / len(waits),
+        "p95_wait_s": ordered[int(0.95 * (len(ordered) - 1))],
+        "makespan_s": env.now,
+    }
 
 
 class TestSummarise:
@@ -112,12 +147,9 @@ class TestDeterministicPayload:
         )
 
     def test_serial_and_process_payloads_byte_identical(self):
-        from repro.sim.bench import replicate_probe
-
         seeds = range(3)
-        serial = replicate(replicate_probe, seeds, engine="serial")
-        process = replicate(replicate_probe, seeds, engine="process",
-                            workers=2)
+        serial = replicate(queueing_run, seeds, engine="serial")
+        process = replicate(queueing_run, seeds, engine="process", workers=2)
         assert render_payload(result_payload(serial)) == render_payload(
             result_payload(process)
         )

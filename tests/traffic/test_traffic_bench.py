@@ -1,10 +1,11 @@
-"""Tests for the traffic bench artefact and its regression gate."""
+"""Tests for the traffic bench artefact.
 
-import json
+The comparator and the canonical round trip are ``tests/test_bench_registry.py``'s;
+the committed ``BENCH_traffic.json`` is gated against a fresh run there.
+"""
 
 import pytest
 
-from repro.bench import compare, load, write
 from repro.errors import ConfigurationError
 from repro.traffic.bench import (
     SCHEMA,
@@ -56,47 +57,6 @@ class TestPayload:
         for kpis in payload["tenants"].values():
             assert {"n_jobs", "p99_s", "deadline_miss_rate",
                     "goodput_gb_per_s"} <= set(kpis)
-
-    def test_write_and_load_round_trip(self, bench, tmp_path):
-        path = str(tmp_path / "BENCH_traffic.json")
-        write(report_payload(bench), path)
-        assert load(path) == json.loads(
-            json.dumps(report_payload(bench))
-        )
-
-
-class TestRegressionGate:
-    def test_identical_payloads_pass(self, bench):
-        payload = report_payload(bench)
-        assert compare(payload, payload) == []
-
-    def test_informational_drift_is_exempt(self, bench):
-        payload = report_payload(bench)
-        baseline = json.loads(json.dumps(payload))
-        baseline["replay"]["events_per_s_informational"] = 1.0
-        assert compare(payload, baseline) == []
-
-    def test_kpi_drift_is_flagged(self, bench):
-        payload = report_payload(bench)
-        baseline = json.loads(json.dumps(payload))
-        baseline["replay"]["served"] += 1
-        baseline["tenants"]["search"]["p99_s"] *= 1.5
-        problems = compare(payload, baseline)
-        assert any("replay.served" in problem for problem in problems)
-        assert any("tenants.search.p99_s" in problem for problem in problems)
-
-    def test_failed_invariants_are_flagged_on_both_sides(self, bench):
-        payload = report_payload(bench)
-        broken = json.loads(json.dumps(payload))
-        broken["invariants"]["codec_roundtrip_identical"] = False
-        assert any(
-            "invariant failed in baseline" in problem
-            for problem in compare(payload, broken)
-        )
-        assert any(
-            "invariant failed in fresh run" in problem
-            for problem in compare(broken, payload)
-        )
 
 
 def test_in_system_bound_formula():
