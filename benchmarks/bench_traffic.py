@@ -2,7 +2,7 @@
 
 Times synthesis, both codecs and open-loop replay on the bench-sized
 day slice, and asserts the layer's structural invariants: codec
-round-trip identity, the lookahead cap on decoded records, and the
+round-trip identity, the chunk cap on records bound ahead, and the
 admission bound on simultaneously-live jobs.  Throughput (events/s)
 lands in ``extra_info``; the full bench pipeline is gated by ``repro
 traffic --check BENCH_traffic.json``.
@@ -88,5 +88,5 @@ def test_replay_throughput(benchmark):
     benchmark.extra_info["events_per_s"] = round(
         result.n_records / max(result.wall_s, 1e-9)
     )
-    assert result.peak_pending <= result.config.max_pending
+    assert result.peak_pending <= result.config.chunk_records
     assert result.peak_in_system <= in_system_bound(scenario)

@@ -270,7 +270,7 @@ def _traffic(args: argparse.Namespace) -> dict[str, object]:
           f"({result.n_records / max(result.wall_s, 1e-9):,.0f} events/s), "
           f"peak {result.fleet.peak_in_system} live jobs "
           f"(bound {bench.in_system_bound}), {result.peak_pending} decoded "
-          f"ahead (cap {result.config.max_pending})")
+          f"ahead (cap {result.config.chunk_records})")
     return traffic_bench.report_payload(bench)
 
 

@@ -566,7 +566,7 @@ class FleetReport:
     peak_in_system: int = 0
     """Most jobs simultaneously live in the plane (admitted but not yet
     resolved) — the memory proxy trace replay bounds via admission
-    control plus its lookahead window."""
+    control plus its one-chunk decode window."""
     tenant_sla: SlaReport | None = None
     """Per-tenant SLA breakdown (``None`` when no job carried a
     tenant, i.e. for every pre-traffic synthetic scenario)."""

@@ -15,9 +15,9 @@ package is that demand layer.  It has four parts, each usable alone:
   catalog, multi-tenant class mixes — byte-identical however its
   windows are scheduled;
 * :mod:`~repro.traffic.replay` — an open-loop adapter that feeds a
-  trace into :func:`repro.fleet.controlplane.run_fleet` incrementally
-  on the DES clock behind a bounded lookahead cursor, with per-tenant
-  SLA accounting surfaced through the fleet report.
+  trace into the fleet control plane incrementally on the DES clock,
+  bound one chunk of records at a time, with per-tenant SLA accounting
+  surfaced through the fleet report.
 
 ``repro traffic`` (see :mod:`repro.cli`) runs the benchmark pipeline
 end to end and gates it against the committed ``BENCH_traffic.json``.
@@ -41,7 +41,7 @@ _EXPORTS = {
         "TenantProfile", "trace_header", "TraceSpec",
     ),
     ".replay": (
-        "bound_jobs", "check_compatible", "LookaheadCursor", "replay_fleet",
+        "bound_jobs", "check_compatible", "JobBinder", "replay_fleet",
         "replay_fleet_sharded", "ReplayConfig", "ReplayResult",
     ),
     ".bench": (

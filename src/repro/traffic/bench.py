@@ -12,8 +12,8 @@ a seeded deterministic pipeline, so the regression gate compares
 values directly; synthesis and replay throughput (events/s) and wall
 time are recorded as informational context only.  The payload also
 pins the layer's structural invariants as booleans: codec round-trip
-identity, the lookahead cap on decoded records, and the admission
-bound on live jobs — the constant-memory contract.
+identity, the chunk cap on records bound ahead of the clock, and the
+admission bound on live jobs — the constant-memory contract.
 """
 
 from __future__ import annotations
@@ -50,9 +50,7 @@ DEFAULT_REQUESTS = 25_000
 #: Records round-tripped through both codecs for the identity check.
 ROUNDTRIP_SAMPLE = 512
 
-DEFAULT_REPLAY_CONFIG = ReplayConfig(
-    max_pending=2048, lookahead_s=120.0, chunk_records=256
-)
+DEFAULT_REPLAY_CONFIG = ReplayConfig(chunk_records=256)
 
 
 def bench_scenario(spec: TraceSpec, horizon_s: float) -> FleetScenario:
@@ -159,7 +157,7 @@ class TrafficBenchReport:
         return {
             "codec_roundtrip_identical": self.roundtrip_ok,
             "peak_pending_within_cap": (
-                self.result.peak_pending <= self.result.config.max_pending
+                self.result.peak_pending <= self.result.config.chunk_records
             ),
             "peak_in_system_bounded": (
                 self.result.peak_in_system <= self.in_system_bound
@@ -281,7 +279,6 @@ def report_payload(bench: TrafficBenchReport) -> dict[str, object]:
             "peak_in_system": fleet.peak_in_system,
             "in_system_bound": bench.in_system_bound,
             "peak_pending": bench.result.peak_pending,
-            "max_pending": bench.result.config.max_pending,
             "events_per_s_informational": round(
                 fleet.n_jobs / replay_wall, 0
             ) if replay_wall > 0 else 0.0,

@@ -7,13 +7,18 @@ the way a live fleet would — not to a pre-built job list.
 
 Two bounds keep a 10M-request day in constant memory:
 
-* the control plane's lazy intake holds at most **one** bound job ahead
-  of the clock (see ``ControlPlane._start_intake``);
-* the :class:`LookaheadCursor` in front of it decodes records in small
-  chunks, never buffering more than ``max_pending`` records nor more
-  than ``lookahead_s`` of virtual time past the last record it handed
-  out.  ``peak_pending`` records the high-water mark, the live-object
-  count the traffic bench gates on.
+* the control plane's lazy intake pulls the next bound job only after
+  submitting the previous one (see ``ControlPlane._start_intake``);
+* the :class:`JobBinder` in front of it decodes and binds records one
+  chunk of ``chunk_records`` at a time, so at most one chunk of bound
+  jobs exists ahead of the clock.  ``peak_pending`` records the largest
+  chunk held, the live-object count the traffic bench gates on.
+
+A binary trace reader hands the binder validated numpy row chunks
+(:meth:`~repro.traffic.codec.BinaryRecordReader.chunks`), which it binds
+column-wise with no per-record :class:`TraceRecord`; any other record
+iterable (a synthesis stream, a JSONL reader, a list) is pulled in
+slices of the same size and bound from its tuples.
 
 Replay is open-loop: the trace is the offered load, full stop.  Jobs
 the fleet sheds do not come back as retries — exactly the
@@ -23,14 +28,14 @@ assume-nothing baseline the paper's contention studies need.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..fleet.shard import ShardPlan, ShardReport
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ReproError
 from ..obs import Tracer
 from ..fleet.controlplane import FleetReport, FleetScenario, build_plane
 from ..fleet.controlplane import _FleetJob
@@ -40,101 +45,128 @@ from .schema import TraceHeader, TraceRecord
 
 @dataclass(frozen=True)
 class ReplayConfig:
-    """Bounds on how far replay may decode ahead of the DES clock."""
+    """How far replay may decode ahead of the DES clock."""
 
-    max_pending: int = 4096
-    """Hard cap on decoded-but-not-yet-injected records."""
-    lookahead_s: float = 60.0
-    """Virtual-time horizon: never decode past the last injected
-    arrival by more than this."""
     chunk_records: int = 256
-    """Records decoded per refill — the injection batch size."""
+    """Records decoded and bound per chunk: the most records
+    materialised ahead of the DES clock."""
 
     def __post_init__(self) -> None:
-        if self.max_pending < 1:
-            raise ConfigurationError("max_pending must be >= 1")
-        if self.lookahead_s <= 0:
-            raise ConfigurationError("lookahead_s must be positive")
-        if not 1 <= self.chunk_records <= self.max_pending:
+        if self.chunk_records < 1:
             raise ConfigurationError(
-                f"chunk_records must be within [1, max_pending="
-                f"{self.max_pending}], got {self.chunk_records}"
+                f"chunk_records must be >= 1, got {self.chunk_records}"
             )
 
 
-class LookaheadCursor:
-    """Bounded decode-ahead over a streaming record iterator.
+class JobBinder:
+    """Trace records bound to pre-bound fleet jobs, one chunk at a time.
 
-    Chunked: a refill decodes up to ``chunk_records`` records at once
-    (amortising codec overhead), but stops early at the lookahead
-    horizon, carrying the first over-horizon record until the clock
-    catches up.  Because the control plane pulls the next record only
-    after submitting the previous one, the last record handed out is a
-    faithful proxy for the DES clock — no back-reference into the
-    environment is needed, which keeps the cursor a plain iterator.
+    :meth:`jobs` is the stream of ``_FleetJob``\\ s the control plane's
+    intake pulls; each chunk of ``chunk_records`` records is bound in
+    one pass when the intake reaches it.  Unlike the synthetic path
+    there is no random binding draw: the trace already names dataset,
+    tenant and deadline.  Job ids number records in arrival order,
+    priorities come from the scenario's targets per kind (so scheduling
+    policy and trace stay decoupled) and a read is capped at
+    ``cart_bytes``.
+
+    A source with a ``chunks(n)`` method and a ``header`` (a binary
+    trace reader) is bound from its validated row columns: names from
+    the header tables, priorities from one table per kind id.  Any
+    other iterable yields records, already checked by their
+    construction, and is bound from their tuples.  Both give
+    bit-identical jobs, and both hand out the jobs before a bad record
+    before its error propagates.
     """
 
-    def __init__(self, records: Iterable[TraceRecord],
-                 config: ReplayConfig | None = None):
-        self.config = config if config is not None else ReplayConfig()
-        self._records = iter(records)
-        self._buffer: deque[TraceRecord] = deque()
-        self._carry: TraceRecord | None = None
-        self._exhausted = False
-        self._last_out: float | None = None
+    def __init__(
+        self,
+        records: Iterable[TraceRecord],
+        targets: dict[str, ClassTarget],
+        cart_bytes: float,
+        chunk_records: int = ReplayConfig.chunk_records,
+        default: ClassTarget = DEFAULT_TARGET,
+    ):
+        self.records = records
+        self.targets = targets
+        self.cart_bytes = cart_bytes
+        self.chunk_records = chunk_records
+        self.default = default
         self.n_records = 0
+        """Records bound so far."""
         self.peak_pending = 0
+        """Most records in one chunk: the most bound ahead of the clock."""
 
-    @property
-    def pending(self) -> int:
-        """Decoded records waiting for injection (carry included)."""
-        return len(self._buffer) + (1 if self._carry is not None else 0)
+    def _priority(self, kind: str) -> int:
+        return self.targets.get(kind, self.default).priority
 
-    def _refill(self) -> None:
-        horizon = (
-            None if self._last_out is None
-            else self._last_out + self.config.lookahead_s
-        )
-        if self._carry is not None:
-            if horizon is not None and self._carry.arrival_s > horizon:
-                # Still beyond the window; hand it out alone so the
-                # clock can advance to it.
-                self._buffer.append(self._carry)
-                self._carry = None
-                return
-            self._buffer.append(self._carry)
-            self._carry = None
-        while len(self._buffer) < self.config.chunk_records:
-            if self._exhausted:
-                break
+    def _row_chunks(self) -> Iterator[list[_FleetJob]]:
+        header = self.records.header
+        tenants, datasets, kinds = header.tenants, header.datasets, header.kinds
+        priorities = [self._priority(kind) for kind in kinds]
+        start = 0
+        for rows in self.records.chunks(self.chunk_records):
+            kind_ids = rows["kind"].tolist()
+            sizes = rows["size_bytes"]
+            stop = start + len(kind_ids)
+            yield list(map(
+                _FleetJob,
+                range(start, stop),
+                rows["arrival_s"].tolist(),
+                sizes.tolist(),
+                map(kinds.__getitem__, kind_ids),
+                map(datasets.__getitem__, rows["dataset"].tolist()),
+                sizes.clip(max=self.cart_bytes).tolist(),
+                rows["deadline_s"].tolist(),
+                map(priorities.__getitem__, kind_ids),
+                map(tenants.__getitem__, rows["tenant"].tolist()),
+            ))
+            start = stop
+
+    def _record_chunks(self) -> Iterator[list[_FleetJob]]:
+        priorities: dict[str, int] = {}
+        cart = repeat(self.cart_bytes)
+
+        def bind(chunk: list[TraceRecord], start: int) -> list[_FleetJob]:
+            arrivals, tenants, datasets, sizes, kinds, deadlines = zip(*chunk)
+            for kind in set(kinds).difference(priorities):
+                priorities[kind] = self._priority(kind)
+            return list(map(
+                _FleetJob, range(start, start + len(chunk)), arrivals, sizes,
+                kinds, datasets, map(min, sizes, cart), deadlines,
+                map(priorities.__getitem__, kinds), tenants,
+            ))
+
+        records = iter(self.records)
+        start = 0
+        while True:
+            chunk: list[TraceRecord] = []
             try:
-                record = next(self._records)
-            except StopIteration:
-                self._exhausted = True
-                break
-            if (
-                horizon is not None
-                and record.arrival_s > horizon
-                and self._buffer
-            ):
-                self._carry = record
-                break
-            self._buffer.append(record)
-        if self.pending > self.peak_pending:
-            self.peak_pending = self.pending
+                chunk.extend(islice(records, self.chunk_records))
+            except ReproError:
+                # The records before a bad one are still handed out.
+                if chunk:
+                    yield bind(chunk, start)
+                raise
+            if not chunk:
+                return
+            yield bind(chunk, start)
+            start += len(chunk)
 
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return self
+    def _chunks(self) -> Iterator[list[_FleetJob]]:
+        chunks = (
+            self._row_chunks() if hasattr(self.records, "chunks")
+            else self._record_chunks()
+        )
+        for jobs in chunks:
+            self.n_records += len(jobs)
+            if len(jobs) > self.peak_pending:
+                self.peak_pending = len(jobs)
+            yield jobs
 
-    def __next__(self) -> TraceRecord:
-        if not self._buffer:
-            self._refill()
-        if not self._buffer:
-            raise StopIteration
-        record = self._buffer.popleft()
-        self._last_out = record.arrival_s
-        self.n_records += 1
-        return record
+    def jobs(self) -> Iterator[_FleetJob]:
+        """Every bound job, in arrival order, bound a chunk at a time."""
+        return chain.from_iterable(self._chunks())
 
 
 def bound_jobs(
@@ -145,25 +177,10 @@ def bound_jobs(
 ) -> Iterator[_FleetJob]:
     """Lazily turn trace records into pre-bound fleet jobs.
 
-    Unlike the synthetic path there is no random binding draw: the
-    trace already names dataset, tenant and deadline.  Job ids number
-    records in arrival order.  Priorities still come from the
-    scenario's targets (looked up once per kind) so scheduling policy
-    and trace stay decoupled.  Each record unpacks straight into one
-    flat fleet job; the record's own construction already checked
-    every field.
+    The :class:`JobBinder` stream without its accounting, in chunks of
+    the default size.
     """
-    priorities: dict[str, int] = {}
-    for job_id, (arrival_s, tenant, dataset, size_bytes, kind,
-                 deadline_s) in enumerate(records):
-        priority = priorities.get(kind)
-        if priority is None:
-            priority = priorities[kind] = targets.get(kind, default).priority
-        yield _FleetJob(
-            job_id, arrival_s, size_bytes, kind, dataset,
-            cart_bytes if cart_bytes < size_bytes else size_bytes,
-            deadline_s, priority, tenant,
-        )
+    return JobBinder(records, targets, cart_bytes, default=default).jobs()
 
 
 @dataclass(frozen=True)
@@ -201,6 +218,12 @@ def check_compatible(header: TraceHeader, scenario: FleetScenario) -> None:
         )
 
 
+def _binder(scenario: FleetScenario, records: Iterable[TraceRecord],
+            config: ReplayConfig) -> JobBinder:
+    return JobBinder(records, dict(scenario.targets),
+                     scenario.catalog.dataset_bytes, config.chunk_records)
+
+
 def replay_fleet(
     scenario: FleetScenario,
     records: Iterable[TraceRecord],
@@ -212,25 +235,22 @@ def replay_fleet(
     :func:`~repro.fleet.controlplane.build_plane`.
 
     ``records`` may be a live synthesis stream or a codec reader; either
-    way it is consumed incrementally behind a :class:`LookaheadCursor`
-    and bound by :func:`bound_jobs` straight into the plane's intake.
-    Pass the trace ``header`` when available to validate dataset
-    compatibility before the first launch.  Day-scale traces should use
-    a scenario with ``retain_records=False`` so SLA accounting stays
-    constant-memory too.
+    way a :class:`JobBinder` consumes it one chunk at a time, straight
+    into the plane's intake.  Pass the trace ``header`` when available
+    to validate dataset compatibility before the first launch.
+    Day-scale traces should use a scenario with ``retain_records=False``
+    so SLA accounting stays constant-memory too.
     """
     config = config if config is not None else ReplayConfig()
     if header is not None:
         check_compatible(header, scenario)
-    cursor = LookaheadCursor(records, config)
+    binder = _binder(scenario, records, config)
     started = time.perf_counter()
-    report = build_plane(scenario, tracer=tracer).run(bound_jobs(
-        cursor, dict(scenario.targets), scenario.catalog.dataset_bytes
-    ))
+    report = build_plane(scenario, tracer=tracer).run(binder.jobs())
     return ReplayResult(
         fleet=report,
-        n_records=cursor.n_records,
-        peak_pending=cursor.peak_pending,
+        n_records=binder.n_records,
+        peak_pending=binder.peak_pending,
         config=config,
         wall_s=time.perf_counter() - started,
         header=header,
@@ -247,10 +267,10 @@ def replay_fleet_sharded(
 ) -> tuple[ReplayResult, "ShardReport"]:
     """Stream a trace through the sharded multi-process fleet runner.
 
-    The same bounded-lookahead cursor feeds the parent, which routes
+    The same chunked :class:`JobBinder` feeds the parent, which routes
     each bound job to its pod and spools every pod's inputs to a file,
     one input window at a time.  So the memory contract is unchanged:
-    at most ``max_pending`` decoded records plus one window of bound
+    at most ``chunk_records`` bound records plus one window of bound
     jobs exist in the parent at any moment, and each pod reads its
     spool batch by batch.
     Returns the familiar :class:`ReplayResult` (built from the merged
@@ -261,21 +281,17 @@ def replay_fleet_sharded(
     from ..fleet.shard import _run_bound_sharded
 
     config = config if config is not None else ReplayConfig()
-    scenario = plan.scenario
     if header is not None:
-        check_compatible(header, scenario)
-    cursor = LookaheadCursor(records, config)
+        check_compatible(header, plan.scenario)
+    binder = _binder(plan.scenario, records, config)
     started = time.perf_counter()
     shard_report = _run_bound_sharded(
-        plan,
-        bound_jobs(cursor, dict(scenario.targets), scenario.catalog.dataset_bytes),
-        engine=engine,
-        workers=workers,
+        plan, binder.jobs(), engine=engine, workers=workers
     )
     result = ReplayResult(
         fleet=shard_report.fleet,
-        n_records=cursor.n_records,
-        peak_pending=cursor.peak_pending,
+        n_records=binder.n_records,
+        peak_pending=binder.peak_pending,
         config=config,
         wall_s=time.perf_counter() - started,
         header=header,

@@ -370,7 +370,7 @@ class TestShardedReplay:
         assert result.fleet is shard_report.fleet
         assert result.tenant_sla.overall.n_jobs == result.n_records
         # Replay keeps its bounded-decode contract through the shards.
-        assert result.peak_pending <= result.config.max_pending
+        assert result.peak_pending <= result.config.chunk_records
 
     def test_sharded_replay_is_deterministic(self):
         from repro.traffic import default_spec, replay_fleet_sharded, synthesise

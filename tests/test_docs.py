@@ -13,12 +13,14 @@ Four gates over every markdown document in the repo:
   (sweep engines, unused DES primitives, hooks and shims);
 * numbers quoted from committed bench baselines must still match the
   baseline — ``docs/scaling.md``'s marker-delimited table is parsed
-  and compared against ``BENCH_shard.json``.
+  and compared against ``BENCH_shard.json``;
+* every ``repro.*`` name ``docs/paper_mapping.md`` cites resolves.
 """
 
 from __future__ import annotations
 
 import doctest
+import importlib
 import json
 import math
 import re
@@ -166,9 +168,10 @@ def test_no_stale_sweep_engine_references(root):
 #: synthesis, the shard parent's homing view, the "auto" engine, the
 #: module-level outcome aliases (``Outcome.*`` replaces them), the dock
 #: and LIM fault loops with their base class, ``ChaosSpec`` fields and
-#: the dock out-of-service flag, the orphan hypothesis strategies, and
-#: the DLRM parallelisation-strategy module nothing reached.  Spelled
-#: in pieces, as above.
+#: the dock out-of-service flag, the orphan hypothesis strategies, the
+#: DLRM parallelisation-strategy module nothing reached, and the replay
+#: lookahead cursor with its two buffer-limit fields.  Spelled in
+#: pieces, as above.
 _STALE_SURFACE = re.compile("|".join([
     r"\bPriority" r"(Resource|Request)\b", r"\bCon" r"tainer\b", r"\bget" r"_matching\b",
     r"\b_fire" r"(_fast|_traced)?\b", r"\bUtilisation" r"Monitor\b",
@@ -184,6 +187,7 @@ _STALE_SURFACE = re.compile("|".join([
     r"mlsim\.par" r"allelism\b", r"\b(data|model|hybrid)_par" r"allel_cost\b",
     r"\b(best_feasible" r"_strategy|compare" r"_strategies|dlrm_2022" r"_shape)\b",
     r"\b(Dlrm" r"Shape|Strategy" r"Cost|IterationWith" r"Strategy)\b",
+    r"\bLookahead" r"Cursor\b", r"\blookahead" r"_s\b", r"\bmax" r"_pending\b",
 ]))
 
 
@@ -192,6 +196,34 @@ def test_no_stale_surface_references(root):
     """Deleted primitives, hooks and shims stay deleted, in code and prose."""
     stale = _matching_lines(root, _STALE_SURFACE)
     assert stale == [], "stale references to deleted names:\n" + "\n".join(stale)
+
+
+def resolve(dotted: str) -> object:
+    """Import the longest module prefix of ``dotted``, then walk attributes."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attribute in parts[split:]:
+            target = getattr(target, attribute)
+        return target
+    raise ImportError(dotted)
+
+
+def test_paper_mapping_names_resolve():
+    """Each backticked ``repro.*`` name in the paper map names real code."""
+    text = (REPO_ROOT / "docs" / "paper_mapping.md").read_text(encoding="utf-8")
+    names = sorted(set(re.findall(r"`(repro(?:\.\w+)+)", text)))
+    assert len(names) > 60, "the paper map lost its code references"
+    unresolved = []
+    for name in names:
+        try:
+            resolve(name)
+        except (ImportError, AttributeError):
+            unresolved.append(name)
+    assert unresolved == [], f"paper_mapping.md names missing code: {unresolved}"
 
 
 class TestScalingDocNumbers:

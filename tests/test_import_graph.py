@@ -235,7 +235,7 @@ PUBLIC_API = {
     ),
     "traffic": (
         "BinaryTraceWriter", "DAY_S", "DEFAULT_WINDOW_S", "DemandClass", "FORMATS",
-        "FlashCrowd", "JSONL_SCHEMA", "JsonlTraceWriter", "LookaheadCursor",
+        "FlashCrowd", "JSONL_SCHEMA", "JobBinder", "JsonlTraceWriter",
         "RECORD_STRUCT", "ReplayConfig", "ReplayResult", "TRACE_MAGIC",
         "TRACE_SCHEMA_VERSION", "TenantProfile", "TraceHeader", "TraceRecord",
         "TraceSpec", "TrafficBenchReport", "bench_scenario", "bound_jobs",

@@ -3,9 +3,13 @@
 import io
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, DataIntegrityError
+from repro.fleet.sla import ClassTarget
 from repro.traffic.codec import (
     DECODE_BATCH,
     RECORD_STRUCT,
@@ -18,6 +22,7 @@ from repro.traffic.codec import (
     read_trace,
     write_trace,
 )
+from repro.traffic.replay import JobBinder, bound_jobs
 from repro.traffic.schema import TRACE_MAGIC, TraceHeader, TraceRecord
 from repro.traffic.synth import default_spec, synthesise, trace_header
 
@@ -215,3 +220,118 @@ class TestTraceFiles:
         _, from_bin = read_trace(bin_path)
         _, from_jsonl = read_trace(jsonl_path)
         assert list(from_bin) == list(from_jsonl)
+
+
+#: "batch" has no target, so it binds at the default priority.
+TARGETS = {"interactive": ClassTarget(deadline_s=60.0, priority=2)}
+CART_BYTES = 24e12
+
+#: One field of one record made invalid: each breaks a different check.
+CORRUPTIONS = (
+    "nan-arrival", "nan-size", "nan-deadline", "zero-size",
+    "deadline-before-arrival", "tenant-id", "dataset-id", "kind-id",
+    "backwards-arrival",
+)
+
+
+def random_rows(seed, n):
+    """``n`` valid packed rows: arrival ties, and sizes at, below and
+    above the cart cap."""
+    rng = np.random.default_rng(seed)
+    gaps = np.where(rng.random(n) < 0.3, 0.0, rng.exponential(5.0, n))
+    arrivals = 1.0 + np.cumsum(gaps)
+    sizes = rng.choice([CART_BYTES, 1e9, 5e13], n) * rng.choice(
+        [1.0, 1.0, 0.5, 1.7], n)
+    slack = rng.choice([0.0, 60.0, 3600.0], n) * rng.random(n)
+    return [
+        [float(arrival), int(tenant), int(dataset), int(kind), float(size),
+         float(arrival + extra)]
+        for arrival, tenant, dataset, kind, size, extra in zip(
+            arrivals, rng.integers(0, len(HEADER.tenants), n),
+            rng.integers(0, len(HEADER.datasets), n),
+            rng.integers(0, len(HEADER.kinds), n), sizes, slack,
+        )
+    ]
+
+
+def corrupt(rows, index, corruption):
+    row = rows[index]
+    if corruption.startswith("nan-"):
+        row[{"arrival": 0, "size": 4, "deadline": 5}[
+            corruption.split("-")[1]]] = float("nan")
+    elif corruption == "zero-size":
+        row[4] = 0.0
+    elif corruption == "deadline-before-arrival":
+        row[5] = row[0] - 1.0
+    elif corruption == "backwards-arrival":
+        row[0] = rows[index - 1][0] * 0.5
+    else:
+        table = corruption.split("-")[0] + "s"
+        row[1 + ("tenants", "datasets", "kinds").index(table)] = len(
+            getattr(HEADER, table))
+
+
+def packed_reader(rows):
+    stream = encode_binary([])
+    stream.seek(0, io.SEEK_END)
+    for row in rows:
+        stream.write(RECORD_STRUCT.pack(*row))
+    stream.seek(0)
+    return read_binary_records(stream, read_binary_header(stream))
+
+
+def bits(job):
+    """Every field of a bound job, floats by their exact bits."""
+    return tuple(
+        (type(value), value.hex() if isinstance(value, float) else value)
+        for value in (job.job_id, job.arrival_s, job.size_bytes, job.kind,
+                      job.dataset, job.read_bytes, job.deadline_at,
+                      job.priority, job.tenant)
+    )
+
+
+def drain(jobs):
+    """(bound jobs, (error type, text) or None) of a job stream."""
+    bound = []
+    try:
+        for job in jobs:
+            bound.append(bits(job))
+    except DataIntegrityError as exc:
+        return bound, (type(exc), str(exc))
+    return bound, None
+
+
+def both_paths(rows, chunk):
+    """The scalar path (``TraceRecord``\\ s through :func:`bound_jobs`)
+    and the batch path (validated row chunks through the binder)."""
+    scalar = drain(bound_jobs(iter(packed_reader(rows)), TARGETS, CART_BYTES))
+    batch = drain(JobBinder(packed_reader(rows), TARGETS, CART_BYTES,
+                            chunk_records=chunk).jobs())
+    return scalar, batch
+
+
+class TestBatchPathProperty:
+    """The chunked row path binds exactly what the scalar path binds."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 600))
+    def test_valid_traces_bind_bit_identically(self, chunk, seed, n):
+        rows = random_rows(seed, n)
+        scalar, batch = both_paths(rows, chunk)
+        assert scalar[1] is None
+        assert batch == scalar
+        assert len(batch[0]) == n
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 600),
+           corruption=st.sampled_from(CORRUPTIONS), data=st.data())
+    def test_corrupt_record_fails_alike_after_the_same_jobs(
+        self, chunk, seed, n, corruption, data
+    ):
+        rows = random_rows(seed, n)
+        index = data.draw(st.integers(1, n - 1), label="index")
+        corrupt(rows, index, corruption)
+        scalar, batch = both_paths(rows, chunk)
+        assert scalar[1] is not None
+        assert batch == scalar
+        assert len(batch[0]) == index

@@ -2,10 +2,10 @@
 
 Synthesises the headline internet-scale day (three tenants, diurnal
 curves, one evening flash crowd, ~1M requests), streams it through
-``run_fleet`` via the bounded-lookahead replay adapter, and asserts
-the constant-memory contract: live job objects never exceed the
-admission-derived bound and decoded records never exceed the lookahead
-chunk — independent of the million-record trace length.
+the fleet via the chunked replay binder, and asserts the
+constant-memory contract: live job objects never exceed the
+admission-derived bound and records bound ahead of the clock never
+exceed one chunk — independent of the million-record trace length.
 """
 
 import pytest
@@ -22,16 +22,15 @@ def test_million_request_day_replays_with_bounded_memory():
     expected = expected_records(spec)
     assert expected > 1e6
     scenario = bench_scenario(spec, spec.horizon_s)
-    config = ReplayConfig(max_pending=4096, lookahead_s=60.0,
-                          chunk_records=256)
+    config = ReplayConfig(chunk_records=256)
 
     result = replay_fleet(scenario, synthesise(spec), config=config)
 
     # Every synthesised request flowed through run_fleet...
     assert result.n_records == result.fleet.n_jobs
     assert abs(result.n_records - expected) < 5.0 * expected ** 0.5
-    # ...with live objects bounded by the lookahead window and the
-    # shed-overflow admission, not by the trace length.
+    # ...with live objects bounded by one chunk and the shed-overflow
+    # admission, not by the trace length.
     assert result.peak_pending <= config.chunk_records
     assert result.peak_in_system <= in_system_bound(scenario)
     # The day genuinely saturates this fleet: shedding engaged, yet

@@ -1,4 +1,4 @@
-"""Tests for bounded-lookahead open-loop replay into the fleet."""
+"""Tests for chunked open-loop replay into the fleet."""
 
 import gc
 import io
@@ -24,7 +24,7 @@ from repro.traffic.codec import (
     read_binary_records,
 )
 from repro.traffic.replay import (
-    LookaheadCursor,
+    JobBinder,
     ReplayConfig,
     bound_jobs,
     check_compatible,
@@ -51,42 +51,41 @@ def record_at(arrival, size=1e12):
 
 
 class TestReplayConfig:
-    def test_rejects_chunk_larger_than_cap(self):
+    def test_rejects_chunks_under_one_record(self):
         with pytest.raises(ConfigurationError):
-            ReplayConfig(max_pending=8, chunk_records=9)
-
-    def test_rejects_nonpositive_lookahead(self):
-        with pytest.raises(ConfigurationError):
-            ReplayConfig(lookahead_s=0.0)
+            ReplayConfig(chunk_records=0)
 
 
-class TestLookaheadCursor:
-    def test_yields_every_record_in_order(self):
+def encoded(records, header=None):
+    """``records`` as a binary trace reader (the chunked row path)."""
+    stream = io.BytesIO()
+    writer = BinaryTraceWriter(stream, header or trace_header(SPEC))
+    for record in records:
+        writer.write(record)
+    stream.seek(0)
+    return read_binary_records(stream, read_binary_header(stream))
+
+
+class TestJobBinder:
+    @pytest.mark.parametrize("source", ["records", "rows"])
+    def test_binds_every_record_in_order(self, source):
         records = [record_at(float(index)) for index in range(1000)]
-        cursor = LookaheadCursor(iter(records), ReplayConfig(chunk_records=64))
-        assert list(cursor) == records
-        assert cursor.n_records == 1000
+        stream = iter(records) if source == "records" else encoded(records)
+        binder = JobBinder(stream, dict(SPEC.targets),
+                           SPEC.catalog.dataset_bytes, chunk_records=64)
+        jobs = list(binder.jobs())
+        assert [job.job_id for job in jobs] == list(range(1000))
+        assert [job.arrival_s for job in jobs] == [
+            record.arrival_s for record in records
+        ]
+        assert binder.n_records == 1000
+        # 1000 = 15 * 64 + 40: the largest chunk held is a full one.
+        assert binder.peak_pending == 64
 
-    def test_peak_pending_bounded_by_chunk(self):
-        records = [record_at(float(index) * 0.01) for index in range(5000)]
-        config = ReplayConfig(max_pending=256, chunk_records=32)
-        cursor = LookaheadCursor(iter(records), config)
-        for _ in cursor:
-            assert cursor.pending <= config.chunk_records
-        assert 0 < cursor.peak_pending <= config.chunk_records
-
-    def test_lookahead_horizon_limits_decode_ahead(self):
-        """Sparse traces decode record-by-record, not chunk-by-chunk.
-
-        With inter-arrival gaps wider than the lookahead window, every
-        refill after the initial chunk stops at the horizon: one record
-        makes it into the buffer and the first over-horizon record is
-        carried undecoded-further — the stream is never slurped.
-        """
-        spacing = 10.0
-        config = ReplayConfig(lookahead_s=5.0, chunk_records=8,
-                              max_pending=64)
-        records = [record_at(index * spacing) for index in range(200)]
+    @pytest.mark.parametrize("source", ["records", "rows"])
+    def test_decodes_at_most_one_chunk_ahead(self, source):
+        records = [record_at(index * 10.0) for index in range(200)]
+        chunk = 8
         consumed = []
 
         def counting():
@@ -94,15 +93,23 @@ class TestLookaheadCursor:
                 consumed.append(record.arrival_s)
                 yield record
 
-        cursor = LookaheadCursor(counting(), config)
-        for emitted_count, record in enumerate(cursor, start=1):
-            if emitted_count <= config.chunk_records:
-                continue  # the horizonless initial chunk
-            # Decode-ahead never exceeds buffer + carry = 2 records
-            # past what was handed out.
-            assert len(consumed) <= emitted_count + 2
-            assert cursor.pending <= 2
-        assert cursor.n_records == len(records)
+        if source == "records":
+            stream = counting()
+        else:
+            stream = encoded(records)
+            reader_chunks = stream.chunks
+
+            def counting_chunks(n_records):
+                for rows in reader_chunks(n_records):
+                    consumed.extend(rows["arrival_s"].tolist())
+                    yield rows
+
+            stream.chunks = counting_chunks
+        binder = JobBinder(stream, dict(SPEC.targets),
+                           SPEC.catalog.dataset_bytes, chunk_records=chunk)
+        for emitted, _job in enumerate(binder.jobs(), start=1):
+            assert len(consumed) <= emitted - 1 + chunk
+        assert binder.n_records == len(records)
 
 
 class TestBoundJobs:
@@ -125,7 +132,7 @@ class TestReplayFleet:
         scenario = bench_scenario(SPEC, SPEC.horizon_s)
         result = replay_fleet(scenario, synthesise(SPEC))
         assert result.n_records == result.fleet.n_jobs > 100
-        assert result.peak_pending <= result.config.max_pending
+        assert result.peak_pending <= result.config.chunk_records
         assert result.peak_in_system <= in_system_bound(scenario)
         tenants = {sla.kind for sla in result.tenant_sla.classes}
         assert tenants == {"search", "analytics", "backup"}
@@ -156,10 +163,9 @@ class TestReplayFleet:
 
     def test_lookahead_bounds_are_tight_under_tiny_config(self):
         scenario = bench_scenario(SPEC, SPEC.horizon_s)
-        config = ReplayConfig(max_pending=16, lookahead_s=5.0,
-                              chunk_records=8)
+        config = ReplayConfig(chunk_records=8)
         result = replay_fleet(scenario, synthesise(SPEC), config=config)
-        assert result.peak_pending <= 8
+        assert result.peak_pending == 8
         assert result.n_records == result.fleet.n_jobs
 
     def test_incompatible_trace_fails_before_replay(self):
@@ -243,10 +249,10 @@ class TestRecordPathProxy:
         env = Environment()
         topology = FleetTopology(env, scenario.spec, scenario.catalog)
         plane = ControlPlane(env, topology, scenario)
-        jobs = bound_jobs(
-            LookaheadCursor(iter(records), DEFAULT_REPLAY_CONFIG),
-            dict(scenario.targets), scenario.catalog.dataset_bytes,
-        )
+        jobs = JobBinder(
+            iter(records), dict(scenario.targets),
+            scenario.catalog.dataset_bytes, DEFAULT_REPLAY_CONFIG.chunk_records,
+        ).jobs()
         before = env._eid
         plane._start_intake(jobs)
         env.run()
@@ -258,8 +264,12 @@ class TestRecordPathProxy:
         assert env._eid - before == 1
 
     #: Python-level ``call`` events in ``repro.*`` frames for one warm
-    #: replay of :meth:`records` (3,252 records, 283 served): 15.74 per
-    #: record.  It was 55,617 (17.10 per record) while the dhlsim
+    #: replay of :meth:`records` (3,252 records, 283 served) from a
+    #: plain record iterator: 13.75 per record.  It was 51,196 (15.74
+    #: per record) while a lookahead cursor (one ``__next__`` per
+    #: record) and a ``bound_jobs`` generator (one resume per record)
+    #: sat between the records and the intake.  It was 55,617 (17.10 per
+    #: record) while the dhlsim
     #: commands and lane workers pushed a zero-delay kick-off wherever a
     #: generator process would, each with its callback frame, and every
     #: untraced rail built its own off tracer.  It was 62,525 (19.23 per
@@ -275,17 +285,27 @@ class TestRecordPathProxy:
     #: returned.  Stopping the callback-chain workers is one
     #: ``stop_workers`` call.
     #: Comprehension frames are left out, since Python 3.12 inlines them.
-    CALLS = 51_196
+    CALLS = 44_706
 
-    def test_python_calls_per_record_are_pinned(self):
-        records = self.records()
+    #: The same replay from an encoded binary trace through
+    #: :func:`read_binary_records`: 13.75 per record.  The reader's
+    #: validated row chunks are bound column-wise, so no ``TraceRecord``
+    #: is built and no generator resumes per record.  It was 57,701
+    #: (17.74 per record) while each record was decoded by a generator,
+    #: validated in ``TraceRecord.__new__`` and passed through the
+    #: lookahead cursor and ``bound_jobs``.
+    BINARY_CALLS = 44_722
+
+    def profiled_calls(self, source):
+        """``repro.*`` calls of one warm replay of ``source()``'s records."""
         scenario = bench_scenario(self.SPEC, self.SPEC.horizon_s)
 
-        def replay():
-            return replay_fleet(scenario, iter(records),
+        def replay(records):
+            return replay_fleet(scenario, records,
                                 config=DEFAULT_REPLAY_CONFIG)
 
-        replay()  # warm: first-use imports and caches are not per record
+        replay(source())  # warm: first-use imports and caches are not per record
+        records = source()
         calls = 0
 
         def profile(frame, event, _arg):
@@ -304,14 +324,44 @@ class TestRecordPathProxy:
         gc.disable()
         sys.setprofile(profile)
         try:
-            result = replay()
+            result = replay(records)
         finally:
             sys.setprofile(None)
             gc.enable()
+        return result, calls
+
+    def test_python_calls_per_record_are_pinned(self):
+        records = self.records()
+        result, calls = self.profiled_calls(lambda: iter(records))
         assert result.fleet.n_jobs == len(records)
         assert calls == self.CALLS, (
             f"{calls / len(records):.2f} calls per record, pinned "
             f"{self.CALLS / len(records):.2f}"
+        )
+
+    def test_binary_trace_calls_per_record_are_pinned(self):
+        records = self.records()
+        trace = io.BytesIO()
+        writer = BinaryTraceWriter(trace, trace_header(self.SPEC))
+        for record in records:
+            writer.write(record)
+        trace.seek(0)
+        header = read_binary_header(trace)
+        body = trace.tell()
+
+        def reader():
+            stream = io.BytesIO(trace.getvalue())
+            stream.seek(body)
+            return read_binary_records(stream, header)
+
+        result, calls = self.profiled_calls(reader)
+        assert result.fleet == replay_fleet(
+            bench_scenario(self.SPEC, self.SPEC.horizon_s), iter(records),
+            config=DEFAULT_REPLAY_CONFIG,
+        ).fleet
+        assert calls == self.BINARY_CALLS, (
+            f"{calls / len(records):.2f} calls per record, pinned "
+            f"{self.BINARY_CALLS / len(records):.2f}"
         )
 
     def test_stream_stats_observe_only_completed_jobs(self, monkeypatch):
