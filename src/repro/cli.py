@@ -247,6 +247,7 @@ def _capacity_plan(args: argparse.Namespace) -> int:
     )
     print()
     print(render_table(*capacity_table(plan), title="Capacity plan"))
+    print(f"simulated {plan.simulated} of {len(plan.evaluations)} candidates")
     if plan.best is None:
         print("FAIL: no candidate met the SLA requirement")
         return 1

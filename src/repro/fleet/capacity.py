@@ -3,12 +3,23 @@
 Given a workload scenario and an SLA requirement, sweep candidate
 deployments — number of tracks, cart-pool size, scheduling policy —
 and return the cheapest candidate whose simulated run satisfies the
-requirement.  The sweep is exhaustive: every candidate is simulated, so
-the plan is the DES's own answer, not a model's.  Candidates are
-evaluated through :func:`repro.core.chunks.map_chunks`, so a plan can
-fan out across a process pool; virtual-time determinism guarantees
-the serial and parallel engines return the *same* plan, which the test
-suite pins.
+requirement.  Every candidate gets an evaluation, and every evaluation
+is the DES's own answer, not a model's; but no fleet is simulated
+twice.  Candidates that differ only in cart pool form a *ladder*,
+climbed from its smallest pool.  A run whose pool granted every
+cart-token request at once (:attr:`ControlPlane.pool_waits` is 0) is
+the run of every larger pool in its ladder, so those candidates take
+its evaluation with only ``cart_pool`` replaced.  That is exact: the
+pool is a plain :class:`~repro.sim.resources.Resource`, which grants,
+pushes and numbers events the same way at any capacity it never
+fills, and the only other reader of the pool, the cache's eviction
+balancer, reads its queue length, which stays 0.  A run that queued
+sends the climb on to the next pool.
+
+Ladders are evaluated through :func:`repro.core.chunks.map_chunks`, so
+a plan can fan out across a process pool; virtual-time determinism
+guarantees the serial and parallel engines return the *same* plan,
+which the test suite pins.
 The parallelism here is *across* candidate fleets (each one a small
 independent run); to put every core on a single large fleet instead,
 shard that run with :func:`repro.fleet.shard.run_sharded` — see
@@ -30,7 +41,14 @@ from ..core.chunks import map_chunks
 from ..errors import ConfigurationError
 from ..units import assert_positive
 from .cache import CacheConfig
-from .controlplane import FleetScenario, POLICIES, _bind_jobs, _FleetJob, build_plane
+from .controlplane import (
+    FleetReport,
+    FleetScenario,
+    POLICIES,
+    _bind_jobs,
+    _FleetJob,
+    build_plane,
+)
 
 
 @dataclass(frozen=True)
@@ -71,6 +89,9 @@ class CapacityPlan:
     evaluations: tuple[CandidateEvaluation, ...]
     best: CandidateEvaluation | None
     """The minimal feasible deployment, or None if nothing qualified."""
+    simulated: int
+    """Fleets actually simulated; the other evaluations were reused
+    from a smaller pool of their ladder that never queued."""
 
     @property
     def feasible(self) -> tuple[CandidateEvaluation, ...]:
@@ -78,8 +99,7 @@ class CapacityPlan:
 
 
 def _evaluate(scenario: FleetScenario, requirement: SlaRequirement,
-              jobs: tuple[_FleetJob, ...]) -> CandidateEvaluation:
-    report = build_plane(scenario).run(jobs)
+              report: FleetReport) -> CandidateEvaluation:
     feasible = (
         report.p99_s <= requirement.max_p99_s
         and report.deadline_miss_rate <= requirement.max_miss_rate
@@ -97,13 +117,47 @@ def _evaluate(scenario: FleetScenario, requirement: SlaRequirement,
     )
 
 
-def _candidate_chunk(
-    chunk: tuple[FleetScenario, ...],
+def _climb(
+    ladder: tuple[FleetScenario, ...],
     requirement: SlaRequirement,
     jobs: tuple[_FleetJob, ...],
-) -> tuple[CandidateEvaluation, ...]:
-    """``map_chunks`` worker: evaluate a slice of the candidate grid."""
-    return tuple(_evaluate(scenario, requirement, jobs) for scenario in chunk)
+) -> tuple[tuple[CandidateEvaluation, ...], int]:
+    """Evaluate one ladder, pools ascending, and count the fleets run.
+
+    Each pool is simulated until one run never queues for a cart; the
+    pools above it reuse that run's evaluation.
+    """
+    evaluations: list[CandidateEvaluation] = []
+    for rung, scenario in enumerate(ladder, start=1):
+        plane = build_plane(scenario)
+        evaluation = _evaluate(scenario, requirement, plane.run(jobs))
+        evaluations.append(evaluation)
+        if plane.pool_waits == 0:
+            evaluations.extend(
+                replace(evaluation, cart_pool=larger.spec.cart_pool)
+                for larger in ladder[rung:]
+            )
+            return tuple(evaluations), rung
+    return tuple(evaluations), len(ladder)
+
+
+def _ladder_chunk(
+    chunk: tuple[tuple[FleetScenario, ...], ...],
+    requirement: SlaRequirement,
+    jobs: tuple[_FleetJob, ...],
+) -> tuple[tuple[tuple[CandidateEvaluation, ...], int], ...]:
+    """``map_chunks`` worker: climb a slice of the grid's ladders."""
+    return tuple(_climb(ladder, requirement, jobs) for ladder in chunk)
+
+
+def _ladders(scenarios: tuple[FleetScenario, ...]) -> tuple[tuple[int, ...], ...]:
+    """Grid indices grouped into ladders: candidates that differ only in
+    cart pool, pools ascending (the grid's own order)."""
+    ladders: dict[tuple[int, str, str], list[int]] = {}
+    for index, scenario in enumerate(scenarios):
+        key = (scenario.spec.n_tracks, scenario.policy, scenario.cache_label)
+        ladders.setdefault(key, []).append(index)
+    return tuple(tuple(indices) for indices in ladders.values())
 
 
 def _cache_for_label(base: FleetScenario, label: str) -> CacheConfig | None:
@@ -175,26 +229,38 @@ def plan_capacity(
     engine: str = "serial",
     workers: int | None = None,
 ) -> CapacityPlan:
-    """Sweep the whole candidate grid and pick the minimal feasible fleet.
+    """Evaluate the whole candidate grid and pick the minimal feasible fleet.
 
-    Every candidate is simulated, so ``evaluations`` is the full
-    feasibility frontier capacity studies plot; ``best`` is the first
-    feasible candidate in increasing-cost order.  Each evaluation equals
+    ``evaluations`` is the full feasibility frontier capacity studies
+    plot, in grid order; ``best`` is the first feasible candidate in
+    increasing-cost order.  Each evaluation equals
     ``run_fleet(candidate)``: the binding reads only the seed, traffic
     classes, horizon, catalog and SLA targets, which no candidate
-    changes.
+    changes, and a candidate whose pool is larger than one that never
+    queued takes that run's evaluation (the module docstring says why
+    this is exact).  ``simulated`` counts the fleets that ran.
     """
     scenarios = candidate_scenarios(base, n_tracks_options,
                                     cart_pool_options, policies,
                                     cache_options)
+    ladders = _ladders(scenarios)
     # No run mutates a bound job, so the candidates share one tuple.
     jobs = tuple(_bind_jobs(base))
-    chunk_fn = functools.partial(_candidate_chunk, requirement=requirement,
+    chunk_fn = functools.partial(_ladder_chunk, requirement=requirement,
                                  jobs=jobs)
-    evaluations = map_chunks(chunk_fn, scenarios, engine=engine, workers=workers)
+    climbs = map_chunks(
+        chunk_fn,
+        (tuple(scenarios[index] for index in ladder) for ladder in ladders),
+        engine=engine, workers=workers,
+    )
+    evaluations: list[CandidateEvaluation | None] = [None] * len(scenarios)
+    for ladder, (rungs, _) in zip(ladders, climbs):
+        for index, evaluation in zip(ladder, rungs):
+            evaluations[index] = evaluation
     best = next((e for e in evaluations if e.feasible), None)
     return CapacityPlan(
         requirement=requirement,
-        evaluations=evaluations,
+        evaluations=tuple(evaluations),
         best=best,
+        simulated=sum(simulated for _, simulated in climbs),
     )

@@ -414,7 +414,10 @@ class _LaneWorker:
     # -- no cache: lock, borrow a cart, launch, read, return, repay --------------
 
     def _plain_locked(self, _event: Event) -> None:
-        token = self.token = self.plane.topology.cart_pool.request()
+        plane = self.plane
+        token = self.token = plane.topology.cart_pool.request()
+        if not token.triggered:
+            plane.pool_waits += 1
         token.callbacks.append(self._plain_borrowed)
 
     def _plain_borrowed(self, _event: Event) -> None:
@@ -494,6 +497,7 @@ class _LaneWorker:
         plane = self.plane
         token = self.token = plane.topology.cart_pool.request()
         if not token.triggered:
+            plane.pool_waits += 1
             plane._balance_pool()
         token.callbacks.append(self._fetch_borrowed)
 
@@ -658,6 +662,10 @@ class ControlPlane:
         self._counts: dict[str, int] = {outcome: 0 for outcome in Outcome}
         self._max_completed_s = 0.0
         self._evictions_in_flight = 0
+        # Cart-token requests the pool could not grant at once.  While
+        # it reads 0 the pool never queued, so any larger pool would
+        # have run the same events (the capacity planner's reuse rule).
+        self.pool_waits = 0
         self.failover_energy_j = 0.0
         # Counter handles by name, fetched on first use so registry
         # names, creation order and values match per-record lookups.

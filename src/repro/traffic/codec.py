@@ -178,8 +178,9 @@ class BinaryRecordReader:
     numpy row arrays instead, each chunk validated column-wise at once.
     Either way a record whose fields the schema rejects (a zero size, a
     negative or non-finite time, a deadline before its arrival), whose
-    ids fall outside the header tables or that arrives before its
-    predecessor is a :class:`DataIntegrityError` naming its index, as
+    ids fall outside the header tables, that arrives before its
+    predecessor or that the trace ends inside of (a truncated file) is
+    a :class:`DataIntegrityError` naming its index, as
     the JSONL reader names the line, raised after every record before
     it has been handed out.
 
@@ -199,11 +200,27 @@ class BinaryRecordReader:
         size = RECORD_STRUCT.size
         data = self.stream.read(size * n_records)
         if len(data) % size:
-            raise DataIntegrityError(
-                f"truncated binary trace: {len(data) % size} trailing "
-                "bytes are not a whole record"
-            )
+            return self._cut_short(data)
         return data
+
+    def _cut_short(self, data: bytes) -> bytes:
+        """The whole records of a read the trace ends inside of; the
+        read after them raises, naming the cut record."""
+        size = RECORD_STRUCT.size
+        tail = len(data) % size
+        whole = len(data) - tail
+        error = DataIntegrityError(
+            f"truncated binary trace: record {self._index + whole // size} "
+            f"is cut short ({tail} trailing bytes are not a whole record)"
+        )
+        if not whole:
+            raise error
+
+        def cut(_n_records: int) -> bytes:
+            raise error
+
+        self._read = cut
+        return data[:whole]
 
     def _release(self) -> None:
         if self._owns:

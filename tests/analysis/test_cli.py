@@ -34,6 +34,17 @@ class TestParser:
 
 
 class TestMain:
+    def test_capacity_plan_reports_what_it_simulated(self, capsys):
+        from argparse import Namespace
+
+        from repro.cli import _capacity_plan
+
+        status = _capacity_plan(Namespace(seed=0, horizon=600.0, workers=None))
+        assert status == 0
+        out = capsys.readouterr().out
+        assert "<- plan" in out
+        assert "simulated 12 of 18 candidates" in out
+
     def test_table6_output(self, capsys):
         assert main(["table6"]) == 0
         out = capsys.readouterr().out

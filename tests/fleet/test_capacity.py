@@ -5,6 +5,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro.dhlsim.track as track_module
 from repro.core.params import DhlParams
@@ -136,10 +138,13 @@ class TestPlanCapacity:
 class TestHopPhysicsProxy:
     """A launch reads its hop's physics from the track's table.
 
-    On the exhaustive 36-candidate grid at a one-hour horizon the plan
-    builds 72 single-rack tracks, so 144 ordered hops.  Each hop costs
-    one ``DhlParams.with_`` and one ``launch_energy``, at construction;
-    the thousands of launches that follow cost none.
+    On the 36-candidate grid at a one-hour horizon, seed 0, the plan
+    simulates 18 fleets: each ladder runs only its smallest pool except
+    the cached ones, which run pools 4 and 6 on 2 tracks and 4, 6 and 8
+    on 3 tracks.  So it builds 40 single-rack tracks and 80 ordered
+    hops.  (Simulating every candidate built 72 tracks and 144 hops.)
+    Each hop costs one ``DhlParams.with_`` and one ``launch_energy``,
+    at construction; the thousands of launches that follow cost none.
     """
 
     def test_physics_resolved_once_per_hop(self, monkeypatch):
@@ -173,14 +178,30 @@ class TestHopPhysicsProxy:
             cache_options=("none", "lru"), engine="serial",
         )
         assert len(plan.evaluations) == 36
-        assert sum(e.launches for e in plan.evaluations) > 144
-        assert calls == {"with_": 0, "with_in_table": 144, "launch_energy": 144}
+        assert plan.simulated == 18
+        assert sum(e.launches for e in plan.evaluations) > 80
+        assert calls == {"with_": 0, "with_in_table": 80, "launch_energy": 80}
 
+
+
+def assert_independent_runs(plan, candidates):
+    """Every evaluation equals ``run_fleet`` of its candidate."""
+    assert len(candidates) == len(plan.evaluations)
+    for candidate, evaluation in zip(candidates, plan.evaluations):
+        report = run_fleet(candidate)
+        assert (evaluation.n_tracks, evaluation.cart_pool, evaluation.policy,
+                evaluation.cache_policy) == (
+            candidate.spec.n_tracks, candidate.spec.cart_pool,
+            candidate.policy, candidate.cache_label)
+        assert (evaluation.p99_s, evaluation.deadline_miss_rate,
+                evaluation.launches, evaluation.launch_energy_j) == (
+            report.p99_s, report.deadline_miss_rate, report.launches,
+            report.launch_energy_j)
 
 
 class TestOneBoundStream:
     """A plan binds the base scenario's job stream once and every
-    candidate runs that one tuple, left as it was bound."""
+    simulated candidate runs that one tuple, left as it was bound."""
 
     REQUIREMENT = SlaRequirement(max_p99_s=150.0, max_miss_rate=0.05)
 
@@ -210,7 +231,9 @@ class TestOneBoundStream:
         monkeypatch.setattr(ControlPlane, "run", recording_run)
         plan = plan_capacity(self.REQUIREMENT, base_scenario(),
                              cache_options=("none", "lru"), engine="serial")
-        assert len(plan.evaluations) == len(streams) == 36
+        # 36 streams when every candidate was simulated.
+        assert len(plan.evaluations) == 36
+        assert len(streams) == plan.simulated == 18
         assert generated == [HORIZON]
         [(fjobs, fields)] = bound
         shared = streams[0]
@@ -224,14 +247,68 @@ class TestOneBoundStream:
         options = ("none", "lru")
         plan = plan_capacity(self.REQUIREMENT, base, cache_options=options)
         candidates = candidate_scenarios(base, cache_options=options)
-        assert len(candidates) == len(plan.evaluations) == 36
-        for candidate, evaluation in zip(candidates, plan.evaluations):
-            report = run_fleet(candidate)
-            assert (evaluation.n_tracks, evaluation.cart_pool, evaluation.policy,
-                    evaluation.cache_policy) == (
-                candidate.spec.n_tracks, candidate.spec.cart_pool,
-                candidate.policy, candidate.cache_label)
-            assert (evaluation.p99_s, evaluation.deadline_miss_rate,
-                    evaluation.launches, evaluation.launch_energy_j) == (
-                report.p99_s, report.deadline_miss_rate, report.launches,
-                report.launch_energy_j)
+        assert len(candidates) == 36
+        assert_independent_runs(plan, candidates)
+
+
+class TestLadderReuse:
+    """A ladder reuses a run only above a pool that never queued."""
+
+    def test_a_queued_pool_sends_the_climb_to_the_next_pool(self, monkeypatch):
+        # At seed 1, one hour, (3 tracks, lru) queues for carts at pools
+        # 4 and 6 under both policies; the uncached ladders never queue.
+        runs = []
+        real_run = ControlPlane.run
+
+        def recording_run(plane, fjobs):
+            report = real_run(plane, fjobs)
+            spec = plane.scenario.spec
+            runs.append((plane.scenario.policy, plane.scenario.cache_label,
+                         spec.cart_pool, plane.pool_waits > 0))
+            return report
+
+        monkeypatch.setattr(ControlPlane, "run", recording_run)
+        base = default_scenario(seed=1, horizon_s=3600.0)
+        grid = dict(n_tracks_options=(3,), cache_options=("none", "lru"))
+        plan = plan_capacity(TestOneBoundStream.REQUIREMENT, base, **grid)
+        assert runs == [
+            ("fcfs", "none", 4, False),
+            ("fcfs", "lru", 4, True),
+            ("fcfs", "lru", 6, True),
+            ("fcfs", "lru", 8, False),
+            ("edf", "none", 4, False),
+            ("edf", "lru", 4, True),
+            ("edf", "lru", 6, True),
+            ("edf", "lru", 8, False),
+        ]
+        assert plan.simulated == 8
+        monkeypatch.undo()
+        assert_independent_runs(plan, candidate_scenarios(base, **grid))
+
+    @given(
+        seed=st.sampled_from((0, 1, 2)),
+        n_tracks=st.sets(st.integers(1, 3), min_size=1, max_size=2),
+        data=st.data(),
+    )
+    def test_every_evaluation_equals_its_own_run(self, seed, n_tracks, data):
+        # Pools start at one cart per rail, well below what a cached
+        # fleet holds at its peak, so low rungs queue and the climb
+        # goes on; high rungs stop queueing and are reused.
+        pools = data.draw(
+            st.sets(st.integers(min(n_tracks), 8), min_size=1, max_size=4),
+            label="pools",
+        )
+        policies = data.draw(
+            st.sampled_from((("fcfs",), ("edf",), ("fcfs", "edf"))),
+            label="policies",
+        )
+        base = default_scenario(seed=seed, horizon_s=HORIZON)
+        grid = dict(n_tracks_options=tuple(n_tracks),
+                    cart_pool_options=tuple(pools), policies=policies,
+                    cache_options=("none", "lru"))
+        plan = plan_capacity(TestOneBoundStream.REQUIREMENT, base, **grid)
+        candidates = candidate_scenarios(base, **grid)
+        ladders = {(c.spec.n_tracks, c.policy, c.cache_label)
+                   for c in candidates}
+        assert len(ladders) <= plan.simulated <= len(candidates)
+        assert_independent_runs(plan, candidates)

@@ -271,11 +271,14 @@ def corrupt(rows, index, corruption):
             getattr(HEADER, table))
 
 
-def packed_reader(rows):
+def packed_reader(rows, cut=0):
+    """A reader over ``rows`` packed by hand, the last ``cut`` bytes
+    cut off the end."""
     stream = encode_binary([])
     stream.seek(0, io.SEEK_END)
     for row in rows:
         stream.write(RECORD_STRUCT.pack(*row))
+    stream.truncate(stream.tell() - cut)
     stream.seek(0)
     return read_binary_records(stream, read_binary_header(stream))
 
@@ -301,13 +304,21 @@ def drain(jobs):
     return bound, None
 
 
-def both_paths(rows, chunk):
+def both_paths(rows, chunk, cut=0):
     """The scalar path (``TraceRecord``\\ s through :func:`bound_jobs`)
     and the batch path (validated row chunks through the binder)."""
-    scalar = drain(bound_jobs(iter(packed_reader(rows)), TARGETS, CART_BYTES))
-    batch = drain(JobBinder(packed_reader(rows), TARGETS, CART_BYTES,
+    scalar = drain(bound_jobs(iter(packed_reader(rows, cut)), TARGETS,
+                              CART_BYTES))
+    batch = drain(JobBinder(packed_reader(rows, cut), TARGETS, CART_BYTES,
                             chunk_records=chunk).jobs())
     return scalar, batch
+
+
+def truncation_error(index, cut):
+    return (DataIntegrityError,
+            f"truncated binary trace: record {index} is cut short "
+            f"({RECORD_STRUCT.size - cut} trailing bytes are not a whole "
+            "record)")
 
 
 class TestBatchPathProperty:
@@ -335,3 +346,26 @@ class TestBatchPathProperty:
         assert scalar[1] is not None
         assert batch == scalar
         assert len(batch[0]) == index
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 600),
+           cut=st.integers(1, RECORD_STRUCT.size - 1))
+    def test_truncated_trace_fails_alike_after_every_whole_record(
+        self, chunk, seed, n, cut
+    ):
+        scalar, batch = both_paths(random_rows(seed, n), chunk, cut)
+        assert batch == scalar
+        assert len(batch[0]) == n - 1
+        assert batch[1] == truncation_error(n - 1, cut)
+
+    @pytest.mark.parametrize("n, chunk", [
+        (257, 256),  # the cut record starts a read of its own
+        (DECODE_BATCH + 1, 256),
+        (2 * DECODE_BATCH + 17, 256),  # cut inside the third decode batch
+        (2 * DECODE_BATCH + 17, 4000),
+    ])
+    def test_truncation_past_a_read_boundary(self, n, chunk):
+        scalar, batch = both_paths(random_rows(n, n), chunk, cut=7)
+        assert batch == scalar
+        assert len(batch[0]) == n - 1
+        assert batch[1] == truncation_error(n - 1, 7)
