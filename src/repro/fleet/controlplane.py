@@ -31,6 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
@@ -60,6 +61,7 @@ from .topology import DatasetCatalog, DatasetHome, FleetSpec, FleetTopology
 
 if TYPE_CHECKING:
     from ..chaos.runner import CampaignRunner
+    from .sla import _StreamStats
 
 #: The chaos campaign types, imported on first lookup: the ``chaos``
 #: annotations below resolve under ``typing.get_type_hints``, and a
@@ -73,10 +75,11 @@ CLOSE_RETRY_S = 30.0
 
 POLICIES = ("fcfs", "sjf", "edf")
 
-#: ``Outcome.SHED`` bound once for the shed shortcut in ``submit``, which
-#: runs once per shed record: an enum attribute lookup goes through the
-#: metaclass (a dict bump keyed by it took 0.19 µs against 0.07 µs for a
-#: module global, Python 3.11 timeit).
+#: ``Outcome.SHED`` bound once for ``ControlPlane._shed_unrecorded``,
+#: which runs once per shed record or run of shed rows: an enum
+#: attribute lookup goes through the metaclass (a dict bump keyed by it
+#: took 0.19 µs against 0.07 µs for a module global, Python 3.11
+#: timeit).
 _SHED = Outcome.SHED
 
 #: Rack-to-rack traffic mix for fleet studies: latency-sensitive
@@ -201,6 +204,90 @@ class _FleetJob:
     deadline_at: float
     priority: int
     tenant: str = ""
+
+
+class _JobColumns:
+    """One chunk of trace rows as columns, bound to jobs only on demand.
+
+    ``rows`` is a structured array with the binary trace's fields
+    (``arrival_s``, ``tenant``, ``dataset``, ``kind``, ``size_bytes``,
+    ``deadline_s``; ids index the name tables ``names = (datasets,
+    kinds, tenants)``), arrivals non-decreasing.  :meth:`bind` is the
+    one binder of a row to its :class:`_FleetJob`: job id ``start +
+    k``, priority from the per-kind-id ``priorities``, read capped at
+    ``cart_bytes``.  Iterating a chunk binds every row.
+
+    The intake sheds leading runs of rows straight from the columns
+    (:meth:`ControlPlane._shed_rows`) and binds only the rows it
+    submits: ``arrival_s`` is the arrival column as floats,
+    ``dataset`` the dataset-id column and ``group`` the (kind, tenant)
+    id column ``kind * len(tenants) + tenant``, both numpy.
+    """
+
+    __slots__ = (
+        "start", "names", "priorities", "cart_bytes", "arrival_s",
+        "tenant_ids", "dataset_ids", "kind_ids", "size_bytes", "deadline_s",
+        "dataset", "group", "inexact",
+    )
+
+    def __init__(self, rows: np.ndarray, start: int,
+                 names: tuple[Sequence[str], Sequence[str], Sequence[str]],
+                 priorities: Sequence[int], cart_bytes: float):
+        self.start = start
+        self.names = names
+        self.priorities = priorities
+        self.cart_bytes = cart_bytes
+        arrival_s = rows["arrival_s"]
+        self.arrival_s = arrival_s.tolist()
+        self.tenant_ids = rows["tenant"].tolist()
+        self.dataset_ids = rows["dataset"].tolist()
+        self.kind_ids = rows["kind"].tolist()
+        self.size_bytes = rows["size_bytes"].tolist()
+        self.deadline_s = rows["deadline_s"].tolist()
+        self.dataset = rows["dataset"]
+        self.group = rows["kind"].astype(np.intp) * len(names[2]) + rows["tenant"]
+        # Rows the clock cannot reach from the row before as
+        # ``before + (arrival - before)`` bit for bit.
+        self.inexact = (np.flatnonzero(
+            arrival_s[:-1] + np.diff(arrival_s) != arrival_s[1:]
+        ) + 1).tolist()
+
+    def __len__(self) -> int:
+        return len(self.arrival_s)
+
+    def bind(self, k: int) -> _FleetJob:
+        """Row ``k`` as a job."""
+        datasets, kinds, tenants = self.names
+        kind = self.kind_ids[k]
+        size = self.size_bytes[k]
+        cart = self.cart_bytes
+        return _FleetJob(
+            self.start + k, self.arrival_s[k], size, kinds[kind],
+            datasets[self.dataset_ids[k]], cart if cart < size else size,
+            self.deadline_s[k], self.priorities[kind],
+            tenants[self.tenant_ids[k]],
+        )
+
+    def __iter__(self) -> Iterator[_FleetJob]:
+        return map(self.bind, range(len(self.arrival_s)))
+
+
+class _ShedIndex:
+    """Column ids to lanes and SLA groups, for one set of name tables.
+
+    ``lane`` maps a dataset id to its lane's position in
+    ``ControlPlane.lanes``, or to one past the last lane while the
+    dataset has none yet; ``groups`` maps a (kind, tenant) id to its SLA
+    accumulator group, ``None`` (and ``known`` False) while no job of
+    that pair has resolved.  Each table is rebuilt when the plane has
+    learnt a dataset's lane, or the tracker a group, since.
+    """
+
+    __slots__ = ("names", "n_lanes", "lane", "n_groups", "groups", "known")
+
+    def __init__(self, names):
+        self.names = names
+        self.n_lanes = self.n_groups = -1
 
 
 def _policy_key(policy: str):
@@ -674,6 +761,8 @@ class ControlPlane:
         # bumping counters.  The handles come from the first shed, which
         # takes the full ``_finish`` path and so creates them in order.
         self._shed_handles: tuple[Counter, Counter, Counter] | None = None
+        # The tables the intake's bulk shed looks column ids up in.
+        self._shed_index: _ShedIndex | None = None
         # Degradation machinery: one health monitor + breaker per lane,
         # fed by the track's fault-to-repair windows and serve outcomes.
         # Absent a policy nothing is created, so the fault-free fleet is
@@ -754,20 +843,7 @@ class ControlPlane:
             and (group := self.sla._groups.get((fjob.kind, fjob.tenant)))
             is not None
         ):
-            # Everything ``_finish`` and ``SlaTracker.observe`` would do
-            # for a shed job that nothing keeps a record of.  The full
-            # queue that sheds it holds unresolved jobs, so the plane
-            # cannot be done yet and ``_maybe_done`` has nothing to do.
-            rejections, shed, missed = handles
-            rejections.value += 1.0
-            shed.value += 1.0
-            missed.value += 1.0
-            for stats in group:
-                stats.n_jobs += 1
-                stats.misses += 1
-            self._counts[_SHED] += 1
-            self._resolved += 1
-            self._in_system -= 1
+            self._shed_unrecorded(group)
             return
         self._count("count.fleet.admission_rejections")
         if self._failover_streams is not None:
@@ -782,7 +858,120 @@ class ControlPlane:
                 self.sla._counters["deadline_missed"],
             )
 
-    def _start_intake(self, fjobs: Iterable[_FleetJob]) -> None:
+    def _shed_unrecorded(self, group: tuple[_StreamStats, ...],
+                         n: int = 1) -> None:
+        """Resolve ``n`` submitted jobs of one SLA accumulator ``group``
+        as shed.
+
+        Everything ``_finish`` and ``SlaTracker.observe`` would do for
+        shed jobs that nothing keeps a record of, on the handles the
+        first full shed created.  The full queue that sheds them holds
+        unresolved jobs, so the plane cannot be done yet and
+        ``_maybe_done`` has nothing to do.  Counters hold whole numbers,
+        so bumping them by ``n`` equals ``n`` bumps of one.
+        """
+        rejections, shed, missed = self._shed_handles
+        rejections.value += n
+        shed.value += n
+        missed.value += n
+        for stats in group:
+            stats.n_jobs += n
+            stats.misses += n
+        self._counts[_SHED] += n
+        self._resolved += n
+        self._in_system -= n
+
+    def _shed_rows(self, rows: _JobColumns, i: int) -> int:
+        """Shed rows ``i, i + 1, ...`` of a column chunk in one go, and
+        return the first row left for the per-row step.
+
+        The run is the leading rows the per-row step would each hand to
+        ``submit``'s shortcut with nothing else happening in between:
+
+        * its arrival is the clock's, or ``advance_to`` would jump
+          there (strictly before the queue head and within the run's
+          deadline), reached bit for bit as ``now + (arrival - now)``;
+        * its dataset's lane is known and its queue full, and its
+          (kind, tenant) group already exists.
+
+        Shedding schedules nothing and queues nothing, so the checks
+        hold for the whole run at once.  The intake calls this only once
+        the first full shed has created the shortcut's handles, which
+        ``submit`` does only on a streaming, shed-only plane; of those,
+        a hookless, untraced plane sheds rows here.
+        """
+        env = self.env
+        if self.outcome_hook is not None or self.tracer is not None:
+            return i
+        arrivals = rows.arrival_s
+        now = env._now
+        head, deadline = env.advance_bounds()
+        due = bisect_right(arrivals, now, i)
+        end = min(bisect_left(arrivals, head, due),
+                  bisect_right(arrivals, deadline, due))
+        if end > due:
+            first = arrivals[due]
+            if now + (first - now) != first:
+                end = due
+            else:
+                inexact = rows.inexact
+                k = bisect_right(inexact, due)
+                if k < len(inexact) and inexact[k] < end:
+                    end = inexact[k]
+        if end == i:
+            return i
+        index = self._index_for(rows)
+        full = np.array(
+            [len(lane.queue._heap) >= self._max_queue_depth
+             for lane in self.lanes.values()] + [False]
+        )
+        shed = (full[index.lane][rows.dataset[i:end]]
+                & index.known[rows.group[i:end]])
+        n = int(shed.argmin())
+        if shed[n]:
+            n = end - i
+        if n == 0:
+            return i
+        stop = i + n
+        self._submitted += n
+        if self._in_system >= self.peak_in_system:
+            # Each shed job is live for a moment inside ``submit``.
+            self.peak_in_system = self._in_system + 1
+        self._in_system += n
+        shed_unrecorded = self._shed_unrecorded
+        counts = np.bincount(rows.group[i:stop]).tolist()
+        for group, count in zip(index.groups, counts):
+            if count:
+                shed_unrecorded(group, count)
+        last = arrivals[stop - 1]
+        if last > now:
+            env._now = last
+        return stop
+
+    def _index_for(self, rows: _JobColumns) -> _ShedIndex:
+        """The plane's :class:`_ShedIndex` for ``rows``'s name tables."""
+        index = self._shed_index
+        if index is None or index.names is not rows.names:
+            index = self._shed_index = _ShedIndex(rows.names)
+        datasets, kinds, tenants = rows.names
+        lane_of = self._lane_of
+        if index.n_lanes != len(lane_of):
+            position = {lane: k for k, lane in enumerate(self.lanes.values())}
+            unknown = len(position)
+            index.lane = np.array(
+                [position.get(lane_of.get(name), unknown) for name in datasets],
+                dtype=np.intp,
+            )
+            index.n_lanes = len(lane_of)
+        if index.n_groups != len(self.sla._groups):
+            index.groups = self.sla.known_groups(kinds, tenants)
+            index.known = np.array([group is not None for group in index.groups])
+            index.n_groups = len(self.sla._groups)
+        return index
+
+    def _start_intake(
+        self, fjobs: Iterable[_FleetJob | _JobColumns]
+    ) -> None:
         """Submit ``fjobs`` as the DES clock reaches each arrival.
 
         Intake is a chain of plain callbacks, not a process, and it
@@ -792,10 +981,18 @@ class ControlPlane:
         :meth:`Environment.advance_to` when nothing else is due first,
         else through one timeout whose callback carries on.  A shedding
         replay thus runs long stretches of arrivals in one callback
-        with no queue entry.  The iterator is only advanced after the
-        previous job has been submitted, so at most one bound job is
-        ever materialised ahead of the DES clock — a trace-driven day
-        streams through without the job list ever existing in memory.
+        with no queue entry.
+
+        An item of ``fjobs`` is a bound job or a chunk of rows as
+        :class:`_JobColumns`.  A chunk's leading rows that would only
+        be shed are shed from its columns in one go
+        (:meth:`_shed_rows`); the first row left is bound, takes the
+        per-row step, and the chunk's remaining rows go the same way.
+        The stream is only advanced after the previous job has been
+        submitted, so at most one chunk of rows, and of those at most
+        one bound job, is ever held ahead of the DES clock — a
+        trace-driven day streams through without the job list ever
+        existing in memory.
 
         The next arrival is reached at ``now + (arrival_s - now)``, not
         at ``arrival_s``: that float sum is the timestamp the run has
@@ -804,19 +1001,44 @@ class ControlPlane:
         env = self.env
         submit = self.submit
         advance_to = env.advance_to
-        jobs = iter(fjobs)
+        shed_rows = self._shed_rows
+        items = iter(fjobs)
+        jobs = items  # ``items``, or the unshed rows of the chunk in hand
+
+        def unshed(rows: _JobColumns) -> Iterator[_FleetJob]:
+            bind = rows.bind
+            k, n = 0, len(rows)
+            while k < n:
+                # Until the first full shed creates the shortcut's
+                # handles, which a plane that keeps records or fails
+                # over never does, ``_shed_rows`` would shed nothing.
+                if self._shed_handles is not None and (
+                    k := shed_rows(rows, k)
+                ) == n:
+                    return
+                yield bind(k)
+                k += 1
 
         def intake(event: Event | None = None) -> None:
+            nonlocal jobs
             if event is not None:
                 submit(event._value)
-            for fjob in jobs:
-                now = env._now
-                if fjob.arrival_s > now:
-                    delay = fjob.arrival_s - now
-                    if not advance_to(now + delay):
-                        env.timeout(delay, fjob).callbacks.append(intake)
-                        return
-                submit(fjob)
+            while True:
+                for fjob in jobs:
+                    if fjob.__class__ is _JobColumns:
+                        jobs = unshed(fjob)
+                        break
+                    now = env._now
+                    if fjob.arrival_s > now:
+                        delay = fjob.arrival_s - now
+                        if not advance_to(now + delay):
+                            env.timeout(delay, fjob).callbacks.append(intake)
+                            return
+                    submit(fjob)
+                else:
+                    if jobs is items:
+                        break
+                    jobs = items
             self._intake_closed = True
             self._maybe_done()
 

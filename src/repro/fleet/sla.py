@@ -293,6 +293,20 @@ class SlaTracker:
         self._groups[(kind, tenant)] = group
         return group
 
+    def known_groups(
+        self, kinds: Sequence[str], tenants: Sequence[str]
+    ) -> list[tuple[_StreamStats, ...] | None]:
+        """The streaming group of every (kind, tenant) pair, kind-major.
+
+        A pair no job has resolved yet maps to ``None``: this never
+        creates a group.  A pair's first job takes :meth:`observe`,
+        which creates its accumulators in the order per-job accounting
+        always has; record-less sheds (``ControlPlane._shed_unrecorded``)
+        only ever bump groups that already exist.
+        """
+        groups = self._groups
+        return [groups.get((kind, tenant)) for kind in kinds for tenant in tenants]
+
     def observe(
         self,
         kind: str,

@@ -746,6 +746,20 @@ class Environment:
             return True
         return False
 
+    def advance_bounds(self) -> tuple[float, float]:
+        """``(head, deadline)``: :meth:`advance_to` jumps to any ``when``
+        not in the past with ``when < head`` and ``when <= deadline``,
+        and to no other.
+
+        ``head`` is the queue head's time (+inf on an empty queue);
+        ``deadline`` is the running :meth:`run`'s ``until=<float>``
+        (+inf without one), or -inf outside a run or with a tracer
+        attached.  For a caller that plans a stretch of jumps at once.
+        """
+        queue = self._queue
+        head = queue[0][0] if queue else _INF
+        return head, self._horizon if self._tracer is None else -_INF
+
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf when idle."""
         if self._cancelled_pending:

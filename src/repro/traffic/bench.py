@@ -78,7 +78,9 @@ def in_system_bound(scenario: FleetScenario) -> int:
 
     Every lane queues at most ``max_queue_depth``, every station serves
     at most one, and one job can transiently sit in ``submit`` before
-    the shed decision resolves it.
+    the shed decision resolves it.  A run of rows the intake sheds in
+    one step counts the same one: each of them would have been that
+    transient job in turn, never two at once.
     """
     spec = scenario.spec
     return (

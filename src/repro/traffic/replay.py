@@ -7,18 +7,21 @@ the way a live fleet would — not to a pre-built job list.
 
 Two bounds keep a 10M-request day in constant memory:
 
-* the control plane's lazy intake pulls the next bound job only after
-  submitting the previous one (see ``ControlPlane._start_intake``);
-* the :class:`JobBinder` in front of it decodes and binds records one
-  chunk of ``chunk_records`` at a time, so at most one chunk of bound
-  jobs exists ahead of the clock.  ``peak_pending`` records the largest
-  chunk held, the live-object count the traffic bench gates on.
+* the control plane's lazy intake takes the next item of its stream
+  only after submitting the previous job (see
+  ``ControlPlane._start_intake``);
+* the :class:`JobBinder` in front of it decodes records one chunk of
+  ``chunk_records`` at a time, so at most one chunk exists ahead of
+  the clock.  ``peak_pending`` records the largest chunk held, the
+  live-object count the traffic bench gates on.
 
 A binary trace reader hands the binder validated numpy row chunks
-(:meth:`~repro.traffic.codec.BinaryRecordReader.chunks`), which it binds
-column-wise with no per-record :class:`TraceRecord`; any other record
-iterable (a synthesis stream, a JSONL reader, a list) is pulled in
-slices of the same size and bound from its tuples.
+(:meth:`~repro.traffic.codec.BinaryRecordReader.chunks`), which reach
+the intake as columns (:meth:`JobBinder.intake`): a shedding plane
+sheds runs of rows straight from them and binds a job only for a row
+it submits.  Any other record iterable (a synthesis stream, a JSONL
+reader, a list) is pulled in slices of the same size and bound from
+its tuples.
 
 Replay is open-loop: the trace is the offered load, full stop.  Jobs
 the fleet sheds do not come back as retries — exactly the
@@ -38,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..errors import ConfigurationError, ReproError
 from ..obs import Tracer
 from ..fleet.controlplane import FleetReport, FleetScenario, build_plane
-from ..fleet.controlplane import _FleetJob
+from ..fleet.controlplane import _FleetJob, _JobColumns
 from ..fleet.sla import DEFAULT_TARGET, ClassTarget, SlaReport
 from .schema import TraceHeader, TraceRecord
 
@@ -61,22 +64,24 @@ class ReplayConfig:
 class JobBinder:
     """Trace records bound to pre-bound fleet jobs, one chunk at a time.
 
-    :meth:`jobs` is the stream of ``_FleetJob``\\ s the control plane's
-    intake pulls; each chunk of ``chunk_records`` records is bound in
-    one pass when the intake reaches it.  Unlike the synthetic path
-    there is no random binding draw: the trace already names dataset,
-    tenant and deadline.  Job ids number records in arrival order,
-    priorities come from the scenario's targets per kind (so scheduling
-    policy and trace stay decoupled) and a read is capped at
-    ``cart_bytes``.
+    :meth:`intake` is the stream the control plane's intake pulls and
+    :meth:`jobs` the same records as ``_FleetJob``\\ s only; a chunk of
+    ``chunk_records`` records is decoded when the intake reaches it.
+    Unlike the synthetic path there is no random binding draw: the
+    trace already names dataset, tenant and deadline.  Job ids number
+    records in arrival order, priorities come from the scenario's
+    targets per kind (so scheduling policy and trace stay decoupled)
+    and a read is capped at ``cart_bytes``.
 
     A source with a ``chunks(n)`` method and a ``header`` (a binary
-    trace reader) is bound from its validated row columns: names from
-    the header tables, priorities from one table per kind id.  Any
-    other iterable yields records, already checked by their
-    construction, and is bound from their tuples.  Both give
-    bit-identical jobs, and both hand out the jobs before a bad record
-    before its error propagates.
+    trace reader) yields validated row chunks, each taken as
+    ``_JobColumns``: names from the header tables, priorities from one
+    table per kind id, and one binder for a single row.
+    :meth:`intake` hands each chunk over whole; :meth:`jobs` binds
+    every row with that binder.  Any other iterable yields records,
+    already checked by their construction, and is bound from their
+    tuples.  Both give bit-identical jobs, and both hand out the rows
+    before a bad record before its error propagates.
     """
 
     def __init__(
@@ -100,28 +105,14 @@ class JobBinder:
     def _priority(self, kind: str) -> int:
         return self.targets.get(kind, self.default).priority
 
-    def _row_chunks(self) -> Iterator[list[_FleetJob]]:
+    def _row_chunks(self) -> Iterator[_JobColumns]:
         header = self.records.header
-        tenants, datasets, kinds = header.tenants, header.datasets, header.kinds
-        priorities = [self._priority(kind) for kind in kinds]
+        names = (header.datasets, header.kinds, header.tenants)
+        priorities = [self._priority(kind) for kind in header.kinds]
         start = 0
         for rows in self.records.chunks(self.chunk_records):
-            kind_ids = rows["kind"].tolist()
-            sizes = rows["size_bytes"]
-            stop = start + len(kind_ids)
-            yield list(map(
-                _FleetJob,
-                range(start, stop),
-                rows["arrival_s"].tolist(),
-                sizes.tolist(),
-                map(kinds.__getitem__, kind_ids),
-                map(datasets.__getitem__, rows["dataset"].tolist()),
-                sizes.clip(max=self.cart_bytes).tolist(),
-                rows["deadline_s"].tolist(),
-                map(priorities.__getitem__, kind_ids),
-                map(tenants.__getitem__, rows["tenant"].tolist()),
-            ))
-            start = stop
+            yield _JobColumns(rows, start, names, priorities, self.cart_bytes)
+            start += len(rows)
 
     def _record_chunks(self) -> Iterator[list[_FleetJob]]:
         priorities: dict[str, int] = {}
@@ -153,20 +144,33 @@ class JobBinder:
             yield bind(chunk, start)
             start += len(chunk)
 
-    def _chunks(self) -> Iterator[list[_FleetJob]]:
+    def _chunks(self) -> Iterator[list[_FleetJob] | _JobColumns]:
         chunks = (
             self._row_chunks() if hasattr(self.records, "chunks")
             else self._record_chunks()
         )
-        for jobs in chunks:
-            self.n_records += len(jobs)
-            if len(jobs) > self.peak_pending:
-                self.peak_pending = len(jobs)
-            yield jobs
+        for chunk in chunks:
+            size = len(chunk)
+            self.n_records += size
+            if size > self.peak_pending:
+                self.peak_pending = size
+            yield chunk
 
     def jobs(self) -> Iterator[_FleetJob]:
         """Every bound job, in arrival order, bound a chunk at a time."""
         return chain.from_iterable(self._chunks())
+
+    def intake(self) -> Iterator[_FleetJob | _JobColumns]:
+        """What :meth:`ControlPlane.run` takes: each row chunk of a binary
+        trace as its columns, any other chunk's jobs one by one.
+
+        The plane binds a column chunk's rows only as it submits them,
+        so a row it sheds never becomes a job.
+        """
+        return chain.from_iterable(
+            (chunk,) if chunk.__class__ is _JobColumns else chunk
+            for chunk in self._chunks()
+        )
 
 
 def bound_jobs(
@@ -218,6 +222,16 @@ def check_compatible(header: TraceHeader, scenario: FleetScenario) -> None:
         )
 
 
+def _check_source(scenario: FleetScenario, records: Iterable[TraceRecord],
+                  header: TraceHeader | None) -> None:
+    """:func:`check_compatible` on ``header``, else on the source's own
+    header (a binary trace reader carries one), before any launch."""
+    if header is None:
+        header = getattr(records, "header", None)
+    if header is not None:
+        check_compatible(header, scenario)
+
+
 def _binder(scenario: FleetScenario, records: Iterable[TraceRecord],
             config: ReplayConfig) -> JobBinder:
     return JobBinder(records, dict(scenario.targets),
@@ -236,17 +250,17 @@ def replay_fleet(
 
     ``records`` may be a live synthesis stream or a codec reader; either
     way a :class:`JobBinder` consumes it one chunk at a time, straight
-    into the plane's intake.  Pass the trace ``header`` when available
-    to validate dataset compatibility before the first launch.
+    into the plane's intake.  The trace ``header`` (given, or the
+    source's own, as a binary trace reader carries) is checked for
+    dataset compatibility before the first launch.
     Day-scale traces should use a scenario with ``retain_records=False``
     so SLA accounting stays constant-memory too.
     """
     config = config if config is not None else ReplayConfig()
-    if header is not None:
-        check_compatible(header, scenario)
+    _check_source(scenario, records, header)
     binder = _binder(scenario, records, config)
     started = time.perf_counter()
-    report = build_plane(scenario, tracer=tracer).run(binder.jobs())
+    report = build_plane(scenario, tracer=tracer).run(binder.intake())
     return ReplayResult(
         fleet=report,
         n_records=binder.n_records,
@@ -276,13 +290,13 @@ def replay_fleet_sharded(
     Returns the familiar :class:`ReplayResult` (built from the merged
     fleet report) alongside the full
     :class:`~repro.fleet.shard.ShardReport`.  This is how a 1M-request
-    day finally uses every core — see ``docs/scaling.md``.
+    day finally uses every core — see ``docs/scaling.md``.  The trace
+    header is checked as :func:`replay_fleet` checks it.
     """
     from ..fleet.shard import _run_bound_sharded
 
     config = config if config is not None else ReplayConfig()
-    if header is not None:
-        check_compatible(header, plan.scenario)
+    _check_source(plan.scenario, records, header)
     binder = _binder(plan.scenario, records, config)
     started = time.perf_counter()
     shard_report = _run_bound_sharded(

@@ -11,10 +11,12 @@ names, creation order and values exactly as per-record lookups left
 them.
 """
 
+import io
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.bench import chaos_scenario
@@ -25,6 +27,7 @@ from repro.fleet.controlplane import (
     ControlPlane,
     _bind_jobs,
     _FleetJob,
+    _JobColumns,
     _LaneWorker,
     build_plane,
     default_scenario,
@@ -33,6 +36,13 @@ from repro.fleet.sla import DEFAULT_TARGET
 from repro.fleet.topology import DatasetCatalog, FleetSpec, FleetTopology
 from repro.obs import Tracer
 from repro.sim import Environment
+from repro.traffic.codec import (
+    BinaryTraceWriter,
+    read_binary_header,
+    read_binary_records,
+)
+from repro.traffic.replay import JobBinder
+from repro.traffic.schema import TraceHeader, TraceRecord
 from repro.units import TB
 
 KINDS = ("interactive", "batch", "archive")
@@ -58,18 +68,31 @@ class NoJumpEnvironment(Environment):
 
 
 def drive(scenario, fjobs, oracle, hook=True, clock="event", deadlines=(),
-          stops=None, env=None):
+          stops=None, env=None, tracer=None, planes=None, submits=None):
     """Run ``fjobs`` through a fresh plane; (report, resolution order).
 
     ``clock`` is how the clock is run: ``"event"`` (or ``"traced"``)
     runs until the plane is done, ``"until"`` first resumes
     ``run(until=...)`` through each of ``deadlines`` in turn, appending
     the clock and the submitted and resolved counts to ``stops`` after
-    each, and ``"step"`` calls ``step()`` alone.
+    each, and ``"step"`` calls ``step()`` alone.  ``tracer`` traces the
+    plane; the plane is appended to ``planes``.  Each ``submit`` call
+    appends the job id, the clock and the events scheduled so far to
+    ``submits``.
     """
     env = env if env is not None else Environment()
     topology = FleetTopology(env, scenario.spec, scenario.catalog)
-    plane = ControlPlane(env, topology, scenario)
+    plane = ControlPlane(env, topology, scenario, tracer=tracer)
+    if planes is not None:
+        planes.append(plane)
+    if submits is not None:
+        submit = plane.submit
+
+        def recording(fjob):
+            submits.append((fjob.job_id, env.now, env._eid))
+            submit(fjob)
+
+        plane.submit = recording
     resolved = []
     if hook:
         plane.outcome_hook = lambda record: resolved.append((env.now, record))
@@ -153,16 +176,27 @@ draws = st.tuples(
 )
 
 
-def with_echoes(scenario, steps, echoes):
+#: How long before a completion a lead job arrives.  A read takes far
+#: longer, so the lead job usually arrives with that completion at the
+#: queue head, and the echo job behind it ties with the head.
+LEAD_S = 0.01
+
+
+def with_echoes(scenario, steps, echoes, lead=False):
     """Bind ``steps`` plus echo jobs that arrive at exactly the instants
-    a pilot run's jobs completed, so arrivals tie with completions."""
+    a pilot run's jobs completed, so arrivals tie with completions.
+    With ``lead``, each echo follows a lead job with the same draw,
+    ``LEAD_S`` earlier."""
     timed = sorted(steps, key=lambda pair: pair[0])
     _report, pilot = drive(scenario, make_jobs(scenario, timed), oracle=True)
     completions = sorted(
         record.completed_s for _, record in pilot
         if record.completed_s is not None
     )
-    timed += zip(completions, echoes)
+    for completed, draw in zip(completions, echoes):
+        timed.append((completed, draw))
+        if lead:
+            timed.append((completed - LEAD_S, draw))
     return make_jobs(scenario, sorted(timed, key=lambda pair: pair[0]))
 
 
@@ -247,6 +281,198 @@ class TestDifferentialIntake:
         scenario = small_scenario(True, "fcfs", 1)
         report, resolved = drive(scenario, [], oracle=False)
         assert report.n_jobs == 0 and resolved == []
+
+
+#: Trace tenants: the draws name the first two, late jobs the third.
+TENANTS = ("search", "backup", "late")
+
+trace_draws = st.tuples(
+    st.integers(0, len(KINDS) - 1),
+    st.integers(0, 3),
+    st.sampled_from([0.05, 0.4, 1.0]),
+    st.sampled_from(TENANTS[:2]),
+)
+#: Draws for the pinned examples: ``ds-000`` and ``ds-001`` live on
+#: the two different lanes of :func:`small_scenario`.
+SEARCH = (0, 0, 0.4, "search")
+OTHER_LANE = (0, 1, 0.4, "search")
+
+
+def encode(scenario, jobs):
+    """``jobs`` as a fresh-reader factory over their binary trace."""
+    header = TraceHeader(tenants=TENANTS, datasets=scenario.catalog.names,
+                         kinds=KINDS)
+    stream = io.BytesIO()
+    writer = BinaryTraceWriter(stream, header)
+    for fjob in jobs:
+        writer.write(TraceRecord(fjob.arrival_s, fjob.tenant, fjob.dataset,
+                                 fjob.size_bytes, fjob.kind, fjob.deadline_at))
+    data = stream.getvalue()
+
+    def reader():
+        stream = io.BytesIO(data)
+        return read_binary_records(stream, read_binary_header(stream))
+
+    return reader
+
+
+@contextmanager
+def counting_binds(bound):
+    """While active, append the job id of every column row bound to
+    ``bound``."""
+    real = _JobColumns.bind
+
+    def counted(self, k):
+        fjob = real(self, k)
+        bound.append(fjob.job_id)
+        return fjob
+
+    _JobColumns.bind = counted
+    try:
+        yield
+    finally:
+        _JobColumns.bind = real
+
+
+class TestBulkShed:
+    """The intake's bulk shed of column chunks against the per-row path.
+
+    A binary trace reaches the plane three ways: as column chunks
+    (``JobBinder.intake``), as the same rows bound to jobs
+    (``JobBinder.jobs``) through the per-row intake, and as those jobs
+    through the generator oracle.  All three must leave the same
+    report, registry, live-job peak and final clock.
+    """
+
+    REFUSALS = ("tracer", "retain", "failover", "hook")
+
+    def run(self, scenario, items, oracle, refusal, deadlines, submits):
+        """Everything a run must leave identical, and the events it
+        scheduled; its ``submit`` calls go to ``submits``."""
+        stops, planes = [], []
+        # A traced plane traces its engine too, as ``build_plane`` does.
+        tracer = Tracer() if refusal == "tracer" else None
+        report, resolved = drive(
+            scenario, items, oracle=oracle, hook=refusal == "hook",
+            clock="until" if refusal == "until" else "event",
+            deadlines=deadlines, stops=stops,
+            env=Environment(tracer=tracer), tracer=tracer, planes=planes,
+            submits=submits,
+        )
+        (plane,) = planes
+        registry = [
+            (name, metric.snapshot())
+            for name, metric in plane.registry._metrics.items()
+        ]
+        return (
+            shard.render_signature(shard.report_signature(report)),
+            registry, report.peak_in_system, plane.env.now,
+            report.records, resolved, stops,
+        ), plane.env._eid
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        # Bursts overflow the lanes, so most rows shed, in runs.
+        steps=st.lists(st.tuples(st.one_of(bursts, arrivals), trace_draws),
+                       min_size=1, max_size=40),
+        echoes=st.lists(trace_draws, max_size=8),
+        late=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2),
+                                st.integers(0, 3)), max_size=6),
+        chunk=st.sampled_from([1, 7, 256]),
+        policy=st.sampled_from(["fcfs", "edf"]),
+        refusal=st.sampled_from((None, "until") + REFUSALS),
+        between=st.lists(st.integers(0, 40), max_size=3),
+    )
+    # The clock reaches 2.9 from 0.7 inexactly while one lane sheds; a
+    # job for the idle lane at 2.9 then starts at whatever the clock is.
+    @example(
+        steps=[(0.0, SEARCH)] * 5 + [(0.7, SEARCH)] * 2
+        + [(2.9, SEARCH), (2.9, OTHER_LANE)],
+        echoes=[], late=[], chunk=256, policy="fcfs", refusal=None,
+        between=[],
+    )
+    # A row arriving as its full lane's first job completes ties the
+    # queue head when the lead row is submitted: the per-row step
+    # reaches it by a timeout after that event, so it is no part of
+    # the lead row's shed run.
+    @example(
+        steps=[(0.0, SEARCH)] * 5, echoes=[SEARCH], late=[], chunk=7,
+        policy="fcfs", refusal=None, between=[],
+    )
+    def test_column_intake_matches_per_row_and_oracle(
+        self, steps, echoes, late, chunk, policy, refusal, between,
+    ):
+        scenario = small_scenario(refusal == "retain", policy,
+                                  int(refusal == "failover"))
+        jobs = with_echoes(scenario, steps, echoes, lead=True)
+        # A (kind, tenant) group whose first job comes after every
+        # other arrival, when the queues are likely full.
+        last = jobs[-1].arrival_s
+        jobs += make_jobs(scenario, [
+            (last + tenths / 10, (kind, dataset, 0.4, TENANTS[2]))
+            for tenths, kind, dataset in sorted(late)
+        ])
+        jobs = [replace(fjob, job_id=index) for index, fjob in enumerate(jobs)]
+        reader = encode(scenario, jobs)
+        # Deadlines fall inside the chunks, between and on arrivals.
+        times = [fjob.arrival_s for fjob in jobs]
+        deadlines = [
+            (times[index] + times[index + 1]) / 2
+            for index in between if index + 1 < len(times)
+        ] + [times[index] for index in between if index < len(times)]
+
+        def binder():
+            return JobBinder(reader(), dict(scenario.targets),
+                             scenario.catalog.dataset_bytes, chunk)
+
+        per_row_binder = binder()
+        bound_jobs = list(per_row_binder.jobs())
+        expected, _ = self.run(scenario, bound_jobs, True, refusal,
+                               deadlines, [])
+        per_row_submits, column_submits = [], []
+        per_row, per_row_events = self.run(
+            scenario, bound_jobs, False, refusal, deadlines, per_row_submits,
+        )
+        column_binder, bound = binder(), []
+        with counting_binds(bound):
+            columns, column_events = self.run(
+                scenario, column_binder.intake(), False, refusal, deadlines,
+                column_submits,
+            )
+        assert per_row == expected
+        assert columns == expected
+        assert column_binder.n_records == per_row_binder.n_records == len(jobs)
+        # A shed run moves the clock where the per-row steps would and
+        # skips nothing they would have scheduled: the rows it leaves
+        # are submitted at the same clock after the same events.
+        assert column_submits == [
+            entry for entry in per_row_submits if entry[0] in set(bound)
+        ]
+        assert column_events == per_row_events
+        if refusal in self.REFUSALS:
+            # A plane the bulk step refuses binds and submits every row.
+            assert bound == list(range(len(jobs)))
+
+    def test_a_burst_sheds_in_bulk_and_binds_only_what_it_submits(self):
+        scenario = small_scenario(False, "fcfs", 0)
+        jobs = make_jobs(scenario, [
+            (index / 100, (index % 3, index % 4, 1.0, TENANTS[index % 2]))
+            for index in range(200)
+        ])
+        reader = encode(scenario, jobs)
+        planes, bound = [], []
+        per_row, _ = drive(scenario, jobs, oracle=False, hook=False,
+                           planes=planes)
+        items = JobBinder(reader(), dict(scenario.targets),
+                          scenario.catalog.dataset_bytes, 64).intake()
+        with counting_binds(bound):
+            columns, _ = drive(scenario, items, oracle=False, hook=False,
+                               planes=planes)
+        assert shard.signature_digest(columns) == shard.signature_digest(per_row)
+        assert columns.shed == per_row.shed > 150
+        assert len(bound) < 200 - 150
+        assert planes[1]._submitted == 200
+        assert planes[1].env._eid == planes[0].env._eid
 
 
 class TestRegistryPin:

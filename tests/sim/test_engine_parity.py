@@ -16,6 +16,8 @@ rewrite; the optimised engine must keep reproducing them bit for bit
 type-check against the real classes).
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,13 +228,60 @@ class TestAdvanceToParity:
         assert jumped[:2] == reference[:2]
         assert jumped[2] <= reference[2]
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        queued=st.lists(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.0, 4.0),
+                        max_size=4),
+        cancel=st.booleans(),
+        until=st.none() | st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.0, 4.0),
+        whens=st.lists(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.0, 5.0),
+                       min_size=1, max_size=6),
+        traced=st.booleans(),
+    )
+    def test_bounds_say_exactly_when_a_jump_is_taken(
+        self, queued, cancel, until, whens, traced
+    ):
+        # ``ControlPlane._shed_rows`` plans whole runs of jumps from
+        # ``advance_bounds``; it is exact only while the bounds state
+        # ``advance_to``'s rule, inside and outside a run.
+        from repro.obs import Tracer
+
+        env = OPTIMISED.Environment(tracer=Tracer() if traced else None)
+        events = [env.timeout(delay) for delay in queued]
+        if cancel and events:
+            # A cancelled queue head stays in the queue until popped.
+            min(events, key=lambda event: event.delay).cancel()
+
+        def check():
+            jumps = []
+            for when in whens:
+                now = env.now
+                if when < now:
+                    with pytest.raises(SimulationError, match="past"):
+                        env.advance_to(when)
+                    continue
+                head, deadline = env.advance_bounds()
+                jumped = env.advance_to(when)
+                assert jumped == (when < head and when <= deadline)
+                assert env.now == (when if jumped else now)
+                jumps.append(jumped)
+            return jumps
+
+        assert not any(check())  # outside a run
+        env.timeout(0.5).callbacks.append(lambda _event: check())
+        env.run(until=until)
+        assert not any(check())  # the run has returned
+
     def test_refused_outside_a_run_on_ties_and_past_the_deadline(self):
         env = OPTIMISED.Environment()
+        assert env.advance_bounds() == (math.inf, -math.inf)
         assert not env.advance_to(1.0)  # no run in progress
         env.timeout(2.0)
         answers = []
 
         def probe(_event):
+            # ``advance_bounds`` states the rule the answers follow.
+            answers.append(env.advance_bounds())
             answers.append(env.advance_to(2.0))   # ties the queue head
             answers.append(env.advance_to(1.5))   # past run(until=1.25)
             answers.append(env.advance_to(1.25))  # exactly on it
@@ -240,8 +289,9 @@ class TestAdvanceToParity:
 
         env.timeout(1.0).callbacks.append(probe)
         env.run(until=1.25)
-        assert answers == [False, False, True, 1.25]
+        assert answers == [(2.0, 1.25), False, False, True, 1.25]
         assert not env.advance_to(1.5)  # the run has returned
+        assert env.advance_bounds() == (2.0, -math.inf)
         with pytest.raises(SimulationError, match="past"):
             env.advance_to(1.0)
 
@@ -250,11 +300,14 @@ class TestAdvanceToParity:
 
         env = OPTIMISED.Environment(tracer=Tracer())
         answers = []
-        env.timeout(0.0).callbacks.append(
-            lambda _event: answers.append(env.advance_to(1.0))
-        )
+
+        def probe(_event):
+            answers.append(env.advance_bounds())
+            answers.append(env.advance_to(1.0))
+
+        env.timeout(0.0).callbacks.append(probe)
         env.run()
-        assert answers == [False] and env.now == 0.0
+        assert answers == [(math.inf, -math.inf), False] and env.now == 0.0
 
 
 class TestDhlsimGoldens:

@@ -8,7 +8,9 @@ from collections import Counter
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fleet.controlplane import ControlPlane, run_fleet
+from repro.fleet.controlplane import ControlPlane, _FleetJob, run_fleet
+from repro.fleet import shard as shard_module
+from repro.fleet.shard import ShardPlan
 from repro.fleet.sla import JobRecord, _StreamStats
 from repro.fleet.topology import FleetTopology
 from repro.obs import MetricsRegistry
@@ -18,6 +20,7 @@ from repro.traffic.bench import (
     bench_scenario,
     in_system_bound,
 )
+from repro.traffic import replay as replay_module
 from repro.traffic.codec import (
     BinaryTraceWriter,
     read_binary_header,
@@ -29,6 +32,7 @@ from repro.traffic.replay import (
     bound_jobs,
     check_compatible,
     replay_fleet,
+    replay_fleet_sharded,
 )
 from repro.traffic.schema import TraceHeader, TraceRecord
 from repro.traffic.synth import default_spec, synthesise, trace_header
@@ -179,6 +183,32 @@ class TestReplayFleet:
         with pytest.raises(ConfigurationError):
             replay_fleet(scenario, iter(()), header=header)
 
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_binary_trace_checks_its_own_header(self, sharded, monkeypatch):
+        # The catalog lacks "ghost", which the trace names only late: a
+        # replay given no ``header=`` must refuse it from the reader's
+        # header before building a fleet, not fail at that record.
+        built = []
+        monkeypatch.setattr(replay_module, "build_plane",
+                            lambda *args, **kwargs: built.append(args))
+        monkeypatch.setattr(shard_module, "_run_bound_sharded",
+                            lambda *args, **kwargs: built.append(args))
+        base = trace_header(SPEC)
+        header = TraceHeader(tenants=base.tenants,
+                             datasets=base.datasets + ("ghost",),
+                             kinds=base.kinds)
+        records = [record_at(float(index)) for index in range(50)]
+        records.append(record_at(50.0)._replace(dataset="ghost"))
+        scenario = bench_scenario(SPEC, SPEC.horizon_s)
+        reader = encoded(records, header)
+        with pytest.raises(ConfigurationError, match="not in the scenario"):
+            if sharded:
+                replay_fleet_sharded(ShardPlan(scenario=scenario, n_pods=2),
+                                     reader, engine="serial")
+            else:
+                replay_fleet(scenario, reader)
+        assert built == []
+
     def test_tenant_sla_requires_tenants(self):
         scenario = bench_scenario(SPEC, SPEC.horizon_s)
         result = replay_fleet(scenario, synthesise(SPEC))
@@ -265,7 +295,12 @@ class TestRecordPathProxy:
 
     #: Python-level ``call`` events in ``repro.*`` frames for one warm
     #: replay of :meth:`records` (3,252 records, 283 served) from a
-    #: plain record iterator: 13.75 per record.  It was 51,196 (15.74
+    #: plain record iterator: 14.66 per record.  It was 44,706 (13.75
+    #: per record) while ``submit``'s shed shortcut bumped the counters
+    #: inline: the accounting now lives in ``_shed_unrecorded``, shared
+    #: with the intake's bulk shed, one frame per shortcut shed (2,980),
+    #: plus one for the replay's source-header check.
+    #: It was 51,196 (15.74
     #: per record) while a lookahead cursor (one ``__next__`` per
     #: record) and a ``bound_jobs`` generator (one resume per record)
     #: sat between the records and the intake.  It was 55,617 (17.10 per
@@ -285,16 +320,21 @@ class TestRecordPathProxy:
     #: returned.  Stopping the callback-chain workers is one
     #: ``stop_workers`` call.
     #: Comprehension frames are left out, since Python 3.12 inlines them.
-    CALLS = 44_706
+    CALLS = 47_687
 
     #: The same replay from an encoded binary trace through
-    #: :func:`read_binary_records`: 13.75 per record.  The reader's
-    #: validated row chunks are bound column-wise, so no ``TraceRecord``
-    #: is built and no generator resumes per record.  It was 57,701
+    #: :func:`read_binary_records`: 12.63 per record.  The reader's
+    #: validated row chunks reach the intake as columns, so no
+    #: ``TraceRecord`` is built, and a run of rows that only sheds is
+    #: shed in one step with no job bound and no ``submit`` (one
+    #: ``_shed_unrecorded`` per (kind, tenant) group in the run); the
+    #: reader's own header is checked against the catalog.  It was
+    #: 44,722 (13.75 per record) while every row was bound column-wise
+    #: and submitted.  It was 57,701
     #: (17.74 per record) while each record was decoded by a generator,
     #: validated in ``TraceRecord.__new__`` and passed through the
     #: lookahead cursor and ``bound_jobs``.
-    BINARY_CALLS = 44_722
+    BINARY_CALLS = 41_059
 
     def profiled_calls(self, source):
         """``repro.*`` calls of one warm replay of ``source()``'s records."""
@@ -339,8 +379,8 @@ class TestRecordPathProxy:
             f"{self.CALLS / len(records):.2f}"
         )
 
-    def test_binary_trace_calls_per_record_are_pinned(self):
-        records = self.records()
+    def binary_reader(self, records):
+        """A factory of fresh binary trace readers over ``records``."""
         trace = io.BytesIO()
         writer = BinaryTraceWriter(trace, trace_header(self.SPEC))
         for record in records:
@@ -354,7 +394,11 @@ class TestRecordPathProxy:
             stream.seek(body)
             return read_binary_records(stream, header)
 
-        result, calls = self.profiled_calls(reader)
+        return reader
+
+    def test_binary_trace_calls_per_record_are_pinned(self):
+        records = self.records()
+        result, calls = self.profiled_calls(self.binary_reader(records))
         assert result.fleet == replay_fleet(
             bench_scenario(self.SPEC, self.SPEC.horizon_s), iter(records),
             config=DEFAULT_REPLAY_CONFIG,
@@ -363,6 +407,36 @@ class TestRecordPathProxy:
             f"{calls / len(records):.2f} calls per record, pinned "
             f"{self.BINARY_CALLS / len(records):.2f}"
         )
+
+    #: ``_FleetJob``\ s the binary replay of :meth:`records` builds: one
+    #: per row the intake submits, 643 of the 3,252.  Every row was
+    #: bound to a job while row chunks reached the intake as jobs.
+    BINARY_JOBS = 643
+
+    def test_binary_replay_binds_only_the_rows_it_submits(self, monkeypatch):
+        built = 0
+        submitted = 0
+        real_init, real_submit = _FleetJob.__init__, ControlPlane.submit
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            real_init(self, *args, **kwargs)
+
+        def counting_submit(self, fjob):
+            nonlocal submitted
+            submitted += 1
+            real_submit(self, fjob)
+
+        monkeypatch.setattr(_FleetJob, "__init__", counting_init)
+        monkeypatch.setattr(ControlPlane, "submit", counting_submit)
+        records = self.records()
+        result = replay_fleet(
+            bench_scenario(self.SPEC, self.SPEC.horizon_s),
+            self.binary_reader(records)(), config=DEFAULT_REPLAY_CONFIG,
+        )
+        assert result.fleet.n_jobs == len(records)
+        assert built == submitted == self.BINARY_JOBS
 
     def test_stream_stats_observe_only_completed_jobs(self, monkeypatch):
         observed: list[float | None] = []
